@@ -126,9 +126,7 @@ class TropicalExtension(Hyperfield):
             # The new element dominates everything in S.
             return self.singleton(y)
         if g < h:
-            if S.tail:
-                # The tail already covers y's level and beyond.
-                return S
+            # S's elements sit at a lower level and dominate y.
             return S
         C = self.base.add_set_elem(S.base_sv, y.coef)
         tail = self.base.set_contains_zero(C)

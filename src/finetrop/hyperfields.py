@@ -57,14 +57,6 @@ def dir_of_gauss(z: GaussRat) -> Dir:
     return make_dir(int(z.re * d), int(z.im * d))
 
 
-def dir_of_rational(a: Fraction) -> Dir:
-    if a > 0:
-        return Dir(1, 0)
-    if a < 0:
-        return Dir(-1, 0)
-    raise ValueError("zero has no direction")
-
-
 def dir_neg(a: Dir) -> Dir:
     return Dir(-a.p, -a.q)
 
@@ -298,10 +290,6 @@ def _canonical_arcs(raw: Sequence[Arc], full: bool, has_zero: bool) -> ArcSet:
     return ArcSet(tuple(out), False, has_zero)
 
 
-def arcset_points(dirs: Iterable[Dir], has_zero: bool = False) -> ArcSet:
-    return _canonical_arcs([point_arc(d) for d in dirs], False, has_zero)
-
-
 ARCSET_EMPTY = ArcSet((), False, False)
 ARCSET_ZERO = ArcSet((), False, True)
 ARCSET_FULL_ZERO = ArcSet((), True, True)
@@ -349,10 +337,6 @@ def _ccw_cmp_from(base: Dir, a: Dir, b: Dir) -> int:
     if a == base:
         return 1
     return -1 if dir_between(base, a, b) else 1
-
-
-def dir_cmp_from(base: Dir, a: Dir, b: Dir) -> int:
-    return _ccw_cmp_from(base, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +416,6 @@ def _phase_pa(a: Dir, arc: Arc, closed: bool, out: _Contrib) -> None:
             out.add_arc(Arc(a, piece.end, closed, False))
         else:
             out.add_arc(Arc(piece.start, a, False, closed))
-
-
-def _neg_arc(arc: Arc) -> Arc:
-    return Arc(dir_neg(arc.start), dir_neg(arc.end), arc.closed_start, arc.closed_end)
 
 
 def _phase_aa(a1: Arc, a2: Arc, closed: bool, out: _Contrib) -> None:

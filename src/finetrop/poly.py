@@ -213,14 +213,6 @@ def fpoly(domain, nvars: int, coeffs: Mapping[Expt, Any]) -> FPoly:
     return FPoly(domain, nvars, coeffs)
 
 
-def fpoly_add(a: FPoly, b: FPoly) -> FPoly:
-    D = a.domain
-    out = dict(a.coeffs)
-    for d, c in b.coeffs.items():
-        out[d] = D.add(out.get(d, D.zero()), c)
-    return FPoly(D, a.nvars, out)
-
-
 def fpoly_mul(a: FPoly, b: FPoly) -> FPoly:
     D = a.domain
     out: dict[Expt, Any] = {}

@@ -6,14 +6,20 @@ an index set J and x solves the restricted sum over the base hyperfield.
 Candidate levels h are the slopes of the lower Newton polygon of the
 points (i, level of c_i); base solving is exact and per-hyperfield.
 
-Also: Baker-Lorscheid multiplicities by branching synthetic division,
-multiplicity-bound checks, instance-level relative-algebraic-closedness
+Baker-Lorscheid multiplicities reduce to the base: a root (c, h) on the
+Newton cell (h, J) has the multiplicity of c in the initial form
+sum_{j in J} c_j x^j over the base hyperfield.  Base multiplicities come
+from branching synthetic division, which over a field is plain synthetic
+division.
+
+Also: multiplicity-bound checks, instance-level relative-algebraic-closedness
 checks, and the Kapranov / fundamental-theorem verification harnesses.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional
@@ -71,21 +77,25 @@ def newton_cells(p: HPoly) -> list[NewtonCell]:
     if not isinstance(H, TropicalExtension):
         raise ValueError("newton_cells needs a tropical extension")
     coeffs = _univariate_coeffs(p)
-    levels = {i: c.level for i, c in coeffs.items()}
-    idx = sorted(levels)
+    levels = {i: coeffs[i].level for i in sorted(coeffs)}
     candidates: set[GroupElem] = set()
-    for i, j in itertools.combinations(idx, 2):
+    for i, j in itertools.combinations(levels, 2):
         # level(c_i) + i*h = level(c_j) + j*h  =>  h = (g_i - g_j)/(j - i)
         candidates.add(group_div(group_sub(levels[i], levels[j]), j - i))
     cells = []
     for h in candidates:
-        vals = {i: group_add(levels[i], scalar_mul(i, h)) for i in idx}
-        m = min(vals.values())
-        J = tuple(i for i in idx if vals[i] == m)
+        J = _argmin_indices(levels, h)
         if len(J) >= 2:
             cells.append(NewtonCell(h, J))
     cells.sort(key=lambda c: c.level.coords)
     return cells
+
+
+def _argmin_indices(levels: dict[int, GroupElem], h: GroupElem) -> tuple[int, ...]:
+    """The i attaining min_i(levels[i] + i*h), in the order of ``levels``."""
+    vals = {i: group_add(g, scalar_mul(i, h)) for i, g in levels.items()}
+    m = min(vals.values())
+    return tuple(i for i in vals if vals[i] == m)
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +104,10 @@ def newton_cells(p: HPoly) -> list[NewtonCell]:
 
 class BaseSolveError(ValueError):
     """Exact base solving is outside the supported shapes."""
+
+
+class SolverInvariantError(RuntimeError):
+    """The solver's own result failed its check: a bug, not a bad input."""
 
 
 @dataclass
@@ -109,39 +123,50 @@ class ArcRootDescription:
         return H.set_contains_zero(H.nary_sum(terms))
 
 
+# Bounds on the rational-root search: the largest |a0|, |an| whose divisors
+# are found by trial division, and the most candidate pairs p/q tried.
+# Outside them the search would run for hours; BaseSolveError is raised.
+MAX_ROOT_SEARCH_COEF = 10 ** 12
+MAX_ROOT_SEARCH_PAIRS = 10 ** 5
+
+
 def _rational_unit_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
     """All nonzero rational roots of a sparse rational polynomial.
 
     Rational-root search on the integer-cleared polynomial; complete for
-    roots in Q.
+    roots in Q.  Raises BaseSolveError when the cleared end coefficients
+    exceed the search bounds.
     """
     lo = min(coeffs)
     shifted = {i - lo: c for i, c in coeffs.items()}
     deg = max(shifted)
     den = 1
     for c in shifted.values():
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     ints = {i: int(c * den) for i, c in shifted.items()}
     a0 = abs(ints.get(0, 0))
     an = abs(ints[deg])
     if a0 == 0:
         # x = 0 is excluded; divide out and retry.
         return _rational_unit_roots({i: Fraction(c) for i, c in ints.items() if c})
+    if max(a0, an) > MAX_ROOT_SEARCH_COEF:
+        raise BaseSolveError(
+            f"rational root search: coefficient {max(a0, an)} exceeds "
+            f"{MAX_ROOT_SEARCH_COEF}")
+    ps, qs = _divisors(a0), _divisors(an)
+    if len(ps) * len(qs) > MAX_ROOT_SEARCH_PAIRS:
+        raise BaseSolveError(
+            f"rational root search: {len(ps) * len(qs)} candidate pairs "
+            f"exceed {MAX_ROOT_SEARCH_PAIRS}")
     roots = []
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    for p in ps:
+        for q in qs:
             for sgn in (1, -1):
                 x = Fraction(sgn * p, q)
                 if sum(c * x ** i for i, c in ints.items()) == 0:
                     if x not in roots:
                         roots.append(x)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def _divisors(n: int) -> list[int]:
@@ -213,69 +238,23 @@ def base_roots(H: Hyperfield, coeffs: dict[int, Any]):
 
 
 # ---------------------------------------------------------------------------
-# Multiplicities by branching synthetic division
-
-
-def _candidate_elems(E: TropicalExtension, S, a: ExtElem, level_pool: set[GroupElem]):
-    """Finite candidate list from a set value, restricting infinite tails.
-
-    For a tail above level g the boundary elements, zero, and elements at
-    the finitely many structurally relevant levels are kept; over finite
-    bases every unit appears at those levels, over field bases a finite
-    pool of coefficient products stands in.  Validated against the
-    Newton-polygon oracle rather than assumed.
-    """
-    if not S.tail:
-        return E.set_elements(S)
-    out: list = [None]
-    base = E.base
-    if S.level is not None:
-        for c in base.set_elements(S.base_sv):
-            out.append(ExtElem(c, S.level))
-        units = base.units()
-        for lev in level_pool:
-            if S.level < lev:
-                if units is not None:
-                    for u in units:
-                        out.append(ExtElem(u, lev))
-                else:
-                    for u in _field_unit_pool(E, a):
-                        out.append(ExtElem(u, lev))
-    return out
-
-
-def _field_unit_pool(E: TropicalExtension, a: ExtElem) -> list:
-    # Finite stand-in for field-base units: products of known coefficients.
-    base = E.base
-    pool = {base.one(), base.neg(base.one())}
-    seen = getattr(E, "_coef_pool", None)
-    if seen:
-        for c in seen:
-            for m in (-2, -1, 0, 1, 2):
-                v = base.mul(c, base.power(a.coef, m))
-                pool.add(v)
-                pool.add(base.neg(v))
-    return [x for x in pool if not base.is_zero(x)]
-
-
-def _level_pool(E: TropicalExtension, coeffs: dict[int, Any], a: ExtElem) -> set[GroupElem]:
-    levels = set()
-    ga = a.level
-    clevels = [c.level for c in coeffs.values() if c is not None]
-    n = max(coeffs) if coeffs else 0
-    for g in clevels:
-        for m in range(-(n + 1), n + 2):
-            levels.add(group_add(g, scalar_mul(m, ga)))
-    return levels
+# Multiplicities
 
 
 def multiplicity(p: HPoly, a, bound: int = DEFAULT_DEGREE_BOUND,
                  _memo: Optional[dict] = None) -> int:
-    """Root multiplicity via 1 + max over synthetic-division quotients.
+    """Root multiplicity of a (0 when a is not a root).
 
-    The quotient coefficients are forced into set values by
-    c_i in q_{i-1} + (-a) q_i; every representable choice is branched on
-    and the final constraint c_0 = (-a) q_0 prunes the search.
+    Over a tropical extension a nonzero root (c, h) lies on the Newton cell
+    (h, J), and its multiplicity is the base multiplicity of c in the
+    initial form sum_{j in J} c_j x^(j - min J) over the base hyperfield.
+
+    Over a base hyperfield the multiplicity is 1 + the maximum over the
+    synthetic-division quotients: the quotient coefficients are forced
+    into set values by c_i in q_{i-1} + (-a) q_i, every element of each set
+    value is branched on, and the final constraint c_0 = (-a) q_0 prunes
+    the search.  Over a field every set value is a singleton, so this is
+    plain synthetic division.  Phase bases raise BaseSolveError.
     """
     H = p.hyperfield
     coeffs = _univariate_coeffs(p)
@@ -284,22 +263,31 @@ def multiplicity(p: HPoly, a, bound: int = DEFAULT_DEGREE_BOUND,
     n = max(coeffs)
     if n > bound:
         raise ValueError(f"degree {n} exceeds the bound {bound}")
-    point = (a,) if not isinstance(a, tuple) else a
-    if not is_root(p, point):
+    if not is_root(p, (a,)):
         return 0
+    if isinstance(H, TropicalExtension) and a is not None:
+        # Continue over the base with the initial form at the Newton cell
+        # (h, J): the root (c, h) makes the levels attain their minimum on J
+        # and c a root of sum_{j in J} c_j x^(j - min J).
+        levels = {i: coeffs[i].level for i in sorted(coeffs)}
+        J = _argmin_indices(levels, a.level)
+        H, a = H.base, a.coef
+        coeffs = {j - J[0]: coeffs[j].coef for j in J}
+        n = max(coeffs)
     if _memo is None:
         _memo = {}
     key = (tuple(sorted(coeffs.items(), key=lambda kv: kv[0])), a)
     if key in _memo:
         return _memo[key]
-    _memo[key] = 1  # provisional, guards cycles
 
-    if H.is_zero(a) if not isinstance(H, TropicalExtension) else a is None:
+    if H.is_zero(a):
         # Dividing by X shifts the coefficients down by one.
         q = hpoly1(H, {i - 1: c for i, c in coeffs.items() if i >= 1})
         m = 1 + multiplicity(q, a, bound, _memo)
         _memo[key] = m
         return m
+    if isinstance(H, PhaseHyperfield):
+        raise BaseSolveError(f"multiplicity over {H.name} is not supported")
 
     best = 0
     for qc in _quotients(H, coeffs, n, a):
@@ -315,17 +303,6 @@ def multiplicity(p: HPoly, a, bound: int = DEFAULT_DEGREE_BOUND,
 def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a):
     """All quotient coefficient assignments compatible with division."""
     neg_a = H.neg(a)
-    if isinstance(H, TropicalExtension):
-        H._coef_pool = [c.coef for c in coeffs.values()]
-        pool = _level_pool(H, coeffs, a)
-    else:
-        pool = set()
-
-    def cand(S):
-        if isinstance(H, TropicalExtension):
-            return _candidate_elems(H, S, a, pool)
-        return H.set_elements(S)
-
     results: list[dict[int, Any]] = []
     seen: set = set()
 
@@ -355,20 +332,14 @@ def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a):
             S = H.singleton(ci)
         else:
             S = H.add(ci, shifted)
-        for choice in cand(S):
-            q[i - 1] = choice if not _is_zero_elem(H, choice) else None
+        for choice in H.set_elements(S):
+            q[i - 1] = None if H.is_zero(choice) else choice
             rec(i - 1, q)
         q.pop(i - 1, None)
 
     qn1 = coeffs[n]  # leading coefficient is forced
     rec(n - 1, {n - 1: qn1})
     return results
-
-
-def _is_zero_elem(H: Hyperfield, x) -> bool:
-    if x is None:
-        return True
-    return H.is_zero(x)
 
 
 def roots_univariate(p: HPoly, bound: int = DEFAULT_DEGREE_BOUND) -> list[RootRecord]:
@@ -397,7 +368,8 @@ def roots_univariate(p: HPoly, bound: int = DEFAULT_DEGREE_BOUND) -> list[RootRe
             m = multiplicity(p, r, bound)
             out.append(RootRecord(r, m, f"cell h={cell.level} J={cell.J}"))
     for rec in out:
-        assert is_root(p, (rec.root,)), "solver produced a non-root"
+        if not is_root(p, (rec.root,)):
+            raise SolverInvariantError(f"solver produced a non-root {rec.root} of {p}")
     return out
 
 

@@ -54,10 +54,13 @@ def example_system():
     return P_, Q_
 
 
-def report(capsys, num: int, label: str, failures: list):
+def report(capsys, num: int, label: str, failures: list, elapsed=None, bound=None):
     verdict = "PASS" if not failures else "FAIL"
+    timing = ""
+    if elapsed is not None:
+        timing = f" {elapsed:.1f}s" + (f"/{bound:.0f}s" if bound is not None else "")
     with capsys.disabled():
-        print(f"criterion {num} [{verdict}] {label}")
+        print(f"criterion {num} [{verdict}] {label}{timing}")
     assert not failures, failures
 
 
@@ -149,7 +152,8 @@ def test_criterion_4_kapranov_harness(capsys):
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:
         failures.append(f"runtime {elapsed:.1f}s >= 30s")
-    report(capsys, 4, "push-forward root harness (val, sval, fval)", failures)
+    report(capsys, 4, "push-forward root harness (val, sval, fval)", failures,
+           elapsed, 30.0)
 
 
 def test_criterion_5_fundamental_harness(capsys):
@@ -166,7 +170,7 @@ def test_criterion_5_fundamental_harness(capsys):
     if elapsed >= 10.0:
         failures.append(f"runtime {elapsed:.1f}s >= 10s")
     report(capsys, 5, "linear system intersection harness (fval, val)",
-           failures)
+           failures, elapsed, 10.0)
 
 
 def test_criterion_6_axioms_and_sign_witness(capsys):
@@ -197,6 +201,7 @@ def test_criterion_6_axioms_and_sign_witness(capsys):
 
 def test_criterion_7_multiplicity(capsys):
     failures = []
+    t0 = time.perf_counter()
     T = trop()
     rng = random.Random(7)
     for trial in range(100):
@@ -214,7 +219,8 @@ def test_criterion_7_multiplicity(capsys):
         fails = mult_bound_check(H, random.Random(7), trials=50, deg=6)
         if fails:
             failures.append(f"{H.name}: {fails[:3]}")
-    report(capsys, 7, "multiplicity oracle and degree bound", failures)
+    report(capsys, 7, "multiplicity oracle and degree bound", failures,
+           time.perf_counter() - t0)
 
 
 def test_criterion_8_phase_root_arc(capsys):

@@ -6,24 +6,31 @@ from fractions import Fraction
 
 import pytest
 
-from finetrop.extension import trop, trop_signed
+from finetrop import solve
+from finetrop.extension import TropicalExtension, trop, trop_complex, trop_signed
 from finetrop.fields import QQ, QQi, gauss
-from finetrop.hyperfields import S, field_hyperfield, hom_sign, quotient_build
+from finetrop.hyperfields import K, S, W, field_hyperfield, hom_sign, quotient_build
 from finetrop.parsing import parse_poly
-from finetrop.poly import hpoly1, is_root
+from finetrop.poly import fpoly, hpoly1, is_root, product_of_linear_factors, pushforward
 from finetrop.series import hom_fval, hom_sval, hom_val
 from finetrop.solve import (
     ArcRootDescription,
     BaseSolveError,
+    SolverInvariantError,
+    _rational_unit_roots,
     base_roots,
     kapranov_harness,
     mult_bound_check,
     multiplicity,
     newton_cells,
     rac_check_instance,
+    random_hpoly,
+    random_series_root,
     roots_univariate,
     tropical_mult_oracle,
 )
+
+from mult_search import search_multiplicity
 
 T = trop()
 TR = trop_signed()
@@ -124,8 +131,6 @@ def test_mult_bound_fails_for_nonstringent_quotient():
 
 def test_mult_matches_tropical_oracle():
     rng = random.Random(1)
-    from finetrop.solve import random_hpoly
-
     for _ in range(25):
         p = random_hpoly(T, rng, deg=rng.randint(2, 6))
         for r in roots_univariate(p):
@@ -137,3 +142,57 @@ def test_kapranov_small():
     rng = random.Random(2)
     for hom in (hom_val(), hom_sval(), hom_fval()):
         assert kapranov_harness(hom, rng, trials=20) == []
+
+
+def _assert_mult_matches_search(p):
+    for r in roots_univariate(p):
+        if r.root is not None:
+            assert r.multiplicity == search_multiplicity(p, r.root), (p, r)
+
+
+def test_initial_form_mult_matches_branching_search():
+    # The initial-form reduction against the branching search over the
+    # extension itself, on random polynomials ...
+    rng = random.Random(5)
+    for base in (K, S, W, quotient_build(5, [1, 4]),
+                 quotient_build(7, [1, 2, 4]), field_hyperfield(QQ)):
+        H = TropicalExtension(base, 1)
+        for _ in range(30):
+            _assert_mult_matches_search(random_hpoly(H, rng, rng.randint(1, 5)))
+    # ... and on push-forwards of products of linear factors.
+    for hom in (hom_val(), hom_sval(), hom_fval()):
+        dom = hom.source
+        for _ in range(16):
+            roots = [random_series_root(dom.field, rng)
+                     for _ in range(rng.randint(1, 4))]
+            p = product_of_linear_factors(dom, roots)
+            _assert_mult_matches_search(pushforward(hom, fpoly(dom, 1, p.coeffs)))
+    for _ in range(20):
+        p = random_hpoly(T, rng, rng.randint(1, 5))
+        for r in roots_univariate(p):
+            if r.root is not None:
+                assert r.multiplicity == tropical_mult_oracle(p, r.root.level)
+
+
+def test_phase_extension_multiplicity_raises():
+    TC = trop_complex()
+    p = parse_poly("TC", "X + (dir(-1,0), 0)")
+    root = TC.one()
+    assert is_root(p, (root,))
+    with pytest.raises(BaseSolveError):
+        multiplicity(p, root)
+
+
+@pytest.mark.parametrize("a0", [10 ** 30 + 7, 735134400])
+def test_rational_root_search_is_bounded(a0):
+    # 10^30 + 7 is past the coefficient bound; 735134400 has 1344 divisors,
+    # so 1344^2 candidate pairs are past the pair bound.
+    with pytest.raises(BaseSolveError, match="rational root search"):
+        _rational_unit_roots({1: Fraction(a0), 0: Fraction(a0)})
+
+
+def test_roots_check_raises_without_assert(monkeypatch):
+    p = parse_poly("T", "X^2 + (1, 3)")
+    monkeypatch.setattr(solve, "is_root", lambda p, point: False)
+    with pytest.raises(SolverInvariantError):
+        roots_univariate(p)
