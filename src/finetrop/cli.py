@@ -2,7 +2,7 @@
 
 Every subcommand emits a JSON object on standard output (rationals are
 serialized as strings so nothing is rounded); SVG output goes to --out.
-Runs are deterministic given inputs, --seed and --precision.
+Runs are deterministic given inputs and --seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .parsing import (
     parse_elem,
     parse_fpoly,
     parse_poly,
-    parse_rational,
 )
 from .poly import HPoly, eval_poly, pushforward
 from .series import SeriesDomain, hom_by_name
@@ -315,7 +314,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact hyperfield and fine tropical geometry computations.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--precision", type=parse_rational, default=Fraction(8))
     common.add_argument("--out")
     common.add_argument("--format", choices=["json", "svg", "text"],
                         default="json")

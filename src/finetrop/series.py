@@ -5,6 +5,14 @@ order: exponents at or above it are unknown.  Precision None means the
 series is exact.  Empty terms with finite precision is an indeterminate
 O(t^p) with no known terms.
 
+Products and inverses scale the exponents of their operands to integers on
+a common grid 1/D (D the lcm of their denominators) and work on integer
+offsets: a product is a convolution that stops each row at the result's
+precision, an inverse is the power-series recurrence for (1 + u)^(-1).
+Precision follows the known terms: a product is known up to the smaller of
+lead(a) + prec(b) and lead(b) + prec(a), and the inverse of c t^g + O(t^p)
+up to O(t^(p - 2g)).  Exponents are Fractions again in every result.
+
 Also defines the enriched valuations val, sval, fval and phval into
 tropical extensions, and checks of the homomorphism laws.
 """
@@ -13,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, lcm
 from typing import Any, Optional
 
 from .extension import TropicalExtension, trop, trop_complex, trop_signed
@@ -139,15 +148,25 @@ def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
             p = _min_prec(p, a.prec + b.prec)
         else:
             p = _min_prec(p, b.terms[0][0] + a.prec)
-    out = []
-    for e1, c1 in a.terms:
-        for e2, c2 in b.terms:
-            out.append((e1 + e2, F.mul(c1, c2)))
-    return series(F, out, p)
-
-
-def series_scale(a: SeriesTrunc, c, exp=0) -> SeriesTrunc:
-    return series_mul(a, s_monomial(a.field, c, exp))
+    if not a.terms or not b.terms:
+        return SeriesTrunc(F, (), p)
+    # Convolve over integer offsets n = e * D on the common grid 1/D.  Terms
+    # are sorted, so each row stops at the first sum at or above p.
+    D = lcm(*(e.denominator for e, _ in a.terms + b.terms))
+    xs = [(e.numerator * (D // e.denominator), c) for e, c in a.terms]
+    ys = [(e.numerator * (D // e.denominator), c) for e, c in b.terms]
+    stop = xs[-1][0] + ys[-1][0] + 1 if p is None else ceil(p * D)
+    acc: dict[int, Any] = {}
+    for n1, c1 in xs:
+        for n2, c2 in ys:
+            n = n1 + n2
+            if n >= stop:
+                break
+            c = F.mul(c1, c2)
+            acc[n] = F.add(acc[n], c) if n in acc else c
+    terms = tuple((Fraction(n, D), acc[n]) for n in sorted(acc)
+                  if not F.is_zero(acc[n]))
+    return SeriesTrunc(F, terms, p)
 
 
 def series_truncate(a: SeriesTrunc, prec) -> SeriesTrunc:
@@ -155,10 +174,17 @@ def series_truncate(a: SeriesTrunc, prec) -> SeriesTrunc:
 
 
 def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:
-    """Inverse by geometric expansion up to the soundly known precision.
+    """Inverse by the power-series recurrence on an integer exponent grid.
 
-    For a = c t^g (1 + u) with known terms up to O(t^p), the inverse is
-    known up to O(t^(p - 2g)); an explicit prec overrides only downward.
+    Write a = c t^g (1 + u) with u's exponents positive.  For a known up to
+    O(t^p), the inverse is known up to O(t^(p - 2g)); an explicit prec
+    lowers that target, never raises it.  With D the lcm of the
+    denominators of u's exponents, u = sum_k u_k t^(k/D) and
+    (1 + u)^(-1) = sum_n b_n t^(n/D) with b_0 = 1 and
+    b_n = -sum_{k>=1} u_k b_{n-k}, computed for every grid point
+    n/D < target + g.  The result is c^(-1) t^(-g) times that sum, with
+    precision exactly the target.  A single exact term inverts exactly;
+    any other exact series needs a prec.
     """
     F = a.field
     if a.is_zero():
@@ -171,27 +197,33 @@ def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:
         target = a.prec - 2 * g
     if prec is not None:
         target = _min_prec(target, Fraction(prec))
-    # u has strictly positive leading exponent.
-    u = series_scale(series_sub(a, s_monomial(F, c, g)), F.inv(c), -g)
-    if u.is_zero():
-        out = s_monomial(F, F.inv(c), -g)
-        return out if target is None else series_truncate(out, target)
+    cinv = F.inv(c)
     if target is None:
-        raise PrecisionError("inverse of a multi-term exact series needs a precision")
-    rel = target + g  # required relative precision of (1+u)^{-1}
-    acc = s_const(F, F.one())
-    term = s_const(F, F.one())
-    nu = series_neg(u)
-    ulead = u.terms[0][0]
-    k = 1
-    while k * ulead < rel:
-        # Truncating each iterate keeps term counts bounded; dropped
-        # exponents are >= rel and cannot feed back below it.
-        term = series_truncate(series_mul(term, nu), rel)
-        acc = series_add(acc, term)
-        k += 1
-    acc = series_truncate(acc, rel)
-    return series_scale(acc, F.inv(c), -g)
+        if len(a.terms) > 1:
+            raise PrecisionError("inverse of a multi-term exact series needs a precision")
+        return SeriesTrunc(F, ((-g, cinv),))
+    u = [(e - g, ce) for e, ce in a.terms[1:]]
+    D = lcm(*(e.denominator for e, _ in u))
+    # -u_k at integer offsets k >= 1, increasing; None in b marks a zero b_n.
+    nu = [(e.numerator * (D // e.denominator), F.neg(F.mul(ce, cinv)))
+          for e, ce in u]
+    b: list[Any] = [None] * max(0, ceil((target + g) * D))
+    if b:
+        b[0] = F.one()
+    for n in range(1, len(b)):
+        s = None
+        for k, nuk in nu:
+            if k > n:
+                break
+            prev = b[n - k]
+            if prev is not None:
+                t = F.mul(prev, nuk)
+                s = t if s is None else F.add(s, t)
+        if s is not None and not F.is_zero(s):
+            b[n] = s
+    terms = tuple((Fraction(n, D) - g, F.mul(bn, cinv))
+                  for n, bn in enumerate(b) if bn is not None)
+    return SeriesTrunc(F, terms, target)
 
 
 def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:

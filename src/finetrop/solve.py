@@ -593,11 +593,8 @@ def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTru
         raise ValueError("no isolated solution: determinant vanishes")
     nx = series_sub(series_mul(b, g), series_mul(c, e))
     ny = series_sub(series_mul(c, d_), series_mul(a, g))
-    lead = det.leading()[1]
     target = Fraction(prec)
-    x = series_div(series(dom.field, nx.terms, None), det, target)
-    y = series_div(series(dom.field, ny.terms, None), det, target)
-    return x, y
+    return series_div(nx, det, target), series_div(ny, det, target)
 
 
 def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from finetrop.fields import QQ, QQi, gauss
+from finetrop.fields import GF, QQ, QQi, gauss
 from finetrop.hyperfields import hom_check
 from finetrop.series import (
     PrecisionError,
@@ -24,6 +24,10 @@ from finetrop.series import (
     series_truncate,
     sign_sum_condition_witness,
 )
+from finetrop.poly import fpoly
+from finetrop.solve import random_linear_system, solve_linear_2x2
+
+import series_oracle
 
 
 def test_series_basics():
@@ -52,6 +56,15 @@ def test_inversion_shifts_precision():
     inv = series_inv(a)
     assert inv.prec == 2
     assert inv.leading() == (Fraction(1, 2), Fraction(-1))
+
+
+def test_inversion_with_only_the_leading_term_known():
+    # a = c t^g + O(t^p) inverts to c^-1 t^-g + O(t^(p - 2g)).
+    a = series(QQ, [(1, Fraction(2))], prec=3)
+    assert series_inv(a) == series(QQ, [(-1, Fraction(1, 2))], prec=1)
+    b = series(QQ, [(0, Fraction(1))], prec=1)
+    assert series_inv(b) == series(QQ, [(0, Fraction(1))], prec=1)
+    assert series_inv(b, prec=0) == series(QQ, [], prec=0)
 
 
 def test_division():
@@ -117,3 +130,63 @@ def test_domain_random_unit_is_invertible():
         u = dom.random_unit(rng)
         assert not u.is_zero()
         assert not QQ.is_zero(u.leading()[0])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+def _random_series(F, rng, exact):
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        e = Fraction(rng.randint(-3, 6), rng.randint(1, 4))
+        c = F.random(rng)
+        terms.append((e, c if not F.is_zero(c) else F.one()))
+    prec = None if exact else Fraction(rng.randint(-1, 8), rng.randint(1, 3))
+    return series(F, terms, prec)
+
+
+def test_grid_arithmetic_matches_reference_expansion():
+    rng = random.Random(20231)
+    for F in (QQ, QQi, GF(5)):
+        for _ in range(60):
+            a = _random_series(F, rng, rng.random() < 0.5)
+            b = _random_series(F, rng, rng.random() < 0.5)
+            prec = rng.choice([None, Fraction(rng.randint(-2, 6), rng.randint(1, 2))])
+            for new, old, args in (
+                (series_inv, series_oracle.series_inv, (a, prec)),
+                (series_mul, series_oracle.series_mul, (a, b)),
+                (series_div, series_oracle.series_div, (a, b, prec)),
+            ):
+                assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
+        dom = SeriesDomain(F)
+        for k in range(4):
+            P, Q = random_linear_system(dom, rng)
+            if k % 2:
+                P = fpoly(dom, 2, {d: series(F, c.terms, rng.randint(1, 6))
+                                   for d, c in P.coeffs.items()})
+            assert solve_linear_2x2(P, Q) == series_oracle.solve_linear_2x2(P, Q)
+
+
+def test_inversion_matches_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(3)
+    for _ in range(6):
+        a = _random_series(QQ, rng, exact=True)
+        a = series(QQ, [(e.numerator, c) for e, c in a.terms])
+        if a.is_zero():
+            continue
+        n = 5
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * t**e for e, c in a.terms)
+        ref = sympy.series(1 / expr, t, 0, n).removeO()
+        want = {}
+        for term in sympy.Add.make_args(sympy.expand(ref)):
+            c, e = term.as_coeff_exponent(t)
+            want[Fraction(int(e))] = Fraction(int(c.p), int(c.q))
+        got = series_inv(a, prec=n)
+        assert got.prec == n
+        assert dict(got.terms) == want, (a, ref)

@@ -12,7 +12,7 @@ from finetrop.fields import QQ, QQi, gauss
 from finetrop.hyperfields import K, S, W, field_hyperfield, hom_sign, quotient_build
 from finetrop.parsing import parse_poly
 from finetrop.poly import fpoly, hpoly1, is_root, product_of_linear_factors, pushforward
-from finetrop.series import hom_fval, hom_sval, hom_val
+from finetrop.series import SeriesDomain, hom_fval, hom_sval, hom_val, series
 from finetrop.solve import (
     ArcRootDescription,
     BaseSolveError,
@@ -196,3 +196,24 @@ def test_roots_check_raises_without_assert(monkeypatch):
     monkeypatch.setattr(solve, "is_root", lambda p, point: False)
     with pytest.raises(SolverInvariantError):
         roots_univariate(p)
+
+
+def test_linear_2x2_keeps_numerator_precision():
+    dom = SeriesDomain(QQ)
+
+    def s(c, prec=None):
+        return series(QQ, [(0, Fraction(c))], prec)
+
+    # X + Y + (1 + O(t)) = 0, X - Y + 2 = 0: x = -3/2 is known to O(t) only.
+    P = fpoly(dom, 2, {(1, 0): s(1), (0, 1): s(1), (0, 0): s(1, 1)})
+    Q = fpoly(dom, 2, {(1, 0): s(1), (0, 1): s(-1), (0, 0): s(2)})
+    x, y = solve.solve_linear_2x2(P, Q)
+    assert x == series(QQ, [(0, Fraction(-3, 2))], 1)
+    assert y == series(QQ, [(0, Fraction(1, 2))], 1)
+    # (1 + O(t)) X + 1 = 0, Y + 1 = 0: the determinant 1 + O(t) has a
+    # single known term.
+    P = fpoly(dom, 2, {(1, 0): s(1, 1), (0, 0): s(1)})
+    Q = fpoly(dom, 2, {(0, 1): s(1), (0, 0): s(1)})
+    x, y = solve.solve_linear_2x2(P, Q)
+    assert x.prec <= 1 and x.leading() == (Fraction(-1), 0)
+    assert y.prec <= 1 and y.leading() == (Fraction(-1), 0)
