@@ -315,8 +315,7 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out")
-    common.add_argument("--format", choices=["json", "svg", "text"],
-                        default="json")
+    common.add_argument("--format", choices=["json", "svg"], default="json")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_parser(name, **kw):
@@ -371,7 +370,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = add_parser("axioms", help="check the hyperfield axioms")
     p.add_argument("--hyperfield", required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(fn=cmd_axioms)
 
     return ap

@@ -114,7 +114,7 @@ class RationalField(BaseField):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("no inverse of zero")
-        return 1 / a
+        return Fraction(1, a)
 
     def from_int(self, n):
         return Fraction(n)

@@ -5,8 +5,12 @@ hyperfield K, the sign hyperfields S and W, the phase hyperfield P, the
 tropical phase hyperfield Phi, and factor hyperfields GF(p)/U.
 
 Phase elements are unit directions with rational slope, stored as primitive
-integer pairs.  All arc computations are closed form over these pairs; no
-floating point angles appear anywhere.
+integer pairs; no floating point angles appear anywhere.  A set value over P
+or Phi is a canonical ArcSet.  Each arc computation sorts the endpoints
+involved once, as cuts that split the circle into atoms (the cut points and
+the open gaps between them), and works on atom indices: every arc is a
+cyclic run of atoms, the sum of two atoms is a run in closed form, and
+stitching the maximal runs of the marked atoms gives the canonical result.
 """
 
 from __future__ import annotations
@@ -74,10 +78,6 @@ def cross(a: Dir, b: Dir) -> int:
     return a.p * b.q - a.q * b.p
 
 
-def dot(a: Dir, b: Dir) -> int:
-    return a.p * b.p + a.q * b.q
-
-
 def _half(a: Dir) -> int:
     # 0 for angles in [0, pi), 1 for [pi, 2*pi).
     return 0 if (a.q > 0 or (a.q == 0 and a.p > 0)) else 1
@@ -116,27 +116,6 @@ def dir_between(u: Dir, x: Dir, v: Dir) -> bool:
         return not (cross(v, x) > 0 and cross(x, u) > 0)
     # u and v antipodal: the ccw arc is the open half plane left of u.
     return cross(u, x) > 0
-
-
-def _mediant(u: Dir, v: Dir) -> Dir:
-    return make_dir(u.p + v.p, u.q + v.q)
-
-
-def dir_perp(u: Dir) -> Dir:
-    """u rotated a quarter turn counterclockwise."""
-    return Dir(-u.q, u.p)
-
-
-def arc_midpoint(u: Dir, v: Dir) -> Dir:
-    """A direction strictly inside the counterclockwise open arc u -> v."""
-    if u == v:
-        return dir_neg(u)
-    c = cross(u, v)
-    if c > 0:
-        return _mediant(u, v)
-    if c < 0:
-        return dir_neg(_mediant(u, v))
-    return dir_perp(u)
 
 
 # ---------------------------------------------------------------------------
@@ -216,251 +195,81 @@ class ArcSet:
         return "{" + ", ".join(parts) + "}" if parts else "{}"
 
 
-def _canonical_arcs(raw: Sequence[Arc], full: bool, has_zero: bool) -> ArcSet:
-    """Canonicalise a raw union of arcs by atom refinement and stitching."""
-    if full:
-        return ArcSet((), True, has_zero)
-    raw = [a for a in raw]
-    if not raw:
-        return ArcSet((), False, has_zero)
-
-    def member(x: Dir) -> bool:
-        return any(a.contains(x) for a in raw)
-
-    endpoints = sort_dirs(
-        [a.start for a in raw] + [a.end for a in raw]
-    )
-    # Atoms alternate: point e0, gap (e0,e1), point e1, ..., gap (e_last,e0).
-    atoms: list[tuple[str, Any]] = []
-    n = len(endpoints)
-    for i, e in enumerate(endpoints):
-        atoms.append(("pt", e))
-        nxt = endpoints[(i + 1) % n]
-        atoms.append(("gap", (e, nxt)))
-
-    included = []
-    for kind, data in atoms:
-        if kind == "pt":
-            included.append(member(data))
-        else:
-            u, v = data
-            included.append(member(arc_midpoint(u, v)))
-
-    if all(included):
-        return ArcSet((), True, has_zero)
-    if not any(included):
-        return ArcSet((), False, has_zero)
-
-    # Rotate so the list starts at an excluded atom, then stitch runs.
-    k = included.index(False)
-    order = list(range(k, len(atoms))) + list(range(k))
-    runs: list[list[int]] = []
-    cur: list[int] = []
-    for idx in order:
-        if included[idx]:
-            cur.append(idx)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
-
-    out: list[Arc] = []
-    for run in runs:
-        first_kind, first_data = atoms[run[0]]
-        last_kind, last_data = atoms[run[-1]]
-        if len(run) == 1 and first_kind == "pt":
-            out.append(point_arc(first_data))
-            continue
-        if first_kind == "pt":
-            start, cs = first_data, True
-        else:
-            start, cs = first_data[0], False
-        if last_kind == "pt":
-            end, ce = last_data, True
-        else:
-            end, ce = last_data[1], False
-        if start == end and not (cs and ce):
-            # A run covering everything except one point.
-            out.append(Arc(start, end, False, False))
-        else:
-            out.append(Arc(start, end, cs, ce))
-
-    out.sort(key=functools.cmp_to_key(lambda a, b: dir_cmp(a.start, b.start)))
-    return ArcSet(tuple(out), False, has_zero)
-
-
 ARCSET_EMPTY = ArcSet((), False, False)
 ARCSET_ZERO = ArcSet((), False, True)
 ARCSET_FULL_ZERO = ArcSet((), True, True)
 
 
-def _split_arc(arc: Arc, cuts: Iterable[Dir]) -> list[Arc]:
-    """Refine an arc at the given directions lying strictly inside it."""
-    if arc.is_point():
-        return [arc]
-    inner = [c for c in set(cuts) if arc.contains(c) and c != arc.start and c != arc.end]
-    if not inner:
-        return [arc]
-    if arc.start == arc.end:
-        # Circle minus a point: order cuts ccw starting just after the hole.
-        base = arc.start
-        inner_sorted = sorted(inner, key=functools.cmp_to_key(
-            lambda c, d: _ccw_cmp_from(base, c, d)))
-        pieces: list[Arc] = []
-        prev = base
-        for c in inner_sorted:
-            pieces.append(Arc(prev, c, False, False))
-            pieces.append(point_arc(c))
-            prev = c
-        pieces.append(Arc(prev, base, False, False))
-        return pieces
-    inner_sorted = sorted(inner, key=functools.cmp_to_key(
-        lambda c, d: _ccw_cmp_from(arc.start, c, d)))
-    pieces = []
-    prev, pc = arc.start, arc.closed_start
-    for c in inner_sorted:
-        pieces.append(Arc(prev, c, pc, False))
-        pieces.append(point_arc(c))
-        prev, pc = c, False
-    pieces.append(Arc(prev, arc.end, pc, arc.closed_end))
-    return pieces
-
-
-def _ccw_cmp_from(base: Dir, a: Dir, b: Dir) -> int:
-    """Compare a, b by counterclockwise angle measured from base."""
-    if a == b:
-        return 0
-    # a precedes b iff a lies in the open ccw arc (base, b).
-    if b == base:
-        return -1
-    if a == base:
-        return 1
-    return -1 if dir_between(base, a, b) else 1
-
-
 # ---------------------------------------------------------------------------
-# Phase hyperaddition: closed-form sums of points and arcs
-
-class _Contrib:
-    """Accumulator for raw arc contributions before canonicalisation."""
-
-    def __init__(self):
-        self.arcs: list[Arc] = []
-        self.full = False
-        self.zero = False
-
-    def add_point(self, d: Dir):
-        self.arcs.append(point_arc(d))
-
-    def add_arc(self, a: Arc):
-        self.arcs.append(a)
-
-    def add_set(self, s: ArcSet):
-        if s.full:
-            self.full = True
-        self.arcs.extend(s.arcs)
-        if s.has_zero:
-            self.zero = True
-
-    def done(self) -> ArcSet:
-        return _canonical_arcs(self.arcs, self.full, self.zero)
+# Arc sets on one refinement of the circle
+#
+# Sorted cuts c_0 ... c_{n-1} cut the circle into 2n atoms: atom 2i is the
+# point c_i and atom 2i+1 the open gap (c_i, c_{i+1}).  A set that is a union
+# of arcs with endpoints among the cuts is a set of atoms.
 
 
-def _phase_pp(a: Dir, b: Dir, closed: bool, out: _Contrib) -> None:
-    """Point plus point in P (closed=False) or Phi (closed=True)."""
-    if a == b:
-        out.add_point(a)
-        return
-    if b == dir_neg(a):
-        if closed:
-            out.full = True
-        else:
-            out.add_point(a)
-            out.add_point(b)
-        out.zero = True
-        return
-    if cross(a, b) > 0:
-        out.add_arc(Arc(a, b, closed, closed))
-    else:
-        out.add_arc(Arc(b, a, closed, closed))
-
-
-def _open_pieces(pieces: Iterable[Arc]) -> list[Arc]:
-    """Split off closed endpoints as point pieces, leaving open arcs."""
-    out = []
-    for p in pieces:
-        if p.is_point():
-            out.append(p)
-            continue
-        if p.closed_start:
-            out.append(point_arc(p.start))
-        if p.closed_end and p.end != p.start:
-            out.append(point_arc(p.end))
-        out.append(Arc(p.start, p.end, False, False))
+def _atoms(arcs: Iterable[Arc], index: dict[Dir, int], m: int) -> set[int]:
+    """Atom indices of a union of arcs whose endpoints are cuts."""
+    out: set[int] = set()
+    for a in arcs:
+        first = 2 * index[a.start] + (not a.closed_start)
+        last = 2 * index[a.end] - (not a.closed_end)
+        out.update((first + t) % m for t in range((last - first) % m + 1))
     return out
 
 
-def _phase_pa(a: Dir, arc: Arc, closed: bool, out: _Contrib) -> None:
-    """Point plus arc, via refinement of the arc at a and -a."""
-    na = dir_neg(a)
-    for piece in _open_pieces(_split_arc(arc, [a, na])):
-        if piece.is_point():
-            _phase_pp(a, piece.start, closed, out)
-            continue
-        mid = arc_midpoint(piece.start, piece.end)
-        if mid == a or mid == na:
-            raise AssertionError("refinement failed")
-        if cross(a, mid) > 0:
-            # Piece lies counterclockwise of a; arcs run from a outward.
-            out.add_arc(Arc(a, piece.end, closed, False))
-        else:
-            out.add_arc(Arc(piece.start, a, False, closed))
+def _stitch(cuts: Sequence[Dir], marked: Sequence[bool], has_zero: bool) -> ArcSet:
+    """The canonical ArcSet of the marked atoms: one arc per maximal run,
+    sorted by start."""
+    if not any(marked):
+        return ArcSet((), False, has_zero)
+    if all(marked):
+        return ArcSet((), True, has_zero)
+    m, n = len(marked), len(cuts)
+    # Walk once round from an unmarked atom, so that no run wraps the walk.
+    k = marked.index(False)
+    runs = []
+    first = None
+    for j in range(k + 1, k + m + 1):
+        x = j % m
+        if marked[x]:
+            if first is None:
+                first = x
+            last = x
+        elif first is not None:
+            runs.append((first, last))
+            first = None
+    return ArcSet(tuple(
+        Arc(cuts[f // 2], cuts[(l + 1) // 2 % n], f % 2 == 0, l % 2 == 0)
+        for f, l in sorted(runs)), False, has_zero)
 
 
-def _phase_aa(a1: Arc, a2: Arc, closed: bool, out: _Contrib) -> None:
-    """Arc plus arc: refine both at all (negated) endpoints, sum pieces."""
-    cuts = []
-    for arc in (a1, a2):
-        for e in (arc.start, arc.end):
-            cuts.extend([e, dir_neg(e)])
-    p1 = _open_pieces(_split_arc(a1, cuts))
-    p2 = _open_pieces(_split_arc(a2, cuts))
-    for x in p1:
-        for y in p2:
-            if x.is_point() and y.is_point():
-                _phase_pp(x.start, y.start, closed, out)
-            elif x.is_point():
-                _phase_pa(x.start, y, closed, out)
-            elif y.is_point():
-                _phase_pa(y.start, x, closed, out)
-            else:
-                _phase_open_open(x, y, closed, out)
+def _canonical_arcs(raw: Sequence[Arc], full: bool, has_zero: bool) -> ArcSet:
+    """Canonicalise a raw union of arcs on the refinement at its endpoints."""
+    if full:
+        return ArcSet((), True, has_zero)
+    cuts = sort_dirs(d for a in raw for d in (a.start, a.end))
+    marked = [False] * (2 * len(cuts))
+    for x in _atoms(raw, {c: i for i, c in enumerate(cuts)}, len(marked)):
+        marked[x] = True
+    return _stitch(cuts, marked, has_zero)
 
 
-def _phase_open_open(x: Arc, y: Arc, closed: bool, out: _Contrib) -> None:
-    """Sum of two open arc pieces whose (negated) interiors do not cross."""
-    if x.start == x.end or y.start == y.end:
-        # Circle-minus-point pieces only appear pre-refinement.
-        raise AssertionError("unexpected unrefined piece")
-    if (x.start, x.end) == (y.start, y.end):
-        out.add_arc(Arc(x.start, x.end, False, False))
-        return
-    if (y.start, y.end) == (dir_neg(x.start), dir_neg(x.end)):
-        out.full = True
-        out.zero = True
-        return
-    mx = arc_midpoint(x.start, x.end)
-    my = arc_midpoint(y.start, y.end)
-    if cross(mx, my) > 0:
-        out.add_arc(Arc(x.start, y.end, False, False))
-    else:
-        out.add_arc(Arc(y.start, x.end, False, False))
+# ---------------------------------------------------------------------------
+# Phase hyperaddition: closed-form sums of atoms
 
 
 def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
-    """Elementwise hyperaddition of two arc sets over P or Phi."""
-    out = _Contrib()
+    """Elementwise hyperaddition of two arc sets over P or Phi.
+
+    The cuts are every endpoint of both summands and its negative, so the
+    antipode of atom k is atom k + n, and the sum of two atoms is a run of
+    atoms in closed form: x + x = {x}; antipodal atoms sum to a set holding
+    zero, which over P is the two points themselves when both are points
+    and otherwise the full circle; any other pair sums to the atoms strictly
+    between them the short way round, plus each end that is a gap, plus
+    both ends over Phi.
+    """
     if A.full or B.full:
         # A full circle dominates: summing it against any set of directions
         # yields every direction and zero; against {0} alone it is unchanged.
@@ -470,23 +279,38 @@ def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
         if other.has_zero:
             return ArcSet((), True, A.has_zero and B.has_zero)
         return ARCSET_EMPTY
+    cuts = sort_dirs(e for X in (A, B) for a in X.arcs
+                     for d in (a.start, a.end) for e in (d, dir_neg(d)))
+    n = len(cuts)
+    m = 2 * n
+    index = {c: i for i, c in enumerate(cuts)}
+    xs = _atoms(A.arcs, index, m)
+    ys = _atoms(B.arcs, index, m)
+    marked = [False] * m
+    has_zero = A.has_zero and B.has_zero
     if A.has_zero:
-        out.add_set(ArcSet(B.arcs, B.full, False))
+        for y in ys:
+            marked[y] = True
     if B.has_zero:
-        out.add_set(ArcSet(A.arcs, A.full, False))
-    if A.has_zero and B.has_zero:
-        out.zero = True
-    for x in A.arcs:
-        for y in B.arcs:
-            if x.is_point() and y.is_point():
-                _phase_pp(x.start, y.start, closed, out)
-            elif x.is_point():
-                _phase_pa(x.start, y, closed, out)
-            elif y.is_point():
-                _phase_pa(y.start, x, closed, out)
+        for x in xs:
+            marked[x] = True
+    for x in xs:
+        for y in ys:
+            d = (y - x) % m
+            if d == 0:
+                marked[x] = True
+            elif d == n:
+                if closed or x % 2:
+                    return ARCSET_FULL_ZERO
+                marked[x] = marked[y] = True
+                has_zero = True
             else:
-                _phase_aa(x, y, closed, out)
-    return out.done()
+                lo, hi = (x, y) if d < n else (y, x)
+                first = lo + (not (closed or lo % 2))
+                last = hi - (not (closed or hi % 2))
+                for t in range((last - first) % m + 1):
+                    marked[(first + t) % m] = True
+    return _stitch(cuts, marked, has_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -929,9 +753,6 @@ class PhaseHyperfield(Hyperfield):
 
     def add_set_elem(self, S, a):
         return phase_add_sets(S, self.singleton(a), self.closed)
-
-    def add_sets(self, S, T):
-        return phase_add_sets(S, T, self.closed)
 
     def union_sets(self, S, T):
         return _canonical_arcs(

@@ -14,8 +14,6 @@ LT, EQ, GT = -1, 0, 1
 
 RationalLike = Union[int, str, Fraction]
 
-MAX_DEFAULT_RANK = 3
-
 
 def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)

@@ -365,11 +365,12 @@ def roots_univariate(p: HPoly, bound: int = DEFAULT_DEGREE_BOUND) -> list[RootRe
             if r in found:
                 continue
             found.add(r)
+            # multiplicity evaluates p at r and returns 0 exactly when r is
+            # not a root, so this is the check that the solver found roots.
             m = multiplicity(p, r, bound)
+            if m == 0:
+                raise SolverInvariantError(f"solver produced a non-root {r} of {p}")
             out.append(RootRecord(r, m, f"cell h={cell.level} J={cell.J}"))
-    for rec in out:
-        if not is_root(p, (rec.root,)):
-            raise SolverInvariantError(f"solver produced a non-root {rec.root} of {p}")
     return out
 
 

@@ -28,6 +28,7 @@ from .poly import FPoly, HPoly, hpoly, is_root, pushforward
 from .series import hom_fval
 from .solve import (
     BaseSolveError,
+    SolverInvariantError,
     _gauss_unit_roots,
     _rational_unit_roots,
     solve_linear_2x2,
@@ -336,13 +337,17 @@ def _odd_root(field: BaseField, w, n: int) -> list:
 
 
 def _iroot(m: int, n: int) -> Optional[int]:
-    if m == 0:
-        return 0
-    r = round(m ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** n == m:
-            return cand
-    return None
+    """The integer n-th root of m >= 0, or None when m is not an n-th power."""
+    if m < 2:
+        return m
+    # Newton's method on integers, from a start at or above the root,
+    # decreases to the floor of the root.
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            return r if r ** n == m else None
+        r = s
 
 
 def _classify_cond(F: BaseField, cond: HPoly):
@@ -369,7 +374,7 @@ def _units_ok(F: BaseField, u, v) -> bool:
     return not F.is_zero(u) and not F.is_zero(v)
 
 
-def _check_pair(H: Hyperfield, conds: Sequence[HPoly], u, v) -> bool:
+def _check_pair(conds: Sequence[HPoly], u, v) -> bool:
     return all(is_root(c, (u, v)) for c in conds)
 
 
@@ -382,7 +387,7 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     units = H.units()
     if units is not None:
         sols = [(u, v) for u in units for v in units
-                if _check_pair(H, (condA, condB), u, v)]
+                if _check_pair((condA, condB), u, v)]
         return ("points", sols)
     if not isinstance(H, FieldHyperfield):
         raise BaseSolveError(f"base solving unsupported over {H.name}")
@@ -404,12 +409,12 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
         sols = _affine_rank1(F, kA[1], kB[1])
         return sols
     if kA[0] == "binomial" and kB[0] == "binomial":
-        return _binomial_pair(F, kA, kB, (condA, condB), H)
+        return _binomial_pair(F, kA, kB, (condA, condB))
     # Mixed affine and binomial.
     if kA[0] == "binomial":
         kA, kB = kB, kA
         condA, condB = condB, condA
-    return _affine_binomial(F, kA, kB, (condA, condB), H)
+    return _affine_binomial(F, kA, kB, (condA, condB))
 
 
 def _affine_rank1(F: BaseField, r1, r2):
@@ -427,19 +432,11 @@ def _affine_rank1(F: BaseField, r1, r2):
 
     if proportional():
         return ("family", "one affine condition, one free unit")
-    # Inconsistent, or forcing a single coordinate two ways.
-    sol = _solve_two_in_one(F, r1, r2)
-    return sol
-
-
-def _solve_two_in_one(F: BaseField, r1, r2):
-    # det = 0 and not proportional: either no solution, or both rows
-    # constrain the same single variable consistently (impossible here
-    # since proportionality was excluded), so no unit solutions.
+    # det = 0 and the rows are not proportional: no solution at all.
     return ("points", [])
 
 
-def _binomial_pair(F: BaseField, kA, kB, conds, H):
+def _binomial_pair(F: BaseField, kA, kB, conds):
     (_, (p, q), w1) = kA
     (_, (r, s), w2) = kB
     det = p * s - q * r
@@ -460,7 +457,7 @@ def _binomial_pair(F: BaseField, kA, kB, conds, H):
     out = []
     for u in _nth_roots(F, u_rhs, det):
         for v in _nth_roots(F, v_rhs, det):
-            if _units_ok(F, u, v) and _check_pair(H, conds, u, v):
+            if _units_ok(F, u, v) and _check_pair(conds, u, v):
                 if (u, v) not in out:
                     out.append((u, v))
     return ("points", out)
@@ -472,7 +469,7 @@ def _pow_signed(F: BaseField, w, n: int):
     return _pow(F, F.inv(w), -n)
 
 
-def _affine_binomial(F: BaseField, kA, kB, conds, H):
+def _affine_binomial(F: BaseField, kA, kB, conds):
     (_, (alpha, beta, gamma)) = kA
     (_, (du, dv), w) = kB
     # Solve the binomial for one variable when an exponent is +-1, then
@@ -489,7 +486,7 @@ def _affine_binomial(F: BaseField, kA, kB, conds, H):
             if F.is_zero(v):
                 continue
             u = u_of(v)
-            if _units_ok(F, u, v) and _check_pair(H, conds, u, v):
+            if _units_ok(F, u, v) and _check_pair(conds, u, v):
                 if (u, v) not in sols:
                     sols.append((u, v))
         return ("points", sols)
@@ -503,7 +500,7 @@ def _affine_binomial(F: BaseField, kA, kB, conds, H):
             if F.is_zero(u):
                 continue
             v = v_of(u)
-            if _units_ok(F, u, v) and _check_pair(H, conds, u, v):
+            if _units_ok(F, u, v) and _check_pair(conds, u, v):
                 if (u, v) not in sols:
                     sols.append((u, v))
         return ("points", sols)
@@ -611,9 +608,9 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
     for c1 in C1.cells:
         for c2 in C2.cells:
             for hit in _geom_intersections(c1, c2):
+                kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
                 if hit[0] == "point":
                     g = hit[1]
-                    kind, sols = _solved(H, c1, c2)
                     if kind == "family":
                         comps.append(ComponentDescription(
                             None, None, None, (c1.base_cond, c2.base_cond),
@@ -626,12 +623,13 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                         if key in seen_pts:
                             continue
                         seen_pts.add(key)
-                        assert is_root(C1.source, pt.coords)
-                        assert is_root(C2.source, pt.coords)
+                        for C in (C1, C2):
+                            if not is_root(C.source, pt.coords):
+                                raise SolverInvariantError(
+                                    f"fine point {pt.coords} is not a root of {C.source}")
                         points.append(pt)
                 else:
                     _, host, overlap = hit
-                    kind, sols = _solved(H, c1, c2)
                     if kind == "family" or sols:
                         comps.append(ComponentDescription(
                             host.line_p0, host.line_v, overlap,
@@ -639,13 +637,6 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                             sols if kind == "points" else None,
                             note="1-dimensional tropical overlap"))
     return points, comps
-
-
-def _solved(H: Hyperfield, c1: Cell, c2: Cell):
-    res = solve_base_pair(H, c1.base_cond, c2.base_cond)
-    if res[0] == "family":
-        return ("family", res[1])
-    return ("points", res[1])
 
 
 # ---------------------------------------------------------------------------
@@ -743,13 +734,12 @@ def homotopy_start(P: FPoly, Q: FPoly):
     for c1 in C1.cells:
         for c2 in C2.cells:
             for hit in _geom_intersections(c1, c2):
+                kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
                 if hit[0] == "segment":
-                    kind, sols = _solved(H, c1, c2)
                     if kind == "family" or sols:
                         raise ValueError("lift not generic, reseed")
                     continue
                 g = hit[1]
-                kind, sols = _solved(H, c1, c2)
                 if kind == "family":
                     raise ValueError("lift not generic, reseed")
                 if not sols:

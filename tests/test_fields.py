@@ -12,6 +12,15 @@ def test_rational_field_basics():
     assert QQ.sub(QQ.one(), QQ.one()) == QQ.zero()
 
 
+def test_rational_inverse_of_an_int_is_exact():
+    from finetrop.series import series, series_inv
+
+    assert QQ.inv(3) == Fraction(1, 3) and isinstance(QQ.inv(3), Fraction)
+    inv = series_inv(series(QQ, [(0, 3), (1, 1)]), prec=2)
+    assert inv.terms == ((0, Fraction(1, 3)), (1, Fraction(-1, 9)))
+    assert all(isinstance(c, Fraction) for _, c in inv.terms)
+
+
 def test_rational_sqrt():
     assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert QQ.sqrt(Fraction(2)) is None

@@ -7,6 +7,8 @@ import pytest
 
 from finetrop.fields import QQ, gauss
 from finetrop.hyperfields import (
+    Arc,
+    ArcSet,
     K,
     P,
     PHI,
@@ -21,8 +23,12 @@ from finetrop.hyperfields import (
     hom_sign_weak,
     hom_trivial,
     make_dir,
+    phase_add_sets,
+    point_arc,
     quotient_build,
 )
+
+import phase_oracle
 
 
 def els(H, sv):
@@ -125,6 +131,53 @@ def test_phase_short_arc():
 def test_phase_axioms_sampled():
     for H in (P, PHI):
         assert check_axioms(H, random.Random(0), samples=1000) == []
+
+
+def _random_arcset(rng):
+    """A canonical arc set built by the oracle from a few random raw arcs."""
+    k = rng.random()
+    if k < 0.04:
+        return ArcSet((), True, rng.random() < 0.5)
+    if k < 0.08:
+        return ArcSet((), False, rng.random() < 0.5)
+    r = rng.choice([1, 2, 3, 6])
+    raw = []
+    for _ in range(rng.randint(1, 4)):
+        a = P.random_element(rng) or make_dir(1, r)
+        t = rng.random()
+        if t < 0.35:
+            raw.append(point_arc(a))
+        elif t < 0.45:
+            raw.append(Arc(a, a, False, False))  # circle minus a point
+        elif t < 0.55:
+            raw += [point_arc(a), point_arc(P.neg(a))]  # antipodal pair
+        else:
+            b = make_dir(rng.randint(-r, r), rng.choice([-r, r]))
+            if b == a:
+                raw.append(point_arc(a))
+            else:
+                raw.append(Arc(a, b, rng.random() < 0.5, rng.random() < 0.5))
+    return phase_oracle.canonical_arcs(raw, False, rng.random() < 0.3)
+
+
+def test_phase_arc_algebra_matches_oracle():
+    rng = random.Random(11)
+    seen = {"zero": 0, "full": 0, "punctured": 0, "antipodal": 0}
+    for _ in range(600):
+        A, B = _random_arcset(rng), _random_arcset(rng)
+        c = P.random_element(rng)
+        for H in (P, PHI):
+            assert phase_add_sets(A, B, H.closed) == phase_oracle.phase_add_sets(
+                A, B, H.closed), (A, B, H.name)
+            assert H.union_sets(A, B) == phase_oracle.union_sets(A, B), (A, B)
+            assert H.scale_set(A, c) == phase_oracle.scale_set(A, c), (A, c)
+        seen["zero"] += A.has_zero
+        seen["full"] += A.full
+        seen["punctured"] += any(a.start == a.end and not a.closed_start
+                                 for a in A.arcs)
+        dirs = {a.start for a in A.arcs if a.is_point()}
+        seen["antipodal"] += any(P.neg(d) in dirs for d in dirs)
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,22 @@ def test_roots_check_raises_without_assert(monkeypatch):
         roots_univariate(p)
 
 
+def test_roots_evaluates_each_root_once(monkeypatch):
+    p = parse_poly("Qx|Q", "(1, 0)*X^3 + (-5, 1)*X^2 + (6, 2)*X")
+    calls = []
+
+    def counting(q, point):
+        if q is p:
+            calls.append(point)
+        return is_root(q, point)
+
+    monkeypatch.setattr(solve, "is_root", counting)
+    roots = [rec.root for rec in roots_univariate(p)]
+    # The zero root is one by construction: p has no constant term.
+    assert roots[0] is None and len(roots) == 3
+    assert sorted(map(repr, calls)) == sorted(repr((r,)) for r in roots[1:])
+
+
 def test_linear_2x2_keeps_numerator_precision():
     dom = SeriesDomain(QQ)
 

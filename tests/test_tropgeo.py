@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from finetrop import tropgeo
 from finetrop.fields import QQ, QQi, gauss
-from finetrop.parsing import parse_fpoly
+from finetrop.parsing import parse_fpoly, parse_poly
 from finetrop.poly import pushforward
 from finetrop.series import SeriesDomain, fmt_series, hom_fval
+from finetrop.solve import SolverInvariantError
 from finetrop.svg import render_fine_curve, render_trop
 from finetrop.tropgeo import (
     Interval,
@@ -70,6 +72,29 @@ def test_transversal_intersection_point():
     (x, y) = pts[0].coords
     assert (x.coef, tuple(x.level.coords)) == (Fraction(2), (Fraction(0),))
     assert (y.coef, tuple(y.level.coords)) == (Fraction(-1), (Fraction(0),))
+
+
+def test_odd_roots_of_large_integers_are_exact():
+    # X^3 = N, XY = 1 over Qx|Q: the point (N^(1/3), N^(-1/3)) at level
+    # (0, 0) exists exactly when N is a cube, however large N is.
+    q = fine_hypersurface(parse_poly("Qx|Q", "(-1, 0) + (1, 0)*X*Y", nvars=2))
+
+    def meet(N):
+        p = parse_poly("Qx|Q", f"(-{N}, 0) + (1, 0)*X^3", nvars=2)
+        pts, comps = fine_intersect(fine_hypersurface(p), q)
+        assert comps == []
+        return [tuple((e.coef, e.level.coords) for e in pt.coords) for pt in pts]
+
+    zero = (Fraction(0),)
+    assert meet(10**60) == [((10**20, zero), (Fraction(1, 10**20), zero))]
+    assert meet(10**399) == [((10**133, zero), (Fraction(1, 10**133), zero))]
+    assert meet(10**400) == []
+
+
+def test_fine_intersect_check_raises_without_assert(monkeypatch):
+    monkeypatch.setattr(tropgeo, "is_root", lambda p, point: False)
+    with pytest.raises(SolverInvariantError):
+        fine_intersect(line_curve(), second_curve())
 
 
 def test_series_oracle_agrees():
