@@ -86,7 +86,7 @@ def _cell_json(c) -> dict:
 
 def _emit(obj: dict, args) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
-    if getattr(args, "out", None) and getattr(args, "format", "json") == "json":
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     print(text)
@@ -118,14 +118,14 @@ def _fmt_set(H: Hyperfield, S) -> str:
 # Subcommands
 
 
-def _load_poly_arg(arg: str, args) -> HPoly:
+def _load_poly_arg(arg: str, args, nvars: Optional[int] = None) -> HPoly:
     if arg.endswith(".json"):
         with open(arg) as fh:
             data = json.load(fh)
-        return parse_poly(data["hyperfield"], data["poly"])
+        return parse_poly(data["hyperfield"], data["poly"], nvars=nvars)
     if not args.hyperfield:
         raise SystemExit("--hyperfield is required for inline expressions")
-    return parse_poly(args.hyperfield, arg)
+    return parse_poly(args.hyperfield, arg, nvars=nvars)
 
 
 def _series_domain(args) -> SeriesDomain:
@@ -182,7 +182,7 @@ def cmd_tropicalize(args) -> int:
 
 
 def cmd_fine_curve(args) -> int:
-    p = _load_poly_arg(args.poly, args)
+    p = _load_poly_arg(args.poly, args, nvars=2)
     C = fine_hypersurface(p)
     if args.format == "svg":
         svg = render_fine_curve(C)
@@ -207,8 +207,8 @@ def cmd_intersect(args) -> int:
         Q = parse_fpoly(dom, args.Q, nvars=2)
         hp, hq = pushforward(f, P), pushforward(f, Q)
     else:
-        hp = _load_poly_arg(args.P, args)
-        hq = _load_poly_arg(args.Q, args)
+        hp = _load_poly_arg(args.P, args, nvars=2)
+        hq = _load_poly_arg(args.Q, args, nvars=2)
     H = hp.hyperfield
     C1, C2 = fine_hypersurface(hp), fine_hypersurface(hq)
     pts, comps = fine_intersect(C1, C2)
@@ -315,7 +315,6 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out")
-    common.add_argument("--format", choices=["json", "svg"], default="json")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_parser(name, **kw):
@@ -342,6 +341,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add_parser("fine-curve", help="cells of a fine tropical curve")
     p.add_argument("--hyperfield")
+    p.add_argument("--format", choices=["json", "svg"], default="json")
     p.add_argument("poly")
     p.set_defaults(fn=cmd_fine_curve)
 

@@ -6,6 +6,15 @@ units.  Cells are indexed by the subset J of the support on which the
 minimum of level(c_d) + d.g is attained exactly; their polyhedra live in
 Q^2 with exact rational constraints.
 
+The cells are dual to the regular subdivision of the Newton polygon
+induced by the lifted points (d, level(c_d)): vertices to its polygons,
+edges to its edges.  So J is never searched over all subsets of the
+support: a vertex's J is the argmin set at the point where a
+non-collinear triple of exponents ties, and an edge's J is the set of
+support points whose lifted points are collinear with a pair inside a
+vertex's J (or any pair, when the support is collinear and there is no
+vertex).  Each candidate is then solved and checked exactly.
+
 Intersections conjoin cell polyhedra and base conditions; stable
 intersections perturb only the base units of the second curve.  Start
 systems for polyhedral homotopy reuse the same cell pairing.
@@ -72,10 +81,6 @@ class Interval:
         if self.lo == self.hi:
             return self.lo_strict or self.hi_strict
         return True
-
-    def is_point(self) -> bool:
-        return (self.lo is not None and self.lo == self.hi
-                and not self.lo_strict and not self.hi_strict)
 
     def contains(self, t: Fraction) -> bool:
         if self.lo is not None:
@@ -219,46 +224,86 @@ def _line_interval(p0: Vec2, v: tuple[int, int], ineqs: Sequence[Row]) -> Interv
     return iv
 
 
+def _candidate_sets(support: Sequence[tuple[int, int]],
+                    levels: dict) -> list[tuple[tuple[int, int], ...]]:
+    """The index sets J that can be cells, sorted by (len(J), J).
+
+    A vertex's J holds a non-collinear triple and is the argmin set where
+    that triple ties.  An edge's J holds every d whose lifted point is
+    collinear with those of a pair in J (a tied d left out would make the
+    cell empty), and lies inside the J of a vertex at one of its ends
+    unless the support is collinear and has no vertex.  The sort gives
+    the order of ``itertools.combinations`` over the sorted support.
+    """
+    scale = math.lcm(*(levels[d].denominator for d in support))
+    lev = {d: levels[d].numerator * (scale // levels[d].denominator)
+           for d in support}
+    vertices = set()
+    for a, b, c in itertools.combinations(support, 3):
+        bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+        det = bx * cy - by * cx
+        if det == 0:
+            continue
+        # The tie point is g = (nx, ny) / det, from (d - a).g = lev_a - lev_d
+        # for d = b, c; compare det * (lev_d + d.g) with det > 0.
+        rb, rc = lev[a] - lev[b], lev[a] - lev[c]
+        nx, ny = rb * cy - rc * by, bx * rc - cx * rb
+        if det < 0:
+            det, nx, ny = -det, -nx, -ny
+        val = {d: det * lev[d] + d[0] * nx + d[1] * ny for d in support}
+        m = min(val.values())
+        if val[a] == m:
+            vertices.add(tuple(d for d in support if val[d] == m))
+    cands = set(vertices)
+    for A in vertices or [tuple(support)]:
+        for a, b in itertools.combinations(A, 2):
+            ux, uy, ul = b[0] - a[0], b[1] - a[1], lev[b] - lev[a]
+            cands.add(tuple(
+                d for d in A
+                if (d[0] - a[0]) * uy == (d[1] - a[1]) * ux
+                and (d[0] - a[0]) * ul == ux * (lev[d] - lev[a])
+                and (d[1] - a[1]) * ul == uy * (lev[d] - lev[a])))
+    return sorted(cands, key=lambda J: (len(J), J))
+
+
 def fine_hypersurface(p: HPoly) -> FineCurve:
-    """Cells of the corner locus with their initial-form conditions."""
+    """Cells of the corner locus with their initial-form conditions.
+
+    Only the candidates ``_candidate_sets`` reads off the regular
+    subdivision of the Newton polygon are solved and checked, not every
+    subset of the support.
+    """
     E = _ext_of(p)
     if p.nvars != 2:
         raise ValueError("plane curves only")
     support = sorted(p.coeffs)
     levels = {d: p.coeffs[d].level.coords[0] for d in support}
     cells = []
-    for r in range(2, len(support) + 1):
-        for J in itertools.combinations(support, r):
-            j0 = J[0]
-            eqs = tuple(
-                (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
-                 levels[d] - levels[j0])
-                for d in J[1:]
-            )
-            ineqs = tuple(
-                (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
-                 levels[d] - levels[j0])
-                for d in support if d not in J
-            )
-            sol = _solve_rows(eqs)
-            if sol[0] == "empty":
-                continue
-            base_cond = hpoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
-            if sol[0] == "point":
-                g = sol[1]
-                if all(_row_at(row, g) > 0 for row in ineqs):
-                    cells.append(Cell(J, 0, eqs, ineqs, g, None, None, None,
-                                      base_cond))
-                continue
-            _, p0, v = sol
-            iv = _line_interval(p0, v, ineqs)
-            if iv.is_empty():
-                continue
-            if iv.is_point():
-                g = (p0[0] + iv.lo * v[0], p0[1] + iv.lo * v[1])
+    for J in _candidate_sets(support, levels):
+        j0 = J[0]
+        eqs = tuple(
+            (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
+             levels[d] - levels[j0])
+            for d in J[1:]
+        )
+        ineqs = tuple(
+            (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
+             levels[d] - levels[j0])
+            for d in support if d not in J
+        )
+        sol = _solve_rows(eqs)
+        if sol[0] == "empty":
+            continue
+        base_cond = hpoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
+        if sol[0] == "point":
+            g = sol[1]
+            if all(_row_at(row, g) > 0 for row in ineqs):
                 cells.append(Cell(J, 0, eqs, ineqs, g, None, None, None,
                                   base_cond))
-                continue
+            continue
+        _, p0, v = sol
+        iv = _line_interval(p0, v, ineqs)
+        if not iv.is_empty():
             cells.append(Cell(J, 1, eqs, ineqs, None, p0, v, iv, base_cond))
     return FineCurve(p, tuple(cells))
 
@@ -591,9 +636,6 @@ def _geom_intersections(c1: Cell, c2: Cell):
         mapped = Interval(lo, iv2.hi_strict, hi, iv2.lo_strict)
     overlap = _intersect_intervals(c1.interval, mapped)
     if overlap.is_empty():
-        return
-    if overlap.is_point():
-        yield ("point", c1.param_at(overlap.lo))
         return
     yield ("segment", c1, overlap)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from finetrop.cli import main
 
 
@@ -100,3 +102,25 @@ def test_determinism(capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+def test_plane_curve_commands_read_two_variables(capsys):
+    # Neither curve needs to mention Y to be a plane curve.
+    code, out = run(capsys, "intersect", "--hyperfield", "Qx|Q",
+                    "(-8, 0) + (1, 0)*X^3", "(-1, 0) + (1, 0)*X*Y")
+    assert code == 0
+    assert json.loads(out)["points"] == [[["2", "0"], ["1/2", "0"]]]
+    code, out = run(capsys, "fine-curve", "--hyperfield", "Qx|Q",
+                    "(1, 0)*X + (1, 2)")
+    assert code == 0
+    (cell,) = json.loads(out)["cells"]
+    assert (cell["J"], cell["p0"], cell["v"]) == ([[0, 0], [1, 0]], ["2", "0"], [0, 1])
+
+
+def test_format_is_a_fine_curve_option(capsys, tmp_path):
+    out_file = tmp_path / "r.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--hyperfield", "T", "--format", "svg",
+              "--out", str(out_file), "X^2 + (1, 3)"])
+    assert exc.value.code == 2
+    assert not out_file.exists()

@@ -1,6 +1,7 @@
 """Fine tropical curves in the plane: cell structure, intersections,
 stable limits, and homotopy start systems."""
 
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ import pytest
 from finetrop import tropgeo
 from finetrop.fields import QQ, QQi, gauss
 from finetrop.parsing import parse_fpoly, parse_poly
-from finetrop.poly import pushforward
-from finetrop.series import SeriesDomain, fmt_series, hom_fval
+from finetrop.poly import fpoly, pushforward
+from finetrop.series import SeriesDomain, fmt_series, hom_fval, hom_sval, hom_val, series
 from finetrop.solve import SolverInvariantError
 from finetrop.svg import render_fine_curve, render_trop
 from finetrop.tropgeo import (
@@ -22,6 +23,8 @@ from finetrop.tropgeo import (
     stable_intersect,
     trop_project,
 )
+
+from curve_oracle import fine_hypersurface_by_subsets
 
 DOM = SeriesDomain(QQ)
 FVAL = hom_fval()
@@ -55,6 +58,115 @@ def test_fine_line_cells():
     assert vertex.dim == 0
     assert vertex.point == (Fraction(0), Fraction(0))
     assert repr(vertex.base_cond) == "X + Y + -1"
+
+
+def _cell_key(c):
+    iv = c.interval
+    return (c.J, c.dim, c.eqs, c.ineqs, c.point, c.line_p0, c.line_v,
+            None if iv is None else (iv.lo, iv.lo_strict, iv.hi, iv.hi_strict),
+            c.base_cond.hyperfield.name, tuple(c.base_cond.coeffs.items()))
+
+
+def _random_curve(rng, hom, support, equal_levels, max_den):
+    """A push-forward of monomial-series coefficients on the given support."""
+    e0 = Fraction(rng.randint(-4, 8), rng.randint(1, max_den))
+
+    def coef():
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        e = e0 if equal_levels else Fraction(rng.randint(-4, 8),
+                                             rng.randint(1, max_den))
+        return series(QQ, [(e, c)])
+
+    return pushforward(hom, fpoly(DOM, 2, {d: coef() for d in support}))
+
+
+def _triangle(deg):
+    return [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+
+
+def test_fine_curve_matches_subset_oracle():
+    rng = random.Random(5)
+    homs = (hom_val(), hom_sval(), hom_fval())
+    curves = [pushforward(h, parse_fpoly(DOM, text, nvars=2))
+              for h in homs for text in ("X + X^2 + X^3", "t*X + X^2 + t^2*X^3",
+                                         "1 + X*Y + t*X^2*Y^2")]
+    for k in range(36):
+        deg = 1 + k % 4
+        tri = _triangle(deg)
+        if deg < 4 and k % 2:
+            support = tri
+        else:
+            support = rng.sample(tri, rng.randint(2, min(9, len(tri))))
+        curves.append(_random_curve(rng, homs[k % 3], support,
+                                    equal_levels=k % 5 == 0, max_den=1 + k % 3))
+    wide_vertices = long_edges = 0
+    for hp in curves:
+        got = [_cell_key(c) for c in fine_hypersurface(hp).cells]
+        assert got == [_cell_key(c)
+                       for c in fine_hypersurface_by_subsets(hp).cells], hp
+        wide_vertices += sum(1 for c in got if c[1] == 0 and len(c[0]) > 3)
+        long_edges += sum(1 for c in got if c[1] == 1 and len(c[0]) > 2)
+    # Vertices tied by more than a triple and edges holding more than a
+    # pair are the cells a shortcut through triples or pairs would lose.
+    assert wide_vertices >= 5 and long_edges >= 10
+
+
+def _relative_interior_point(cell):
+    if cell.dim == 0:
+        return cell.point
+    iv = cell.interval
+    if iv.lo is not None and iv.hi is not None:
+        t = (iv.lo + iv.hi) / 2
+    elif iv.lo is not None:
+        t = iv.lo + 1
+    elif iv.hi is not None:
+        t = iv.hi - 1
+    else:
+        t = Fraction(0)
+    return cell.param_at(t)
+
+
+def _argmin(hp, g):
+    vals = {d: c.level.coords[0] + d[0] * g[0] + d[1] * g[1]
+            for d, c in hp.coeffs.items()}
+    m = min(vals.values())
+    return tuple(sorted(d for d, v in vals.items() if v == m))
+
+
+def test_dense_quintic_cells():
+    # 21 monomials: the subset search would try about 2 * 10^6 sets.
+    # Strictly convex levels, perturbed by less than their second
+    # differences, lift every monomial onto the lower hull: the subdivision
+    # is a unimodular triangulation with 25 triangles and 45 edges.
+    rng = random.Random(11)
+    hp = pushforward(hom_val(), fpoly(DOM, 2, {
+        (i, j): series(QQ, [(i * i + i * j + j * j
+                             + Fraction(rng.randint(-9, 9), 50),
+                             Fraction(rng.randint(1, 9)))])
+        for i, j in _triangle(5)}))
+    C = fine_hypersurface(hp)
+    assert (sum(c.dim == 0 for c in C.cells),
+            sum(c.dim == 1 for c in C.cells)) == (25, 45)
+    for cell in C.cells:
+        assert _argmin(hp, _relative_interior_point(cell)) == cell.J
+    # Every point of the curve lies in a cell: cross random lines and take
+    # the argmin wherever two of its monomials tie at the minimum.
+    Js = {c.J for c in C.cells}
+    support = sorted(hp.coeffs)
+    for _ in range(12):
+        p = (Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 7))
+        w = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, -1)))
+        for a in support:
+            for b in support:
+                s = (a[0] - b[0]) * w[0] + (a[1] - b[1]) * w[1]
+                if a >= b or s == 0:
+                    continue
+                la, lb = (hp.coeffs[d].level.coords[0] + d[0] * p[0] + d[1] * p[1]
+                          for d in (a, b))
+                t = (lb - la) / s
+                J = _argmin(hp, (p[0] + t * w[0], p[1] + t * w[1]))
+                if a in J:
+                    assert J in Js
 
 
 def test_trop_project():
