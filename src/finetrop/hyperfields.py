@@ -819,8 +819,6 @@ S = SignHyperfield()
 W = WeakSignHyperfield()
 P = PhaseHyperfield(closed=False)
 PHI = PhaseHyperfield(closed=True)
-HQ = FieldHyperfield(QQ)
-HQi = FieldHyperfield(QQi)
 
 
 def field_hyperfield(field: BaseField) -> FieldHyperfield:

@@ -9,15 +9,24 @@ Q^2 with exact rational constraints.
 The cells are dual to the regular subdivision of the Newton polygon
 induced by the lifted points (d, level(c_d)): vertices to its polygons,
 edges to its edges.  So J is never searched over all subsets of the
-support: a vertex's J is the argmin set at the point where a
-non-collinear triple of exponents ties, and an edge's J is the set of
-support points whose lifted points are collinear with a pair inside a
-vertex's J (or any pair, when the support is collinear and there is no
-vertex).  Each candidate is then solved and checked exactly.
+support, and no cell is solved from rows: with the levels scaled to
+integers by their common denominator, a vertex's J is the argmin set at
+the point where a non-collinear triple of exponents ties (found by
+integer Cramer's rule), and an edge's J is the set of support points
+whose lifted points are collinear with a pair inside a vertex's J (or
+any pair, when the support is collinear and there is no vertex).  An
+edge's interval ends at the vertices holding its J.  Since cells are
+relatively open, a point lies in the cell J exactly when J is its argmin
+set, an integer test.
 
-Intersections conjoin cell polyhedra and base conditions; stable
-intersections perturb only the base units of the second curve.  Start
-systems for polyhedral homotopy reuse the same cell pairing.
+Intersections pair the cells of two curves with one walker, whose pairs
+are the cells of the mixed subdivision of Newt(P) + Newt(Q): a vertex of
+either curve is looked up on the other by its argmin set, two crossing
+edges meet at the integer Cramer point of their ties when it lies in
+both, and edges on one line meet where their intervals overlap.  Each
+pair's base conditions are then solved together.  Stable intersections
+perturb only the base units of the second curve, and start systems for
+polyhedral homotopy read mixed volumes off the same pairs.
 """
 
 from __future__ import annotations
@@ -40,28 +49,20 @@ from .solve import (
     SolverInvariantError,
     _gauss_unit_roots,
     _rational_unit_roots,
-    solve_linear_2x2,
 )
 
 
 Vec2 = tuple[Fraction, Fraction]
 Row = tuple[Fraction, Fraction, Fraction]  # a*gX + b*gY + c (rel) 0
+Expt = tuple[int, int]
 
 
-def _row_at(row: Row, g: Vec2) -> Fraction:
-    a, b, c = row
-    return a * g[0] + b * g[1] + c
-
-
-def _primitive(v: Vec2) -> tuple[int, int]:
-    den = v[0].denominator * v[1].denominator
-    p, q = int(v[0] * den), int(v[1] * den)
-    g = math.gcd(abs(p), abs(q))
-    if g:
-        p, q = p // g, q // g
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    return p, q
+def _primitive(x: int, y: int) -> tuple[int, int]:
+    g = math.gcd(x, y)
+    x, y = x // g, y // g
+    if x < 0 or (x == 0 and y < 0):
+        x, y = -x, -y
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -81,18 +82,6 @@ class Interval:
         if self.lo == self.hi:
             return self.lo_strict or self.hi_strict
         return True
-
-    def contains(self, t: Fraction) -> bool:
-        if self.lo is not None:
-            if t < self.lo or (t == self.lo and self.lo_strict):
-                return False
-        if self.hi is not None:
-            if t > self.hi or (t == self.hi and self.hi_strict):
-                return False
-        return True
-
-
-FULL_LINE = Interval(None, False, None, False)
 
 
 def _intersect_intervals(a: Interval, b: Interval) -> Interval:
@@ -116,32 +105,75 @@ def _intersect_intervals(a: Interval, b: Interval) -> Interval:
 
 
 @dataclass(frozen=True)
-class Cell:
-    """One cell of a fine curve: polyhedron plus initial-form condition."""
+class Lift:
+    """The support of a curve with its levels scaled to integers.
 
-    J: tuple[tuple[int, int], ...]
+    ``lev[d] / scale`` is the level of the coefficient of X^d, so the lifted
+    points (d, level_d) of the regular subdivision become integer points
+    up to one common factor, and argmin sets are found without fractions.
+    """
+
+    support: tuple[Expt, ...]  # sorted
+    lev: Any  # dict exponent -> int
+    scale: int
+
+    def argmin(self, x: int, y: int, den: int) -> tuple[Expt, ...]:
+        """The d minimising level_d + d.g at g = (x, y) / den, den > 0."""
+        s = self.scale
+        vals = [den * self.lev[d] + s * (d[0] * x + d[1] * y)
+                for d in self.support]
+        m = min(vals)
+        return tuple(d for d, v in zip(self.support, vals) if v == m)
+
+    def argmin_at(self, g: Vec2) -> tuple[Expt, ...]:
+        gx, gy = g
+        den = math.lcm(gx.denominator, gy.denominator)
+        return self.argmin(gx.numerator * (den // gx.denominator),
+                           gy.numerator * (den // gy.denominator), den)
+
+    def tie(self, j0: Expt, d: Expt) -> tuple[int, int, int]:
+        """The tie of d with j0 as integers (a, b, n):
+        level_d + d.g - level_j0 - j0.g = a*gX + b*gY + n/scale."""
+        return d[0] - j0[0], d[1] - j0[1], self.lev[d] - self.lev[j0]
+
+    def row(self, j0: Expt, d: Expt) -> Row:
+        a, b, n = self.tie(j0, d)
+        return (Fraction(a), Fraction(b), Fraction(n, self.scale))
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One cell of a fine curve: polyhedron plus initial-form condition.
+
+    The polyhedron is relatively open: the points g where the argmin set
+    of level_d + d.g is exactly J.  As rows it is ``eqs`` (= 0) and
+    ``ineqs`` (> 0), the ties of J[0] with the other exponents.
+    """
+
+    J: tuple[Expt, ...]
     dim: int
-    eqs: tuple[Row, ...]
-    ineqs: tuple[Row, ...]  # strict: value > 0
     point: Optional[Vec2]  # dim 0
     line_p0: Optional[Vec2]  # dim 1: g(t) = p0 + t*v
     line_v: Optional[tuple[int, int]]
     interval: Optional[Interval]
     base_cond: HPoly  # over the base hyperfield, variables = the two units
+    lift: Lift  # shared by every cell of the curve
+
+    @property
+    def eqs(self) -> tuple[Row, ...]:
+        return tuple(self.lift.row(self.J[0], d) for d in self.J[1:])
+
+    @property
+    def ineqs(self) -> tuple[Row, ...]:  # strict: value > 0
+        return tuple(self.lift.row(self.J[0], d)
+                     for d in self.lift.support if d not in self.J)
 
     def contains(self, g: Vec2) -> bool:
-        return (all(_row_at(r, g) == 0 for r in self.eqs)
-                and all(_row_at(r, g) > 0 for r in self.ineqs))
+        return self.lift.argmin_at(g) == self.J
 
     def param_at(self, t: Fraction) -> Vec2:
         return (self.line_p0[0] + t * self.line_v[0],
                 self.line_p0[1] + t * self.line_v[1])
-
-    def param_of(self, g: Vec2) -> Fraction:
-        vx, vy = self.line_v
-        if vx != 0:
-            return (g[0] - self.line_p0[0]) / vx
-        return (g[1] - self.line_p0[1]) / vy
 
 
 @dataclass(frozen=True)
@@ -178,133 +210,118 @@ def _ext_of(p: HPoly) -> TropicalExtension:
     return H
 
 
-def _solve_rows(rows: Sequence[Row]):
-    """Solution set of linear equations in (gX, gY) over Q."""
-    rows = [r for r in rows if not (r[0] == 0 and r[1] == 0 and r[2] == 0)]
-    for r in rows:
-        if r[0] == 0 and r[1] == 0:
-            return ("empty",)
-    if not rows:
-        return ("plane",)
-    a, b, c = rows[0]
-    for a2, b2, c2 in rows[1:]:
-        det = a * b2 - a2 * b
-        if det != 0:
-            gx = (b * c2 - b2 * c) / det
-            gy = (a2 * c - a * c2) / det
-            g = (gx, gy)
-            if all(_row_at(r, g) == 0 for r in rows):
-                return ("point", g)
-            return ("empty",)
-    # All rows proportional to the first; check the constants.
-    for a2, b2, c2 in rows[1:]:
-        k = (a2 / a) if a != 0 else (b2 / b)
-        if c2 != k * c:
-            return ("empty",)
-    p0 = (Fraction(0), -c / b) if b != 0 else (-c / a, Fraction(0))
-    v = _primitive((-b, a))
-    return ("line", p0, v)
-
-
-def _line_interval(p0: Vec2, v: tuple[int, int], ineqs: Sequence[Row]) -> Interval:
-    iv = FULL_LINE
-    for row in ineqs:
-        a, b, c = row
-        s = a * v[0] + b * v[1]
-        w = _row_at(row, p0)
-        if s == 0:
-            if w <= 0:
-                return Interval(Fraction(0), True, Fraction(0), True)  # empty
-            continue
-        bound = Fraction(-w, s)
-        if s > 0:
-            iv = _intersect_intervals(iv, Interval(bound, True, None, False))
-        else:
-            iv = _intersect_intervals(iv, Interval(None, False, bound, True))
-    return iv
-
-
-def _candidate_sets(support: Sequence[tuple[int, int]],
-                    levels: dict) -> list[tuple[tuple[int, int], ...]]:
-    """The index sets J that can be cells, sorted by (len(J), J).
+def _vertices(lift: Lift) -> dict:
+    """Vertex cells as J -> (x, y, den), the point (x, y) / den, den > 0.
 
     A vertex's J holds a non-collinear triple and is the argmin set where
-    that triple ties.  An edge's J holds every d whose lifted point is
-    collinear with those of a pair in J (a tied d left out would make the
-    cell empty), and lies inside the J of a vertex at one of its ends
-    unless the support is collinear and has no vertex.  The sort gives
-    the order of ``itertools.combinations`` over the sorted support.
+    that triple ties.
     """
-    scale = math.lcm(*(levels[d].denominator for d in support))
-    lev = {d: levels[d].numerator * (scale // levels[d].denominator)
-           for d in support}
-    vertices = set()
-    for a, b, c in itertools.combinations(support, 3):
+    lev, s = lift.lev, lift.scale
+    vertices = {}
+    for a, b, c in itertools.combinations(lift.support, 3):
         bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
         det = bx * cy - by * cx
         if det == 0:
             continue
-        # The tie point is g = (nx, ny) / det, from (d - a).g = lev_a - lev_d
-        # for d = b, c; compare det * (lev_d + d.g) with det > 0.
+        # (d - a).g = level_a - level_d for d = b, c, by Cramer's rule on
+        # the scaled levels: g = (nx, ny) / (scale * det).
         rb, rc = lev[a] - lev[b], lev[a] - lev[c]
         nx, ny = rb * cy - rc * by, bx * rc - cx * rb
         if det < 0:
             det, nx, ny = -det, -nx, -ny
-        val = {d: det * lev[d] + d[0] * nx + d[1] * ny for d in support}
-        m = min(val.values())
-        if val[a] == m:
-            vertices.add(tuple(d for d in support if val[d] == m))
-    cands = set(vertices)
-    for A in vertices or [tuple(support)]:
+        J = lift.argmin(nx, ny, s * det)
+        if a in J:
+            vertices.setdefault(J, (nx, ny, s * det))
+    return vertices
+
+
+def _edges(lift: Lift, vertices: dict) -> dict:
+    """Candidate edge sets J -> the vertex sets that hold them.
+
+    An edge's J holds every d whose lifted point is collinear with those
+    of a pair in J (a tied d left out would make the cell empty), and lies
+    inside the J of every vertex at its ends.  A collinear support has no
+    vertex, and any pair of it may span an edge.
+    """
+    lev = lift.lev
+    edges: dict = {}
+    for A in vertices or [lift.support]:
         for a, b in itertools.combinations(A, 2):
             ux, uy, ul = b[0] - a[0], b[1] - a[1], lev[b] - lev[a]
-            cands.add(tuple(
-                d for d in A
-                if (d[0] - a[0]) * uy == (d[1] - a[1]) * ux
-                and (d[0] - a[0]) * ul == ux * (lev[d] - lev[a])
-                and (d[1] - a[1]) * ul == uy * (lev[d] - lev[a])))
-    return sorted(cands, key=lambda J: (len(J), J))
+            J = tuple(d for d in A
+                      if (d[0] - a[0]) * uy == (d[1] - a[1]) * ux
+                      and (d[0] - a[0]) * ul == ux * (lev[d] - lev[a])
+                      and (d[1] - a[1]) * ul == uy * (lev[d] - lev[a]))
+            edges.setdefault(J, set())
+            if vertices:
+                edges[J].add(A)
+    return edges
+
+
+def _edge_line(lift: Lift, J: tuple, ends: dict, vertices: dict):
+    """(p0, v, interval) of the edge cell J, or None when it is empty.
+
+    p0 and v come from the tie of J[0] and J[1]: p0 is where that line
+    meets the axis gX = 0 (gY = 0 when it is vertical).  The interval ends
+    at the vertices holding J.  At such a vertex the cell lies on the side
+    where the vertex's other exponents rise above J; when they rise on
+    opposite sides, J is a diagonal of the vertex's polygon and no cell.
+    With no vertex (a collinear support) the cell is the whole line, when
+    J is the argmin set on it.
+    """
+    a, b, n = lift.tie(J[0], J[1])
+    if b:
+        p0 = (Fraction(0), Fraction(-n, lift.scale * b))
+    else:
+        p0 = (Fraction(-n, lift.scale * a), Fraction(0))
+    v = _primitive(-b, a)
+    lo = hi = None
+    for A in ends:
+        x, y, den = vertices[A]
+        t = Fraction(x, den * v[0]) if v[0] else Fraction(y, den * v[1])
+        rises = {(d[0] - J[0][0]) * v[0] + (d[1] - J[0][1]) * v[1] > 0
+                 for d in A if d not in J}
+        if len(rises) > 1:
+            return None
+        if True in rises:
+            lo = t
+        else:
+            hi = t
+    if not ends and lift.argmin_at(p0) != J:
+        return None
+    return p0, v, Interval(lo, lo is not None, hi, hi is not None)
 
 
 def fine_hypersurface(p: HPoly) -> FineCurve:
     """Cells of the corner locus with their initial-form conditions.
 
-    Only the candidates ``_candidate_sets`` reads off the regular
-    subdivision of the Newton polygon are solved and checked, not every
-    subset of the support.
+    Cells are read off the regular subdivision of the Newton polygon on
+    the integer-scaled levels: vertices from tied triples, edges from the
+    lifted closures of pairs inside a vertex, with intervals ending at
+    their vertices.  Cells are sorted by (len(J), J).
     """
     E = _ext_of(p)
     if p.nvars != 2:
         raise ValueError("plane curves only")
-    support = sorted(p.coeffs)
-    levels = {d: p.coeffs[d].level.coords[0] for d in support}
+    support = tuple(sorted(p.coeffs))
+    levels = [p.coeffs[d].level.coords[0] for d in support]
+    scale = math.lcm(*(x.denominator for x in levels))
+    lift = Lift(support, {d: x.numerator * (scale // x.denominator)
+                          for d, x in zip(support, levels)}, scale)
+    vertices = _vertices(lift)
+    edges = _edges(lift, vertices)
     cells = []
-    for J in _candidate_sets(support, levels):
-        j0 = J[0]
-        eqs = tuple(
-            (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
-             levels[d] - levels[j0])
-            for d in J[1:]
-        )
-        ineqs = tuple(
-            (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
-             levels[d] - levels[j0])
-            for d in support if d not in J
-        )
-        sol = _solve_rows(eqs)
-        if sol[0] == "empty":
-            continue
+    for J in sorted([*vertices, *edges], key=lambda J: (len(J), J)):
+        if J in vertices:
+            x, y, den = vertices[J]
+            shape = (0, (Fraction(x, den), Fraction(y, den)), None, None, None)
+        else:
+            line = _edge_line(lift, J, edges[J], vertices)
+            if line is None:
+                continue
+            shape = (1, None, *line)
         base_cond = hpoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
-        if sol[0] == "point":
-            g = sol[1]
-            if all(_row_at(row, g) > 0 for row in ineqs):
-                cells.append(Cell(J, 0, eqs, ineqs, g, None, None, None,
-                                  base_cond))
-            continue
-        _, p0, v = sol
-        iv = _line_interval(p0, v, ineqs)
-        if not iv.is_empty():
-            cells.append(Cell(J, 1, eqs, ineqs, None, p0, v, iv, base_cond))
+        cells.append(Cell(J, *shape, base_cond, lift))
     return FineCurve(p, tuple(cells))
 
 
@@ -486,17 +503,19 @@ def _binomial_pair(F: BaseField, kA, kB, conds):
     (_, (r, s), w2) = kB
     det = p * s - q * r
     if det == 0:
-        # Parallel exponent vectors: consistent means a family.
-        g = math.gcd(abs(p), abs(q))
-        if g == 0:
-            raise BaseSolveError("degenerate binomial condition")
-        k = (r // (p // g) if p else s // (q // g))  # integer ratio when it exists
-        if (p * k, q * k) == (r, s):
-            lhs = _pow(F, w1, abs(k)) if k >= 0 else _pow(F, F.inv(w1), -k)
-            if lhs == w2:
-                return ("family", "dependent binomial conditions")
-            return ("points", [])
-        raise BaseSolveError("binomial conditions with incompatible exponents")
+        # Parallel exponent vectors m*e and n*e for a primitive e: with
+        # z = u^e the conditions read z^m = w1 and z^n = w2, so every common
+        # z solves z^gcd(m, n) = w1^x * w2^y (x*m + y*n = gcd(m, n)), and
+        # the units u with u^e = z form a one-parameter family.
+        m = math.gcd(p, q)
+        e = (p // m, q // m)
+        n = r // e[0] if e[0] else s // e[1]
+        g, x, y = _bezout(m, n)
+        rhs = F.mul(_pow_signed(F, w1, x), _pow_signed(F, w2, y))
+        if any(_pow_signed(F, z, m) == w1 and _pow_signed(F, z, n) == w2
+               for z in _nth_roots(F, rhs, g)):
+            return ("family", "dependent binomial conditions")
+        return ("points", [])
     u_rhs = F.mul(_pow_signed(F, w1, s), _pow_signed(F, w2, -q))
     v_rhs = F.mul(_pow_signed(F, w2, p), _pow_signed(F, w1, -r))
     out = []
@@ -512,6 +531,16 @@ def _pow_signed(F: BaseField, w, n: int):
     if n >= 0:
         return _pow(F, w, n)
     return _pow(F, F.inv(w), -n)
+
+
+def _bezout(m: int, n: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*m + y*n = g = gcd(m, n) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while n:
+        q, m, n = m // n, n, m % n
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (m, x0, y0) if m >= 0 else (-m, -x0, -y0)
 
 
 def _affine_binomial(F: BaseField, kA, kB, conds):
@@ -592,92 +621,104 @@ def _subst_roots(F: BaseField, alpha, beta, gamma, w, dmain: int, dother: int,
 # Intersection
 
 
-def _geom_intersections(c1: Cell, c2: Cell):
-    """Geometric intersections of two cells: points and shared segments."""
-    if c1.dim == 0 and c2.dim == 0:
-        if c1.point == c2.point:
-            yield ("point", c1.point)
+def _cell_hits(C1: FineCurve, C2: FineCurve):
+    """Meeting cells of two fine curves, in the order of C1.cells x C2.cells.
+
+    Yields (c1, c2, hit) with hit ("point", g) or ("segment", c1, overlap).
+    Cells are relatively open and disjoint, so a vertex of either curve
+    meets at most the one cell of the other whose J is the argmin set at
+    the vertex.  Two edges with crossing lines meet at the crossing when
+    it is in both cells; edges on one line meet where their intervals
+    overlap.  These pairs are the cells of the mixed subdivision of
+    Newt(P) + Newt(Q).
+    """
+    if not C1.cells or not C2.cells:
         return
-    if c1.dim == 0:
-        if c2.contains(c1.point):
-            yield ("point", c1.point)
-        return
-    if c2.dim == 0:
-        if c1.contains(c2.point):
-            yield ("point", c2.point)
-        return
-    v1, v2 = c1.line_v, c2.line_v
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    if det != 0:
-        sol = _solve_rows(list(c1.eqs) + list(c2.eqs))
-        if sol[0] == "point":
-            g = sol[1]
-            if c1.contains(g) and c2.contains(g):
-                yield ("point", g)
-        return
-    # Parallel: same line or disjoint.
-    if not all(_row_at(r, c2.line_p0) == 0 for r in c1.eqs):
-        return
-    # Map c2's interval into c1's parameterization.
-    t0 = c1.param_of(c2.line_p0)
-    # c2 param s maps to t = t0 + s * (v2 expressed in v1 units).
-    if v1[0] != 0:
-        scale = Fraction(v2[0], v1[0])
-    else:
-        scale = Fraction(v2[1], v1[1])
-    iv2 = c2.interval
-    if scale > 0:
-        lo = None if iv2.lo is None else t0 + iv2.lo * scale
-        hi = None if iv2.hi is None else t0 + iv2.hi * scale
-        mapped = Interval(lo, iv2.lo_strict, hi, iv2.hi_strict)
-    else:
-        lo = None if iv2.hi is None else t0 + iv2.hi * scale
-        hi = None if iv2.lo is None else t0 + iv2.lo * scale
-        mapped = Interval(lo, iv2.hi_strict, hi, iv2.lo_strict)
-    overlap = _intersect_intervals(c1.interval, mapped)
-    if overlap.is_empty():
-        return
-    yield ("segment", c1, overlap)
+    lift1, lift2 = C1.cells[0].lift, C2.cells[0].lift  # shared by all cells
+    index1 = {c.J: k for k, c in enumerate(C1.cells)}
+    index2 = {c.J: k for k, c in enumerate(C2.cells)}
+    on_edge1 = {k: [] for k, c in enumerate(C1.cells) if c.dim == 1}
+    for k2, c2 in enumerate(C2.cells):
+        if c2.dim == 0:
+            k1 = index1.get(lift1.argmin_at(c2.point))
+            if k1 in on_edge1:  # vertex on vertex is found from C1's side
+                on_edge1[k1].append((k2, ("point", c2.point)))
+    s1, s2 = lift1.scale, lift2.scale
+    edges2 = [(k2, c2, lift2.tie(*c2.J[:2]))
+              for k2, c2 in enumerate(C2.cells) if c2.dim == 1]
+    for k1, c1 in enumerate(C1.cells):
+        if c1.dim == 0:
+            k2 = index2.get(lift2.argmin_at(c1.point))
+            if k2 is not None:
+                yield c1, C2.cells[k2], ("point", c1.point)
+            continue
+        hits = on_edge1[k1]
+        a1, b1, n1 = lift1.tie(*c1.J[:2])
+        for k2, c2, (a2, b2, n2) in edges2:
+            det = a1 * b2 - a2 * b1
+            if det:
+                # Cramer's rule with the constants n1/s1 and n2/s2.
+                den = s1 * s2 * det
+                x = b1 * n2 * s1 - b2 * n1 * s2
+                y = a2 * n1 * s2 - a1 * n2 * s1
+                if den < 0:
+                    den, x, y = -den, -x, -y
+                if (lift1.argmin(x, y, den) == c1.J
+                        and lift2.argmin(x, y, den) == c2.J):
+                    hits.append((k2, ("point", (Fraction(x, den),
+                                                Fraction(y, den)))))
+            elif c1.line_p0 == c2.line_p0:
+                # Parallel lines share their p0 exactly when they coincide.
+                overlap = _intersect_intervals(c1.interval, c2.interval)
+                if not overlap.is_empty():
+                    hits.append((k2, ("segment", c1, overlap)))
+        hits.sort(key=lambda h: h[0])
+        for k2, hit in hits:
+            yield c1, C2.cells[k2], hit
 
 
 def fine_intersect(C1: FineCurve, C2: FineCurve):
-    """Intersect two fine curves: (isolated FinePoints, components)."""
+    """Intersect two fine curves: (isolated FinePoints, components).
+
+    The meeting cell pairs come from ``_cell_hits``, a point lookup on
+    the integer-scaled levels instead of a scan of every pair; each pair's
+    base conditions are then solved together, and every fine point is
+    checked to be a root of both sources.
+    """
     E = _ext_of(C1.source)
     H = E.base
     points: list[FinePoint] = []
     comps: list[ComponentDescription] = []
     seen_pts = set()
-    for c1 in C1.cells:
-        for c2 in C2.cells:
-            for hit in _geom_intersections(c1, c2):
-                kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
-                if hit[0] == "point":
-                    g = hit[1]
-                    if kind == "family":
-                        comps.append(ComponentDescription(
-                            None, None, None, (c1.base_cond, c2.base_cond),
-                            sols, note=f"unit family at {g}"))
-                        continue
-                    for (u, v) in sols:
-                        pt = FinePoint((
-                            ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1]))))
-                        key = (H.fmt(u), H.fmt(v), g)
-                        if key in seen_pts:
-                            continue
-                        seen_pts.add(key)
-                        for C in (C1, C2):
-                            if not is_root(C.source, pt.coords):
-                                raise SolverInvariantError(
-                                    f"fine point {pt.coords} is not a root of {C.source}")
-                        points.append(pt)
-                else:
-                    _, host, overlap = hit
-                    if kind == "family" or sols:
-                        comps.append(ComponentDescription(
-                            host.line_p0, host.line_v, overlap,
-                            (c1.base_cond, c2.base_cond),
-                            sols if kind == "points" else None,
-                            note="1-dimensional tropical overlap"))
+    for c1, c2, hit in _cell_hits(C1, C2):
+        kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
+        if hit[0] == "point":
+            g = hit[1]
+            if kind == "family":
+                comps.append(ComponentDescription(
+                    None, None, None, (c1.base_cond, c2.base_cond),
+                    sols, note=f"unit family at {g}"))
+                continue
+            for (u, v) in sols:
+                pt = FinePoint((
+                    ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1]))))
+                key = (H.fmt(u), H.fmt(v), g)
+                if key in seen_pts:
+                    continue
+                seen_pts.add(key)
+                for C in (C1, C2):
+                    if not is_root(C.source, pt.coords):
+                        raise SolverInvariantError(
+                            f"fine point {pt.coords} is not a root of {C.source}")
+                points.append(pt)
+        else:
+            _, host, overlap = hit
+            if kind == "family" or sols:
+                comps.append(ComponentDescription(
+                    host.line_p0, host.line_v, overlap,
+                    (c1.base_cond, c2.base_cond),
+                    sols if kind == "points" else None,
+                    note="1-dimensional tropical overlap"))
     return points, comps
 
 
@@ -733,16 +774,7 @@ def _project(pt: FinePoint) -> Vec2:
 
 
 # ---------------------------------------------------------------------------
-# Series-side oracle and homotopy start systems
-
-
-def oracle_intersect_series(P: FPoly, Q: FPoly, prec=8):
-    """Exact Cramer solution over the series field, mapped through the
-    fine valuation.  Returns (series solution pair, FinePoint list)."""
-    x, y = solve_linear_2x2(P, Q, prec)
-    f = hom_fval(P.domain.field)
-    fp = FinePoint((f(x), f(y)))
-    return (x, y), [fp]
+# Homotopy start systems
 
 
 @dataclass(frozen=True)
@@ -763,39 +795,38 @@ def _edge_vector(J: Sequence[tuple[int, int]]) -> tuple[int, int]:
 def homotopy_start(P: FPoly, Q: FPoly):
     """Start solutions of a 2x2 polyhedral homotopy from the fine curves.
 
-    Mixed cells are the transversal cell pairs of the two tropical curves;
-    edge-edge pairs carry their lattice mixed volume, vertex cells carry
-    one solution per base solution.  A one-dimensional overlap with a
-    consistent base system means the lift is not generic.
+    Mixed cells are the transversal cell pairs of the two tropical curves,
+    as ``_cell_hits`` walks them for ``fine_intersect``; edge-edge pairs
+    carry their lattice mixed volume, vertex cells carry one solution per
+    base solution.  A one-dimensional overlap with a consistent base
+    system means the lift is not generic.
     """
     f = hom_fval(P.domain.field)
     C1 = fine_hypersurface(pushforward(f, P))
     C2 = fine_hypersurface(pushforward(f, Q))
     H = f.target.base
     cells: list[MixedCell] = []
-    for c1 in C1.cells:
-        for c2 in C2.cells:
-            for hit in _geom_intersections(c1, c2):
-                kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
-                if hit[0] == "segment":
-                    if kind == "family" or sols:
-                        raise ValueError("lift not generic, reseed")
-                    continue
-                g = hit[1]
-                if kind == "family":
-                    raise ValueError("lift not generic, reseed")
-                if not sols:
-                    continue
-                if c1.dim == 1 and c2.dim == 1:
-                    e1, e2 = _edge_vector(c1.J), _edge_vector(c2.J)
-                    vol = abs(e1[0] * e2[1] - e1[1] * e2[0])
-                else:
-                    vol = len(sols)
-                pts = tuple(
-                    FinePoint((ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1]))))
-                    for (u, v) in sols
-                )
-                cells.append(MixedCell(g, c1.J, c2.J, vol, pts))
+    for c1, c2, hit in _cell_hits(C1, C2):
+        kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
+        if hit[0] == "segment":
+            if kind == "family" or sols:
+                raise ValueError("lift not generic, reseed")
+            continue
+        g = hit[1]
+        if kind == "family":
+            raise ValueError("lift not generic, reseed")
+        if not sols:
+            continue
+        if c1.dim == 1 and c2.dim == 1:
+            e1, e2 = _edge_vector(c1.J), _edge_vector(c2.J)
+            vol = abs(e1[0] * e2[1] - e1[1] * e2[0])
+        else:
+            vol = len(sols)
+        pts = tuple(
+            FinePoint((ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1]))))
+            for (u, v) in sols
+        )
+        cells.append(MixedCell(g, c1.J, c2.J, vol, pts))
     solutions = [p for cell in cells for p in cell.solutions]
     report = {
         "cells": len(cells),

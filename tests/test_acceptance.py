@@ -40,9 +40,10 @@ from finetrop.tropgeo import (
     fine_hypersurface,
     fine_intersect,
     homotopy_start,
-    oracle_intersect_series,
     stable_intersect,
 )
+
+from intersect_oracle import oracle_intersect_series
 
 DOM = SeriesDomain(QQ)
 FVAL = hom_fval()

@@ -124,3 +124,14 @@ def test_format_is_a_fine_curve_option(capsys, tmp_path):
               "--out", str(out_file), "X^2 + (1, 3)"])
     assert exc.value.code == 2
     assert not out_file.exists()
+
+
+def test_inline_poly_without_hyperfield_is_a_json_error(capsys):
+    code, out = run(capsys, "fine-curve", "X + Y")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError" and "--hyperfield" in doc["message"]
+    # verify targets are checked by argparse, also with exit code 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "curves"])
+    assert exc.value.code == 2

@@ -12,19 +12,23 @@ from finetrop.fields import QQ, QQi, gauss
 from finetrop.parsing import parse_fpoly, parse_poly
 from finetrop.poly import fpoly, pushforward
 from finetrop.series import SeriesDomain, fmt_series, hom_fval, hom_sval, hom_val, series
-from finetrop.solve import SolverInvariantError
+from finetrop.solve import BaseSolveError, SolverInvariantError
 from finetrop.svg import render_fine_curve, render_trop
 from finetrop.tropgeo import (
     Interval,
     fine_hypersurface,
     fine_intersect,
     homotopy_start,
-    oracle_intersect_series,
     stable_intersect,
     trop_project,
 )
 
 from curve_oracle import fine_hypersurface_by_subsets
+from intersect_oracle import (
+    contains_by_rows,
+    oracle_intersect_series,
+    pair_scan_hits,
+)
 
 DOM = SeriesDomain(QQ)
 FVAL = hom_fval()
@@ -67,8 +71,8 @@ def _cell_key(c):
             c.base_cond.hyperfield.name, tuple(c.base_cond.coeffs.items()))
 
 
-def _random_curve(rng, hom, support, equal_levels, max_den):
-    """A push-forward of monomial-series coefficients on the given support."""
+def _random_fpoly(rng, support, equal_levels, max_den):
+    """Monomial-series coefficients on the given support."""
     e0 = Fraction(rng.randint(-4, 8), rng.randint(1, max_den))
 
     def coef():
@@ -77,7 +81,7 @@ def _random_curve(rng, hom, support, equal_levels, max_den):
                                              rng.randint(1, max_den))
         return series(QQ, [(e, c)])
 
-    return pushforward(hom, fpoly(DOM, 2, {d: coef() for d in support}))
+    return fpoly(DOM, 2, {d: coef() for d in support})
 
 
 def _triangle(deg):
@@ -97,18 +101,93 @@ def test_fine_curve_matches_subset_oracle():
             support = tri
         else:
             support = rng.sample(tri, rng.randint(2, min(9, len(tri))))
-        curves.append(_random_curve(rng, homs[k % 3], support,
-                                    equal_levels=k % 5 == 0, max_den=1 + k % 3))
+        curves.append(pushforward(homs[k % 3], _random_fpoly(
+            rng, support, equal_levels=k % 5 == 0, max_den=1 + k % 3)))
     wide_vertices = long_edges = 0
     for hp in curves:
         got = [_cell_key(c) for c in fine_hypersurface(hp).cells]
         assert got == [_cell_key(c)
-                       for c in fine_hypersurface_by_subsets(hp).cells], hp
+                       for c in fine_hypersurface_by_subsets(hp)], hp
         wide_vertices += sum(1 for c in got if c[1] == 0 and len(c[0]) > 3)
         long_edges += sum(1 for c in got if c[1] == 1 and len(c[0]) > 2)
     # Vertices tied by more than a triple and edges holding more than a
     # pair are the cells a shortcut through triples or pairs would lose.
     assert wide_vertices >= 5 and long_edges >= 10
+
+
+def _hit_key(c1, c2, hit):
+    if hit[0] == "point":
+        return (c1.J, c2.J, hit)
+    _, host, overlap = hit
+    return (c1.J, c2.J, "segment", host.J, overlap)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (BaseSolveError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _meet(C1, C2):
+    pts, comps = fine_intersect(C1, C2)
+    return ([[(e.coef, e.level.coords) for e in pt.coords] for pt in pts],
+            [(c.line_p0, c.line_v, c.interval, repr(c.unit_constraints),
+              repr(c.fixed_units), c.note) for c in comps])
+
+
+def _start(P, Q):
+    sols, cells, report = homotopy_start(P, Q)
+    return ([[(e.coef, e.level.coords) for e in s.coords] for s in sols],
+            [(c.point, c.J1, c.J2, c.volume) for c in cells], report)
+
+
+def test_fine_intersect_matches_pair_scan_oracle(monkeypatch):
+    rng = random.Random(23)
+    homs = (hom_val(), hom_sval(), FVAL)
+    readme = (parse_fpoly(DOM, "X + Y - 1"),
+              parse_fpoly(DOM, "t*X + (1 + t^2)*Y + 1"))
+    pairs = [(FVAL, *readme), (FVAL, readme[0], readme[0])]
+    for k in range(90):
+        tri = _triangle(1 + (k // 3) % 3)
+
+        def support():
+            return tri if rng.random() < 0.5 else rng.sample(
+                tri, rng.randint(2, len(tri)))
+
+        equal, max_den = k % 7 == 0, 1 + k % 3
+        P = _random_fpoly(rng, support(), equal, max_den)
+        Q = P if k % 5 == 0 else _random_fpoly(rng, support(), equal, max_den)
+        pairs.append((homs[k % 3], P, Q))
+    for _ in range(5):  # a line meets itself in a unit family at its vertex
+        L = _random_fpoly(rng, _triangle(1), False, 2)
+        pairs.append((FVAL, L, L))
+    seen = dict.fromkeys(("overlap", "unit family", "vertex on edge",
+                          "vertex on vertex"), 0)
+    for hom, P, Q in pairs:
+        C1, C2 = (fine_hypersurface(pushforward(hom, F)) for F in (P, Q))
+        scan = list(pair_scan_hits(C1, C2))
+        assert ([_hit_key(*h) for h in tropgeo._cell_hits(C1, C2)]
+                == [_hit_key(*h) for h in scan]), (P, Q)
+        got = (_outcome(lambda: _meet(C1, C2)), _outcome(lambda: _start(P, Q)))
+        with monkeypatch.context() as m:
+            m.setattr(tropgeo, "_cell_hits", pair_scan_hits)
+            want = (_outcome(lambda: _meet(C1, C2)),
+                    _outcome(lambda: _start(P, Q)))
+        assert got == want, (P, Q)
+        for c1, c2, hit in scan:
+            if hit[0] == "segment":
+                seen["overlap"] += 1
+                continue
+            dims = c1.dim + c2.dim
+            if dims < 2:
+                seen["vertex on vertex" if dims == 0 else "vertex on edge"] += 1
+            for c in C1.cells + C2.cells:
+                assert c.contains(hit[1]) == contains_by_rows(c, hit[1])
+        if not isinstance(got[0], str):
+            seen["unit family"] += sum(c[-1].startswith("unit family")
+                                       for c in got[0][1])
+    assert min(seen.values()) >= 5, seen
 
 
 def _relative_interior_point(cell):
@@ -201,6 +280,22 @@ def test_odd_roots_of_large_integers_are_exact():
     assert meet(10**60) == [((10**20, zero), (Fraction(1, 10**20), zero))]
     assert meet(10**399) == [((10**133, zero), (Fraction(1, 10**133), zero))]
     assert meet(10**400) == []
+
+
+@pytest.mark.parametrize("m, n, w2, family", [
+    (2, 4, 1, True), (4, 2, 1, True), (2, 3, 1, True), (3, 2, 1, True),
+    (2, 4, -1, False), (4, 2, -1, False)])
+def test_parallel_binomials(m, n, w2, family):
+    # X^m = 1 and X^n = w2 on the one line gX = 0: u = 1 (and u = -1 when
+    # m and n are even) solves both for every v when w2 = 1.  Over Q,
+    # u^m = 1 forces u = +-1, so no u solves u^n = -1 for even n.
+    C1, C2 = (fine_hypersurface(parse_poly("Qx|Q", f"({-w}, 0) + (1, 0)*X^{e}",
+                                           nvars=2))
+              for e, w in ((m, 1), (n, w2)))
+    pts, comps = fine_intersect(C1, C2)
+    assert pts == []
+    assert [(c.line_v, c.interval, c.fixed_units) for c in comps] == (
+        [((0, 1), Interval(None, False, None, False), None)] if family else [])
 
 
 def test_fine_intersect_check_raises_without_assert(monkeypatch):
