@@ -3,10 +3,17 @@
 These are the base fields under series and field-as-hyperfield arithmetic.
 Elements are plain hashable values (Fraction, GaussRat, int mod p); the
 field objects bundle the operations so callers stay field-agnostic.
+
+The fields also own exact root finding, which base solving reduces to:
+``sqrt``, ``nth_roots`` (x^n = w, through square roots and a per-field
+``odd_roots``) and ``unit_roots`` (the nonzero roots of a sparse Laurent
+polynomial: the rational-root search over Q, closed forms up to degree
+two over Q(i)).  Shapes outside these raise BaseSolveError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -30,6 +37,10 @@ class GaussRat:
 
 def gauss(re, im=0) -> GaussRat:
     return GaussRat(Fraction(re), Fraction(im))
+
+
+class BaseSolveError(ValueError):
+    """Exact base solving is outside the supported shapes."""
 
 
 def _is_prime(n: int) -> bool:
@@ -89,8 +100,56 @@ class BaseField:
         """An exact square root in the field, or None if there is none."""
         raise NotImplementedError
 
+    def power(self, a, n: int):
+        """a^n by repeated multiplication; a negative n inverts a first."""
+        if n < 0:
+            a, n = self.inv(a), -n
+        r = self.one()
+        for _ in range(n):
+            r = self.mul(r, a)
+        return r
+
+    def nth_roots(self, w, n: int) -> list:
+        """All x in the field with x^n = w; n may be negative.
+
+        Even n recurses through the two square roots of w; odd n > 1 asks
+        ``odd_roots``.
+        """
+        if n < 0:
+            w, n = self.inv(w), -n
+        if n == 0:
+            raise ValueError("zeroth root")
+        if n == 1:
+            return [w]
+        if n % 2:
+            return self.odd_roots(w, n)
+        r = self.sqrt(w)
+        if r is None:
+            return []
+        out = []
+        for s in (r, self.neg(r)):
+            for x in self.nth_roots(s, n // 2):
+                if x not in out and self.power(x, n) == w:
+                    out.append(x)
+        return out
+
+    def odd_roots(self, w, n: int) -> list:
+        """All x in the field with x^n = w, for odd n > 1."""
+        raise BaseSolveError(f"odd roots over {self.name} are not supported")
+
+    def unit_roots(self, coeffs: dict) -> list:
+        """All nonzero roots of sum_j coeffs[j] x^j (Laurent exponents j)."""
+        raise BaseSolveError(f"base solve incomplete over {self.name}")
+
     def fmt(self, a) -> str:
         return str(a)
+
+
+# Bounds on the rational-root search: the largest |a0|, |an| whose divisors
+# are found by trial division, and the most candidate pairs p/q tried.
+# Outside them the search would run for hours; BaseSolveError is raised.
+MAX_ROOT_SEARCH_COEF = 10 ** 12
+MAX_ROOT_SEARCH_PAIRS = 10 ** 5
 
 
 class RationalField(BaseField):
@@ -123,20 +182,94 @@ class RationalField(BaseField):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def sqrt(self, a):
-        r = _frac_sqrt(a)
-        return r
+        return _frac_sqrt(a)
+
+    def odd_roots(self, w, n):
+        r = _frac_odd_root(w, n)
+        return [] if r is None else [r]
+
+    def unit_roots(self, coeffs):
+        """Rational-root search on the integer-cleared polynomial.
+
+        Complete for roots in Q.  Raises BaseSolveError when the cleared
+        end coefficients exceed the search bounds.
+        """
+        lo = min(coeffs)
+        shifted = {i - lo: c for i, c in coeffs.items()}
+        deg = max(shifted)
+        den = 1
+        for c in shifted.values():
+            den = den * c.denominator // math.gcd(den, c.denominator)
+        ints = {i: int(c * den) for i, c in shifted.items()}
+        a0 = abs(ints.get(0, 0))
+        an = abs(ints[deg])
+        if a0 == 0:
+            # x = 0 is excluded; divide out and retry.
+            return self.unit_roots({i: Fraction(c) for i, c in ints.items() if c})
+        if max(a0, an) > MAX_ROOT_SEARCH_COEF:
+            raise BaseSolveError(
+                f"rational root search: coefficient {max(a0, an)} exceeds "
+                f"{MAX_ROOT_SEARCH_COEF}")
+        ps, qs = _divisors(a0), _divisors(an)
+        if len(ps) * len(qs) > MAX_ROOT_SEARCH_PAIRS:
+            raise BaseSolveError(
+                f"rational root search: {len(ps) * len(qs)} candidate pairs "
+                f"exceed {MAX_ROOT_SEARCH_PAIRS}")
+        roots = []
+        for p in ps:
+            for q in qs:
+                for sgn in (1, -1):
+                    x = Fraction(sgn * p, q)
+                    if sum(c * x ** i for i, c in ints.items()) == 0:
+                        if x not in roots:
+                            roots.append(x)
+        return roots
 
     def fmt(self, a):
         return str(a)
 
 
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
 def _int_sqrt(n: int) -> Optional[int]:
     if n < 0:
         return None
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+def _iroot(m: int, n: int) -> Optional[int]:
+    """The integer n-th root of m >= 0, or None when m is not an n-th power."""
+    if m < 2:
+        return m
+    # Newton's method on integers, from a start at or above the root,
+    # decreases to the floor of the root.
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + m // r ** (n - 1)) // n
+        if s >= r:
+            return r if r ** n == m else None
+        r = s
+
+
+def _frac_odd_root(a: Fraction, n: int) -> Optional[Fraction]:
+    """The rational n-th root of a for odd n, or None if there is none."""
+    num, den = a.numerator, a.denominator
+    rn, rd = _iroot(abs(num), n), _iroot(den, n)
+    if rn is None or rd is None:
+        return None
+    return Fraction(rn if num >= 0 else -rn, rd)
 
 
 def _frac_sqrt(a: Fraction) -> Optional[Fraction]:
@@ -202,6 +335,45 @@ class GaussianRationalField(BaseField):
             return None
         y = a.im / (2 * x)
         return GaussRat(x, y)
+
+    def odd_roots(self, w, n):
+        # 1 is the only odd-order root of unity in Q(i), so the root is
+        # unique when it exists.  Comparing x with its conjugate, x^n = q
+        # (q rational) forces x real, and x^n = q*i forces x = t*i with
+        # t^n = q*i^(1-n) = +-q.  Other radicands are not supported.
+        if w.im == 0:
+            r = _frac_odd_root(w.re, n)
+            return [] if r is None else [GaussRat(r, Fraction(0))]
+        if w.re == 0:
+            t = _frac_odd_root(w.im if n % 4 == 1 else -w.im, n)
+            return [] if t is None else [GaussRat(Fraction(0), t)]
+        raise BaseSolveError(f"odd root of {w!r} over Q(i): the radicand "
+                             f"is neither real nor imaginary")
+
+    def unit_roots(self, coeffs):
+        """Closed forms for degrees one and two; other degrees raise."""
+        lo = min(coeffs)
+        shifted = {i - lo: c for i, c in coeffs.items()}
+        deg = max(shifted)
+        if deg == 1:
+            x = self.neg(self.div(shifted.get(0, self.zero()), shifted[1]))
+            return [] if self.is_zero(x) else [x]
+        if deg == 2:
+            a = shifted[2]
+            b, c = shifted.get(1, self.zero()), shifted.get(0, self.zero())
+            disc = self.sub(self.mul(b, b), self.mul(self.from_int(4), self.mul(a, c)))
+            r = self.sqrt(disc)
+            if r is None:
+                return []
+            two_a = self.mul(self.from_int(2), a)
+            roots = []
+            for s in (r, self.neg(r)):
+                x = self.div(self.add(self.neg(b), s), two_a)
+                if not self.is_zero(x) and x not in roots:
+                    roots.append(x)
+            return roots
+        raise BaseSolveError(
+            f"base solve incomplete: degree {deg} over Q(i), residual {shifted}")
 
     def fmt(self, a):
         return repr(a)

@@ -354,9 +354,6 @@ class Hyperfield:
     def inv(self, a):
         raise NotImplementedError
 
-    def equal(self, a, b) -> bool:
-        return a == b
-
     # --- set values -------------------------------------------------------
 
     def singleton(self, a):
@@ -395,9 +392,6 @@ class Hyperfield:
     def set_elements(self, S) -> list:
         """Explicit elements of a finite set value."""
         raise NotImplementedError
-
-    def sets_equal(self, S, T) -> bool:
-        return S == T
 
     # --- enumeration / sampling ------------------------------------------
 
@@ -891,7 +885,7 @@ def hom_check(hom: Hom, rng, samples: int = 200) -> list[str]:
     failures = []
     H = hom.target
     F = hom.source
-    if not H.equal(hom(F.one()), H.one()):
+    if hom(F.one()) != H.one():
         failures.append("one not preserved")
     if not H.is_zero(hom(F.zero())):
         failures.append("zero not preserved")
@@ -899,7 +893,7 @@ def hom_check(hom: Hom, rng, samples: int = 200) -> list[str]:
         a = F.random(rng)
         b = F.random(rng)
         lhs = hom(F.mul(a, b))
-        if not H.equal(lhs, _hmul(H, hom(a), hom(b))):
+        if lhs != _hmul(H, hom(a), hom(b)):
             failures.append(f"multiplicativity fails at {a}, {b}")
             continue
         s = hom(F.add(a, b))
@@ -950,13 +944,13 @@ def check_axioms(H: Hyperfield, rng=None, samples: int = 1000) -> list[str]:
 
     for a, b, c in _triples(H, rng, samples):
         ab = H.add(a, b)
-        if not H.sets_equal(ab, H.add(b, a)):
+        if ab != H.add(b, a):
             fail(f"commutativity fails at {H.fmt(a)}, {H.fmt(b)}")
         lhs = H.add_set_elem(ab, c)
         rhs = H.add_set_elem(H.add(b, c), a)
-        if not H.sets_equal(lhs, rhs):
+        if lhs != rhs:
             fail(f"associativity fails at {H.fmt(a)}, {H.fmt(b)}, {H.fmt(c)}")
-        if not H.sets_equal(H.add(a, zero), H.singleton(a)):
+        if H.add(a, zero) != H.singleton(a):
             fail(f"identity fails at {H.fmt(a)}")
         if not H.set_contains_zero(H.add(a, H.neg(a) if not H.is_zero(a) else zero)):
             fail(f"inverse fails at {H.fmt(a)}")
@@ -968,15 +962,15 @@ def check_axioms(H: Hyperfield, rng=None, samples: int = 1000) -> list[str]:
         if not H.is_zero(c):
             scaled = H.scale_set(ab, c)
             direct = H.add(_hmul(H, c, a), _hmul(H, c, b))
-            if not H.sets_equal(scaled, direct):
+            if scaled != direct:
                 fail(f"distributivity fails at {H.fmt(a)}, {H.fmt(b)}, {H.fmt(c)}")
         # Multiplicative group axioms on units.
         if not H.is_zero(a) and not H.is_zero(b) and not H.is_zero(c):
-            if not H.equal(H.mul(H.mul(a, b), c), H.mul(a, H.mul(b, c))):
+            if H.mul(H.mul(a, b), c) != H.mul(a, H.mul(b, c)):
                 fail(f"mul associativity fails at {H.fmt(a)}, {H.fmt(b)}, {H.fmt(c)}")
-            if not H.equal(H.mul(a, H.inv(a)), one):
+            if H.mul(a, H.inv(a)) != one:
                 fail(f"mul inverse fails at {H.fmt(a)}")
-            if not H.equal(H.mul(a, one), a):
+            if H.mul(a, one) != a:
                 fail(f"mul identity fails at {H.fmt(a)}")
     # Unique additive inverses, exhaustively when possible.
     els = H.elements()

@@ -170,7 +170,9 @@ def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
 
 
 def series_truncate(a: SeriesTrunc, prec) -> SeriesTrunc:
-    return series(a.field, list(a.terms), _min_prec(a.prec, Fraction(prec)))
+    """a known only below prec; its terms are already sorted and nonzero."""
+    p = _min_prec(a.prec, Fraction(prec))
+    return SeriesTrunc(a.field, tuple(t for t in a.terms if t[0] < p), p)
 
 
 def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:

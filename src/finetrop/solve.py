@@ -4,7 +4,10 @@ The strategy is the structural one: a root (x, h) exists exactly when the
 levels g_i + i*h of the monomials attain their minimum at least twice on
 an index set J and x solves the restricted sum over the base hyperfield.
 Candidate levels h are the slopes of the lower Newton polygon of the
-points (i, level of c_i); base solving is exact and per-hyperfield.
+points (i, level of c_i).  Base solving is exact: a phase base gives a
+membership-only arc description, a field without finitely many units asks
+its field for the unit roots (``BaseField.unit_roots``), and any other
+base is scanned over its finitely many units.
 
 Baker-Lorscheid multiplicities reduce to the base: a root (c, h) on the
 Newton cell (h, J) has the multiplicity of c in the initial form
@@ -19,18 +22,16 @@ checks, and the Kapranov / fundamental-theorem verification harnesses.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional
 
 from .extension import ExtElem, TropicalExtension
-from .fields import BaseField, GaussRat, QQ, QQi
+from .fields import BaseField, BaseSolveError, QQ
 from .hyperfields import (
     FieldHyperfield,
     Hom,
     Hyperfield,
-    KrasnerHyperfield,
     PhaseHyperfield,
 )
 from .ordgroup import GroupElem, group_add, group_div, group_sub, scalar_mul
@@ -102,10 +103,6 @@ def _argmin_indices(levels: dict[int, GroupElem], h: GroupElem) -> tuple[int, ..
 # Base solving
 
 
-class BaseSolveError(ValueError):
-    """Exact base solving is outside the supported shapes."""
-
-
 class SolverInvariantError(RuntimeError):
     """The solver's own result failed its check: a bug, not a bad input."""
 
@@ -123,91 +120,6 @@ class ArcRootDescription:
         return H.set_contains_zero(H.nary_sum(terms))
 
 
-# Bounds on the rational-root search: the largest |a0|, |an| whose divisors
-# are found by trial division, and the most candidate pairs p/q tried.
-# Outside them the search would run for hours; BaseSolveError is raised.
-MAX_ROOT_SEARCH_COEF = 10 ** 12
-MAX_ROOT_SEARCH_PAIRS = 10 ** 5
-
-
-def _rational_unit_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
-    """All nonzero rational roots of a sparse rational polynomial.
-
-    Rational-root search on the integer-cleared polynomial; complete for
-    roots in Q.  Raises BaseSolveError when the cleared end coefficients
-    exceed the search bounds.
-    """
-    lo = min(coeffs)
-    shifted = {i - lo: c for i, c in coeffs.items()}
-    deg = max(shifted)
-    den = 1
-    for c in shifted.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = {i: int(c * den) for i, c in shifted.items()}
-    a0 = abs(ints.get(0, 0))
-    an = abs(ints[deg])
-    if a0 == 0:
-        # x = 0 is excluded; divide out and retry.
-        return _rational_unit_roots({i: Fraction(c) for i, c in ints.items() if c})
-    if max(a0, an) > MAX_ROOT_SEARCH_COEF:
-        raise BaseSolveError(
-            f"rational root search: coefficient {max(a0, an)} exceeds "
-            f"{MAX_ROOT_SEARCH_COEF}")
-    ps, qs = _divisors(a0), _divisors(an)
-    if len(ps) * len(qs) > MAX_ROOT_SEARCH_PAIRS:
-        raise BaseSolveError(
-            f"rational root search: {len(ps) * len(qs)} candidate pairs "
-            f"exceed {MAX_ROOT_SEARCH_PAIRS}")
-    roots = []
-    for p in ps:
-        for q in qs:
-            for sgn in (1, -1):
-                x = Fraction(sgn * p, q)
-                if sum(c * x ** i for i, c in ints.items()) == 0:
-                    if x not in roots:
-                        roots.append(x)
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _gauss_unit_roots(coeffs: dict[int, GaussRat]) -> list[GaussRat]:
-    """Nonzero Gaussian-rational roots; closed forms up to degree two."""
-    lo = min(coeffs)
-    shifted = {i - lo: c for i, c in coeffs.items()}
-    deg = max(shifted)
-    F = QQi
-    if deg == 1:
-        x = F.neg(F.div(shifted.get(0, F.zero()), shifted[1]))
-        return [] if F.is_zero(x) else [x]
-    if deg == 2:
-        a, b, c = shifted[2], shifted.get(1, F.zero()), shifted.get(0, F.zero())
-        disc = F.sub(F.mul(b, b), F.mul(F.from_int(4), F.mul(a, c)))
-        r = F.sqrt(disc)
-        if r is None:
-            return []
-        two_a = F.mul(F.from_int(2), a)
-        roots = []
-        for s in (r, F.neg(r)):
-            x = F.div(F.add(F.neg(b), s), two_a)
-            if not F.is_zero(x) and x not in roots:
-                roots.append(x)
-        return roots
-    raise BaseSolveError(
-        f"base solve incomplete: degree {deg} over Q(i), residual {shifted}")
-
-
 def base_roots(H: Hyperfield, coeffs: dict[int, Any]):
     """Solve 0 in sum of c_j x^j over the base hyperfield, x a unit.
 
@@ -218,16 +130,10 @@ def base_roots(H: Hyperfield, coeffs: dict[int, Any]):
         raise ValueError("no nonzero coefficients")
     if isinstance(H, PhaseHyperfield):
         return ArcRootDescription(H, coeffs)
-    if isinstance(H, KrasnerHyperfield):
-        return [1] if len(coeffs) >= 2 else []
-    if isinstance(H, FieldHyperfield) and H.field.elements() is None:
-        if H.field is QQ:
-            return _rational_unit_roots(coeffs)
-        if H.field is QQi:
-            return _gauss_unit_roots(coeffs)
-        raise BaseSolveError(f"base solve incomplete over {H.name}")
     units = H.units()
     if units is None:
+        if isinstance(H, FieldHyperfield):
+            return H.field.unit_roots(coeffs)
         raise BaseSolveError(f"base solve incomplete over {H.name}")
     out = []
     for x in units:
@@ -241,8 +147,7 @@ def base_roots(H: Hyperfield, coeffs: dict[int, Any]):
 # Multiplicities
 
 
-def multiplicity(p: HPoly, a, bound: int = DEFAULT_DEGREE_BOUND,
-                 _memo: Optional[dict] = None) -> int:
+def multiplicity(p: HPoly, a) -> int:
     """Root multiplicity of a (0 when a is not a root).
 
     Over a tropical extension a nonzero root (c, h) lies on the Newton cell
@@ -256,13 +161,18 @@ def multiplicity(p: HPoly, a, bound: int = DEFAULT_DEGREE_BOUND,
     the search.  Over a field every set value is a singleton, so this is
     plain synthetic division.  Phase bases raise BaseSolveError.
     """
+    return _multiplicity(p, a, {})
+
+
+def _multiplicity(p: HPoly, a, memo: dict) -> int:
+    """``multiplicity`` with a memo shared by the quotient recursion."""
     H = p.hyperfield
     coeffs = _univariate_coeffs(p)
     if not coeffs:
         return 0
     n = max(coeffs)
-    if n > bound:
-        raise ValueError(f"degree {n} exceeds the bound {bound}")
+    if n > DEFAULT_DEGREE_BOUND:
+        raise ValueError(f"degree {n} exceeds the bound {DEFAULT_DEGREE_BOUND}")
     if not is_root(p, (a,)):
         return 0
     if isinstance(H, TropicalExtension) and a is not None:
@@ -274,17 +184,15 @@ def multiplicity(p: HPoly, a, bound: int = DEFAULT_DEGREE_BOUND,
         H, a = H.base, a.coef
         coeffs = {j - J[0]: coeffs[j].coef for j in J}
         n = max(coeffs)
-    if _memo is None:
-        _memo = {}
     key = (tuple(sorted(coeffs.items(), key=lambda kv: kv[0])), a)
-    if key in _memo:
-        return _memo[key]
+    if key in memo:
+        return memo[key]
 
     if H.is_zero(a):
         # Dividing by X shifts the coefficients down by one.
         q = hpoly1(H, {i - 1: c for i, c in coeffs.items() if i >= 1})
-        m = 1 + multiplicity(q, a, bound, _memo)
-        _memo[key] = m
+        m = 1 + _multiplicity(q, a, memo)
+        memo[key] = m
         return m
     if isinstance(H, PhaseHyperfield):
         raise BaseSolveError(f"multiplicity over {H.name} is not supported")
@@ -292,11 +200,11 @@ def multiplicity(p: HPoly, a, bound: int = DEFAULT_DEGREE_BOUND,
     best = 0
     for qc in _quotients(H, coeffs, n, a):
         q = hpoly1(H, qc)
-        m = multiplicity(q, a, bound, _memo)
+        m = _multiplicity(q, a, memo)
         if m > best:
             best = m
     m = 1 + best
-    _memo[key] = m
+    memo[key] = m
     return m
 
 
@@ -314,7 +222,7 @@ def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a):
             if q0 is None:
                 ok = c0 is None
             else:
-                ok = c0 is not None and H.equal(c0, H.mul(neg_a, q0))
+                ok = c0 is not None and c0 == H.mul(neg_a, q0)
             if ok:
                 keyq = tuple(sorted((k, v) for k, v in q.items() if v is not None))
                 if keyq not in seen:
@@ -342,7 +250,7 @@ def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a):
     return results
 
 
-def roots_univariate(p: HPoly, bound: int = DEFAULT_DEGREE_BOUND) -> list[RootRecord]:
+def roots_univariate(p: HPoly) -> list[RootRecord]:
     """All roots over a tropical extension, with multiplicities."""
     H = p.hyperfield
     if not isinstance(H, TropicalExtension):
@@ -354,7 +262,8 @@ def roots_univariate(p: HPoly, bound: int = DEFAULT_DEGREE_BOUND) -> list[RootRe
     i0 = min(coeffs)
     if i0 > 0:
         out.append(RootRecord(None, i0, "zero root: no constant term"))
-    found: set = set()
+    # Newton cells have distinct levels and base_roots returns distinct
+    # units, so every root below is new.
     for cell in newton_cells(p):
         sub = {j: coeffs[j].coef for j in cell.J}
         sols = base_roots(H.base, sub)
@@ -362,12 +271,9 @@ def roots_univariate(p: HPoly, bound: int = DEFAULT_DEGREE_BOUND) -> list[RootRe
             raise BaseSolveError("phase base roots are membership-only")
         for x in sols:
             r = ExtElem(x, cell.level)
-            if r in found:
-                continue
-            found.add(r)
             # multiplicity evaluates p at r and returns 0 exactly when r is
             # not a root, so this is the check that the solver found roots.
-            m = multiplicity(p, r, bound)
+            m = multiplicity(p, r)
             if m == 0:
                 raise SolverInvariantError(f"solver produced a non-root {r} of {p}")
             out.append(RootRecord(r, m, f"cell h={cell.level} J={cell.J}"))
@@ -447,7 +353,7 @@ def rac_check_instance(f: Hom, p: HPoly, beta, corpus: Optional[list] = None) ->
     # Finite hyperfield source: exhaustive, definitive either way.
     if isinstance(src, Hyperfield) and src.elements() is not None:
         for alpha in src.elements():
-            if H.equal(f(alpha), beta) and is_root(p, (alpha,)):
+            if f(alpha) == beta and is_root(p, (alpha,)):
                 return RacResult("lift", alpha)
         return RacResult("counterexample", None, "fiber exhausted")
     # Extension of a finite-based hyperfield along a coefficientwise map.
@@ -458,16 +364,16 @@ def rac_check_instance(f: Hom, p: HPoly, beta, corpus: Optional[list] = None) ->
             return RacResult("counterexample", None, "zero is not a root")
         for c in src.base.units():
             alpha = ExtElem(c, beta.level)
-            if H.equal(f(alpha), beta) and is_root(p, (alpha,)):
+            if f(alpha) == beta and is_root(p, (alpha,)):
                 return RacResult("lift", alpha)
         return RacResult("counterexample", None, "fiber exhausted at this level")
     # Rational source: rational-root search, definitive up to degree two.
     if isinstance(src, FieldHyperfield) and src.field is QQ or src is QQ:
         field_poly = {i: c for (i,), c in p.coeffs.items()}
         roots = [Fraction(0)] if 0 not in field_poly else []
-        roots += _rational_unit_roots(field_poly) if field_poly else []
+        roots += QQ.unit_roots(field_poly) if field_poly else []
         for alpha in roots:
-            if H.equal(f(alpha), beta):
+            if f(alpha) == beta:
                 return RacResult("lift", alpha)
         deg = max(field_poly)
         if deg <= 2:
@@ -487,7 +393,7 @@ def rac_check_instance(f: Hom, p: HPoly, beta, corpus: Optional[list] = None) ->
         for alpha in corpus or []:
             img = f(alpha)
             same = (img is None and beta is None) or (
-                img is not None and beta is not None and H.equal(img, beta))
+                img is not None and beta is not None and img == beta)
             if same and is_root(p, (alpha,)):
                 return RacResult("lift", alpha)
         return RacResult("not_found", None, "not found in corpus")

@@ -24,9 +24,11 @@ are the cells of the mixed subdivision of Newt(P) + Newt(Q): a vertex of
 either curve is looked up on the other by its argmin set, two crossing
 edges meet at the integer Cramer point of their ties when it lies in
 both, and edges on one line meet where their intervals overlap.  Each
-pair's base conditions are then solved together.  Stable intersections
-perturb only the base units of the second curve, and start systems for
-polyhedral homotopy read mixed volumes off the same pairs.
+pair's base conditions are then solved together, with the base field's
+own root finders (``BaseField.nth_roots`` and ``unit_roots``) for the
+binomial and substituted conditions.  Stable intersections perturb only
+the base units of the second curve, and start systems for polyhedral
+homotopy read mixed volumes off the same pairs.
 """
 
 from __future__ import annotations
@@ -39,17 +41,12 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .extension import ExtElem, TropicalExtension
-from .fields import BaseField, QQ, QQi
+from .fields import BaseField, BaseSolveError
 from .hyperfields import FieldHyperfield, Hyperfield
 from .ordgroup import gelem
 from .poly import FPoly, HPoly, hpoly, is_root, pushforward
 from .series import hom_fval
-from .solve import (
-    BaseSolveError,
-    SolverInvariantError,
-    _gauss_unit_roots,
-    _rational_unit_roots,
-)
+from .solve import SolverInvariantError
 
 
 Vec2 = tuple[Fraction, Fraction]
@@ -341,77 +338,6 @@ def trop_project(C: FineCurve) -> list[dict]:
 # Base-condition solving over the base hyperfield
 
 
-def _nth_roots(field: BaseField, w, n: int) -> list:
-    """All solutions of x^n = w in the field; n may be negative."""
-    if n < 0:
-        w = field.inv(w)
-        n = -n
-    if n == 0:
-        raise ValueError("zeroth root")
-    if n == 1:
-        return [w]
-    if n % 2 == 0:
-        roots = []
-        for r in _sqrt_all(field, w):
-            roots.extend(_nth_roots(field, r, n // 2))
-        out = []
-        for r in roots:
-            if r not in out and _pow(field, r, n) == w:
-                out.append(r)
-        return out
-    # Odd n: only a real rational radicand can have a root in our fields.
-    return _odd_root(field, w, n)
-
-
-def _pow(field: BaseField, x, n: int):
-    r = field.one()
-    for _ in range(n):
-        r = field.mul(r, x)
-    return r
-
-
-def _sqrt_all(field: BaseField, w) -> list:
-    r = field.sqrt(w)
-    if r is None:
-        return []
-    out = [r]
-    nr = field.neg(r)
-    if nr != r:
-        out.append(nr)
-    return out
-
-
-def _odd_root(field: BaseField, w, n: int) -> list:
-    from .fields import GaussRat
-
-    if isinstance(w, Fraction):
-        num, den = w.numerator, w.denominator
-        rn = _iroot(abs(num), n)
-        rd = _iroot(den, n)
-        if rn is None or rd is None:
-            return []
-        x = Fraction(rn if num >= 0 else -rn, rd)
-        return [x]
-    if isinstance(w, GaussRat) and w.im == 0:
-        inner = _odd_root(QQ, w.re, n)
-        return [GaussRat(x, Fraction(0)) for x in inner]
-    return []
-
-
-def _iroot(m: int, n: int) -> Optional[int]:
-    """The integer n-th root of m >= 0, or None when m is not an n-th power."""
-    if m < 2:
-        return m
-    # Newton's method on integers, from a start at or above the root,
-    # decreases to the floor of the root.
-    r = 1 << -(-m.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + m // r ** (n - 1)) // n
-        if s >= r:
-            return r if r ** n == m else None
-        r = s
-
-
 def _classify_cond(F: BaseField, cond: HPoly):
     coeffs = dict(cond.coeffs)
     exps = set(coeffs)
@@ -430,10 +356,6 @@ def _classify_cond(F: BaseField, cond: HPoly):
         w = F.neg(F.div(c1, c2))  # u^delta = w
         return ("binomial", delta, w)
     raise BaseSolveError(f"base condition outside supported shapes: {cond}")
-
-
-def _units_ok(F: BaseField, u, v) -> bool:
-    return not F.is_zero(u) and not F.is_zero(v)
 
 
 def _check_pair(conds: Sequence[HPoly], u, v) -> bool:
@@ -464,7 +386,7 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
         if not F.is_zero(det):
             u = F.div(F.sub(F.mul(b1, c2), F.mul(b2, c1)), det)
             v = F.div(F.sub(F.mul(a2, c1), F.mul(a1, c2)), det)
-            if _units_ok(F, u, v):
+            if not F.is_zero(u) and not F.is_zero(v):
                 return ("points", [(u, v)])
             return ("points", [])
         # Dependent or inconsistent affine pair.
@@ -511,26 +433,19 @@ def _binomial_pair(F: BaseField, kA, kB, conds):
         e = (p // m, q // m)
         n = r // e[0] if e[0] else s // e[1]
         g, x, y = _bezout(m, n)
-        rhs = F.mul(_pow_signed(F, w1, x), _pow_signed(F, w2, y))
-        if any(_pow_signed(F, z, m) == w1 and _pow_signed(F, z, n) == w2
-               for z in _nth_roots(F, rhs, g)):
+        rhs = F.mul(F.power(w1, x), F.power(w2, y))
+        if any(F.power(z, m) == w1 and F.power(z, n) == w2
+               for z in F.nth_roots(rhs, g)):
             return ("family", "dependent binomial conditions")
         return ("points", [])
-    u_rhs = F.mul(_pow_signed(F, w1, s), _pow_signed(F, w2, -q))
-    v_rhs = F.mul(_pow_signed(F, w2, p), _pow_signed(F, w1, -r))
+    u_rhs = F.mul(F.power(w1, s), F.power(w2, -q))
+    v_rhs = F.mul(F.power(w2, p), F.power(w1, -r))
     out = []
-    for u in _nth_roots(F, u_rhs, det):
-        for v in _nth_roots(F, v_rhs, det):
-            if _units_ok(F, u, v) and _check_pair(conds, u, v):
-                if (u, v) not in out:
-                    out.append((u, v))
+    for u in F.nth_roots(u_rhs, det):
+        for v in F.nth_roots(v_rhs, det):
+            if _check_pair(conds, u, v) and (u, v) not in out:
+                out.append((u, v))
     return ("points", out)
-
-
-def _pow_signed(F: BaseField, w, n: int):
-    if n >= 0:
-        return _pow(F, w, n)
-    return _pow(F, F.inv(w), -n)
 
 
 def _bezout(m: int, n: int) -> tuple[int, int, int]:
@@ -546,75 +461,30 @@ def _bezout(m: int, n: int) -> tuple[int, int, int]:
 def _affine_binomial(F: BaseField, kA, kB, conds):
     (_, (alpha, beta, gamma)) = kA
     (_, (du, dv), w) = kB
-    # Solve the binomial for one variable when an exponent is +-1, then
-    # substitute into the affine condition.
-    if du in (1, -1):
-        # u = (w * v^{-dv})^{1/du}
-        def u_of(vval):
-            base = F.mul(w, _pow_signed(F, vval, -dv))
-            return base if du == 1 else F.inv(base)
-
-        # alpha*u + beta*v + gamma = 0 becomes a Laurent polynomial in v.
-        sols = []
-        for v in _subst_roots(F, alpha, beta, gamma, w, du, dv, var="u"):
-            if F.is_zero(v):
-                continue
-            u = u_of(v)
-            if _units_ok(F, u, v) and _check_pair(conds, u, v):
-                if (u, v) not in sols:
-                    sols.append((u, v))
-        return ("points", sols)
-    if dv in (1, -1):
-        def v_of(uval):
-            base = F.mul(w, _pow_signed(F, uval, -du))
-            return base if dv == 1 else F.inv(base)
-
-        sols = []
-        for u in _subst_roots(F, beta, alpha, gamma, w, dv, du, var="v"):
-            if F.is_zero(u):
-                continue
-            v = v_of(u)
-            if _units_ok(F, u, v) and _check_pair(conds, u, v):
-                if (u, v) not in sols:
-                    sols.append((u, v))
-        return ("points", sols)
-    raise BaseSolveError(
-        "affine/binomial pair needs a unit exponent in the binomial")
-
-
-def _subst_roots(F: BaseField, alpha, beta, gamma, w, dmain: int, dother: int,
-                 var: str) -> list:
-    """Nonzero roots in the free variable after eliminating the other.
-
-    Substituting u = (w x^{-dother})^{1/dmain} into alpha u + beta x + gamma
-    and clearing denominators yields a sparse polynomial in x.
-    """
-    # alpha * w^{1/dmain} x^{-dother/dmain} + beta x + gamma = 0; with
-    # dmain = +-1 the exponent -dother*dmain is an integer.
-    e = -dother * dmain
-    wfac = w if dmain == 1 else F.inv(w)
+    # Solve the binomial u^du v^dv = w for a variable x whose exponent is
+    # +-1, x = (w y^-dv)^du in the other variable y (u and v swap roles
+    # when only dv is +-1).  The affine condition alpha x + beta y + gamma
+    # then becomes the Laurent polynomial alpha w^du y^(-dv du) + beta y +
+    # gamma in y.
+    swap = du not in (1, -1)
+    if swap:
+        if dv not in (1, -1):
+            raise BaseSolveError(
+                "affine/binomial pair needs a unit exponent in the binomial")
+        alpha, beta, du, dv = beta, alpha, dv, du
     coeffs: dict[int, Any] = {}
-
-    def bump(i, c):
-        if i in coeffs:
-            coeffs[i] = F.add(coeffs[i], c)
-        else:
-            coeffs[i] = c
-        if F.is_zero(coeffs[i]):
-            del coeffs[i]
-
-    bump(e, F.mul(alpha, wfac))
-    bump(1, beta)
-    bump(0, gamma)
-    if not coeffs:
-        return []
-    lo = min(coeffs)
-    shifted = {i - lo: c for i, c in coeffs.items()}
-    if F is QQ:
-        return _rational_unit_roots({i: c for i, c in shifted.items()})
-    if F is QQi:
-        return _gauss_unit_roots(shifted)
-    raise BaseSolveError(f"substitution solving unsupported over {F.name}")
+    for i, c in ((-dv * du, F.mul(alpha, w if du == 1 else F.inv(w))),
+                 (1, beta), (0, gamma)):
+        coeffs[i] = F.add(coeffs[i], c) if i in coeffs else c
+    coeffs = {i: c for i, c in coeffs.items() if not F.is_zero(c)}
+    sols = []
+    for y in F.unit_roots(coeffs) if coeffs else []:
+        base = F.mul(w, F.power(y, -dv))
+        x = base if du == 1 else F.inv(base)
+        pair = (y, x) if swap else (x, y)
+        if _check_pair(conds, *pair) and pair not in sols:
+            sols.append(pair)
+    return ("points", sols)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def _quotients(H, coeffs, n: int, a):
             if q0 is None:
                 ok = c0 is None
             else:
-                ok = c0 is not None and H.equal(c0, H.mul(neg_a, q0))
+                ok = c0 is not None and c0 == H.mul(neg_a, q0)
             if ok:
                 keyq = tuple(sorted((k, v) for k, v in q.items() if v is not None))
                 if keyq not in seen:

@@ -117,6 +117,14 @@ def test_plane_curve_commands_read_two_variables(capsys):
     assert (cell["J"], cell["p0"], cell["v"]) == ([[0, 0], [1, 0]], ["2", "0"], [0, 1])
 
 
+def test_intersect_finds_odd_roots_of_imaginary_units(capsys):
+    # X^3 = i and XY = 1 over Q(i): (-i)^3 = i, so the point is (-i, i).
+    code, out = run(capsys, "intersect", "--hyperfield", "Qix|Q",
+                    "(-i, 0) + (1, 0)*X^3", "(-1, 0) + (1, 0)*X*Y")
+    assert code == 0
+    assert json.loads(out)["points"] == [[["-1i", "0"], ["1i", "0"]]]
+
+
 def test_format_is_a_fine_curve_option(capsys, tmp_path):
     out_file = tmp_path / "r.svg"
     with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from finetrop.fields import GF, QQ, QQi, field_by_name, gauss
+from finetrop.fields import GF, QQ, QQi, BaseSolveError, field_by_name, gauss
 
 
 def test_rational_field_basics():
@@ -43,6 +44,37 @@ def test_gauss_sqrt():
         assert QQi.mul(r, r) == w
     assert QQi.sqrt(gauss(2)) is None
     assert QQi.sqrt(gauss(1, 1)) is None
+
+
+def test_gauss_odd_roots_of_imaginary_radicands():
+    i = QQi.i()
+    assert QQi.nth_roots(i, 3) == [gauss(0, -1)]
+    assert set(QQi.nth_roots(gauss(-1), 6)) == {i, gauss(0, -1)}
+    with pytest.raises(BaseSolveError):
+        QQi.nth_roots(QQi.power(gauss(1, 2), 3), 3)
+
+
+def test_gauss_nth_roots_of_powers():
+    # w = r^n for small Gaussian rationals r: every returned x solves
+    # x^n = w and r is among them, unless the call raises.  It may raise
+    # only at its odd root step, whose radicand is r^m times a unit
+    # (m the odd part of |n|), when that is neither real nor imaginary.
+    parts = [Fraction(k, d) for k in range(-3, 4) for d in (1, 2)]
+    rs = {gauss(a, b) for a, b in itertools.product(parts, parts)} - {QQi.zero()}
+    for r, n in itertools.product(sorted(rs, key=repr), [1, 2, 3, 4, 5, 6]):
+        for n in (n, -n):
+            w = QQi.power(r, n)
+            try:
+                roots = QQi.nth_roots(w, n)
+            except BaseSolveError:
+                m = abs(n)
+                while m % 2 == 0:
+                    m //= 2
+                odd = QQi.power(r, m)
+                assert m > 1 and odd.re != 0 and odd.im != 0, (r, n)
+                continue
+            assert r in roots, (r, n)
+            assert all(QQi.power(x, n) == w for x in roots), (r, n)
 
 
 def test_prime_field():

@@ -40,7 +40,7 @@ def test_elem_round_trips_sampled():
             a = H.random_element(rng)
             text = H.fmt(a)
             back = parse_elem(key, text)
-            assert H.equal(back, a), (key, text)
+            assert back == a, (key, text)
 
 
 def test_unicode_aliases():
@@ -81,7 +81,7 @@ def test_poly_round_trips():
             back = parse_poly(key, repr(p))
             assert back.coeffs.keys() == p.coeffs.keys()
             for d in p.coeffs:
-                assert H.equal(back.coeffs[d], p.coeffs[d]), (key, repr(p))
+                assert back.coeffs[d] == p.coeffs[d], (key, repr(p))
 
 
 def test_fpoly_parse():

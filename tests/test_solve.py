@@ -17,7 +17,6 @@ from finetrop.solve import (
     ArcRootDescription,
     BaseSolveError,
     SolverInvariantError,
-    _rational_unit_roots,
     base_roots,
     kapranov_harness,
     mult_bound_check,
@@ -188,7 +187,7 @@ def test_rational_root_search_is_bounded(a0):
     # 10^30 + 7 is past the coefficient bound; 735134400 has 1344 divisors,
     # so 1344^2 candidate pairs are past the pair bound.
     with pytest.raises(BaseSolveError, match="rational root search"):
-        _rational_unit_roots({1: Fraction(a0), 0: Fraction(a0)})
+        QQ.unit_roots({1: Fraction(a0), 0: Fraction(a0)})
 
 
 def test_roots_check_raises_without_assert(monkeypatch):
