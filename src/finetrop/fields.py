@@ -355,6 +355,8 @@ class GaussianRationalField(BaseField):
         lo = min(coeffs)
         shifted = {i - lo: c for i, c in coeffs.items()}
         deg = max(shifted)
+        if deg == 0:
+            return []  # a single term has no unit root
         if deg == 1:
             x = self.neg(self.div(shifted.get(0, self.zero()), shifted[1]))
             return [] if self.is_zero(x) else [x]

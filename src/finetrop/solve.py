@@ -3,17 +3,18 @@
 The strategy is the structural one: a root (x, h) exists exactly when the
 levels g_i + i*h of the monomials attain their minimum at least twice on
 an index set J and x solves the restricted sum over the base hyperfield.
-Candidate levels h are the slopes of the lower Newton polygon of the
-points (i, level of c_i).  Base solving is exact: a phase base gives a
-membership-only arc description, a field without finitely many units asks
-its field for the unit roots (``BaseField.unit_roots``), and any other
-base is scanned over its finitely many units.
+The cells (h, J) are the edges of the lower convex hull of the points
+(i, level of c_i): h is minus the slope of an edge and J every point on
+it, found in one monotone-chain pass.  Base solving is exact: a field
+without finitely many units asks its field for the unit roots
+(``BaseField.unit_roots``), any other base with finitely many units is
+scanned over them, and a phase base raises ``BaseSolveError``.
 
 Baker-Lorscheid multiplicities reduce to the base: a root (c, h) on the
 Newton cell (h, J) has the multiplicity of c in the initial form
 sum_{j in J} c_j x^j over the base hyperfield.  Base multiplicities come
-from branching synthetic division, which over a field is plain synthetic
-division.
+from the quotients of division by x - a, one depth-first recurrence that
+over a field is plain synthetic division.
 
 Also: multiplicity-bound checks, instance-level relative-algebraic-closedness
 checks, and the Kapranov / fundamental-theorem verification harnesses.
@@ -21,7 +22,6 @@ checks, and the Kapranov / fundamental-theorem verification harnesses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional
@@ -73,22 +73,37 @@ def _univariate_coeffs(p: HPoly) -> dict[int, Any]:
 
 
 def newton_cells(p: HPoly) -> list[NewtonCell]:
-    """All (h, J) with min_i(level(c_i) + i*h) attained at least twice."""
+    """All (h, J) with min_i(level(c_i) + i*h) attained at least twice.
+
+    They are the edges of the lower convex hull of the points
+    (i, level(c_i)): h is minus the slope of an edge and J is every point
+    on it.  The cells come out in increasing level.
+    """
     H = p.hyperfield
     if not isinstance(H, TropicalExtension):
         raise ValueError("newton_cells needs a tropical extension")
     coeffs = _univariate_coeffs(p)
-    levels = {i: coeffs[i].level for i in sorted(coeffs)}
-    candidates: set[GroupElem] = set()
-    for i, j in itertools.combinations(levels, 2):
-        # level(c_i) + i*h = level(c_j) + j*h  =>  h = (g_i - g_j)/(j - i)
-        candidates.add(group_div(group_sub(levels[i], levels[j]), j - i))
-    cells = []
-    for h in candidates:
-        J = _argmin_indices(levels, h)
-        if len(J) >= 2:
-            cells.append(NewtonCell(h, J))
-    cells.sort(key=lambda c: c.level.coords)
+    hull: list[tuple[int, GroupElem]] = []
+    for i in sorted(coeffs):
+        g = coeffs[i].level
+        # Pop the last hull point b while it lies strictly above the chord
+        # from the point a before it to (i, g).  Points on the chord stay,
+        # so an edge keeps all its collinear points.
+        while len(hull) >= 2:
+            (a, ga), (b, gb) = hull[-2], hull[-1]
+            rise_b = scalar_mul(i - a, group_sub(gb, ga))
+            if rise_b <= scalar_mul(b - a, group_sub(g, ga)):
+                break
+            hull.pop()
+        hull.append((i, g))
+    cells: list[NewtonCell] = []
+    for (a, ga), (b, gb) in zip(hull, hull[1:]):
+        h = group_div(group_sub(ga, gb), b - a)
+        if cells and cells[-1].level == h:
+            cells[-1] = NewtonCell(h, cells[-1].J + (b,))
+        else:
+            cells.append(NewtonCell(h, (a, b)))
+    cells.reverse()  # the slopes rise along the hull, so the levels fall
     return cells
 
 
@@ -107,40 +122,29 @@ class SolverInvariantError(RuntimeError):
     """The solver's own result failed its check: a bug, not a bad input."""
 
 
-@dataclass
-class ArcRootDescription:
-    """Membership-only description of a phase root locus."""
-
-    hyperfield: PhaseHyperfield
-    coeffs: dict[int, Any]
-
-    def contains(self, x) -> bool:
-        H = self.hyperfield
-        terms = [H.mul(c, H.power(x, j)) for j, c in self.coeffs.items()]
-        return H.set_contains_zero(H.nary_sum(terms))
-
-
-def base_roots(H: Hyperfield, coeffs: dict[int, Any]):
+def base_roots(H: Hyperfield, coeffs: dict[int, Any]) -> list:
     """Solve 0 in sum of c_j x^j over the base hyperfield, x a unit.
 
-    Returns a list of units, or an ArcRootDescription for phase targets.
+    A base with finitely many units is scanned over them and a field asks
+    its ``unit_roots``; any other base, such as a phase hyperfield, raises
+    BaseSolveError.
     """
     coeffs = {j: c for j, c in coeffs.items() if not H.is_zero(c)}
     if not coeffs:
         raise ValueError("no nonzero coefficients")
-    if isinstance(H, PhaseHyperfield):
-        return ArcRootDescription(H, coeffs)
     units = H.units()
-    if units is None:
-        if isinstance(H, FieldHyperfield):
-            return H.field.unit_roots(coeffs)
-        raise BaseSolveError(f"base solve incomplete over {H.name}")
-    out = []
-    for x in units:
-        terms = [H.mul(c, H.power(x, j)) for j, c in coeffs.items()]
-        if H.set_contains_zero(H.nary_sum(terms)):
-            out.append(x)
-    return out
+    if units is not None:
+        # The sum is evaluated here rather than through is_root, which
+        # stays the independent check that roots_univariate applies.
+        out = []
+        for x in units:
+            terms = [H.mul(c, H.power(x, j)) for j, c in coeffs.items()]
+            if H.set_contains_zero(H.nary_sum(terms)):
+                out.append(x)
+        return out
+    if isinstance(H, FieldHyperfield):
+        return H.field.unit_roots(coeffs)
+    raise BaseSolveError(f"base solve incomplete over {H.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +159,10 @@ def multiplicity(p: HPoly, a) -> int:
     initial form sum_{j in J} c_j x^(j - min J) over the base hyperfield.
 
     Over a base hyperfield the multiplicity is 1 + the maximum over the
-    synthetic-division quotients: the quotient coefficients are forced
-    into set values by c_i in q_{i-1} + (-a) q_i, every element of each set
-    value is branched on, and the final constraint c_0 = (-a) q_0 prunes
-    the search.  Over a field every set value is a singleton, so this is
-    plain synthetic division.  Phase bases raise BaseSolveError.
+    quotients of division by x - a: q_{n-1} = c_n, q_{i-1} ranges over
+    c_i + a q_i, and a quotient is kept when c_0 = -a q_0.  Over a field
+    every sum is a singleton, so this is plain synthetic division.  Phase
+    bases raise BaseSolveError.
     """
     return _multiplicity(p, a, {})
 
@@ -199,8 +202,7 @@ def _multiplicity(p: HPoly, a, memo: dict) -> int:
 
     best = 0
     for qc in _quotients(H, coeffs, n, a):
-        q = hpoly1(H, qc)
-        m = _multiplicity(q, a, memo)
+        m = _multiplicity(hpoly1(H, dict(enumerate(qc))), a, memo)
         if m > best:
             best = m
     m = 1 + best
@@ -208,46 +210,29 @@ def _multiplicity(p: HPoly, a, memo: dict) -> int:
     return m
 
 
-def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a):
-    """All quotient coefficient assignments compatible with division."""
+def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a) -> set[tuple]:
+    """All quotients (q_0, ..., q_{n-1}) of sum c_i x^i by x - a.
+
+    Zero is an ordinary coefficient here: missing c_i are zero, and a zero
+    in c_i + a q_i is a choice of q_{i-1} like any other.
+    """
+    zero = H.zero()
+    c = [coeffs.get(i, zero) for i in range(n + 1)]
     neg_a = H.neg(a)
-    results: list[dict[int, Any]] = []
-    seen: set = set()
+    out: set[tuple] = set()
 
-    def rec(i: int, q: dict[int, Any]):
-        # q[i] decided for i..n-1; decide q[i-1] from c_i in q_{i-1} + (-a) q_i.
+    def rec(q: tuple):
+        # q = (q_i, ..., q_{n-1}); choose q_{i-1} in c_i + a q_i.
+        i = n - len(q)
         if i == 0:
-            c0 = coeffs.get(0)
-            q0 = q.get(0)
-            if q0 is None:
-                ok = c0 is None
-            else:
-                ok = c0 is not None and c0 == H.mul(neg_a, q0)
-            if ok:
-                keyq = tuple(sorted((k, v) for k, v in q.items() if v is not None))
-                if keyq not in seen:
-                    seen.add(keyq)
-                    results.append({k: v for k, v in q.items() if v is not None})
+            if H.mul(neg_a, q[0]) == c[0]:
+                out.add(q)
             return
-        ci = coeffs.get(i)
-        qi = q.get(i)
-        shifted = H.zero() if qi is None else H.mul(a, qi)
-        if ci is None and (qi is None or H.is_zero(shifted)):
-            S = H.singleton(H.zero()) if qi is None else H.singleton(shifted)
-        elif ci is None:
-            S = H.singleton(shifted)
-        elif qi is None:
-            S = H.singleton(ci)
-        else:
-            S = H.add(ci, shifted)
-        for choice in H.set_elements(S):
-            q[i - 1] = None if H.is_zero(choice) else choice
-            rec(i - 1, q)
-        q.pop(i - 1, None)
+        for x in H.set_elements(H.add(c[i], H.mul(a, q[0]))):
+            rec((x,) + q)
 
-    qn1 = coeffs[n]  # leading coefficient is forced
-    rec(n - 1, {n - 1: qn1})
-    return results
+    rec((c[n],))
+    return out
 
 
 def roots_univariate(p: HPoly) -> list[RootRecord]:
@@ -266,10 +251,7 @@ def roots_univariate(p: HPoly) -> list[RootRecord]:
     # units, so every root below is new.
     for cell in newton_cells(p):
         sub = {j: coeffs[j].coef for j in cell.J}
-        sols = base_roots(H.base, sub)
-        if isinstance(sols, ArcRootDescription):
-            raise BaseSolveError("phase base roots are membership-only")
-        for x in sols:
+        for x in base_roots(H.base, sub):
             r = ExtElem(x, cell.level)
             # multiplicity evaluates p at r and returns 0 exactly when r is
             # not a root, so this is the check that the solver found roots.
@@ -278,14 +260,6 @@ def roots_univariate(p: HPoly) -> list[RootRecord]:
                 raise SolverInvariantError(f"solver produced a non-root {r} of {p}")
             out.append(RootRecord(r, m, f"cell h={cell.level} J={cell.J}"))
     return out
-
-
-def tropical_mult_oracle(p: HPoly, h: GroupElem) -> int:
-    """Horizontal lattice length of the Newton-polygon edge of slope -h."""
-    for cell in newton_cells(p):
-        if cell.level == h:
-            return max(cell.J) - min(cell.J)
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -477,8 +477,11 @@ def _affine_binomial(F: BaseField, kA, kB, conds):
                  (1, beta), (0, gamma)):
         coeffs[i] = F.add(coeffs[i], c) if i in coeffs else c
     coeffs = {i: c for i, c in coeffs.items() if not F.is_zero(c)}
+    if not coeffs:
+        # Every unit y, with x from the binomial, solves the affine condition.
+        return ("family", "affine condition vanishes on the binomial")
     sols = []
-    for y in F.unit_roots(coeffs) if coeffs else []:
+    for y in F.unit_roots(coeffs):
         base = F.mul(w, F.power(y, -dv))
         x = base if du == 1 else F.inv(base)
         pair = (y, x) if swap else (x, y)

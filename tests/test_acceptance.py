@@ -33,7 +33,6 @@ from finetrop.solve import (
     random_hpoly,
     random_linear_system,
     roots_univariate,
-    tropical_mult_oracle,
 )
 from finetrop.tropgeo import (
     Interval,
@@ -44,6 +43,7 @@ from finetrop.tropgeo import (
 )
 
 from intersect_oracle import oracle_intersect_series
+from newton_oracle import tropical_mult_oracle
 
 DOM = SeriesDomain(QQ)
 FVAL = hom_fval()

@@ -125,6 +125,28 @@ def test_intersect_finds_odd_roots_of_imaginary_units(capsys):
     assert json.loads(out)["points"] == [[["-1i", "0"], ["1i", "0"]]]
 
 
+def test_intersect_common_factor_is_a_component(capsys):
+    # X + Y divides Y^2 + X*Y: on the binomial u = -v the affine condition
+    # u + v vanishes, so the shared line is a family, not an empty meet.
+    for hf in ("Qx|Q", "Qix|Q"):
+        code, out = run(capsys, "intersect", "--hyperfield", hf,
+                        "(1, 0)*X + (1, 0)*Y", "(1, 0)*Y^2 + (1, 0)*X*Y")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["points"] == []
+        assert [(c["p0"], c["v"]) for c in doc["components"]] == [(["0", "0"], [1, 1])]
+
+
+def test_intersect_single_term_residual_has_no_points(capsys):
+    # On u = -v/2 the affine condition u + v leaves the single term v/2,
+    # which has no unit root over Q(i), as over Q.
+    for hf in ("Qx|Q", "Qix|Q"):
+        code, out = run(capsys, "intersect", "--hyperfield", hf,
+                        "(1, 0)*X + (1, 0)*Y", "(1, 0)*Y^2 + (2, 0)*X*Y")
+        assert code == 0
+        assert json.loads(out) == {"components": [], "points": []}
+
+
 def test_format_is_a_fine_curve_option(capsys, tmp_path):
     out_file = tmp_path / "r.svg"
     with pytest.raises(SystemExit) as exc:

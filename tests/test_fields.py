@@ -77,6 +77,12 @@ def test_gauss_nth_roots_of_powers():
             assert all(QQi.power(x, n) == w for x in roots), (r, n)
 
 
+def test_single_term_has_no_unit_roots():
+    assert QQ.unit_roots({3: Fraction(1, 2)}) == []
+    assert QQi.unit_roots({0: gauss(1, 1)}) == []
+    assert QQi.unit_roots({2: gauss(0, 3)}) == []
+
+
 def test_prime_field():
     F = GF(7)
     assert F.mul(3, F.inv(3)) == 1

@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from finetrop import solve
-from finetrop.extension import TropicalExtension, trop, trop_complex, trop_signed
-from finetrop.fields import QQ, QQi, gauss
+from finetrop.extension import ExtElem, TropicalExtension, trop, trop_complex, trop_signed
+from finetrop.fields import GF, QQ, QQi, gauss
 from finetrop.hyperfields import K, S, W, field_hyperfield, hom_sign, quotient_build
+from finetrop.ordgroup import gelem, group_add, scalar_mul
 from finetrop.parsing import parse_poly
 from finetrop.poly import fpoly, hpoly1, is_root, product_of_linear_factors, pushforward
 from finetrop.series import SeriesDomain, hom_fval, hom_sval, hom_val, series
 from finetrop.solve import (
-    ArcRootDescription,
     BaseSolveError,
     SolverInvariantError,
     base_roots,
@@ -26,10 +26,10 @@ from finetrop.solve import (
     random_hpoly,
     random_series_root,
     roots_univariate,
-    tropical_mult_oracle,
 )
 
 from mult_search import search_multiplicity
+from newton_oracle import oracle_newton_cells, tropical_mult_oracle
 
 T = trop()
 TR = trop_signed()
@@ -40,6 +40,41 @@ def test_newton_cells():
     cells = newton_cells(p)
     got = {(c.level.coords[0], c.J) for c in cells}
     assert got == {(Fraction(0), (1, 2)), (Fraction(1), (0, 1))}
+
+
+def _near_line_hpoly(H, rng, deg):
+    """Levels on one line, some raised off it, so that ties are common."""
+    def vec():
+        return gelem(*[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(H.rank)])
+
+    g0, slope = vec(), vec()
+    coeffs = {}
+    for i in range(deg + 1):
+        if i not in (0, deg) and rng.random() < 0.25:
+            continue
+        level = group_add(g0, scalar_mul(i, slope))
+        if rng.random() < 0.4:
+            level = group_add(level, gelem(*[abs(c) for c in vec().coords]))
+        coeffs[i] = ExtElem(solve._random_unit(H.base, rng), level)
+    return hpoly1(H, coeffs)
+
+
+def test_newton_cells_match_pair_search():
+    rng = random.Random(8)
+    bases = (K, S, quotient_build(5, [1, 4]), field_hyperfield(GF(5)),
+             field_hyperfield(QQ))
+    for rank in (1, 2, 3):
+        long_ties = 0
+        for base in bases:
+            H = TropicalExtension(base, rank)
+            for _ in range(20):
+                for p in (random_hpoly(H, rng, rng.randint(1, 8)),
+                          _near_line_hpoly(H, rng, rng.randint(2, 8))):
+                    got = [(c.level, c.J) for c in newton_cells(p)]
+                    assert got == oracle_newton_cells(p), p
+                    long_ties += sum(len(J) >= 3 for _, J in got)
+        assert long_ties >= 10, (rank, long_ties)
 
 
 def test_roots_with_base_data():
@@ -85,12 +120,17 @@ def test_base_roots_variants():
 
 
 def test_phase_roots_are_arcs():
+    # A phase root locus is a union of arcs, not a list of units: the base
+    # solve refuses it, and membership is a question for is_root.
     from finetrop.hyperfields import P, make_dir
 
-    desc = base_roots(P, {2: P.one(), 1: P.one(), 0: P.one()})
-    assert isinstance(desc, ArcRootDescription)
-    assert desc.contains(make_dir(-1, 1))
-    assert not desc.contains(make_dir(1, 0))
+    with pytest.raises(BaseSolveError, match="base solve incomplete over P"):
+        base_roots(P, {2: P.one(), 1: P.one(), 0: P.one()})
+    p = hpoly1(P, {2: P.one(), 1: P.one(), 0: P.one()})
+    assert is_root(p, (make_dir(-1, 1),))
+    assert not is_root(p, (make_dir(1, 0),))
+    with pytest.raises(BaseSolveError, match="base solve incomplete over Phi"):
+        roots_univariate(parse_poly("TC", "X^2 + X + (dir(1,0), 0)"))
 
 
 def test_rac_sign_counterexample():
@@ -171,6 +211,26 @@ def test_initial_form_mult_matches_branching_search():
         for r in roots_univariate(p):
             if r.root is not None:
                 assert r.multiplicity == tropical_mult_oracle(p, r.root.level)
+    # The base multiplicities themselves, at every element, zero included
+    # ...
+    for base in (K, S, W, quotient_build(5, [1, 4]), quotient_build(7, [1, 2, 4]),
+                 field_hyperfield(GF(5))):
+        for _ in range(30):
+            p = random_hpoly(base, rng, rng.randint(1, 5))
+            for x in base.elements():
+                assert multiplicity(p, x) == search_multiplicity(p, x), (p, x)
+    # ... and over Q on products of linear factors, at their roots, at zero
+    # and at a non-root.
+    QF = field_hyperfield(QQ)
+    for _ in range(30):
+        roots = [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 5))]
+        c = [Fraction(1)]
+        for r in roots:  # multiply by X - r
+            c = [a - r * b for a, b in zip([Fraction(0)] + c, c + [Fraction(0)])]
+        p = hpoly1(QF, dict(enumerate(c)))
+        for x in set(roots) | {Fraction(0), Fraction(3)}:
+            assert multiplicity(p, x) == search_multiplicity(p, x), (p, x)
 
 
 def test_phase_extension_multiplicity_raises():
