@@ -83,6 +83,13 @@ class BaseField:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def dot(self, xs, ys):
+        """sum of x*y over nonempty sequences xs, ys of equal length."""
+        s = self.mul(xs[0], ys[0])
+        for x, y in zip(xs[1:], ys[1:]):
+            s = self.add(s, self.mul(x, y))
+        return s
+
     def from_int(self, n: int):
         raise NotImplementedError
 
@@ -175,6 +182,23 @@ class RationalField(BaseField):
             raise ZeroDivisionError("no inverse of zero")
         return Fraction(1, a)
 
+    def dot(self, xs, ys):
+        """sum of x*y as one Fraction, reduced once at the end.
+
+        The sum runs on an integer numerator over the lcm of the product
+        denominators; xs and ys may mix int and Fraction.
+        """
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            d = x.denominator * y.denominator
+            g = math.gcd(den, d)
+            num = num * (d // g) + x.numerator * y.numerator * (den // g)
+            den = den * (d // g)
+        return Fraction(num, den)
+
+    def is_zero(self, a):
+        return a == 0
+
     def from_int(self, n):
         return Fraction(n)
 
@@ -215,12 +239,19 @@ class RationalField(BaseField):
             raise BaseSolveError(
                 f"rational root search: {len(ps) * len(qs)} candidate pairs "
                 f"exceed {MAX_ROOT_SEARCH_PAIRS}")
+        # p/q is a root exactly when q^deg f(p/q) = sum_i c_i p^i q^(deg-i)
+        # vanishes; Horner evaluates that sum on integers.
+        cs = [ints.get(i, 0) for i in range(deg, -1, -1)]
         roots = []
         for p in ps:
             for q in qs:
-                for sgn in (1, -1):
-                    x = Fraction(sgn * p, q)
-                    if sum(c * x ** i for i, c in ints.items()) == 0:
+                for sp in (p, -p):
+                    h, qk = 0, 1
+                    for c in cs:
+                        h = h * sp + c * qk
+                        qk *= q
+                    if h == 0:
+                        x = Fraction(sp, q)
                         if x not in roots:
                             roots.append(x)
         return roots

@@ -13,6 +13,11 @@ Precision follows the known terms: a product is known up to the smaller of
 lead(a) + prec(b) and lead(b) + prec(a), and the inverse of c t^g + O(t^p)
 up to O(t^(p - 2g)).  Exponents are Fractions again in every result.
 
+Each output coefficient of a product or inverse is one ``F.dot`` over its
+factor pairs; over Q that sums integer numerators and reduces once, so a
+term costs one Fraction instead of one per multiply and add.  A sum merges
+the two sorted term tuples in one pass.
+
 Also defines the enriched valuations val, sval, fval and phval into
 tropical extensions, and checks of the homomorphism laws.
 """
@@ -118,10 +123,33 @@ def _min_prec(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction
 
 
 def series_add(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
+    """Linear merge of the sorted terms of a and b, below the lower precision."""
     if a.field is not b.field and a.field != b.field:
         raise ValueError("base fields differ")
+    F = a.field
     p = _min_prec(a.prec, b.prec)
-    return series(a.field, list(a.terms) + list(b.terms), p)
+    xs, ys = a.terms, b.terms
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        ex, ey = xs[i][0], ys[j][0]
+        if ex < ey:
+            out.append(xs[i])
+            i += 1
+        elif ey < ex:
+            out.append(ys[j])
+            j += 1
+        else:
+            c = F.add(xs[i][1], ys[j][1])
+            if not F.is_zero(c):
+                out.append((ex, c))
+            i += 1
+            j += 1
+    out.extend(xs[i:])
+    out.extend(ys[j:])
+    if p is not None:
+        out = [t for t in out if t[0] < p]
+    return SeriesTrunc(F, tuple(out), p)
 
 
 def series_neg(a: SeriesTrunc) -> SeriesTrunc:
@@ -156,17 +184,25 @@ def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
     xs = [(e.numerator * (D // e.denominator), c) for e, c in a.terms]
     ys = [(e.numerator * (D // e.denominator), c) for e, c in b.terms]
     stop = xs[-1][0] + ys[-1][0] + 1 if p is None else ceil(p * D)
-    acc: dict[int, Any] = {}
+    # The factor pairs of each output offset are summed by one F.dot.
+    acc: dict[int, tuple[list, list]] = {}
     for n1, c1 in xs:
         for n2, c2 in ys:
             n = n1 + n2
             if n >= stop:
                 break
-            c = F.mul(c1, c2)
-            acc[n] = F.add(acc[n], c) if n in acc else c
-    terms = tuple((Fraction(n, D), acc[n]) for n in sorted(acc)
-                  if not F.is_zero(acc[n]))
-    return SeriesTrunc(F, terms, p)
+            if n in acc:
+                l1, l2 = acc[n]
+                l1.append(c1)
+                l2.append(c2)
+            else:
+                acc[n] = ([c1], [c2])
+    terms = []
+    for n in sorted(acc):
+        c = F.dot(*acc[n])
+        if not F.is_zero(c):
+            terms.append((Fraction(n, D), c))
+    return SeriesTrunc(F, tuple(terms), p)
 
 
 def series_truncate(a: SeriesTrunc, prec) -> SeriesTrunc:
@@ -207,23 +243,27 @@ def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:
     u = [(e - g, ce) for e, ce in a.terms[1:]]
     D = lcm(*(e.denominator for e, _ in u))
     # -u_k at integer offsets k >= 1, increasing; None in b marks a zero b_n.
+    # The recurrence runs on c^(-1) b_n, which obeys it too, so each
+    # coefficient comes out of one F.dot.
     nu = [(e.numerator * (D // e.denominator), F.neg(F.mul(ce, cinv)))
           for e, ce in u]
     b: list[Any] = [None] * max(0, ceil((target + g) * D))
     if b:
-        b[0] = F.one()
+        b[0] = cinv
     for n in range(1, len(b)):
-        s = None
+        xs, ys = [], []
         for k, nuk in nu:
             if k > n:
                 break
             prev = b[n - k]
             if prev is not None:
-                t = F.mul(prev, nuk)
-                s = t if s is None else F.add(s, t)
-        if s is not None and not F.is_zero(s):
-            b[n] = s
-    terms = tuple((Fraction(n, D) - g, F.mul(bn, cinv))
+                xs.append(nuk)
+                ys.append(prev)
+        if xs:
+            s = F.dot(xs, ys)
+            if not F.is_zero(s):
+                b[n] = s
+    terms = tuple((Fraction(n, D) - g, bn)
                   for n, bn in enumerate(b) if bn is not None)
     return SeriesTrunc(F, terms, target)
 

@@ -45,7 +45,8 @@ from .poly import (
     product_of_linear_factors,
     pushforward,
 )
-from .series import SeriesDomain, SeriesTrunc, series, series_div, series_mul, series_sub
+from .series import (SeriesDomain, SeriesTrunc, series, series_inv, series_mul,
+                     series_sub, series_truncate)
 
 
 DEFAULT_DEGREE_BOUND = 8
@@ -461,7 +462,12 @@ def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
 
 
 def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTrunc]:
-    """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series."""
+    """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series.
+
+    The determinant is inverted once to O(t^prec); each coordinate is its
+    numerator times that inverse, truncated at prec, which is what
+    ``series_div`` computes.
+    """
     dom = P.domain
 
     def coef(p: FPoly, d):
@@ -475,7 +481,9 @@ def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTru
     nx = series_sub(series_mul(b, g), series_mul(c, e))
     ny = series_sub(series_mul(c, d_), series_mul(a, g))
     target = Fraction(prec)
-    return series_div(nx, det, target), series_div(ny, det, target)
+    inv = series_inv(det, target)
+    return (series_truncate(series_mul(nx, inv), target),
+            series_truncate(series_mul(ny, inv), target))
 
 
 def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],

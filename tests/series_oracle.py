@@ -1,11 +1,12 @@
-"""Reference series arithmetic: quadratic product and geometric-expansion inverse.
+"""Reference series arithmetic: rebuilt sums, quadratic product, geometric inverse.
 
-This is how ``finetrop.series`` multiplied and inverted before it moved to
-an integer exponent grid.  The product forms every pairwise term and lets
-``series()`` merge, sort and truncate them; the inverse sums the powers of
-``-u`` one full product at a time.  It is kept only as a slow, independent
-oracle for the tests, and shares nothing with the fast path but the
-``series()`` constructor and the unchanged addition and truncation.
+This is how ``finetrop.series`` added, multiplied and inverted before it
+merged sorted terms and moved to an integer exponent grid.  A sum and a
+product list every term, or every pairwise product, and let ``series()``
+merge, sort and truncate them, one field operation at a time; the inverse
+sums the powers of ``-u`` one full product at a time.  It is kept only as
+a slow, independent oracle for the tests, and shares nothing with the fast
+path but the ``series()`` constructor, negation and truncation.
 """
 
 from __future__ import annotations
@@ -21,11 +22,20 @@ from finetrop.series import (
     s_monomial,
     s_zero,
     series,
-    series_add,
     series_neg,
-    series_sub,
     series_truncate,
 )
+
+
+def series_add(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
+    if a.field is not b.field and a.field != b.field:
+        raise ValueError("base fields differ")
+    p = _min_prec(a.prec, b.prec)
+    return series(a.field, list(a.terms) + list(b.terms), p)
+
+
+def series_sub(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
+    return series_add(a, series_neg(b))
 
 
 def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:

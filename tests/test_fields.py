@@ -1,9 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from finetrop.fields import GF, QQ, QQi, BaseSolveError, field_by_name, gauss
+
+import root_oracle
 
 
 def test_rational_field_basics():
@@ -20,6 +23,74 @@ def test_rational_inverse_of_an_int_is_exact():
     inv = series_inv(series(QQ, [(0, 3), (1, 1)]), prec=2)
     assert inv.terms == ((0, Fraction(1, 3)), (1, Fraction(-1, 9)))
     assert all(isinstance(c, Fraction) for _, c in inv.terms)
+
+
+def test_rational_dot_is_one_exact_fraction():
+    rng = random.Random(41)
+
+    def draw():
+        n = rng.randint(-9, 9)
+        return n if rng.random() < 0.4 else Fraction(n, rng.randint(1, 12))
+
+    for size in range(1, 8):
+        for _ in range(50):
+            xs = [draw() for _ in range(size)]
+            ys = [draw() for _ in range(size)]
+            got = QQ.dot(xs, ys)
+            assert isinstance(got, Fraction)
+            assert got == sum(Fraction(x) * y for x, y in zip(xs, ys)), (xs, ys)
+    assert QQ.dot([2, 3], [5, -1]) == 7 and isinstance(QQ.dot([2], [5]), Fraction)
+
+
+def test_generic_dot_matches_the_sum():
+    rng = random.Random(43)
+    for size in range(1, 7):
+        for _ in range(30):
+            xs = [QQi.random(rng) for _ in range(size)]
+            ys = [QQi.random(rng) for _ in range(size)]
+            re = sum(x.re * y.re - x.im * y.im for x, y in zip(xs, ys))
+            im = sum(x.re * y.im + x.im * y.re for x, y in zip(xs, ys))
+            assert QQi.dot(xs, ys) == gauss(re, im)
+            us = [rng.randrange(5) for _ in range(size)]
+            vs = [rng.randrange(5) for _ in range(size)]
+            assert GF(5).dot(us, vs) == sum(u * v for u, v in zip(us, vs)) % 5
+
+
+def _random_laurent(rng):
+    """A small rational Laurent polynomial, often with rational roots.
+
+    Up to two factors q x - p (p = 0 included) times a random cofactor,
+    scaled by +-1/d, sometimes with one coefficient divided further, and
+    shifted to Laurent exponents.  Coefficients stay small so that the
+    Fraction search of the oracle stays quick.
+    """
+    coeffs = [rng.randint(-2, 2) or 1 for _ in range(rng.randint(1, 2))]
+    for _ in range(rng.randint(0, 2)):
+        p, q = rng.randint(-2, 2), rng.randint(1, 2)
+        out = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            out[i] -= p * c
+            out[i + 1] += q * c
+        coeffs = out
+    scale = Fraction(rng.choice([-1, 1]), rng.randint(1, 6))
+    fs = [c * scale for c in coeffs]
+    if rng.random() < 0.1:
+        fs[rng.randrange(len(fs))] /= rng.randint(2, 3)
+    lo = rng.randint(-2, 2)
+    return {i + lo: c for i, c in enumerate(fs) if c}
+
+
+def test_unit_roots_match_the_fraction_search():
+    # Same roots in the same order as the old Fraction evaluation of
+    # every candidate p/q.
+    rng = random.Random(909)
+    with_roots = 0
+    for _ in range(20000):
+        coeffs = _random_laurent(rng)
+        got = QQ.unit_roots(coeffs)
+        assert got == root_oracle.rational_unit_roots(coeffs), coeffs
+        with_roots += bool(got)
+    assert with_roots >= 5000
 
 
 def test_rational_sqrt():

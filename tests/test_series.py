@@ -10,6 +10,7 @@ from finetrop.hyperfields import hom_check
 from finetrop.series import (
     PrecisionError,
     SeriesDomain,
+    SeriesTrunc,
     fmt_series,
     hom_fval,
     hom_phval,
@@ -21,10 +22,13 @@ from finetrop.series import (
     series_div,
     series_inv,
     series_mul,
+    series_neg,
+    series_sub,
     series_truncate,
     sign_sum_condition_witness,
 )
 from finetrop.poly import fpoly
+import finetrop.solve
 from finetrop.solve import random_linear_system, solve_linear_2x2
 
 import series_oracle
@@ -169,6 +173,72 @@ def test_grid_arithmetic_matches_reference_expansion():
                 P = fpoly(dom, 2, {d: series(F, c.terms, rng.randint(1, 6))
                                    for d, c in P.coeffs.items()})
             assert solve_linear_2x2(P, Q) == series_oracle.solve_linear_2x2(P, Q)
+
+
+def test_merged_sums_match_rebuilt_sums():
+    # b repeats negatives of some of a's terms (all of them, or all of a
+    # scaled, now and then), so many sums cancel term by term or to zero.
+    rng = random.Random(5150)
+    cancelled = zeros = 0
+    for F in (QQ, QQi, GF(5)):
+        for _ in range(300):
+            a = _random_series(F, rng, rng.random() < 0.5)
+            b = _random_series(F, rng, rng.random() < 0.5)
+            roll = rng.random()
+            if roll < 0.1:
+                b = series_neg(a)
+            elif roll < 0.6:
+                negs = [(e, F.neg(c)) for e, c in a.terms if rng.random() < 0.6]
+                b = series(F, list(b.terms) + negs, b.prec)
+            for new, old in ((series_add, series_oracle.series_add),
+                             (series_sub, series_oracle.series_sub)):
+                got = new(a, b)
+                assert got == old(a, b), (new.__name__, a, b)
+            s = series_add(a, b)
+            if s.is_zero():
+                zeros += 1
+            common = {e for e, _ in a.terms} & {e for e, _ in b.terms}
+            if s.prec is not None:
+                common = {e for e in common if e < s.prec}
+            if common - {e for e, _ in s.terms}:
+                cancelled += 1
+    assert cancelled >= 100 and zeros >= 20, (cancelled, zeros)
+
+
+def test_rational_products_and_inverses_return_fractions():
+    # Coefficients given as ints through the API; results hold Fractions.
+    rng = random.Random(77)
+    for _ in range(150):
+        a, b = (series(QQ, [(Fraction(rng.randint(-3, 6), rng.randint(1, 3)),
+                             rng.randint(-5, 5) or 1)
+                            for _ in range(rng.randint(1, 4))],
+                       rng.choice([None, rng.randint(1, 8)]))
+                for _ in range(2))
+        prec = rng.choice([None, rng.randint(-1, 6)])
+        for new, old, args in ((series_mul, series_oracle.series_mul, (a, b)),
+                               (series_inv, series_oracle.series_inv, (a, prec))):
+            got = _outcome(new, *args)
+            assert got == _outcome(old, *args), (new.__name__, args)
+            if isinstance(got, SeriesTrunc):
+                assert all(type(c) is Fraction for _, c in got.terms), got
+
+
+def test_solve_inverts_the_determinant_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series_inv(*args, **kwargs)
+
+    monkeypatch.setattr(finetrop.solve, "series_inv", counted)
+    rng = random.Random(15)
+    dom = SeriesDomain(QQ)
+    for _ in range(8):
+        P, Q = random_linear_system(dom, rng)
+        calls.clear()
+        got = solve_linear_2x2(P, Q)
+        assert len(calls) == 1
+        assert got == series_oracle.solve_linear_2x2(P, Q)
 
 
 def test_inversion_matches_sympy_over_q():
