@@ -436,6 +436,16 @@ class Hyperfield:
             r = self.mul(r, a)
         return r
 
+    def powers(self, a, n: int) -> list:
+        """[a^s, a^2s, ..., a^n] with s the sign of n, by one running
+        product: entry k - 1 equals ``power(a, s*k)``; [] for n = 0."""
+        if n < 0:
+            return self.powers(self.inv(a), -n)
+        out = [a] if n else []
+        while len(out) < n:
+            out.append(self.mul(out[-1], a))
+        return out
+
 
 class FiniteHyperfield(Hyperfield):
     """Base for hyperfields whose set values are finite sets."""

@@ -78,28 +78,48 @@ def hpoly1(H: Hyperfield, coeffs_by_degree: Mapping[int, Any]) -> HPoly:
     return hpoly(H, 1, {(i,): c for i, c in coeffs_by_degree.items()})
 
 
+class ZeroPowerError(ZeroDivisionError, ValueError):
+    """0^k for k < 0: a Laurent monomial evaluated where its variable is 0.
+
+    A ValueError too, so the CLI reports it as a bad input."""
+
+
 def eval_poly(p: HPoly, point: Sequence):
     """Set-valued evaluation: the hypersum of the monomial values.
 
-    The fold runs over the support in lexicographic order so results are
+    The point must have one coordinate per variable.  Each coordinate's
+    powers come from one running product (``Hyperfield.powers``), shared
+    by every monomial.  A monomial dies at its first zero coordinate with a
+    nonzero exponent; a negative exponent there raises ZeroPowerError.  The
+    fold runs over the support in lexicographic order so results are
     reproducible; hyperaddition is associative so the order is immaterial.
     """
     H = p.hyperfield
+    if len(point) != p.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, "
+                         f"polynomial has {p.nvars} variables")
+    support = p.support
+    tables = []  # per variable: ([a^1, ..., a^hi], [a^-1, ..., a^lo]) or None
+    for i, a in enumerate(point):
+        if H.is_zero(a):
+            tables.append(None)
+            continue
+        exps = [d[i] for d in support]
+        hi, lo = max(exps, default=0), min(exps, default=0)
+        tables.append((H.powers(a, hi) if hi > 0 else [],
+                       H.powers(a, lo) if lo < 0 else []))
     terms = []
-    for d in p.support:
-        c = p.coeffs[d]
-        val = c
-        dead = False
-        for a, e in zip(point, d):
+    for d in support:
+        val = p.coeffs[d]
+        for e, table in zip(d, tables):
             if e == 0:
                 continue
-            if H.is_zero(a):
+            if table is None:
                 if e < 0:
-                    raise ZeroDivisionError("0^k undefined for negative k")
-                dead = True
+                    raise ZeroPowerError("0^k undefined for negative k")
                 break
-            val = H.mul(val, H.power(a, e))
-        if not dead:
+            val = H.mul(val, table[0][e - 1] if e > 0 else table[1][-e - 1])
+        else:
             terms.append(val)
     return H.nary_sum(terms)
 

@@ -136,10 +136,14 @@ def base_roots(H: Hyperfield, coeffs: dict[int, Any]) -> list:
     units = H.units()
     if units is not None:
         # The sum is evaluated here rather than through is_root, which
-        # stays the independent check that roots_univariate applies.
+        # stays the independent check that roots_univariate applies.  It
+        # is shifted by x^-lo, a unit, so one running power serves.
+        lo = min(0, *coeffs)
+        top = max(coeffs) - lo
         out = []
         for x in units:
-            terms = [H.mul(c, H.power(x, j)) for j, c in coeffs.items()]
+            pw = [H.one(), *H.powers(x, top)]
+            terms = [H.mul(c, pw[j - lo]) for j, c in coeffs.items()]
             if H.set_contains_zero(H.nary_sum(terms)):
                 out.append(x)
         return out

@@ -211,11 +211,13 @@ def _vertices(lift: Lift) -> dict:
     """Vertex cells as J -> (x, y, den), the point (x, y) / den, den > 0.
 
     A vertex's J holds a non-collinear triple and is the argmin set where
-    that triple ties.
+    that triple ties.  The argmin set is collected while the exponents are
+    walked, and a triple is dropped as soon as some exponent falls strictly
+    below its tie.
     """
-    lev, s = lift.lev, lift.scale
+    lev, s, support = lift.lev, lift.scale, lift.support
     vertices = {}
-    for a, b, c in itertools.combinations(lift.support, 3):
+    for a, b, c in itertools.combinations(support, 3):
         bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
         det = bx * cy - by * cx
         if det == 0:
@@ -226,9 +228,18 @@ def _vertices(lift: Lift) -> dict:
         nx, ny = rb * cy - rc * by, bx * rc - cx * rb
         if det < 0:
             det, nx, ny = -det, -nx, -ny
-        J = lift.argmin(nx, ny, s * det)
-        if a in J:
-            vertices.setdefault(J, (nx, ny, s * det))
+        # v is s * det * (level_d + d.g) at g: with no v below a's, J is
+        # the argmin set at g and holds a.
+        tie = det * lev[a] + a[0] * nx + a[1] * ny
+        J = []
+        for d in support:
+            v = det * lev[d] + d[0] * nx + d[1] * ny
+            if v < tie:
+                break
+            if v == tie:
+                J.append(d)
+        else:
+            vertices.setdefault(tuple(J), (nx, ny, s * det))
     return vertices
 
 
@@ -555,8 +566,10 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
 
     The meeting cell pairs come from ``_cell_hits``, a point lookup on
     the integer-scaled levels instead of a scan of every pair; each pair's
-    base conditions are then solved together, and every fine point is
-    checked to be a root of both sources.
+    base conditions are then solved together.  Every fine point is
+    checked to be a root of both sources (the hyperfield Kapranov theorem)
+    and a point that is not raises SolverInvariantError.  The check is
+    cheap: over the extension only the minimal-level terms are summed.
     """
     E = _ext_of(C1.source)
     H = E.base

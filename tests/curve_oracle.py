@@ -7,6 +7,10 @@ is solved for its tie equations as exact ``Fraction`` rows and tested
 against the strict inequalities of the other support points.  It is kept
 only as a slow oracle for the tests (2^n subsets for n monomials).  The
 row helpers serve the pair-scan oracle in ``intersect_oracle`` too.
+
+``vertices_every_triple`` is how ``finetrop.tropgeo._vertices`` found the
+vertices before it dropped a triple at the first exponent below its tie:
+it takes the full argmin set of every non-collinear triple.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from finetrop.tropgeo import (
     Interval,
     Row,
     Vec2,
+    Lift,
     _ext_of,
     _intersect_intervals,
     _primitive,
@@ -129,3 +134,23 @@ def fine_hypersurface_by_subsets(p: HPoly) -> tuple[SubsetCell, ...]:
                 cells.append(SubsetCell(J, 1, eqs, ineqs, None, p0, v, iv,
                                         base_cond))
     return tuple(cells)
+
+
+def vertices_every_triple(lift: Lift) -> dict:
+    """Vertex cells as J -> (x, y, den), from the argmin set of every
+    non-collinear triple: J is a vertex when it holds the triple."""
+    lev, s = lift.lev, lift.scale
+    vertices = {}
+    for a, b, c in itertools.combinations(lift.support, 3):
+        bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+        det = bx * cy - by * cx
+        if det == 0:
+            continue
+        rb, rc = lev[a] - lev[b], lev[a] - lev[c]
+        nx, ny = rb * cy - rc * by, bx * rc - cx * rb
+        if det < 0:
+            det, nx, ny = -det, -nx, -ny
+        J = lift.argmin(nx, ny, s * det)
+        if a in J:
+            vertices.setdefault(J, (nx, ny, s * det))
+    return vertices

@@ -165,3 +165,19 @@ def test_inline_poly_without_hyperfield_is_a_json_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "curves"])
     assert exc.value.code == 2
+
+
+def test_eval_point_of_the_wrong_arity_is_a_json_error(capsys):
+    code, out = run(capsys, "eval", "--hyperfield", "T",
+                    "X*Y + (1,0)", "(1,0)")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError" and "2 variables" in doc["message"]
+
+
+def test_eval_laurent_monomial_at_zero_is_a_json_error(capsys):
+    code, out = run(capsys, "eval", "--hyperfield", "T",
+                    "X^-1 + (1,0)", "inf")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ZeroPowerError" and "negative" in doc["message"]

@@ -2,9 +2,15 @@
 
 import random
 
-from finetrop.extension import TropicalExtension, trop, trop_complex, trop_signed
+from finetrop.extension import (
+    ExtElem,
+    TropicalExtension,
+    trop,
+    trop_complex,
+    trop_signed,
+)
 from finetrop.fields import QQ
-from finetrop.hyperfields import FieldHyperfield, check_axioms
+from finetrop.hyperfields import FieldHyperfield, Hyperfield, check_axioms
 from finetrop.ordgroup import gelem
 
 T = trop()
@@ -68,3 +74,33 @@ def test_stringency_inherited():
 def test_axioms_sampled():
     for H in (T, TR, FQ, trop(2), trop_complex()):
         assert check_axioms(H, random.Random(0), samples=400) == []
+
+
+def _term(E, rng):
+    """A seeded term; levels are small integers, so terms often tie."""
+    a = E.random_element(rng)
+    if a is None:
+        return None
+    return ExtElem(a.coef, gelem(*[rng.randint(-1, 1) for _ in range(E.rank)]))
+
+
+def test_minimal_level_sum_and_running_powers_equal_the_generic_ones():
+    rng = random.Random(11)
+    ties = dropped = 0
+    for E in (T, TR, FQ, trop(2), trop_complex(), TropicalExtension(TR, 1)):
+        for _ in range(150):
+            ts = [_term(E, rng) for _ in range(rng.randint(0, 6))]
+            assert E.nary_sum(ts) == Hyperfield.nary_sum(E, ts), ts
+            levels = [t.level for t in ts if t is not None]
+            ties += levels.count(min(levels, default=None)) > 1
+            dropped += len(set(levels)) > 1
+            a = next((t for t in ts if t is not None), None)
+            if a is None:
+                continue
+            for n in range(-4, 7):
+                s = -1 if n < 0 else 1
+                assert E.powers(a, n) == [E.power(a, s * k)
+                                          for k in range(1, abs(n) + 1)]
+                assert E.base.powers(a.coef, n) == [
+                    E.base.power(a.coef, s * k) for k in range(1, abs(n) + 1)]
+    assert ties >= 100 and dropped >= 100

@@ -1,10 +1,19 @@
 """Set-valued polynomial evaluation, push-forwards, and projective roots."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from finetrop.hyperfields import P, S, hom_sign, make_dir
+from finetrop.extension import (
+    ExtElem,
+    TropicalExtension,
+    trop,
+    trop_complex,
+    trop_signed,
+)
+from finetrop.hyperfields import K, P, PHI, S, hom_sign, make_dir
+from finetrop.ordgroup import gelem
 from finetrop.poly import (
     affinize,
     eval_poly,
@@ -23,6 +32,8 @@ from finetrop.series import SeriesDomain, fmt_series, s_const, series
 from finetrop.fields import QQ
 from finetrop.hyperfields import field_hyperfield
 
+from eval_oracle import eval_every_term, is_root_every_term
+
 
 def test_eval_over_sign():
     p = hpoly1(S, {2: 1, 1: -1, 0: 1})
@@ -31,6 +42,86 @@ def test_eval_over_sign():
     assert set(S.set_elements(sv)) == {-1, 0, 1}
     assert is_root(p, (1,))
     assert not is_root(p, (-1,))
+
+
+def _unit(H, rng):
+    while True:
+        a = _elem(H, rng)
+        if not H.is_zero(a):
+            return a
+
+
+def _elem(H, rng):
+    """A random element, zero about one time in six.  Extension levels
+    are small integers, so terms often tie at the minimal level."""
+    if isinstance(H, TropicalExtension):
+        if rng.random() < 0.15:
+            return None
+        return ExtElem(_unit(H.base, rng),
+                       gelem(*[rng.randint(-1, 1) for _ in range(H.rank)]))
+    if H in (P, PHI) or rng.random() >= 0.15:
+        return H.random_element(rng)
+    return H.zero()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ZeroDivisionError:
+        return "0^k, k < 0"
+
+
+def _ties_at_minimal_level(p, point):
+    H = p.hyperfield
+    levels = []
+    for d, c in p.coeffs.items():
+        if any(a is None and e for a, e in zip(point, d)):
+            continue
+        levels.append(tuple(
+            c.level.coords[k] + sum(e * a.level.coords[k]
+                                    for a, e in zip(point, d) if e)
+            for k in range(H.rank)))
+    return len(levels) > 1 and levels.count(min(levels)) > 1
+
+
+def test_eval_matches_every_term_oracle():
+    rng = random.Random(10)
+    hyperfields = (K, S, P, PHI, field_hyperfield(QQ), trop(), trop_signed(),
+                   trop_complex(), TropicalExtension(S, 2))
+    seen = {"zero coordinate": 0, "laurent": 0, "0^k, k < 0": 0,
+            "tie at the minimal level": 0, "all dead": 0}
+    for k in range(900):
+        H = hyperfields[k % len(hyperfields)]
+        nvars = rng.randint(1, 3)
+        coeffs = {tuple(rng.randint(-2, 3) for _ in range(nvars)): _unit(H, rng)
+                  for _ in range(rng.randint(1, 6))}
+        p = hpoly(H, nvars, coeffs)
+        point = tuple(_elem(H, rng) for _ in range(nvars))
+        got = _outcome(lambda: eval_poly(p, point))
+        assert got == _outcome(lambda: eval_every_term(p, point)), (p, point)
+        assert (_outcome(lambda: is_root(p, point))
+                == _outcome(lambda: is_root_every_term(p, point)))
+        zeros = [i for i, a in enumerate(point) if H.is_zero(a)]
+        seen["zero coordinate"] += bool(zeros)
+        seen["laurent"] += p.is_laurent()
+        seen["0^k, k < 0"] += got == "0^k, k < 0"
+        if got != "0^k, k < 0":
+            seen["all dead"] += all(any(d[i] for i in zeros) for d in p.coeffs)
+            if isinstance(H, TropicalExtension):
+                seen["tie at the minimal level"] += _ties_at_minimal_level(
+                    p, point)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_eval_needs_one_coordinate_per_variable():
+    p = hpoly(S, 2, {(1, 1): 1, (0, 0): -1})
+    with pytest.raises(ValueError, match="1 coordinates"):
+        eval_poly(p, (1,))
+    with pytest.raises(ValueError):
+        is_root(p, (1, 1, 1))
+    with pytest.raises(ValueError, match="3 coordinates"):
+        proj_is_root(hpoly(S, 2, {(1, 1): 1, (2, 0): -1}),
+                     proj_point(S, (1, 1, 1)))
 
 
 def test_root_over_phase():

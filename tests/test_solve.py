@@ -28,6 +28,7 @@ from finetrop.solve import (
     roots_univariate,
 )
 
+from eval_oracle import is_root_every_term
 from mult_search import search_multiplicity
 from newton_oracle import oracle_newton_cells, tropical_mult_oracle
 
@@ -117,6 +118,23 @@ def test_base_roots_variants():
     with pytest.raises(BaseSolveError):
         base_roots(field_hyperfield(QQi),
                    {3: gauss(1), 1: gauss(3), 0: gauss(1, 1)})
+
+
+def test_base_roots_scan_matches_every_term_oracle():
+    # Bases with finitely many units scan them with one running power;
+    # Laurent exponents are shifted by a unit, which keeps 0 in the sum.
+    rng = random.Random(3)
+    found = 0
+    for k in range(300):
+        H = (K, S, W, field_hyperfield(GF(5)), field_hyperfield(GF(7)))[k % 5]
+        units = H.units()
+        coeffs = {rng.randint(-3, 5): rng.choice(units)
+                  for _ in range(rng.randint(1, 5))}
+        p = hpoly1(H, coeffs)
+        want = [x for x in units if is_root_every_term(p, (x,))]
+        assert base_roots(H, coeffs) == want, (H.name, coeffs)
+        found += bool(want)
+    assert found >= 100
 
 
 def test_phase_roots_are_arcs():

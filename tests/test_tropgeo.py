@@ -8,9 +8,11 @@ from fractions import Fraction
 import pytest
 
 from finetrop import tropgeo
+from finetrop.extension import TropicalExtension, trop
 from finetrop.fields import QQ, QQi, gauss
+from finetrop.ordgroup import gelem
 from finetrop.parsing import parse_fpoly, parse_poly
-from finetrop.poly import fpoly, pushforward
+from finetrop.poly import fpoly, hpoly, is_root, pushforward
 from finetrop.series import SeriesDomain, fmt_series, hom_fval, hom_sval, hom_val, series
 from finetrop.solve import BaseSolveError, SolverInvariantError
 from finetrop.svg import render_fine_curve, render_trop
@@ -23,7 +25,7 @@ from finetrop.tropgeo import (
     trop_project,
 )
 
-from curve_oracle import fine_hypersurface_by_subsets
+from curve_oracle import fine_hypersurface_by_subsets, vertices_every_triple
 from intersect_oracle import (
     contains_by_rows,
     oracle_intersect_series,
@@ -88,7 +90,9 @@ def _triangle(deg):
     return [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
 
 
-def test_fine_curve_matches_subset_oracle():
+def _oracle_curves():
+    """Collinear, degenerate and dense supports, with equal and generic
+    levels, pushed along val, sval and fval."""
     rng = random.Random(5)
     homs = (hom_val(), hom_sval(), hom_fval())
     curves = [pushforward(h, parse_fpoly(DOM, text, nvars=2))
@@ -103,6 +107,43 @@ def test_fine_curve_matches_subset_oracle():
             support = rng.sample(tri, rng.randint(2, min(9, len(tri))))
         curves.append(pushforward(homs[k % 3], _random_fpoly(
             rng, support, equal_levels=k % 5 == 0, max_den=1 + k % 3)))
+    return curves
+
+
+def test_vertices_match_every_triple_oracle():
+    for hp in _oracle_curves():
+        lift = fine_hypersurface(hp).cells[0].lift
+        got = tropgeo._vertices(lift)
+        assert list(got.items()) == list(vertices_every_triple(lift).items())
+
+
+def test_fine_point_check_sums_only_minimal_level_terms(monkeypatch):
+    # A dense cubic over T at a vertex g of its curve: only the monomials
+    # in the vertex's J attain the minimal level, and any unit pair over
+    # K is a root there.
+    T = trop()
+    levels = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+    p = hpoly(T, 2, {d: T.elem(1, gelem(x))
+                     for d, x in zip(_triangle(3), levels)})
+    calls = []
+    add_set_elem = TropicalExtension.add_set_elem
+
+    def counted(self, S, y):
+        calls.append(y)
+        return add_set_elem(self, S, y)
+
+    monkeypatch.setattr(TropicalExtension, "add_set_elem", counted)
+    vertices = [c for c in fine_hypersurface(p).cells if c.dim == 0]
+    assert vertices
+    for c in vertices:
+        calls.clear()
+        pt = (T.elem(1, gelem(c.point[0])), T.elem(1, gelem(c.point[1])))
+        assert is_root(p, pt)
+        assert len(calls) == len(c.J) < len(p.coeffs)
+
+
+def test_fine_curve_matches_subset_oracle():
+    curves = _oracle_curves()
     wide_vertices = long_edges = 0
     for hp in curves:
         got = [_cell_key(c) for c in fine_hypersurface(hp).cells]
