@@ -4,8 +4,9 @@ Elements are either zero or a pair (coefficient, level) with the coefficient
 a unit of the base hyperfield.  Lower level dominates in sums; at equal
 levels the base hyperfield decides, and a base-zero in the sum produces the
 up-set of all strictly larger levels together with zero.  So a sum of many
-terms depends only on its terms at the minimal level, and ``nary_sum``
-folds only those.
+terms depends only on its terms at the minimal level; for a polynomial,
+``finetrop.poly.initial_support`` picks those monomials before any of them
+is multiplied out, and the generic ``Hyperfield.nary_sum`` folds them.
 
 Nested extensions flatten: extending H x| Q^m by Q^k gives H x| Q^(k+m)
 with the outer levels first in the lexicographic tuple.
@@ -50,8 +51,9 @@ class ExtSV:
 class TropicalExtension(Hyperfield):
     """The hyperfield H x| Q^k for a base hyperfield H.
 
-    Sums fold only their minimal-level terms, which gives the same set
-    value as the generic ``Hyperfield`` fold over every term.
+    Sums are the generic ``Hyperfield`` fold of ``add_set_elem``; polynomial
+    evaluation narrows them to the minimal level first
+    (``finetrop.poly.initial_support``).
     """
 
     def __init__(self, base: Hyperfield, rank: int = 1):
@@ -119,23 +121,6 @@ class TropicalExtension(Hyperfield):
 
     def add(self, a, b):
         return self.add_set_elem(self.singleton(a), b)
-
-    def nary_sum(self, terms):
-        """The hypersum of the terms at the minimal level, in their order.
-
-        ``add_set_elem`` keeps S when a term sits above S's level and
-        restarts from the term when it sits below, so terms above the
-        minimal level never change the full fold.
-        """
-        low, m = [], None
-        for t in terms:
-            if t is None:
-                continue
-            if m is None or t.level.coords < m:
-                low, m = [t], t.level.coords
-            elif t.level.coords == m:
-                low.append(t)
-        return Hyperfield.nary_sum(self, low)
 
     def add_set_elem(self, S: ExtSV, y) -> ExtSV:
         if y is None:

@@ -407,9 +407,6 @@ class _PolyParser:
     def one(self):
         raise NotImplementedError
 
-    def c_mul(self, a, b):
-        raise NotImplementedError
-
     def c_neg(self, a):
         raise NotImplementedError
 

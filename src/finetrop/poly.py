@@ -8,9 +8,11 @@ only product of hyperfield polynomials lives in the solve module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
+from .extension import TropicalExtension
 from .hyperfields import Hom, Hyperfield
 
 
@@ -84,26 +86,63 @@ class ZeroPowerError(ZeroDivisionError, ValueError):
     A ValueError too, so the CLI reports it as a bad input."""
 
 
+def initial_support(p: HPoly, point: Sequence,
+                    support: Sequence[Expt]) -> list[Expt]:
+    """The monomials of ``support`` at the minimal level at ``point``.
+
+    For p over a tropical extension the monomial c_d x^d has the level
+    level(c_d) + d.level(x), and a sum depends only on its terms at the
+    minimal level: this is the one place that rule picks them.  Every
+    monomial of ``support`` must have exponent 0 at the zero coordinates
+    of the point, which are skipped.  Each coordinate of the value group is
+    scaled to integers by one lcm of its denominators, and the levels are
+    compared lexicographically across coordinates.  The result keeps the
+    order of ``support``.
+    """
+    coeffs = p.coeffs
+    live = [(i, a.level.coords) for i, a in enumerate(point) if a is not None]
+    cols = []
+    for k in range(p.hyperfield.rank):
+        cs = [coeffs[d].level.coords[k] for d in support]
+        xs = [(i, g[k]) for i, g in live]
+        den = math.lcm(*(c.denominator for c in cs),
+                       *(x.denominator for _, x in xs))
+        xs = [(i, x.numerator * (den // x.denominator)) for i, x in xs]
+        cols.append([c.numerator * (den // c.denominator)
+                     + sum(d[i] * x for i, x in xs)
+                     for c, d in zip(cs, support)])
+    vals = cols[0] if len(cols) == 1 else list(zip(*cols))
+    m = min(vals)
+    return [d for d, v in zip(support, vals) if v == m]
+
+
 def eval_poly(p: HPoly, point: Sequence):
     """Set-valued evaluation: the hypersum of the monomial values.
 
-    The point must have one coordinate per variable.  Each coordinate's
-    powers come from one running product (``Hyperfield.powers``), shared
-    by every monomial.  A monomial dies at its first zero coordinate with a
-    nonzero exponent; a negative exponent there raises ZeroPowerError.  The
-    fold runs over the support in lexicographic order so results are
-    reproducible; hyperaddition is associative so the order is immaterial.
+    The point must have one coordinate per variable.  A monomial with a
+    nonzero exponent at a zero coordinate is zero, and a negative exponent
+    at any zero coordinate raises ZeroPowerError; both are settled before
+    any multiplication.  Over a tropical extension only the monomials that
+    ``initial_support`` picks are multiplied out and summed.  Each
+    coordinate's powers come from one running product
+    (``Hyperfield.powers``), shared by every monomial.  The fold runs over
+    the support in lexicographic order so results are reproducible;
+    hyperaddition is associative so the order is immaterial.
     """
     H = p.hyperfield
     if len(point) != p.nvars:
         raise ValueError(f"point has {len(point)} coordinates, "
                          f"polynomial has {p.nvars} variables")
     support = p.support
-    tables = []  # per variable: ([a^1, ..., a^hi], [a^-1, ..., a^lo]) or None
+    zeros = [i for i, a in enumerate(point) if H.is_zero(a)]
+    if zeros:
+        if any(d[i] < 0 for d in support for i in zeros):
+            raise ZeroPowerError("0^k undefined for negative k")
+        support = [d for d in support if not any(d[i] for i in zeros)]
+    if isinstance(H, TropicalExtension) and support:
+        support = initial_support(p, point, support)
+    tables = []  # per variable: ([a^1, ..., a^hi], [a^-1, ..., a^lo])
     for i, a in enumerate(point):
-        if H.is_zero(a):
-            tables.append(None)
-            continue
         exps = [d[i] for d in support]
         hi, lo = max(exps, default=0), min(exps, default=0)
         tables.append((H.powers(a, hi) if hi > 0 else [],
@@ -112,15 +151,9 @@ def eval_poly(p: HPoly, point: Sequence):
     for d in support:
         val = p.coeffs[d]
         for e, table in zip(d, tables):
-            if e == 0:
-                continue
-            if table is None:
-                if e < 0:
-                    raise ZeroPowerError("0^k undefined for negative k")
-                break
-            val = H.mul(val, table[0][e - 1] if e > 0 else table[1][-e - 1])
-        else:
-            terms.append(val)
+            if e:
+                val = H.mul(val, table[0][e - 1] if e > 0 else table[1][-e - 1])
+        terms.append(val)
     return H.nary_sum(terms)
 
 

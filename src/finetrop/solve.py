@@ -34,12 +34,13 @@ from .hyperfields import (
     Hyperfield,
     PhaseHyperfield,
 )
-from .ordgroup import GroupElem, group_add, group_div, group_sub, scalar_mul
+from .ordgroup import GroupElem, group_div, group_sub, scalar_mul
 from .poly import (
     FPoly,
     HPoly,
     fpoly,
     hpoly1,
+    initial_support,
     is_root,
     prevariety_member,
     product_of_linear_factors,
@@ -106,13 +107,6 @@ def newton_cells(p: HPoly) -> list[NewtonCell]:
             cells.append(NewtonCell(h, (a, b)))
     cells.reverse()  # the slopes rise along the hull, so the levels fall
     return cells
-
-
-def _argmin_indices(levels: dict[int, GroupElem], h: GroupElem) -> tuple[int, ...]:
-    """The i attaining min_i(levels[i] + i*h), in the order of ``levels``."""
-    vals = {i: group_add(g, scalar_mul(i, h)) for i, g in levels.items()}
-    m = min(vals.values())
-    return tuple(i for i in vals if vals[i] == m)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +181,7 @@ def _multiplicity(p: HPoly, a, memo: dict) -> int:
         # Continue over the base with the initial form at the Newton cell
         # (h, J): the root (c, h) makes the levels attain their minimum on J
         # and c a root of sum_{j in J} c_j x^(j - min J).
-        levels = {i: coeffs[i].level for i in sorted(coeffs)}
-        J = _argmin_indices(levels, a.level)
+        J = [d[0] for d in initial_support(p, (a,), p.support)]
         H, a = H.base, a.coef
         coeffs = {j - J[0]: coeffs[j].coef for j in J}
         n = max(coeffs)
@@ -290,17 +283,24 @@ def _random_unit(H: Hyperfield, rng):
 
 
 def mult_bound_check(H: Hyperfield, rng, trials: int = 100, deg: int = 6) -> list[str]:
-    """Sampled check of: sum of root multiplicities <= degree."""
+    """Sampled check of: sum of root multiplicities <= degree.
+
+    Roots over a tropical extension come from ``roots_univariate``; any
+    other hyperfield is scanned over its units, so one with infinitely many
+    raises BaseSolveError.
+    """
+    extension = isinstance(H, TropicalExtension)
+    if not extension and H.units() is None:
+        raise BaseSolveError(
+            f"multiplicity bound check needs a tropical extension or finitely "
+            f"many units; {H.name} has infinitely many")
     failures = []
     for _ in range(trials):
         d = rng.randint(1, deg)
         p = random_hpoly(H, rng, d)
-        if isinstance(H, TropicalExtension):
+        if extension:
             recs = roots_univariate(p)
         else:
-            if isinstance(H, PhaseHyperfield):
-                failures.append("root set infinite (arc); bound not applicable")
-                continue
             recs = []
             coeffs = _univariate_coeffs(p)
             if min(coeffs) > 0:

@@ -569,7 +569,8 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
     base conditions are then solved together.  Every fine point is
     checked to be a root of both sources (the hyperfield Kapranov theorem)
     and a point that is not raises SolverInvariantError.  The check is
-    cheap: over the extension only the minimal-level terms are summed.
+    cheap: ``eval_poly`` multiplies out and sums only the monomials at the
+    minimal level, which ``poly.initial_support`` picks on integers.
     """
     E = _ext_of(C1.source)
     H = E.base

@@ -89,6 +89,17 @@ def test_verify_multbound(capsys):
     assert code == 0 and doc["status"] == "pass"
 
 
+@pytest.mark.parametrize("name", ["Q", "P"])
+def test_verify_multbound_needs_finitely_many_units(capsys, name):
+    # Q has no unit list to scan and P's root sets are arcs: both are
+    # refused up front with a JSON error, not a traceback or failed trials.
+    code, out = run(capsys, "verify", "multbound", "--hyperfield", name,
+                    "--trials", "3")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "BaseSolveError" and "units" in doc["message"]
+
+
 def test_parse_error_exit_code(capsys):
     code, out = run(capsys, "roots", "--hyperfield", "T", "X^2 +")
     assert code == 2
@@ -176,8 +187,12 @@ def test_eval_point_of_the_wrong_arity_is_a_json_error(capsys):
 
 
 def test_eval_laurent_monomial_at_zero_is_a_json_error(capsys):
-    code, out = run(capsys, "eval", "--hyperfield", "T",
-                    "X^-1 + (1,0)", "inf")
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["error"] == "ZeroPowerError" and "negative" in doc["message"]
+    # A negative exponent at a zero coordinate raises in either variable
+    # order, even when another zero coordinate would kill the monomial.
+    for args in (("X^-1 + (1,0)", "inf"),
+                 ("X*Y^-1 + (1,0)", "inf", "inf"),
+                 ("X^-1*Y + (1,0)", "inf", "inf")):
+        code, out = run(capsys, "eval", "--hyperfield", "T", *args)
+        assert code == 2, args
+        doc = json.loads(out)
+        assert doc["error"] == "ZeroPowerError" and "negative" in doc["message"]

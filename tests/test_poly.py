@@ -13,7 +13,7 @@ from finetrop.extension import (
     trop_signed,
 )
 from finetrop.hyperfields import K, P, PHI, S, hom_sign, make_dir
-from finetrop.ordgroup import gelem
+from finetrop.ordgroup import gelem, group_add, group_sub, scalar_mul
 from finetrop.poly import (
     affinize,
     eval_poly,
@@ -21,6 +21,7 @@ from finetrop.poly import (
     homogenize,
     hpoly,
     hpoly1,
+    initial_support,
     is_root,
     prevariety_member,
     product_of_linear_factors,
@@ -87,7 +88,7 @@ def _ties_at_minimal_level(p, point):
 def test_eval_matches_every_term_oracle():
     rng = random.Random(10)
     hyperfields = (K, S, P, PHI, field_hyperfield(QQ), trop(), trop_signed(),
-                   trop_complex(), TropicalExtension(S, 2))
+                   trop_complex(), TropicalExtension(S, 2), TropicalExtension(K, 3))
     seen = {"zero coordinate": 0, "laurent": 0, "0^k, k < 0": 0,
             "tie at the minimal level": 0, "all dead": 0}
     for k in range(900):
@@ -111,6 +112,54 @@ def test_eval_matches_every_term_oracle():
                 seen["tie at the minimal level"] += _ties_at_minimal_level(
                     p, point)
     assert min(seen.values()) >= 10, seen
+
+
+def test_initial_support_matches_group_arithmetic():
+    # The integer-scaled, lexicographic comparison against levels summed
+    # as GroupElems, with fractional levels at ranks 1 to 3 and zero
+    # coordinates skipped.  Some coefficients are placed on the minimal
+    # level of the point, so ties are common.
+    rng = random.Random(12)
+    for rank in (1, 2, 3):
+        H = TropicalExtension(K, rank)
+
+        def level():
+            return gelem(*[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                           for _ in range(rank)])
+
+        ties = 0
+        for _ in range(150):
+            nvars = rng.randint(1, 3)
+            point = tuple(None if rng.random() < 0.2 else ExtElem(1, level())
+                          for _ in range(nvars))
+            base = level()
+
+            def at(d):
+                return [scalar_mul(e, a.level)
+                        for a, e in zip(point, d) if a is not None]
+
+            coeffs = {}
+            for _ in range(rng.randint(1, 6)):
+                d = tuple(rng.randint(-2, 3) for _ in range(nvars))
+                g = base if rng.random() < 0.4 else group_add(base, level())
+                for x in at(d):
+                    g = group_sub(g, x)
+                coeffs[d] = ExtElem(1, g)
+            p = hpoly(H, nvars, coeffs)
+            support = [d for d in p.support
+                       if not any(e for a, e in zip(point, d) if a is None)]
+            if not support:
+                continue
+            levels = []
+            for d in support:
+                g = p.coeffs[d].level
+                for x in at(d):
+                    g = group_add(g, x)
+                levels.append(g)
+            want = [d for d, g in zip(support, levels) if g == min(levels)]
+            assert initial_support(p, point, support) == want, (p, point)
+            ties += len(want) > 1
+        assert ties >= 10, (rank, ties)
 
 
 def test_eval_needs_one_coordinate_per_variable():

@@ -213,9 +213,11 @@ def test_initial_form_mult_matches_branching_search():
     rng = random.Random(5)
     for base in (K, S, W, quotient_build(5, [1, 4]),
                  quotient_build(7, [1, 2, 4]), field_hyperfield(QQ)):
-        H = TropicalExtension(base, 1)
-        for _ in range(30):
-            _assert_mult_matches_search(random_hpoly(H, rng, rng.randint(1, 5)))
+        for H in (TropicalExtension(base, 1), TropicalExtension(base, 2),
+                  TropicalExtension(base, 3)):
+            for _ in range(30):
+                _assert_mult_matches_search(
+                    random_hpoly(H, rng, rng.randint(1, 5)))
     # ... and on push-forwards of products of linear factors.
     for hom in (hom_val(), hom_sval(), hom_fval()):
         dom = hom.source
