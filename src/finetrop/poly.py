@@ -266,17 +266,6 @@ def fpoly(domain, nvars: int, coeffs: Mapping[Expt, Any]) -> FPoly:
     return FPoly(domain, nvars, coeffs)
 
 
-def fpoly_mul(a: FPoly, b: FPoly) -> FPoly:
-    D = a.domain
-    out: dict[Expt, Any] = {}
-    for d1, c1 in a.coeffs.items():
-        for d2, c2 in b.coeffs.items():
-            d = tuple(x + y for x, y in zip(d1, d2))
-            prod = D.mul(c1, c2)
-            out[d] = D.add(out.get(d, D.zero()), prod)
-    return FPoly(D, a.nvars, out)
-
-
 def fpoly_eval(p: FPoly, point: Sequence):
     D = p.domain
     total = D.zero()
@@ -289,13 +278,17 @@ def fpoly_eval(p: FPoly, point: Sequence):
     return total
 
 
-def linear_factor(domain, root) -> FPoly:
-    """The univariate factor X - root."""
-    return FPoly(domain, 1, {(1,): domain.one(), (0,): domain.neg(root)})
-
-
 def product_of_linear_factors(domain, roots: Sequence) -> FPoly:
-    p = FPoly(domain, 1, {(0,): domain.one()})
+    """prod (X - r) over the roots, one factor at a time by shift-and-scale.
+
+    Multiplying c_0 + ... + c_n X^n by X - r gives c'_i = c_{i-1} - r c_i:
+    one product by -r and one sum per coefficient.  Keys run from the
+    highest degree down, the order the expanded product always had.
+    """
+    cs = [domain.one()]
     for r in roots:
-        p = fpoly_mul(p, linear_factor(domain, r))
-    return p
+        nr = domain.neg(r)
+        cs = ([domain.mul(cs[0], nr)]
+              + [domain.add(prev, domain.mul(c, nr)) for prev, c in zip(cs, cs[1:])]
+              + [cs[-1]])
+    return FPoly(domain, 1, {(i,): cs[i] for i in reversed(range(len(cs)))})

@@ -5,15 +5,17 @@ order: exponents at or above it are unknown.  Precision None means the
 series is exact.  Empty terms with finite precision is an indeterminate
 O(t^p) with no known terms.
 
-Products and inverses scale the exponents of their operands to integers on
-a common grid 1/D (D the lcm of their denominators) and work on integer
+Products and quotients scale the exponents of their operands to integers
+on a common grid 1/D (D the lcm of their denominators) and work on integer
 offsets: a product is a convolution that stops each row at the result's
-precision, an inverse is the power-series recurrence for (1 + u)^(-1).
-Precision follows the known terms: a product is known up to the smaller of
-lead(a) + prec(b) and lead(b) + prec(a), and the inverse of c t^g + O(t^p)
-up to O(t^(p - 2g)).  Exponents are Fractions again in every result.
+precision, a quotient a/b is the division recurrence q (1 + u) = a / c for
+b = c t^g (1 + u), run only over the terms the result keeps, and an
+inverse is the quotient 1/b.  Precision follows the known terms: a product
+is known up to the smaller of lead(a) + prec(b) and lead(b) + prec(a), the
+inverse of c t^g + O(t^p) up to O(t^(p - 2g)), and a quotient as far as a
+times that inverse.  Exponents are Fractions again in every result.
 
-Each output coefficient of a product or inverse is one ``F.dot`` over its
+Each output coefficient of a product or quotient is one ``F.dot`` over its
 factor pairs; over Q that sums integer numerators and reduces once, so a
 term costs one Fraction instead of one per multiply and add.  A sum merges
 the two sorted term tuples in one pass.
@@ -180,7 +182,10 @@ def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
         return SeriesTrunc(F, (), p)
     # Convolve over integer offsets n = e * D on the common grid 1/D.  Terms
     # are sorted, so each row stops at the first sum at or above p.
-    D = lcm(*(e.denominator for e, _ in a.terms + b.terms))
+    # A list, not a generator: a tuple unpacked from a generator is sized
+    # by a guess and shrunk, and CPython's tuple free lists then keep one
+    # more block per call until the next full collection (peak RSS grew).
+    D = lcm(*[e.denominator for e, _ in a.terms + b.terms])
     xs = [(e.numerator * (D // e.denominator), c) for e, c in a.terms]
     ys = [(e.numerator * (D // e.denominator), c) for e, c in b.terms]
     stop = xs[-1][0] + ys[-1][0] + 1 if p is None else ceil(p * D)
@@ -212,67 +217,90 @@ def series_truncate(a: SeriesTrunc, prec) -> SeriesTrunc:
 
 
 def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:
-    """Inverse by the power-series recurrence on an integer exponent grid.
+    """1/a as the quotient ``series_div(1, a, prec)``.
 
-    Write a = c t^g (1 + u) with u's exponents positive.  For a known up to
-    O(t^p), the inverse is known up to O(t^(p - 2g)); an explicit prec
-    lowers that target, never raises it.  With D the lcm of the
-    denominators of u's exponents, u = sum_k u_k t^(k/D) and
-    (1 + u)^(-1) = sum_n b_n t^(n/D) with b_0 = 1 and
-    b_n = -sum_{k>=1} u_k b_{n-k}, computed for every grid point
-    n/D < target + g.  The result is c^(-1) t^(-g) times that sum, with
-    precision exactly the target.  A single exact term inverts exactly;
-    any other exact series needs a prec.
+    The inverse of c t^g + O(t^p) is known up to O(t^(p - 2g)); an explicit
+    prec lowers that, never raises it.
+    """
+    return series_div(s_const(a.field, a.field.one()), a, prec)
+
+
+def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
+    """a/b by one division recurrence on an integer exponent grid.
+
+    Write b = c t^g (1 + u) with u's exponents positive and a = t^l A with
+    A's offsets non-negative.  With D the lcm of the denominators of A's
+    and u's offsets, A = sum_n A_n t^(n/D), b = c t^g + sum_k b_k t^(g+k/D)
+    and the quotient is t^(l-g) sum_n q_n t^(n/D) with
+
+        q_n = c^(-1) A_n + sum_{k>=1} nu_k q_{n-k},    nu_k = -b_k c^(-1),
+
+    each q_n one ``F.dot``.  Precision is that of a times the inverse of b:
+    the inverse is known to target = min(prec(b) - 2g, prec), so the
+    quotient to p = min(l + target, prec(a) - g, prec), with prec(a) in
+    place of l for an indeterminate a.  When target + g <= 0 the inverse
+    has no known term and p <= l - g, so no q_n is kept.  A single exact
+    term divides exactly; any other exact b needs a prec.  A zero a gives
+    0, or O(t^prec) when a prec is given.
     """
     F = a.field
-    if a.is_zero():
+    if b.is_zero():
         raise ZeroDivisionError("cannot invert the zero series")
-    if a.is_indeterminate():
+    if b.is_indeterminate():
         raise PrecisionError("insufficient precision: leading term unknown")
-    c, g = a.leading()
+    g, c = b.terms[0]
     target: Optional[Fraction] = None
-    if a.prec is not None:
-        target = a.prec - 2 * g
+    if b.prec is not None:
+        target = b.prec - 2 * g
     if prec is not None:
-        target = _min_prec(target, Fraction(prec))
+        prec = Fraction(prec)
+        target = _min_prec(target, prec)
+    if target is None and len(b.terms) > 1:
+        raise PrecisionError("inverse of a multi-term exact series needs a precision")
+    if a.is_zero():
+        return SeriesTrunc(F, (), prec)
+    p: Optional[Fraction] = None
+    if target is not None:
+        p = (a.terms[0][0] if a.terms else a.prec) + target
+    if a.prec is not None:
+        p = _min_prec(p, a.prec - g)
+    p = _min_prec(p, prec)
+    if not a.terms:
+        return SeriesTrunc(F, (), p)
+    lead = a.terms[0][0]
+    da = [e - lead for e, _ in a.terms]
+    db = [e - g for e, _ in b.terms[1:]]
+    D = lcm(*[e.denominator for e in da + db])  # a list, as in series_mul
+    # A_n by integer offset; -b_k c^(-1) at increasing offsets k >= 1.
     cinv = F.inv(c)
-    if target is None:
-        if len(a.terms) > 1:
-            raise PrecisionError("inverse of a multi-term exact series needs a precision")
-        return SeriesTrunc(F, ((-g, cinv),))
-    u = [(e - g, ce) for e, ce in a.terms[1:]]
-    D = lcm(*(e.denominator for e, _ in u))
-    # -u_k at integer offsets k >= 1, increasing; None in b marks a zero b_n.
-    # The recurrence runs on c^(-1) b_n, which obeys it too, so each
-    # coefficient comes out of one F.dot.
-    nu = [(e.numerator * (D // e.denominator), F.neg(F.mul(ce, cinv)))
-          for e, ce in u]
-    b: list[Any] = [None] * max(0, ceil((target + g) * D))
-    if b:
-        b[0] = cinv
-    for n in range(1, len(b)):
+    alpha = {e.numerator * (D // e.denominator): ca
+             for e, (_, ca) in zip(da, a.terms)}
+    nu = [(e.numerator * (D // e.denominator), F.neg(F.mul(cb, cinv)))
+          for e, (_, cb) in zip(db, b.terms[1:])]
+    shift = lead - g
+    num, den = shift.numerator * D, shift.denominator * D
+    size = max(alpha) + 1 if p is None else ceil((p - shift) * D)
+    # None in q marks a zero q_n.
+    q: list[Any] = [None] * max(0, size)
+    terms = []
+    for n in range(len(q)):
         xs, ys = [], []
+        if n in alpha:
+            xs.append(cinv)
+            ys.append(alpha[n])
         for k, nuk in nu:
             if k > n:
                 break
-            prev = b[n - k]
+            prev = q[n - k]
             if prev is not None:
                 xs.append(nuk)
                 ys.append(prev)
         if xs:
             s = F.dot(xs, ys)
             if not F.is_zero(s):
-                b[n] = s
-    terms = tuple((Fraction(n, D) - g, bn)
-                  for n, bn in enumerate(b) if bn is not None)
-    return SeriesTrunc(F, terms, target)
-
-
-def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
-    out = series_mul(a, series_inv(b, prec))
-    if prec is not None:
-        out = series_truncate(out, prec)
-    return out
+                q[n] = s
+                terms.append((Fraction(num + n * shift.denominator, den), s))
+    return SeriesTrunc(F, tuple(terms), p)
 
 
 def fmt_coeff(field: BaseField, c) -> str:

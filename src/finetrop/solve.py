@@ -46,8 +46,7 @@ from .poly import (
     product_of_linear_factors,
     pushforward,
 )
-from .series import (SeriesDomain, SeriesTrunc, series, series_inv, series_mul,
-                     series_sub, series_truncate)
+from .series import SeriesDomain, SeriesTrunc, series, series_div, series_mul, series_sub
 
 
 DEFAULT_DEGREE_BOUND = 8
@@ -402,8 +401,13 @@ def kapranov_harness(f: Hom, rng, trials: int = 200, max_factors: int = 5,
 
     For each trial, p = prod (X - a_i) over the series field is expanded
     exactly; the solver's root multiset of the push-forward must equal the
-    multiset of images f(a_i).
+    multiset of images f(a_i).  A target whose base has infinitely many
+    units and is not a field, such as a phase base, cannot be solved over,
+    so it raises BaseSolveError up front.
     """
+    base = f.target.base
+    if base.units() is None and not isinstance(base, FieldHyperfield):
+        raise BaseSolveError(f"base solve incomplete over {base.name}")
     failures = []
     dom: SeriesDomain = f.source
     for trial in range(trials):
@@ -468,9 +472,9 @@ def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
 def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTrunc]:
     """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series.
 
-    The determinant is inverted once to O(t^prec); each coordinate is its
-    numerator times that inverse, truncated at prec, which is what
-    ``series_div`` computes.
+    Each coordinate is its numerator divided by the determinant to
+    O(t^prec), one ``series_div`` recurrence over the terms it keeps; the
+    determinant is never inverted on its own.
     """
     dom = P.domain
 
@@ -485,9 +489,7 @@ def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTru
     nx = series_sub(series_mul(b, g), series_mul(c, e))
     ny = series_sub(series_mul(c, d_), series_mul(a, g))
     target = Fraction(prec)
-    inv = series_inv(det, target)
-    return (series_truncate(series_mul(nx, inv), target),
-            series_truncate(series_mul(ny, inv), target))
+    return series_div(nx, det, target), series_div(ny, det, target)
 
 
 def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],

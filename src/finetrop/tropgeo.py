@@ -311,6 +311,8 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
     E = _ext_of(p)
     if p.nvars != 2:
         raise ValueError("plane curves only")
+    if not p.coeffs:
+        raise ValueError("zero polynomial")
     support = tuple(sorted(p.coeffs))
     levels = [p.coeffs[d].level.coords[0] for d in support]
     scale = math.lcm(*(x.denominator for x in levels))

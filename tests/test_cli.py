@@ -196,3 +196,23 @@ def test_eval_laurent_monomial_at_zero_is_a_json_error(capsys):
         assert code == 2, args
         doc = json.loads(out)
         assert doc["error"] == "ZeroPowerError" and "negative" in doc["message"]
+
+
+def test_intersect_with_the_zero_polynomial_is_a_json_error(capsys):
+    # Every point of the line lies on the zero curve, so an empty answer
+    # would be wrong; the zero polynomial is refused instead.
+    for pair in (("0", "X - Y"), ("X - Y", "0")):
+        code, out = run(capsys, "intersect", "--hom", "fval", "--stable", *pair)
+        assert code == 2, pair
+        doc = json.loads(out)
+        assert doc == {"error": "ValueError", "message": "zero polynomial"}
+
+
+def test_verify_kapranov_over_a_phase_base_is_one_error(capsys):
+    # phval lands in Phi x| Q, whose base cannot be solved over: one
+    # BaseSolveError up front, not a failed report with an error per trial.
+    code, out = run(capsys, "verify", "kapranov", "--hom", "phval",
+                    "--trials", "3")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "BaseSolveError" and "Phi" in doc["message"]

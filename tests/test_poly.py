@@ -29,11 +29,12 @@ from finetrop.poly import (
     proj_point,
     pushforward,
 )
-from finetrop.series import SeriesDomain, fmt_series, s_const, series
-from finetrop.fields import QQ
+from finetrop.series import SeriesDomain, fmt_series, s_const, s_zero, series
+from finetrop.fields import GF, QQ, QQi
 from finetrop.hyperfields import field_hyperfield
 
 from eval_oracle import eval_every_term, is_root_every_term
+import product_oracle
 
 
 def test_eval_over_sign():
@@ -224,6 +225,39 @@ def test_fpoly_product_of_linear_factors():
     assert fmt_series(p.coeffs[(0,)]) == "2*t"
     for r in (r1, r2):
         assert fpoly_eval(p, (r,)).is_zero()
+
+
+def test_shift_and_scale_product_matches_generic_product():
+    # Roots mix zero series, repeats, exact series and finite precisions.
+    rng = random.Random(1207)
+    seen = {"zero": 0, "repeat": 0, "prec": 0}
+    for F in (QQ, QQi, GF(5)):
+        dom = SeriesDomain(F)
+        for k in range(7):
+            for _ in range(12):
+                roots = []
+                for _ in range(k):
+                    roll = rng.random()
+                    if roll < 0.15:
+                        r = s_zero(F)
+                        seen["zero"] += 1
+                    elif roll < 0.3 and roots:
+                        r = rng.choice(roots)
+                        seen["repeat"] += 1
+                    else:
+                        prec = None
+                        if rng.random() < 0.4:
+                            prec = Fraction(rng.randint(-1, 8), rng.randint(1, 3))
+                            seen["prec"] += 1
+                        r = series(F, [(Fraction(rng.randint(-3, 6), rng.randint(1, 4)),
+                                        F.random(rng))
+                                       for _ in range(rng.randint(1, 3))], prec)
+                    roots.append(r)
+                got = product_of_linear_factors(dom, roots)
+                want = product_oracle.product_of_linear_factors(dom, roots)
+                assert got.coeffs == want.coeffs, roots
+                assert list(got.coeffs) == list(want.coeffs), roots
+    assert min(seen.values()) >= 30, seen
 
 
 def test_repr_parenthesizes_compound_coeffs():

@@ -1,5 +1,6 @@
 """Truncated series arithmetic and the valuation homomorphisms."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -223,22 +224,68 @@ def test_rational_products_and_inverses_return_fractions():
                 assert all(type(c) is Fraction for _, c in got.terms), got
 
 
-def test_solve_inverts_the_determinant_once(monkeypatch):
+def test_solve_divides_without_inverting(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return series_inv(*args, **kwargs)
 
-    monkeypatch.setattr(finetrop.solve, "series_inv", counted)
+    monkeypatch.setattr(importlib.import_module("finetrop.series"), "series_inv", counted)
+    monkeypatch.setattr(finetrop.solve, "series_inv", counted, raising=False)
     rng = random.Random(15)
     dom = SeriesDomain(QQ)
     for _ in range(8):
         P, Q = random_linear_system(dom, rng)
         calls.clear()
         got = solve_linear_2x2(P, Q)
-        assert len(calls) == 1
+        assert calls == []
         assert got == series_oracle.solve_linear_2x2(P, Q)
+
+
+def test_division_special_cases_match_reference():
+    F = QQ
+    one = s_const(F, Fraction(1))
+    two_term = series(F, [(1, 2), (Fraction(3, 2), -1)])
+    cases = {
+        "zero divisor": (one, series(F, []), 3, ZeroDivisionError),
+        "zero divisor, zero numerator": (series(F, []), series(F, []), None,
+                                         ZeroDivisionError),
+        "indeterminate divisor": (one, series(F, [], 2), 3, PrecisionError),
+        "multi-term exact divisor": (one, two_term, None, PrecisionError),
+        "zero numerator": (series(F, []), two_term, 4, "indeterminate"),
+        "zero numerator, no prec": (series(F, []), series(F, [(1, 3)], 5), None,
+                                    "zero"),
+        "indeterminate numerator": (series(F, [], 2), two_term, 4, "indeterminate"),
+        "inverse with no known term": (one, series(F, [(1, 3), (2, 1)], 3), -1,
+                                       "indeterminate"),
+        "target + g = 0": (series(F, [(0, 1), (1, 1)]), two_term, -1, "indeterminate"),
+        "single exact term": (series(F, [(-2, 3), (Fraction(1, 3), 1)]),
+                              series(F, [(Fraction(1, 2), -4)]), None, "exact"),
+        "single exact term, numerator prec": (
+            series(F, [(-2, 3), (Fraction(1, 3), 1)], 3),
+            series(F, [(Fraction(1, 2), -4)]), None, "known"),
+        "positive numerator lead, capped at prec": (
+            series(F, [(2, 1), (3, 1)]), series(F, [(0, 1), (1, 1)]), 3, "known"),
+        "negative numerator lead": (series(F, [(Fraction(-5, 3), 2), (0, 1)], 4),
+                                    two_term, 2, "known"),
+        "negative lead, finite divisor": (
+            series(F, [(Fraction(-7, 2), -1), (Fraction(-1, 4), 3)]),
+            series(F, [(Fraction(-1, 2), 1), (1, 5)], 3), None, "known"),
+    }
+    for name, (a, b, prec, kind) in cases.items():
+        got = _outcome(series_div, a, b, prec)
+        assert got == _outcome(series_oracle.series_div, a, b, prec), name
+        if isinstance(kind, type):
+            assert got is kind, name
+        elif kind == "zero":
+            assert got.is_zero(), name
+        elif kind == "indeterminate":
+            assert got.is_indeterminate(), name
+        elif kind == "exact":
+            assert got.prec is None and got.terms, name
+        else:
+            assert got.prec is not None and got.terms, name
 
 
 def test_inversion_matches_sympy_over_q():

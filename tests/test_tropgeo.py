@@ -289,6 +289,14 @@ def test_dense_quintic_cells():
                     assert J in Js
 
 
+def test_zero_polynomial_has_no_fine_curve():
+    # The corner locus of 0 is the whole plane, not an empty cell list.
+    with pytest.raises(ValueError, match="zero polynomial"):
+        fine_hypersurface(pushforward(FVAL, fpoly(DOM, 2, {})))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        fine_hypersurface(hpoly(trop(), 2, {}))
+
+
 def test_trop_project():
     cells = trop_project(line_curve())
     dims = sorted(c["dim"] for c in cells)
