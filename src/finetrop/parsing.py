@@ -6,7 +6,9 @@ mirrors the pretty-printers, so parse(pretty(x)) round-trips: rationals
 `(c, g)` with `inf`/`0` for the absorbing element, series
 `c*t^(p/q) + ... + O(t^p)`, and polynomials in `X, Y, Z` or `X1..Xn`.
 Unicode operator aliases from the notation of the subject area are
-normalized before tokenizing.
+normalized before tokenizing.  Gaussian sums, series and polynomials are
+all sums of signed terms, read by one loop; a parenthesized series
+coefficient is read in place by the series grammar.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .hyperfields import (
     quotient_build,
 )
 from .ordgroup import gelem
-from .poly import FPoly, HPoly, fpoly, hpoly
+from .poly import FPoly, HPoly, fmt_monomial, fpoly, hpoly
 from .series import SeriesDomain, SeriesTrunc, series
 
 
@@ -148,10 +150,25 @@ def parse_rational(text: str) -> Fraction:
     return x
 
 
+def _signed_terms(lx: _Lexer, term, sign: int) -> list:
+    """Terms joined by `+` and `-`: the first is term(sign), each later one
+    term(1) after a `+` or term(-1) after a `-`.  Stops at the first token
+    that joins no further term; the caller checks what follows."""
+    out = [term(sign)]
+    while True:
+        if lx.accept("sym", "+"):
+            out.append(term(1))
+        elif lx.accept("sym", "-"):
+            out.append(term(-1))
+        else:
+            return out
+
+
 def _parse_gauss(lx: _Lexer, greedy: bool = True) -> GaussRat:
-    # Sum of terms from {a, b*i, i, a/b i}.  In polynomial or series
-    # context only a single atom is read (multi-term Gaussians must be
-    # parenthesized there), so the sum's own +/- is not swallowed.
+    # Sum of terms from {a, b*i, i, a/b i}, each after an optional minus.
+    # In polynomial or series context only a single term is read
+    # (multi-term Gaussians must be parenthesized there), so the sum's own
+    # +/- is not swallowed.
     def term(sign: int) -> GaussRat:
         if lx.accept("sym", "-"):
             sign = -sign
@@ -166,19 +183,10 @@ def _parse_gauss(lx: _Lexer, greedy: bool = True) -> GaussRat:
             return GaussRat(Fraction(0), mag)
         return GaussRat(mag, Fraction(0))
 
-    total = term(1)
     if not greedy:
-        return total
-    while True:
-        if lx.accept("sym", "+"):
-            t = term(1)
-        elif lx.peek().kind == "sym" and lx.peek().text == "-":
-            lx.next()
-            t = term(-1)
-        else:
-            break
-        total = GaussRat(total.re + t.re, total.im + t.im)
-    return total
+        return term(1)
+    terms = _signed_terms(lx, term, 1)
+    return GaussRat(sum(z.re for z in terms), sum(z.im for z in terms))
 
 
 def parse_gauss(text: str) -> GaussRat:
@@ -276,6 +284,18 @@ def _parse_base_elem(H: Hyperfield, lx: _Lexer, greedy: bool = True):
     return n
 
 
+def _parse_ext_pair(E: TropicalExtension, lx: _Lexer):
+    """`(c, g_1, ..., g_k)` for an extension of rank k: (c, level)."""
+    lx.expect("sym", "(")
+    coef = _parse_base_elem(E.base, lx)
+    levels = []
+    for _ in range(E.rank):
+        lx.expect("sym", ",")
+        levels.append(_parse_rational(lx))
+    lx.expect("sym", ")")
+    return coef, gelem(*levels)
+
+
 def _parse_ext_elem(E: TropicalExtension, lx: _Lexer):
     if lx.accept("name", "inf"):
         return None
@@ -283,17 +303,11 @@ def _parse_ext_elem(E: TropicalExtension, lx: _Lexer):
             and lx.peek(1).kind == "end":
         lx.next()
         return None
-    lx.expect("sym", "(")
-    coef = _parse_base_elem(E.base, lx)
+    pos = lx.peek().pos
+    coef, level = _parse_ext_pair(E, lx)
     if coef is None or E.base.is_zero(coef):
-        raise ParseError("extension coefficient must be a base unit",
-                         lx.peek().pos)
-    levels = []
-    for _ in range(E.rank):
-        lx.expect("sym", ",")
-        levels.append(_parse_rational(lx))
-    lx.expect("sym", ")")
-    return E.elem(coef, gelem(*levels))
+        raise ParseError("extension coefficient must be a base unit", pos)
+    return E.elem(coef, level)
 
 
 def parse_elem(key, text: str):
@@ -320,56 +334,57 @@ def _parse_exponent(lx: _Lexer) -> Fraction:
     return Fraction(_parse_int(lx))
 
 
-def _series_coeff(field, lx: _Lexer, sign: int):
-    if lx.accept("sym", "("):
-        c = _parse_gauss(lx) if field is QQi else _parse_rational(lx)
-        lx.expect("sym", ")")
-    elif field is QQi:
-        c = _parse_gauss(lx, greedy=False)
-    else:
-        c = _parse_rational(lx)
-    return field.mul(c, field.from_int(sign))
+def _t_power(lx: _Lexer) -> Fraction:
+    """The exponent of `t` or `t^e`, read after the `t`."""
+    return _parse_exponent(lx) if lx.accept("sym", "^") else Fraction(1)
 
 
-def parse_series(text: str, field=QQ) -> SeriesTrunc:
-    """Parse `c*t^e + ... + O(t^p)`; bare `t` means exponent one."""
-    lx = _Lexer(text)
+def _series_scalar(field, lx: _Lexer, greedy: bool = False):
+    return _parse_gauss(lx, greedy) if field is QQi else _parse_rational(lx)
+
+
+def _parse_series(lx: _Lexer, field) -> SeriesTrunc:
+    """`c*t^e + ... + O(t^p)` up to the end of input or an unmatched `)`;
+    bare `t` means exponent one, and no terms at all the zero series."""
     terms: list[tuple[Fraction, Any]] = []
     prec = None
-    first = True
-    while not lx.at_end():
-        if first:
-            sign = -1 if lx.accept("sym", "-") else 1
-            first = False
-        elif lx.accept("sym", "+"):
-            sign = 1
-        else:
-            lx.expect("sym", "-")
-            sign = -1
-        if lx.peek().kind == "name" and lx.peek().text == "O":
-            lx.next()
+
+    def term(sign: int):
+        nonlocal prec
+        if prec is not None:
+            raise ParseError("O(t^p) must be the last term", lx.peek().pos)
+        if lx.accept("name", "O"):
             lx.expect("sym", "(")
             lx.expect("name", "t")
             lx.expect("sym", "^")
             prec = _parse_exponent(lx)
             lx.expect("sym", ")")
-            break
-        if lx.peek().kind == "name" and lx.peek().text == "t":
-            lx.next()
-            e = _parse_exponent(lx) if lx.accept("sym", "^") else Fraction(1)
-            c = field.from_int(sign)
+            return
+        if lx.accept("name", "t"):
+            terms.append((_t_power(lx), field.from_int(sign)))
+            return
+        if lx.accept("sym", "("):
+            c = _series_scalar(field, lx, greedy=True)
+            lx.expect("sym", ")")
         else:
-            c = _series_coeff(field, lx, sign)
-            if lx.accept("sym", "*"):
-                lx.expect("name", "t")
-                e = _parse_exponent(lx) if lx.accept("sym", "^") else Fraction(1)
-            else:
-                e = Fraction(0)
-        terms.append((e, c))
-    _require_end(lx)
-    if not terms and prec is None and text.strip() in ("0", ""):
-        return series(field, [])
+            c = _series_scalar(field, lx)
+        e = Fraction(0)
+        if lx.accept("sym", "*"):
+            lx.expect("name", "t")
+            e = _t_power(lx)
+        terms.append((e, field.mul(c, field.from_int(sign))))
+
+    if not lx.at_end() and lx.peek().text != ")":
+        _signed_terms(lx, term, -1 if lx.accept("sym", "-") else 1)
     return series(field, terms, prec)
+
+
+def parse_series(text: str, field=QQ) -> SeriesTrunc:
+    """Parse `c*t^e + ... + O(t^p)`; bare `t` means exponent one."""
+    lx = _Lexer(text)
+    a = _parse_series(lx, field)
+    _require_end(lx)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -388,149 +403,47 @@ def _var_index(name: str, nvars: int) -> Optional[int]:
     return None
 
 
-class _PolyParser:
+def _parse_poly(lx: _Lexer, nvars: int, ring, coeff_literal) -> dict:
     """Polynomials as sums of terms; each term multiplies one optional
-    coefficient literal with variable powers."""
+    coefficient, read by coeff_literal(), with variable powers.  ring
+    supplies one() for a missing coefficient and neg() for a `-`."""
+    if lx.at_end():
+        raise ParseError("empty polynomial", 0)
+    acc: dict[tuple, Any] = {}
 
-    def __init__(self, domain, lx: _Lexer, nvars: int):
-        self.domain = domain
-        self.lx = lx
-        self.nvars = nvars
-
-    def coeff_literal(self):
-        raise NotImplementedError
-
-    def looks_like_coeff(self) -> bool:
-        t = self.lx.peek()
-        return t.kind == "int" or t.text in ("(", "dir", "i", "t", "-")
-
-    def one(self):
-        raise NotImplementedError
-
-    def c_neg(self, a):
-        raise NotImplementedError
-
-    def parse(self):
-        lx = self.lx
-        acc: dict[tuple, Any] = {}
-        first = True
-        while not lx.at_end():
-            if first:
-                sign = -1 if lx.accept("sym", "-") else 1
-                first = False
-            elif lx.accept("sym", "+"):
-                sign = 1
-            else:
-                lx.expect("sym", "-")
-                sign = -1
-            coeff, expt = self.term()
-            if sign < 0:
-                coeff = self.c_neg(coeff)
-            key = tuple(expt)
-            if key in acc:
-                raise ParseError(
-                    "repeated monomial; hyperfield sums are set-valued",
-                    lx.peek().pos)
-            acc[key] = coeff
-        if not acc:
-            raise ParseError("empty polynomial", 0)
-        return acc
-
-    def term(self):
-        lx = self.lx
-        expt = [0] * self.nvars
+    def term(sign: int):
+        pos = lx.peek().pos
+        expt = [0] * nvars
         coeff = None
         while True:
             t = lx.peek()
-            if t.kind == "name" and _var_index(t.text, self.nvars) is not None:
+            if t.kind == "name" and _var_index(t.text, nvars) is not None:
                 lx.next()
-                k = _var_index(t.text, self.nvars)
+                k = _var_index(t.text, nvars)
                 e = _parse_int(lx) if lx.accept("sym", "^") else 1
                 expt[k] += e
-            elif coeff is None and self.looks_like_coeff():
-                coeff = self.coeff_literal()
+            elif coeff is None and (t.kind == "int" or t.text in
+                                    ("(", "dir", "i", "t", "-")):
+                coeff = coeff_literal()
             else:
                 break
             if not lx.accept("sym", "*"):
                 break
         if coeff is None:
-            if expt == [0] * self.nvars:
+            if expt == [0] * nvars:
                 raise ParseError("expected a term", lx.peek().pos)
-            coeff = self.one()
-        return coeff, expt
+            coeff = ring.one()
+        if sign < 0:
+            coeff = ring.neg(coeff)
+        key = tuple(expt)
+        if key in acc:
+            raise ParseError(
+                f"repeated monomial {fmt_monomial(key) or '1'}", pos)
+        acc[key] = coeff
 
-
-class _HPolyParser(_PolyParser):
-    def __init__(self, H: Hyperfield, lx: _Lexer, nvars: int):
-        super().__init__(H, lx, nvars)
-        self.H = H
-
-    def one(self):
-        return self.H.one()
-
-    def c_neg(self, a):
-        return self.H.neg(a)
-
-    def coeff_literal(self):
-        H, lx = self.H, self.lx
-        if isinstance(H, TropicalExtension):
-            if lx.peek().text == "(":
-                lx.expect("sym", "(")
-                coef = _parse_base_elem(H.base, lx)
-                levels = []
-                for _ in range(H.rank):
-                    lx.expect("sym", ",")
-                    levels.append(_parse_rational(lx))
-                lx.expect("sym", ")")
-                return H.elem(coef, gelem(*levels))
-            raise ParseError("extension coefficients are written (c, g)",
-                             lx.peek().pos)
-        if lx.accept("sym", "("):
-            x = _parse_base_elem(H, lx)
-            lx.expect("sym", ")")
-            return x
-        return _parse_base_elem(H, lx, greedy=False)
-
-
-class _FPolyParser(_PolyParser):
-    def __init__(self, dom: SeriesDomain, lx: _Lexer, nvars: int):
-        super().__init__(dom, lx, nvars)
-        self.dom = dom
-
-    def one(self):
-        return self.dom.one()
-
-    def c_neg(self, a):
-        return self.dom.neg(a)
-
-    def coeff_literal(self):
-        dom, lx = self.dom, self.lx
-        if lx.accept("sym", "("):
-            # A full series literal in parentheses.
-            depth = 1
-            start = lx.i
-            while depth:
-                t = lx.next()
-                if t.kind == "end":
-                    raise ParseError("unbalanced parenthesis", t.pos)
-                if t.text == "(":
-                    depth += 1
-                elif t.text == ")":
-                    depth -= 1
-            inner = lx.toks[start:lx.i - 1]
-            text = _detokenize(inner)
-            return parse_series(text, dom.field)
-        if lx.peek().kind == "name" and lx.peek().text == "t":
-            lx.next()
-            e = _parse_exponent(lx) if lx.accept("sym", "^") else Fraction(1)
-            return series(dom.field, {e: dom.field.one()})
-        c = (_parse_gauss(lx, greedy=False) if dom.field is QQi
-             else _parse_rational(lx))
-        return series(dom.field, {Fraction(0): c})
-
-
-def _detokenize(toks) -> str:
-    return " ".join(t.text for t in toks)
+    _signed_terms(lx, term, -1 if lx.accept("sym", "-") else 1)
+    _require_end(lx)
+    return acc
 
 
 def parse_poly(key, text: str, nvars: Optional[int] = None) -> HPoly:
@@ -538,8 +451,20 @@ def parse_poly(key, text: str, nvars: Optional[int] = None) -> HPoly:
     H = hyperfield_by_name(key) if isinstance(key, str) else key
     n = nvars if nvars is not None else _guess_nvars(text)
     lx = _Lexer(text)
-    acc = _HPolyParser(H, lx, n).parse()
-    return hpoly(H, n, acc)
+
+    def coeff_literal():
+        if isinstance(H, TropicalExtension):
+            if lx.peek().text != "(":
+                raise ParseError("extension coefficients are written (c, g)",
+                                 lx.peek().pos)
+            return H.elem(*_parse_ext_pair(H, lx))
+        if lx.accept("sym", "("):
+            x = _parse_base_elem(H, lx)
+            lx.expect("sym", ")")
+            return x
+        return _parse_base_elem(H, lx, greedy=False)
+
+    return hpoly(H, n, _parse_poly(lx, n, H, coeff_literal))
 
 
 def parse_fpoly(dom: SeriesDomain, text: str,
@@ -547,8 +472,19 @@ def parse_fpoly(dom: SeriesDomain, text: str,
     """Parse a polynomial with truncated-series coefficients."""
     n = nvars if nvars is not None else _guess_nvars(text)
     lx = _Lexer(text)
-    acc = _FPolyParser(dom, lx, n).parse()
-    return fpoly(dom, n, acc)
+    F = dom.field
+
+    def coeff_literal():
+        if lx.accept("sym", "("):
+            # A full series literal in parentheses.
+            c = _parse_series(lx, F)
+            lx.expect("sym", ")")
+            return c
+        if lx.accept("name", "t"):
+            return series(F, {_t_power(lx): F.one()})
+        return series(F, {Fraction(0): _series_scalar(F, lx)})
+
+    return fpoly(dom, n, _parse_poly(lx, n, dom, coeff_literal))
 
 
 def _guess_nvars(text: str) -> int:

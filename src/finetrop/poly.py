@@ -49,13 +49,9 @@ class HPoly:
         H = self.hyperfield
         if not self.coeffs:
             return "0"
-        names = _var_names(self.nvars)
         parts = []
         for d in sorted(self.coeffs, reverse=True):
-            mono = "*".join(
-                f"{names[i]}" if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(d) if e != 0
-            )
+            mono = fmt_monomial(d)
             c = H.fmt(self.coeffs[d])
             if c[0] != "(" and ("+" in c[1:] or "-" in c[1:]):
                 # A signed compound coefficient needs parentheses to keep
@@ -65,10 +61,12 @@ class HPoly:
         return " + ".join(parts)
 
 
-def _var_names(n: int) -> list[str]:
-    if n <= 3:
-        return ["X", "Y", "Z"][:n]
-    return [f"X{i+1}" for i in range(n)]
+def fmt_monomial(d: Expt) -> str:
+    """The monomial x^d as printed, e.g. X^2*Y; "" for the constant one."""
+    names = (["X", "Y", "Z"] if len(d) <= 3
+             else [f"X{i+1}" for i in range(len(d))])
+    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                    for i, e in enumerate(d) if e != 0)
 
 
 def hpoly(H: Hyperfield, nvars: int, coeffs: Mapping[Expt, Any]) -> HPoly:
@@ -105,8 +103,8 @@ def initial_support(p: HPoly, point: Sequence,
     for k in range(p.hyperfield.rank):
         cs = [coeffs[d].level.coords[k] for d in support]
         xs = [(i, g[k]) for i, g in live]
-        den = math.lcm(*(c.denominator for c in cs),
-                       *(x.denominator for _, x in xs))
+        den = math.lcm(*[c.denominator for c in cs],
+                       *[x.denominator for _, x in xs])
         xs = [(i, x.numerator * (den // x.denominator)) for i, x in xs]
         cols.append([c.numerator * (den // c.denominator)
                      + sum(d[i] * x for i, x in xs)

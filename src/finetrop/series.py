@@ -155,7 +155,7 @@ def series_add(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
 
 
 def series_neg(a: SeriesTrunc) -> SeriesTrunc:
-    return SeriesTrunc(a.field, tuple((e, a.field.neg(c)) for e, c in a.terms), a.prec)
+    return SeriesTrunc(a.field, tuple([(e, a.field.neg(c)) for e, c in a.terms]), a.prec)
 
 
 def series_sub(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:

@@ -315,7 +315,7 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
         raise ValueError("zero polynomial")
     support = tuple(sorted(p.coeffs))
     levels = [p.coeffs[d].level.coords[0] for d in support]
-    scale = math.lcm(*(x.denominator for x in levels))
+    scale = math.lcm(*[x.denominator for x in levels])
     lift = Lift(support, {d: x.numerator * (scale // x.denominator)
                           for d, x in zip(support, levels)}, scale)
     vertices = _vertices(lift)

@@ -5,14 +5,16 @@ import random
 
 import pytest
 
-from finetrop.fields import QQ, gauss
+from finetrop.fields import GF, QQ, gauss
 from finetrop.hyperfields import (
     Arc,
     ArcSet,
+    FiniteSV,
     K,
     P,
     PHI,
     S,
+    SignHyperfield,
     W,
     check_axioms,
     dir_of_gauss,
@@ -95,6 +97,47 @@ def test_quotient_gf7():
     assert els(H, H.add(1, 1)) == {1, 3}
     assert H.neg(1) == 3
     assert not H.is_stringent()
+
+
+def test_axioms_report_a_second_additive_inverse():
+    class DoubledSigns(SignHyperfield):
+        # a + a = {0, a}: 0 lies in 1 + 1 although -1 != 1.
+        name = "S'"
+
+        def add(self, a, b):
+            if a == b != 0:
+                return FiniteSV(frozenset([0, a]))
+            return super().add(a, b)
+
+    fails = check_axioms(DoubledSigns())
+    assert "inverse of 1 not unique: 0 in 1 + 1" in fails
+    assert "inverse of -1 not unique: 0 in -1 + -1" in fails
+    assert len(fails) == len(set(fails))
+
+
+def _pair_search_witness(H):
+    for a in H.units():
+        for b in H.units():
+            if len(H.add(a, b).elems) > 1 and b != H.neg(a):
+                return (a, b)
+    return None
+
+
+def test_quotient_witness_matches_the_pair_search():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for d in range(1, p):
+            if (p - 1) % d:
+                continue
+            H = quotient_build(p, [x for x in range(1, p) if pow(x, d, p) == 1])
+            assert H.elements() == sorted(set(H.rep(x) for x in range(p)))
+            assert H.stringency_witness() == _pair_search_witness(H), H.name
+
+
+def test_field_draws_match_a_choice_from_the_elements():
+    F = GF(101)
+    a, b = random.Random(4), random.Random(4)
+    assert [field_hyperfield(F).random_element(a) for _ in range(50)] == \
+        [b.choice(F.elements()) for _ in range(50)]
 
 
 def test_quotient_bad_subgroup():

@@ -17,7 +17,7 @@ from finetrop.parsing import (
     parse_rational,
     parse_series,
 )
-from finetrop.series import SeriesDomain, fmt_series
+from finetrop.series import SeriesDomain, fmt_series, series
 
 KEYS = ["K", "S", "W", "P", "Phi", "Q", "Qi", "GF5", "GF5/{1,4}",
         "GF7/{1,2,4}", "T", "TR", "TC", "T^2", "Qx|Q", "Qix|Q"]
@@ -100,8 +100,45 @@ def test_hyperfield_by_name_errors():
 
 
 def test_repeated_monomial_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="repeated monomial X "):
         parse_poly("S", "X + X")
+    # Over series the reason is the repetition itself, not set-valued sums.
+    with pytest.raises(ParseError, match=r"^repeated monomial X \(at position 4\)$"):
+        parse_fpoly(SeriesDomain(QQ), "X + X")
+    with pytest.raises(ParseError, match="repeated monomial X\\^2\\*Y "):
+        parse_fpoly(SeriesDomain(QQ), "X^2*Y - t*Y*X^2")
+    with pytest.raises(ParseError, match="repeated monomial 1 "):
+        parse_poly("T", "(1, 2) + X + (1, 3)")
+
+
+def test_empty_parenthesized_series_is_zero():
+    dom = SeriesDomain(QQ)
+    assert parse_fpoly(dom, "()*X + 1").coeffs == {(0,): dom.one()}
+    assert parse_fpoly(dom, "(O(t^2))*X + ( )").coeffs == {
+        (1,): parse_series("O(t^2)")}
+    with pytest.raises(ParseError):
+        parse_series("()")
+    with pytest.raises(ParseError):
+        parse_fpoly(dom, "(1 + t*X")
+
+
+def test_fpoly_round_trips_printed_series_systems():
+    rng = random.Random(3)
+    for field in (QQ, QQi):
+        dom = SeriesDomain(field)
+        for _ in range(100):
+            cs = []
+            for _ in range(3):
+                c = dom.random(rng)
+                if rng.random() < 0.4:
+                    c = series(field, c.terms,
+                               Fraction(rng.randint(-2, 9), rng.randint(1, 3)))
+                cs.append(c)
+            text = " + ".join(f"({fmt_series(c)}){m}"
+                              for c, m in zip(cs, ("*X", "*Y", "")))
+            q = parse_fpoly(dom, text, nvars=2)
+            for c, d in zip(cs, [(1, 0), (0, 1), (0, 0)]):
+                assert q.coeffs.get(d, dom.zero()) == c, text
 
 
 def test_multivariate_guess():
