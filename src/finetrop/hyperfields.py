@@ -655,13 +655,12 @@ class QuotientHyperfield(FiniteHyperfield):
         # The first unit outside the cosets found so far is the least
         # member of its own coset, so the representatives come in order.
         self._rep = {0: 0}
-        self._cosets = {0: frozenset([0])}
+        self._reps = [0]
         for a in range(1, p):
             if a not in self._rep:
-                coset = frozenset((a * u) % p for u in U)
-                self._cosets[a] = coset
-                for x in coset:
-                    self._rep[x] = a
+                self._reps.append(a)
+                for u in U:
+                    self._rep[(a * u) % p] = a
         self.name = f"GF{p}/{{{','.join(map(str, sorted(U)))}}}"
         self._add_table: dict[tuple[int, int], FiniteSV] = {}
 
@@ -687,16 +686,16 @@ class QuotientHyperfield(FiniteHyperfield):
         key = (a, b) if a <= b else (b, a)
         cached = self._add_table.get(key)
         if cached is None:
-            out = set()
-            for x in self._cosets[a]:
-                for y in self._cosets[b]:
-                    out.add(self.rep((x + y) % self.field.p))
-            cached = FiniteSV(frozenset(out))
+            # a*u + b*v = u*(a + b*w) with w = v/u in U, so the cosets in the
+            # sum of the cosets of a and b are those of a + b*w.
+            p = self.field.p
+            cached = FiniteSV(frozenset(self._rep[(a + b * w) % p]
+                                        for w in self.U))
             self._add_table[key] = cached
         return cached
 
     def elements(self):
-        return list(self._cosets)
+        return list(self._reps)
 
     def is_stringent(self):
         return self.stringency_witness() is None
@@ -731,7 +730,7 @@ class PhaseHyperfield(Hyperfield):
         return a is None
 
     def neg(self, a):
-        return dir_neg(a)
+        return None if a is None else dir_neg(a)
 
     def mul(self, a, b):
         return dir_mul(a, b)

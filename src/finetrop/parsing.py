@@ -403,6 +403,9 @@ def _var_index(name: str, nvars: int) -> Optional[int]:
     return None
 
 
+_UNWRITTEN = object()  # a term without a coefficient; None is 0 over P, Phi
+
+
 def _parse_poly(lx: _Lexer, nvars: int, ring, coeff_literal) -> dict:
     """Polynomials as sums of terms; each term multiplies one optional
     coefficient, read by coeff_literal(), with variable powers.  ring
@@ -414,7 +417,7 @@ def _parse_poly(lx: _Lexer, nvars: int, ring, coeff_literal) -> dict:
     def term(sign: int):
         pos = lx.peek().pos
         expt = [0] * nvars
-        coeff = None
+        coeff = _UNWRITTEN
         while True:
             t = lx.peek()
             if t.kind == "name" and _var_index(t.text, nvars) is not None:
@@ -422,14 +425,14 @@ def _parse_poly(lx: _Lexer, nvars: int, ring, coeff_literal) -> dict:
                 k = _var_index(t.text, nvars)
                 e = _parse_int(lx) if lx.accept("sym", "^") else 1
                 expt[k] += e
-            elif coeff is None and (t.kind == "int" or t.text in
-                                    ("(", "dir", "i", "t", "-")):
+            elif coeff is _UNWRITTEN and (t.kind == "int" or t.text in
+                                          ("(", "dir", "i", "t", "-")):
                 coeff = coeff_literal()
             else:
                 break
             if not lx.accept("sym", "*"):
                 break
-        if coeff is None:
+        if coeff is _UNWRITTEN:
             if expt == [0] * nvars:
                 raise ParseError("expected a term", lx.peek().pos)
             coeff = ring.one()

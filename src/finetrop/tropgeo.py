@@ -7,15 +7,16 @@ minimum of level(c_d) + d.g is attained exactly; their polyhedra live in
 Q^2 with exact rational constraints.
 
 The cells are dual to the regular subdivision of the Newton polygon
-induced by the lifted points (d, level(c_d)): vertices to its polygons,
-edges to its edges.  So J is never searched over all subsets of the
-support, and no cell is solved from rows: with the levels scaled to
-integers by their common denominator, a vertex's J is the argmin set at
-the point where a non-collinear triple of exponents ties (found by
-integer Cramer's rule), and an edge's J is the set of support points
-whose lifted points are collinear with a pair inside a vertex's J (or
-any pair, when the support is collinear and there is no vertex).  An
-edge's interval ends at the vertices holding its J.  Since cells are
+induced by the lifted points (d, level(c_d)): vertices to its lower
+faces, edges to their sides (Maclagan-Sturmfels, Introduction to
+Tropical Geometry, Prop. 3.1.6).  So J is never searched over subsets
+of the support, and no cell is solved from rows: with the levels scaled
+to integers by their common denominator, one walk over the lower faces
+meets each cell once.  A vertex's J is the argmin set at its point.
+Each side of conv(J) gives an edge, whose J is the points of J on that
+side, and whose far end is the first tie met along its tie line (found
+by integer Cramer's rule); with no tie it is a ray.  A collinear support
+has no vertex, and its edges are whole lines.  Since cells are
 relatively open, a point lies in the cell J exactly when J is its argmin
 set, an integer test.
 
@@ -33,7 +34,6 @@ homotopy read mixed volumes off the same pairs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -72,33 +72,22 @@ class Interval:
     hi_strict: bool
 
     def is_empty(self) -> bool:
-        if self.lo is None or self.hi is None:
+        if self.lo is None or self.hi is None or self.lo < self.hi:
             return False
-        if self.lo < self.hi:
-            return False
-        if self.lo == self.hi:
-            return self.lo_strict or self.hi_strict
-        return True
+        return self.lo > self.hi or self.lo_strict or self.hi_strict
+
+
+def _tighter(x, x_strict, y, y_strict, sign: int):
+    """The tighter of the bounds x and y (None is no bound) with its
+    strictness: the larger for sign 1, the smaller for sign -1."""
+    if x is None or (y is not None and (y - x) * sign > 0):
+        return y, y_strict
+    return x, x_strict or (x == y and y_strict)
 
 
 def _intersect_intervals(a: Interval, b: Interval) -> Interval:
-    if a.lo is None:
-        lo, los = b.lo, b.lo_strict
-    elif b.lo is None or a.lo > b.lo:
-        lo, los = a.lo, a.lo_strict
-    elif b.lo > a.lo:
-        lo, los = b.lo, b.lo_strict
-    else:
-        lo, los = a.lo, a.lo_strict or b.lo_strict
-    if a.hi is None:
-        hi, his = b.hi, b.hi_strict
-    elif b.hi is None or a.hi < b.hi:
-        hi, his = a.hi, a.hi_strict
-    elif b.hi < a.hi:
-        hi, his = b.hi, b.hi_strict
-    else:
-        hi, his = a.hi, a.hi_strict or b.hi_strict
-    return Interval(lo, los, hi, his)
+    return Interval(*_tighter(a.lo, a.lo_strict, b.lo, b.lo_strict, 1),
+                    *_tighter(a.hi, a.hi_strict, b.hi, b.hi_strict, -1))
 
 
 @dataclass(frozen=True)
@@ -207,75 +196,111 @@ def _ext_of(p: HPoly) -> TropicalExtension:
     return H
 
 
-def _vertices(lift: Lift) -> dict:
-    """Vertex cells as J -> (x, y, den), the point (x, y) / den, den > 0.
+def _first_tie(lift: Lift, p: Expt, q: Expt, w: tuple[int, int]):
+    """The vertex met first walking along the tie line of p and q in the
+    direction w, perpendicular to q - p, as (x, y, den); None on a ray.
 
-    A vertex's J holds a non-collinear triple and is the argmin set where
-    that triple ties.  The argmin set is collected while the exponents are
-    walked, and a triple is dropped as soon as some exponent falls strictly
-    below its tie.
+    It is the tie of p and q with the d, among the support points with
+    (d - p).w < 0 (those falling towards p and q along w), whose tie has
+    the least w.g, a positive multiple of k/m below: the ties are compared
+    by cross-multiplication and only the first is solved, by Cramer's rule.
     """
-    lev, s, support = lift.lev, lift.scale, lift.support
-    vertices = {}
-    for a, b, c in itertools.combinations(support, 3):
-        bx, by, cx, cy = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
-        det = bx * cy - by * cx
-        if det == 0:
-            continue
-        # (d - a).g = level_a - level_d for d = b, c, by Cramer's rule on
-        # the scaled levels: g = (nx, ny) / (scale * det).
-        rb, rc = lev[a] - lev[b], lev[a] - lev[c]
-        nx, ny = rb * cy - rc * by, bx * rc - cx * rb
-        if det < 0:
-            det, nx, ny = -det, -nx, -ny
-        # v is s * det * (level_d + d.g) at g: with no v below a's, J is
-        # the argmin set at g and holds a.
-        tie = det * lev[a] + a[0] * nx + a[1] * ny
-        J = []
-        for d in support:
-            v = det * lev[d] + d[0] * nx + d[1] * ny
-            if v < tie:
-                break
-            if v == tie:
+    lev, ux, uy = lift.lev, q[0] - p[0], q[1] - p[1]
+    rq, norm, c = lev[q] - lev[p], ux * ux + uy * uy, None
+    for d in lift.support:
+        ex, ey = d[0] - p[0], d[1] - p[1]
+        m = ex * w[0] + ey * w[1]
+        if m < 0:
+            k = (ex * ux + ey * uy) * rq - norm * (lev[d] - lev[p])
+            if c is None or k * cm < ck * m:
+                c, ck, cm = d, k, m
+    if c is None:
+        return None
+    # (d - p).g = level_p - level_d for d = q, c: g = (x, y) / (scale * det).
+    cx, cy, rc = c[0] - p[0], c[1] - p[1], lev[p] - lev[c]
+    det = ux * cy - uy * cx
+    x, y = -rq * cy - rc * uy, ux * rc + cx * rq
+    return (x, y, lift.scale * det) if det > 0 else (-x, -y, -lift.scale * det)
+
+
+def _lower_edge(lift: Lift, a: Expt, u: tuple[int, int]) -> tuple:
+    """a and the support points ahead of it on the line a + Q*u with the
+    least lifted slope from a: the lower edge that leaves a along u, for u
+    with a before every point ahead ((a,) when no point lies ahead)."""
+    lev, J, best = lift.lev, [a], None
+    for d in lift.support:
+        ex, ey = d[0] - a[0], d[1] - a[1]
+        k = ex * u[0] + ey * u[1]
+        if k > 0 and ex * u[1] == ey * u[0]:
+            r = lev[d] - lev[a]  # the slope is r / k
+            if best is None or r * best[1] < best[0] * k:
+                J, best = [a, d], (r, k)
+            elif r * best[1] == best[0] * k:
                 J.append(d)
-        else:
-            vertices.setdefault(tuple(J), (nx, ny, s * det))
-    return vertices
+    return tuple(J)
 
 
-def _edges(lift: Lift, vertices: dict) -> dict:
-    """Candidate edge sets J -> the vertex sets that hold them.
+def _corners(J: tuple) -> list:
+    """Corners of conv(J) counter-clockwise from J[0], for sorted J (the
+    two ends of a collinear J), by the monotone chain."""
+    corners = []
+    for chain in (J, J[::-1]):  # lower hull, then upper hull
+        part: list = []
+        for d in chain:
+            while len(part) > 1 and ((part[-1][0] - part[-2][0]) * (d[1] - part[-2][1])
+                                     <= (part[-1][1] - part[-2][1]) * (d[0] - part[-2][0])):
+                part.pop()
+            part.append(d)
+        corners += part[:-1]
+    return corners
 
-    An edge's J holds every d whose lifted point is collinear with those
-    of a pair in J (a tied d left out would make the cell empty), and lies
-    inside the J of every vertex at its ends.  A collinear support has no
-    vertex, and any pair of it may span an edge.
+
+def _walk(lift: Lift):
+    """The lower faces of the lifted support, each met once.
+
+    Returns the vertex cells as J -> (x, y, den), the point (x, y) / den
+    with den > 0, and the edge cells as J -> their ends [((x, y, den), w)],
+    w the direction in which the edge leaves that vertex.  The walk enters
+    on the lower edge that leaves the least exponent a along a side of
+    Newt(p), a ray, at its first tie walking inward; with no tie the
+    support is collinear, and its edges are the chain of lower edges.
     """
-    lev = lift.lev
-    edges: dict = {}
-    for A in vertices or [lift.support]:
-        for a, b in itertools.combinations(A, 2):
-            ux, uy, ul = b[0] - a[0], b[1] - a[1], lev[b] - lev[a]
-            J = tuple(d for d in A
-                      if (d[0] - a[0]) * uy == (d[1] - a[1]) * ux
-                      and (d[0] - a[0]) * ul == ux * (lev[d] - lev[a])
-                      and (d[1] - a[1]) * ul == uy * (lev[d] - lev[a]))
-            edges.setdefault(J, set())
-            if vertices:
-                edges[J].add(A)
-    return edges
+    support, vertices, edges = lift.support, {}, {}
+    if len(support) < 2:
+        return vertices, edges
+    a, b = _corners(support)[:2]
+    u = (b[0] - a[0], b[1] - a[1])  # no exponent lies right of a -> b
+    J = _lower_edge(lift, a, u)
+    first = _first_tie(lift, a, J[1], (u[1], -u[0]))
+    if first is None:
+        while len(J) > 1:
+            edges[J] = []
+            J = _lower_edge(lift, J[-1], u)
+        return vertices, edges
+    todo = [lift.argmin(*first)]
+    vertices[todo[0]] = first
+    while todo:
+        J = todo.pop()
+        corners = _corners(J)
+        for p, q in zip(corners, corners[1:] + corners[:1]):
+            ux, uy = q[0] - p[0], q[1] - p[1]
+            E = tuple(d for d in J if (d[0] - p[0]) * uy == (d[1] - p[1]) * ux)
+            new, w = E not in edges, (-uy, ux)
+            edges.setdefault(E, []).append((vertices[J], w))
+            nxt = new and _first_tie(lift, p, q, w)
+            if nxt and (K := lift.argmin(*nxt)) not in vertices:
+                vertices[K] = nxt
+                todo.append(K)
+    return vertices, edges
 
 
-def _edge_line(lift: Lift, J: tuple, ends: dict, vertices: dict):
-    """(p0, v, interval) of the edge cell J, or None when it is empty.
+def _edge_line(lift: Lift, J: tuple, ends: list):
+    """(p0, v, interval) of the edge cell J.
 
     p0 and v come from the tie of J[0] and J[1]: p0 is where that line
-    meets the axis gX = 0 (gY = 0 when it is vertical).  The interval ends
-    at the vertices holding J.  At such a vertex the cell lies on the side
-    where the vertex's other exponents rise above J; when they rise on
-    opposite sides, J is a diagonal of the vertex's polygon and no cell.
-    With no vertex (a collinear support) the cell is the whole line, when
-    J is the argmin set on it.
+    meets the axis gX = 0 (gY = 0 when it is vertical).  The interval
+    starts at an end whose edge leaves along v and stops at one whose edge
+    leaves against v; with no end (a collinear support) it is the line.
     """
     a, b, n = lift.tie(J[0], J[1])
     if b:
@@ -283,30 +308,18 @@ def _edge_line(lift: Lift, J: tuple, ends: dict, vertices: dict):
     else:
         p0 = (Fraction(-n, lift.scale * a), Fraction(0))
     v = _primitive(-b, a)
-    lo = hi = None
-    for A in ends:
-        x, y, den = vertices[A]
-        t = Fraction(x, den * v[0]) if v[0] else Fraction(y, den * v[1])
-        rises = {(d[0] - J[0][0]) * v[0] + (d[1] - J[0][1]) * v[1] > 0
-                 for d in A if d not in J}
-        if len(rises) > 1:
-            return None
-        if True in rises:
-            lo = t
-        else:
-            hi = t
-    if not ends and lift.argmin_at(p0) != J:
-        return None
-    return p0, v, Interval(lo, lo is not None, hi, hi is not None)
+    t = {w[0] * v[0] + w[1] * v[1] > 0:  # True: the end is the low one
+         Fraction(x, den * v[0]) if v[0] else Fraction(y, den * v[1])
+         for (x, y, den), w in ends}
+    return p0, v, Interval(t.get(True), True in t, t.get(False), False in t)
 
 
 def fine_hypersurface(p: HPoly) -> FineCurve:
     """Cells of the corner locus with their initial-form conditions.
 
     Cells are read off the regular subdivision of the Newton polygon on
-    the integer-scaled levels: vertices from tied triples, edges from the
-    lifted closures of pairs inside a vertex, with intervals ending at
-    their vertices.  Cells are sorted by (len(J), J).
+    the integer-scaled levels by one walk over its lower faces, with edge
+    intervals ending at their vertices.  Cells are sorted by (len(J), J).
     """
     E = _ext_of(p)
     if p.nvars != 2:
@@ -318,18 +331,14 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
     scale = math.lcm(*[x.denominator for x in levels])
     lift = Lift(support, {d: x.numerator * (scale // x.denominator)
                           for d, x in zip(support, levels)}, scale)
-    vertices = _vertices(lift)
-    edges = _edges(lift, vertices)
+    vertices, edges = _walk(lift)
     cells = []
     for J in sorted([*vertices, *edges], key=lambda J: (len(J), J)):
         if J in vertices:
             x, y, den = vertices[J]
             shape = (0, (Fraction(x, den), Fraction(y, den)), None, None, None)
         else:
-            line = _edge_line(lift, J, edges[J], vertices)
-            if line is None:
-                continue
-            shape = (1, None, *line)
+            shape = (1, None, *_edge_line(lift, J, edges[J]))
         base_cond = hpoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
         cells.append(Cell(J, *shape, base_cond, lift))
     return FineCurve(p, tuple(cells))
@@ -389,8 +398,7 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     if not isinstance(H, FieldHyperfield):
         raise BaseSolveError(f"base solving unsupported over {H.name}")
     F = H.field
-    kA = _classify_cond(F, condA)
-    kB = _classify_cond(F, condB)
+    kA, kB = _classify_cond(F, condA), _classify_cond(F, condB)
     if kA[0] == "monomial" or kB[0] == "monomial":
         return ("points", [])
     if kA[0] == "affine" and kB[0] == "affine":
@@ -403,8 +411,7 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
                 return ("points", [(u, v)])
             return ("points", [])
         # Dependent or inconsistent affine pair.
-        sols = _affine_rank1(F, kA[1], kB[1])
-        return sols
+        return _affine_rank1(F, kA[1], kB[1])
     if kA[0] == "binomial" and kB[0] == "binomial":
         return _binomial_pair(F, kA, kB, (condA, condB))
     # Mixed affine and binomial.
@@ -415,20 +422,13 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
 
 
 def _affine_rank1(F: BaseField, r1, r2):
-    a1, b1, c1 = r1
-    a2, b2, c2 = r2
-
-    def proportional():
-        # r2 = k r1 for the scalar k matched on a nonzero coordinate.
-        for x1, x2 in ((a1, a2), (b1, b2)):
-            if not F.is_zero(x1):
-                k = F.div(x2, x1)
-                return (a2 == F.mul(k, a1) and b2 == F.mul(k, b1)
-                        and c2 == F.mul(k, c1))
-        return False
-
-    if proportional():
-        return ("family", "one affine condition, one free unit")
+    (a1, b1, c1), (a2, b2, c2) = r1, r2
+    # r2 = k r1 for the scalar k matched on a nonzero coordinate.
+    x1, x2 = (b1, b2) if F.is_zero(a1) else (a1, a2)
+    if not F.is_zero(x1):
+        k = F.div(x2, x1)
+        if (a2, b2, c2) == (F.mul(k, a1), F.mul(k, b1), F.mul(k, c1)):
+            return ("family", "one affine condition, one free unit")
     # det = 0 and the rows are not proportional: no solution at all.
     return ("points", [])
 

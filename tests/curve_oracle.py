@@ -8,9 +8,10 @@ against the strict inequalities of the other support points.  It is kept
 only as a slow oracle for the tests (2^n subsets for n monomials).  The
 row helpers serve the pair-scan oracle in ``intersect_oracle`` too.
 
-``vertices_every_triple`` is how ``finetrop.tropgeo._vertices`` found the
-vertices before it dropped a triple at the first exponent below its tie:
-it takes the full argmin set of every non-collinear triple.
+``vertices_every_triple`` is how the vertices were found before
+``fine_hypersurface`` walked the lower faces of the lifted support: it
+takes the full argmin set of every non-collinear triple, C(n, 3) of them.
+It is the oracle for the walk's vertex cells.
 """
 
 from __future__ import annotations

@@ -35,6 +35,16 @@ def test_eval_phase(capsys):
     assert json.loads(out)["contains_zero"] is False
 
 
+def test_eval_drops_a_written_zero_coefficient_over_phases(capsys):
+    for key in ("P", "Phi"):
+        code, out = run(capsys, "eval", "--hyperfield", key,
+                        "0*X + 1", "dir(-1,0)")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["poly"] == "dir(1,0)" and doc["value"] == "{dir(1,0)}"
+        assert doc["contains_zero"] is False
+
+
 def test_axioms_reports_stringency(capsys):
     code, out = run(capsys, "axioms", "--hyperfield", "W")
     doc = json.loads(out)

@@ -122,6 +122,17 @@ def test_empty_parenthesized_series_is_zero():
         parse_fpoly(dom, "(1 + t*X")
 
 
+@pytest.mark.parametrize("key", ["P", "Phi", "K", "S"])
+def test_written_zero_coefficient_is_dropped(key):
+    # The zero of P and Phi is None, which must not read as "no coefficient
+    # written" (and so as one).
+    one = hyperfield_by_name(key).one()
+    assert parse_poly(key, "0*X + 1").coeffs == {(0,): one}
+    assert parse_poly(key, "X + 0").coeffs == {(1,): one}
+    assert parse_poly(key, "1 - 0*X").coeffs == {(0,): one}
+    assert parse_poly(key, "0*X").coeffs == {}
+
+
 def test_fpoly_round_trips_printed_series_systems():
     rng = random.Random(3)
     for field in (QQ, QQi):

@@ -91,13 +91,17 @@ def _triangle(deg):
 
 
 def _oracle_curves():
-    """Collinear, degenerate and dense supports, with equal and generic
-    levels, pushed along val, sval and fval."""
+    """Collinear (also off the axes and with gaps), Laurent, degenerate and
+    dense supports, with equal and generic levels, pushed along val, sval
+    and fval."""
     rng = random.Random(5)
     homs = (hom_val(), hom_sval(), hom_fval())
     curves = [pushforward(h, parse_fpoly(DOM, text, nvars=2))
-              for h in homs for text in ("X + X^2 + X^3", "t*X + X^2 + t^2*X^3",
-                                         "1 + X*Y + t*X^2*Y^2")]
+              for h in homs for text in (
+                  "X + X^2 + X^3", "t*X + X^2 + t^2*X^3", "1 + X*Y + t*X^2*Y^2",
+                  "1 + t*X^2*Y + X^4*Y^2", "X^3 + t*X^2*Y^2 + X*Y^4",
+                  "X^-1*Y + t + t^2*X*Y^-1 + X^2",
+                  "X^-2 + t*X^-1*Y^3 + Y + t^3*X")]
     for k in range(36):
         deg = 1 + k % 4
         tri = _triangle(deg)
@@ -111,10 +115,14 @@ def _oracle_curves():
 
 
 def test_vertices_match_every_triple_oracle():
+    # The walk over the lower faces meets the same vertices as the argmin
+    # sets of every non-collinear triple.
     for hp in _oracle_curves():
-        lift = fine_hypersurface(hp).cells[0].lift
-        got = tropgeo._vertices(lift)
-        assert list(got.items()) == list(vertices_every_triple(lift).items())
+        C = fine_hypersurface(hp)
+        want = vertices_every_triple(C.cells[0].lift)
+        assert {c.J: c.point for c in C.cells if c.dim == 0} == {
+            J: (Fraction(x, den), Fraction(y, den))
+            for J, (x, y, den) in want.items()}, hp
 
 
 def test_fine_point_check_sums_only_minimal_level_terms(monkeypatch):
@@ -257,23 +265,30 @@ def test_dense_quintic_cells():
     # 21 monomials: the subset search would try about 2 * 10^6 sets.
     # Strictly convex levels, perturbed by less than their second
     # differences, lift every monomial onto the lower hull: the subdivision
-    # is a unimodular triangulation with 25 triangles and 45 edges.
+    # is a unimodular triangulation with 25 triangles and 45 edges (64 and
+    # 108 in degree 8, with 45 monomials, crossed by fewer lines since each
+    # costs a Fraction argmin for every pair of monomials).
     rng = random.Random(11)
+    for deg, counts, lines in ((5, (25, 45), 12), (8, (64, 108), 3)):
+        _check_dense_cells(rng, deg, counts, lines)
+
+
+def _check_dense_cells(rng, deg, counts, lines):
     hp = pushforward(hom_val(), fpoly(DOM, 2, {
         (i, j): series(QQ, [(i * i + i * j + j * j
                              + Fraction(rng.randint(-9, 9), 50),
                              Fraction(rng.randint(1, 9)))])
-        for i, j in _triangle(5)}))
+        for i, j in _triangle(deg)}))
     C = fine_hypersurface(hp)
     assert (sum(c.dim == 0 for c in C.cells),
-            sum(c.dim == 1 for c in C.cells)) == (25, 45)
+            sum(c.dim == 1 for c in C.cells)) == counts
     for cell in C.cells:
         assert _argmin(hp, _relative_interior_point(cell)) == cell.J
     # Every point of the curve lies in a cell: cross random lines and take
     # the argmin wherever two of its monomials tie at the minimum.
     Js = {c.J for c in C.cells}
     support = sorted(hp.coeffs)
-    for _ in range(12):
+    for _ in range(lines):
         p = (Fraction(rng.randint(-20, 20), 7), Fraction(rng.randint(-20, 20), 7))
         w = (Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, -1)))
         for a in support:
