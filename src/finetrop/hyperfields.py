@@ -6,7 +6,12 @@ tropical phase hyperfield Phi, and factor hyperfields GF(p)/U.
 
 Phase elements are unit directions with rational slope, stored as primitive
 integer pairs; no floating point angles appear anywhere.  A set value over P
-or Phi is a canonical ArcSet.  Each arc computation sorts the endpoints
+or Phi is a canonical ArcSet.  A phase sum of two points, or with a {0}
+operand, is read off in closed form: {0} + B = B, and two points a, b sum
+to {a}, to their antipodal pair with zero (P) or the circle with zero (Phi),
+or to the arc between them the short way round, oriented by the sign of
+cross(a, b).  Only the other sums (an operand with an arc, with two points,
+or with a point and zero) use the refinement, which sorts the endpoints
 involved once, as cuts that split the circle into atoms (the cut points and
 the open gaps between them), and works on atom indices: every arc is a
 cyclic run of atoms, the sum of two atoms is a run in closed form, and
@@ -262,13 +267,9 @@ def _canonical_arcs(raw: Sequence[Arc], full: bool, has_zero: bool) -> ArcSet:
 def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
     """Elementwise hyperaddition of two arc sets over P or Phi.
 
-    The cuts are every endpoint of both summands and its negative, so the
-    antipode of atom k is atom k + n, and the sum of two atoms is a run of
-    atoms in closed form: x + x = {x}; antipodal atoms sum to a set holding
-    zero, which over P is the two points themselves when both are points
-    and otherwise the full circle; any other pair sums to the atoms strictly
-    between them the short way round, plus each end that is a gap, plus
-    both ends over Phi.
+    A sum with a full circle, with an operand holding no arc ({0} or the
+    empty set), or of two single points without zero is read off in closed
+    form; every other sum goes through the refinement of ``_refined_sum``.
     """
     if A.full or B.full:
         # A full circle dominates: summing it against any set of directions
@@ -279,6 +280,40 @@ def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
         if other.has_zero:
             return ArcSet((), True, A.has_zero and B.has_zero)
         return ARCSET_EMPTY
+    if not A.arcs or not B.arcs:
+        # {0} + Y = Y, Y being canonical; an empty summand sums to nothing.
+        X, Y = (A, B) if not A.arcs else (B, A)
+        return Y if X.has_zero else ARCSET_EMPTY
+    if (len(A.arcs) == 1 and len(B.arcs) == 1 and not A.has_zero
+            and not B.has_zero and A.arcs[0].is_point() and B.arcs[0].is_point()):
+        a, b = A.arcs[0].start, B.arcs[0].start
+        c = cross(a, b)
+        if c:
+            # The arc from a to b the short way round.
+            arc = Arc(a, b, closed, closed) if c > 0 else Arc(b, a, closed, closed)
+            return ArcSet((arc,), False, False)
+        if a == b:
+            return A
+        if closed:
+            return ARCSET_FULL_ZERO
+        na = dir_neg(a)
+        lo, hi = (a, na) if dir_cmp(a, na) < 0 else (na, a)
+        return ArcSet((point_arc(lo), point_arc(hi)), False, True)
+    return _refined_sum(A, B, closed)
+
+
+def _refined_sum(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
+    """``phase_add_sets`` of two arc sets, neither a full circle, on one
+    refinement of the circle.
+
+    The cuts are every endpoint of both summands and its negative, so the
+    antipode of atom k is atom k + n, and the sum of two atoms is a run of
+    atoms in closed form: x + x = {x}; antipodal atoms sum to a set holding
+    zero, which over P is the two points themselves when both are points
+    and otherwise the full circle; any other pair sums to the atoms strictly
+    between them the short way round, plus each end that is a gap, plus
+    both ends over Phi.
+    """
     cuts = sort_dirs(e for X in (A, B) for a in X.arcs
                      for d in (a.start, a.end) for e in (d, dir_neg(d)))
     n = len(cuts)
@@ -682,16 +717,17 @@ class QuotientHyperfield(FiniteHyperfield):
     def inv(self, a):
         return self.rep(self.field.inv(a))
 
+    def _coset_sum(self, a, b) -> FiniteSV:
+        # a*u + b*v = u*(a + b*w) with w = v/u in U, so the cosets in the
+        # sum of the cosets of a and b are those of a + b*w.
+        p = self.field.p
+        return FiniteSV(frozenset(self._rep[(a + b * w) % p] for w in self.U))
+
     def add(self, a, b):
         key = (a, b) if a <= b else (b, a)
         cached = self._add_table.get(key)
         if cached is None:
-            # a*u + b*v = u*(a + b*w) with w = v/u in U, so the cosets in the
-            # sum of the cosets of a and b are those of a + b*w.
-            p = self.field.p
-            cached = FiniteSV(frozenset(self._rep[(a + b * w) % p]
-                                        for w in self.U))
-            self._add_table[key] = cached
+            cached = self._add_table[key] = self._coset_sum(a, b)
         return cached
 
     def elements(self):
@@ -703,9 +739,11 @@ class QuotientHyperfield(FiniteHyperfield):
     def stringency_witness(self):
         # a + b = a(1 + b/a), so a witness (a, b) gives the witness
         # (1, b/a); 1 is the least unit, so the first witness has a = 1.
+        # The sums 1 + b are not cached: the scan would fill the add table
+        # with one entry per unit.
         one = self.one()
         for b in self.units():
-            if b != self.neg(one) and len(self.add(one, b).elems) > 1:
+            if b != self.neg(one) and len(self._coset_sum(one, b).elems) > 1:
                 return (one, b)
         return None
 
@@ -924,6 +962,9 @@ def _triples(H: Hyperfield, rng, samples: int):
                 for c in els:
                     yield a, b, c
         return
+    if samples < 1:
+        raise ValueError(f"axioms over {H.name} are checked on sampled "
+                         f"triples: samples must be at least 1, not {samples}")
     for _ in range(samples):
         yield (H.random_element(rng), H.random_element(rng), H.random_element(rng))
 
@@ -932,9 +973,11 @@ def check_axioms(H: Hyperfield, rng=None, samples: int = 1000) -> list[str]:
     """Verify the hyperfield axioms; returns a list of failure messages.
 
     Every axiom, the uniqueness of additive inverses included, is checked
-    on all triples of a finite hyperfield with at most 20,000 of them and
-    on sampled triples otherwise.  Associativity is checked as equality of
-    the set values (a + b) + c and a + (b + c), both computed by folding.
+    on all triples of a finite hyperfield with at most 20,000 of them, and
+    otherwise on ``samples`` sampled triples (``ValueError`` if samples < 1,
+    so that a check of no triple cannot pass).  Associativity is checked as
+    equality of the set values (a + b) + c and a + (b + c), both computed
+    by folding.
     """
     if rng is None:
         import random
@@ -951,8 +994,9 @@ def check_axioms(H: Hyperfield, rng=None, samples: int = 1000) -> list[str]:
         ab = H.add(a, b)
         if ab != H.add(b, a):
             fail(f"commutativity fails at {H.fmt(a)}, {H.fmt(b)}")
+        bc = H.add(b, c)
         lhs = H.add_set_elem(ab, c)
-        rhs = H.add_set_elem(H.add(b, c), a)
+        rhs = H.add_set_elem(bc, a)
         if lhs != rhs:
             fail(f"associativity fails at {H.fmt(a)}, {H.fmt(b)}, {H.fmt(c)}")
         if H.add(a, zero) != H.singleton(a):
@@ -965,7 +1009,7 @@ def check_axioms(H: Hyperfield, rng=None, samples: int = 1000) -> list[str]:
             fail(f"inverse of {H.fmt(a)} not unique: 0 in {H.fmt(a)} + {H.fmt(b)}")
         # Reversibility: a in b + c  iff  c in a + (-b).
         nb = H.neg(b) if not H.is_zero(b) else zero
-        if H.set_contains(H.add(b, c), a) != H.set_contains(H.add(a, nb), c):
+        if H.set_contains(bc, a) != H.set_contains(H.add(a, nb), c):
             fail(f"reversibility fails at {H.fmt(a)}, {H.fmt(b)}, {H.fmt(c)}")
         # Distributivity of multiplication over hyperaddition.
         if not H.is_zero(c):

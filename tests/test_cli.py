@@ -54,6 +54,21 @@ def test_axioms_reports_stringency(capsys):
     assert json.loads(out)["stringent"] is True
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_axioms_refuse_to_sample_no_triple(capsys, samples):
+    # P is infinite, so its triples are sampled: checking none must not pass.
+    code, out = run(capsys, "axioms", "--hyperfield", "P", "--samples", samples)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError" and "samples" in doc["message"]
+
+
+def test_axioms_of_a_small_finite_hyperfield_ignore_samples(capsys):
+    # 3^3 triples are checked exhaustively, whatever --samples says.
+    code, out = run(capsys, "axioms", "--hyperfield", "S", "--samples", "0")
+    assert code == 0 and json.loads(out)["status"] == "pass"
+
+
 def test_pushforward_and_tropicalize(capsys):
     code, out = run(capsys, "pushforward", "X + Y - 1")
     doc = json.loads(out)

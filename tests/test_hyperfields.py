@@ -7,6 +7,9 @@ import pytest
 
 from finetrop.fields import GF, QQ, gauss
 from finetrop.hyperfields import (
+    ARCSET_EMPTY,
+    ARCSET_FULL_ZERO,
+    ARCSET_ZERO,
     Arc,
     ArcSet,
     FiniteSV,
@@ -28,6 +31,8 @@ from finetrop.hyperfields import (
     phase_add_sets,
     point_arc,
     quotient_build,
+    sort_dirs,
+    _refined_sum,
 )
 
 import phase_oracle
@@ -133,6 +138,14 @@ def test_quotient_witness_matches_the_pair_search():
             assert H.stringency_witness() == _pair_search_witness(H), H.name
 
 
+def test_stringency_witness_leaves_the_add_table_alone():
+    # The scan sums 1 + b for every unit b; none of them is kept.
+    H = quotient_build(101, [1])
+    H.add(1, 1)
+    assert H.stringency_witness() is None
+    assert list(H._add_table) == [(1, 1)]
+
+
 def test_field_draws_match_a_choice_from_the_elements():
     F = GF(101)
     a, b = random.Random(4), random.Random(4)
@@ -169,6 +182,24 @@ def test_phase_short_arc():
     assert not sv.contains_dir(a)  # open arc over P
     closed = PHI.add(a, b)
     assert closed.contains_dir(a)  # closed arc over Phi
+
+
+def test_phase_point_sums_match_refinement():
+    # Every pair of the operands the closed forms read off, and of the full
+    # circles beside them: each sum equals the oracle's, and each one
+    # without a full circle equals the refinement's too.
+    dirs = sort_dirs(make_dir(p, q) for p in range(-4, 5)
+                     for q in range(-4, 5) if p or q)
+    ops = [ARCSET_EMPTY, ARCSET_ZERO, ArcSet((), True, False), ARCSET_FULL_ZERO]
+    for d in dirs:
+        ops += [ArcSet((point_arc(d),), False, zero) for zero in (False, True)]
+    for H in (P, PHI):
+        for A in ops:
+            for B in ops:
+                got = phase_add_sets(A, B, H.closed)
+                assert got == phase_oracle.phase_add_sets(A, B, H.closed), (A, B)
+                if not (A.full or B.full):
+                    assert got == _refined_sum(A, B, H.closed), (A, B)
 
 
 def test_phase_axioms_sampled():
