@@ -6,16 +6,20 @@ tropical phase hyperfield Phi, and factor hyperfields GF(p)/U.
 
 Phase elements are unit directions with rational slope, stored as primitive
 integer pairs; no floating point angles appear anywhere.  A set value over P
-or Phi is a canonical ArcSet.  A phase sum of two points, or with a {0}
-operand, is read off in closed form: {0} + B = B, and two points a, b sum
-to {a}, to their antipodal pair with zero (P) or the circle with zero (Phi),
-or to the arc between them the short way round, oriented by the sign of
-cross(a, b).  Only the other sums (an operand with an arc, with two points,
-or with a point and zero) use the refinement, which sorts the endpoints
-involved once, as cuts that split the circle into atoms (the cut points and
-the open gaps between them), and works on atom indices: every arc is a
-cyclic run of atoms, the sum of two atoms is a run in closed form, and
-stitching the maximal runs of the marked atoms gives the canonical result.
+or Phi is a canonical ArcSet.  A phase sum with a {0} operand, of two
+points, or of a point and an arc is read off in closed form: {0} + B = B;
+two points a, b sum to {a}, to their antipodal pair with zero (P) or the
+circle with zero (Phi), or to the arc between them the short way round,
+oriented by the sign of cross(a, b); a point a and an arc B sum to the hull
+of a and B on the circle cut at -a, or, when -a lies in B, to the circle
+with zero or (over P, -a a closed end of B) one arc closed at -a with zero.
+Only the other sums use the refinement: P's {a, -a, 0} plus a point, an
+arc plus an arc, and any sum with an operand of several components or with
+zero beside its arcs.  The refinement sorts the endpoints involved once, as
+cuts that split the circle into atoms (the cut points and the open gaps
+between them), and works on atom indices: every arc is a cyclic run of
+atoms, the sum of two atoms is a run in closed form, and stitching the
+maximal runs of the marked atoms gives the canonical result.
 """
 
 from __future__ import annotations
@@ -51,11 +55,20 @@ class Dir:
         return f"dir({self.p},{self.q})"
 
 
+def _primitive_dir(p: int, q: int) -> Dir:
+    """The Dir of a pair that is primitive by construction, built without
+    the gcd check of the public constructor."""
+    d = object.__new__(Dir)
+    object.__setattr__(d, "p", p)
+    object.__setattr__(d, "q", q)
+    return d
+
+
 def make_dir(p: int, q: int) -> Dir:
     if p == 0 and q == 0:
         raise ValueError("zero is not a direction")
-    g = math.gcd(abs(p), abs(q))
-    return Dir(p // g, q // g)
+    g = math.gcd(p, q)
+    return _primitive_dir(p // g, q // g)
 
 
 def dir_of_gauss(z: GaussRat) -> Dir:
@@ -67,7 +80,7 @@ def dir_of_gauss(z: GaussRat) -> Dir:
 
 
 def dir_neg(a: Dir) -> Dir:
-    return Dir(-a.p, -a.q)
+    return _primitive_dir(-a.p, -a.q)
 
 
 def dir_mul(a: Dir, b: Dir) -> Dir:
@@ -268,8 +281,11 @@ def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
     """Elementwise hyperaddition of two arc sets over P or Phi.
 
     A sum with a full circle, with an operand holding no arc ({0} or the
-    empty set), or of two single points without zero is read off in closed
-    form; every other sum goes through the refinement of ``_refined_sum``.
+    empty set), or of one point and one arc (itself maybe a point), neither
+    with zero, is read off in closed form.  Every other sum goes
+    through the refinement of ``_refined_sum``: P's {a, -a, 0} plus a
+    point, an arc plus an arc, and any sum with an operand of several
+    components or with zero beside its arcs.
     """
     if A.full or B.full:
         # A full circle dominates: summing it against any set of directions
@@ -284,27 +300,85 @@ def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
         # {0} + Y = Y, Y being canonical; an empty summand sums to nothing.
         X, Y = (A, B) if not A.arcs else (B, A)
         return Y if X.has_zero else ARCSET_EMPTY
-    if (len(A.arcs) == 1 and len(B.arcs) == 1 and not A.has_zero
-            and not B.has_zero and A.arcs[0].is_point() and B.arcs[0].is_point()):
-        a, b = A.arcs[0].start, B.arcs[0].start
-        c = cross(a, b)
-        if c:
-            # The arc from a to b the short way round.
-            arc = Arc(a, b, closed, closed) if c > 0 else Arc(b, a, closed, closed)
-            return ArcSet((arc,), False, False)
-        if a == b:
-            return A
-        if closed:
-            return ARCSET_FULL_ZERO
-        na = dir_neg(a)
-        lo, hi = (a, na) if dir_cmp(a, na) < 0 else (na, a)
-        return ArcSet((point_arc(lo), point_arc(hi)), False, True)
+    if (len(A.arcs) == 1 and len(B.arcs) == 1
+            and not A.has_zero and not B.has_zero):
+        x, y = A.arcs[0], B.arcs[0]
+        if not x.is_point():
+            x, y = y, x
+        if x.is_point():
+            if y.is_point():
+                return _point_plus_point(x.start, y.start, closed)
+            return _point_plus_arc(x.start, y, closed)
     return _refined_sum(A, B, closed)
+
+
+def _point_plus_point(a: Dir, b: Dir, closed: bool) -> ArcSet:
+    """{a} + {b}: {a} for a == b, the antipodal pair with zero (P) or the
+    circle with zero (Phi) for b == -a, else the arc between them the short
+    way round."""
+    c = cross(a, b)
+    if c:
+        arc = Arc(a, b, closed, closed) if c > 0 else Arc(b, a, closed, closed)
+        return ArcSet((arc,), False, False)
+    if a == b:
+        return ArcSet((point_arc(a),), False, False)
+    if closed:
+        return ARCSET_FULL_ZERO
+    na = dir_neg(a)
+    lo, hi = (a, na) if dir_cmp(a, na) < 0 else (na, a)
+    return ArcSet((point_arc(lo), point_arc(hi)), False, True)
+
+
+def _point_plus_arc(a: Dir, arc: Arc, closed: bool) -> ArcSet:
+    """{a} + B for an arc B that is not a single point.
+
+    a + x is the segment from a to x the short way round: closed over Phi,
+    open over P, and {a} for x == a.
+    - If -a is not in B, cut the circle at -a.  B is an interval there,
+      with a in the middle, and the sum is the hull of a and B.  An end at
+      a is closed over Phi, and over P only when a is in B.  An end of B
+      is closed only over Phi, and only where B's is; so an end at -a,
+      which B leaves out, is open.
+    - If -a is in B, the sum holds zero and is the whole circle, except
+      over P with -a a closed end of B.  Then it is one arc, closed at -a,
+      that runs to a, or on to B's far end (open there) when a lies
+      inside B.
+    """
+    na = dir_neg(a)
+    s, e = arc.start, arc.end
+    if arc.contains(na):
+        if closed or (na != s and na != e):
+            return ARCSET_FULL_ZERO
+        if na == s:
+            hull = (Arc(na, e, True, False) if dir_between(na, a, e)
+                    else Arc(na, a, True, True))
+        else:
+            hull = (Arc(s, na, False, True) if dir_between(s, a, na)
+                    else Arc(a, na, True, True))
+        return ArcSet((hull,), False, True)
+    if s == e:
+        # The circle minus -a: every a + x lies in it, and covers it.
+        return ArcSet((arc,), False, False)
+    cs, ce = closed and arc.closed_start, closed and arc.closed_end
+    if a == s or cross(a, s) > 0:
+        # B starts at or after a.
+        hull = Arc(a, e, closed or (a == s and arc.closed_start), ce)
+    elif a == e or cross(a, e) < 0:
+        # B ends at or before a.
+        hull = Arc(s, a, cs, closed or (a == e and arc.closed_end))
+    else:
+        hull = Arc(s, e, cs, ce)
+    return ArcSet((hull,), False, False)
 
 
 def _refined_sum(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
     """``phase_add_sets`` of two arc sets, neither a full circle, on one
     refinement of the circle.
+
+    ``phase_add_sets`` calls it only for the shapes it has no closed form
+    for (an arc plus an arc, an operand with zero or with several
+    components); the tests also use it as the reference for the closed
+    forms.
 
     The cuts are every endpoint of both summands and its negative, so the
     antipode of atom k is atom k + n, and the sum of two atoms is a run of
@@ -816,13 +890,21 @@ class PhaseHyperfield(Hyperfield):
             if self.set_is_empty(S):
                 return ARCSET_EMPTY
             return ARCSET_ZERO
-        if S.full:
+        if S.full or not S.arcs:
             return S
-        arcs = tuple(
-            Arc(dir_mul(c, a.start), dir_mul(c, a.end), a.closed_start, a.closed_end)
-            for a in S.arcs
-        )
-        return _canonical_arcs(list(arcs), False, S.has_zero)
+        # A rotation keeps the arcs of a canonical set disjoint and in cyclic
+        # order, so the rotated tuple is canonical once it starts at the arc
+        # with the least start.
+        arcs = []
+        for a in S.arcs:
+            start = dir_mul(c, a.start)
+            end = start if a.end == a.start else dir_mul(c, a.end)
+            arcs.append(Arc(start, end, a.closed_start, a.closed_end))
+        k = 0
+        for i in range(1, len(arcs)):
+            if dir_cmp(arcs[i].start, arcs[k].start) < 0:
+                k = i
+        return ArcSet(tuple(arcs[k:] + arcs[:k]), False, S.has_zero)
 
     def set_elements(self, S) -> list:
         if not S.is_finite():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 LT, EQ, GT = -1, 0, 1
 
@@ -91,12 +91,3 @@ def group_div(a: GroupElem, n: int) -> GroupElem:
     if n == 0:
         raise ZeroDivisionError("cannot divide group element by 0")
     return GroupElem(tuple(x / n for x in a.coords))
-
-
-def to_json(a: GroupElem) -> list[str]:
-    return [str(c) for c in a.coords]
-
-
-def from_json(data: Iterable[str]) -> GroupElem:
-    coords = tuple(Fraction(c) for c in data)
-    return GroupElem(coords)

@@ -369,12 +369,6 @@ class SeriesDomain:
             terms.append((e, c))
         return series(self.field, terms)
 
-    def random_unit(self, rng) -> SeriesTrunc:
-        while True:
-            s = self.random(rng)
-            if not s.is_zero():
-                return s
-
 
 # ---------------------------------------------------------------------------
 # Enriched valuations

@@ -12,6 +12,7 @@ from finetrop.hyperfields import (
     ARCSET_ZERO,
     Arc,
     ArcSet,
+    Dir,
     FiniteSV,
     K,
     P,
@@ -20,6 +21,7 @@ from finetrop.hyperfields import (
     SignHyperfield,
     W,
     check_axioms,
+    dir_neg,
     dir_of_gauss,
     field_hyperfield,
     hom_check,
@@ -36,6 +38,7 @@ from finetrop.hyperfields import (
 )
 
 import phase_oracle
+import phase_sweep
 
 
 def els(H, sv):
@@ -162,6 +165,18 @@ def test_quotient_bad_subgroup():
 # Phase hyperfields
 
 
+def test_dir_constructor_checks_primitivity():
+    # make_dir and dir_neg skip the check; the public constructor keeps it.
+    for p, q in ((2, 4), (0, 0), (-3, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            Dir(p, q)
+    with pytest.raises(ValueError):
+        make_dir(0, 0)
+    assert make_dir(-6, 4) == Dir(-3, 2)
+    assert make_dir(0, -5) == Dir(0, -1)
+    assert dir_neg(make_dir(4, -2)) == Dir(-2, 1)
+
+
 def test_phase_point_sums():
     d = make_dir(1, 0)
     assert els(P, P.add(d, d)) == {d}
@@ -200,6 +215,11 @@ def test_phase_point_sums_match_refinement():
                 assert got == phase_oracle.phase_add_sets(A, B, H.closed), (A, B)
                 if not (A.full or B.full):
                     assert got == _refined_sum(A, B, H.closed), (A, B)
+
+
+def test_phase_point_arc_sums_match_refinement():
+    # 16 directions, 976 arcs, both operand orders, over P and Phi.
+    assert phase_sweep.sweep(2) == 62_464
 
 
 def test_phase_axioms_sampled():

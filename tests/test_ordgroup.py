@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from finetrop.ordgroup import (
-    from_json,
     gelem,
     group_add,
     group_div,
@@ -12,7 +11,6 @@ from finetrop.ordgroup import (
     gzero,
     lex_compare,
     scalar_mul,
-    to_json,
 )
 
 
@@ -42,8 +40,3 @@ def test_lex_compare():
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         group_add(gelem(1), gelem(1, 2))
-
-
-def test_json_roundtrip():
-    a = gelem(Fraction(7, 3), -2)
-    assert from_json(to_json(a)) == a
