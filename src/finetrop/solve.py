@@ -13,8 +13,10 @@ scanned over them, and a phase base raises ``BaseSolveError``.
 Baker-Lorscheid multiplicities reduce to the base: a root (c, h) on the
 Newton cell (h, J) has the multiplicity of c in the initial form
 sum_{j in J} c_j x^j over the base hyperfield.  Base multiplicities come
-from the quotients of division by x - a, one depth-first recurrence that
-over a field is plain synthetic division.
+from the quotients of division by x - a alone, one memoised recursion that
+over a field is plain synthetic division: by Lemma A of Baker-Lorscheid
+(2021) a unit a is a root of p exactly when p has such a quotient, so no
+level of the recursion evaluates p.
 
 Also: multiplicity-bound checks, instance-level relative-algebraic-closedness
 checks, and the Kapranov / fundamental-theorem verification harnesses.
@@ -38,6 +40,7 @@ from .ordgroup import GroupElem, group_div, group_sub, scalar_mul
 from .poly import (
     FPoly,
     HPoly,
+    ZeroPowerError,
     fpoly,
     hpoly1,
     initial_support,
@@ -152,69 +155,58 @@ def base_roots(H: Hyperfield, coeffs: dict[int, Any]) -> list:
 def multiplicity(p: HPoly, a) -> int:
     """Root multiplicity of a (0 when a is not a root).
 
-    Over a tropical extension a nonzero root (c, h) lies on the Newton cell
-    (h, J), and its multiplicity is the base multiplicity of c in the
-    initial form sum_{j in J} c_j x^(j - min J) over the base hyperfield.
+    At zero it is the least exponent of p.  Over a tropical extension a
+    nonzero a = (c, h) makes the levels attain their minimum on an index
+    set J, and its multiplicity is the base multiplicity of c in the
+    initial form sum_{j in J} c_j x^j over the base hyperfield.
 
-    Over a base hyperfield the multiplicity is 1 + the maximum over the
-    quotients of division by x - a: q_{n-1} = c_n, q_{i-1} ranges over
-    c_i + a q_i, and a quotient is kept when c_0 = -a q_0.  Over a field
-    every sum is a singleton, so this is plain synthetic division.  Phase
-    bases raise BaseSolveError.
+    The coefficients are then shifted by their least exponent, which
+    multiplies by a unit, and the degree bound applies to the result.  By
+    Lemma A of Baker-Lorscheid ("Descartes' rule of signs, Newton polygons,
+    and polynomials over hyperfields", 2021) a unit a is a root exactly
+    when p has a quotient by x - a, so the multiplicity is 0 without a
+    quotient and otherwise 1 + the maximum over the quotients: no
+    evaluation is needed.  Over a field every sum is a singleton, so this
+    is plain synthetic division.  Phase bases raise BaseSolveError.
     """
-    return _multiplicity(p, a, {})
-
-
-def _multiplicity(p: HPoly, a, memo: dict) -> int:
-    """``multiplicity`` with a memo shared by the quotient recursion."""
     H = p.hyperfield
     coeffs = _univariate_coeffs(p)
     if not coeffs:
         return 0
-    n = max(coeffs)
-    if n > DEFAULT_DEGREE_BOUND:
-        raise ValueError(f"degree {n} exceeds the bound {DEFAULT_DEGREE_BOUND}")
-    if not is_root(p, (a,)):
-        return 0
-    if isinstance(H, TropicalExtension) and a is not None:
-        # Continue over the base with the initial form at the Newton cell
-        # (h, J): the root (c, h) makes the levels attain their minimum on J
-        # and c a root of sum_{j in J} c_j x^(j - min J).
+    if H.is_zero(a):
+        lo = min(coeffs)
+        if lo < 0:
+            raise ZeroPowerError("0^k undefined for negative k")
+        return lo
+    if isinstance(H, TropicalExtension):
         J = [d[0] for d in initial_support(p, (a,), p.support)]
         H, a = H.base, a.coef
-        coeffs = {j - J[0]: coeffs[j].coef for j in J}
-        n = max(coeffs)
-    key = (tuple(sorted(coeffs.items(), key=lambda kv: kv[0])), a)
-    if key in memo:
-        return memo[key]
-
-    if H.is_zero(a):
-        # Dividing by X shifts the coefficients down by one.
-        q = hpoly1(H, {i - 1: c for i, c in coeffs.items() if i >= 1})
-        m = 1 + _multiplicity(q, a, memo)
-        memo[key] = m
-        return m
+        coeffs = {j: coeffs[j].coef for j in J}
+    lo = min(coeffs)
+    n = max(coeffs) - lo
+    if n > DEFAULT_DEGREE_BOUND:
+        raise ValueError(f"degree {n} exceeds the bound {DEFAULT_DEGREE_BOUND}")
     if isinstance(H, PhaseHyperfield):
         raise BaseSolveError(f"multiplicity over {H.name} is not supported")
+    memo: dict[tuple, int] = {}
 
-    best = 0
-    for qc in _quotients(H, coeffs, n, a):
-        m = _multiplicity(hpoly1(H, dict(enumerate(qc))), a, memo)
-        if m > best:
-            best = m
-    m = 1 + best
-    memo[key] = m
-    return m
+    def m(c: tuple) -> int:
+        if c not in memo:
+            memo[c] = max((1 + m(q) for q in _quotients(H, c, a)), default=0)
+        return memo[c]
+
+    return m(tuple(coeffs.get(lo + i, H.zero()) for i in range(n + 1)))
 
 
-def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a) -> set[tuple]:
-    """All quotients (q_0, ..., q_{n-1}) of sum c_i x^i by x - a.
+def _quotients(H: Hyperfield, c: tuple, a) -> set[tuple]:
+    """All quotients (q_0, ..., q_{n-1}) of c_0 + ... + c_n x^n by x - a.
 
-    Zero is an ordinary coefficient here: missing c_i are zero, and a zero
-    in c_i + a q_i is a choice of q_{i-1} like any other.
+    q_{n-1} = c_n, q_{i-1} ranges over c_i + a q_i, and a quotient is kept
+    when c_0 = -a q_0.  Zero is an ordinary coefficient here: a zero in
+    c_i + a q_i is a choice of q_{i-1} like any other.  A constant has no
+    quotients.
     """
-    zero = H.zero()
-    c = [coeffs.get(i, zero) for i in range(n + 1)]
+    n = len(c) - 1
     neg_a = H.neg(a)
     out: set[tuple] = set()
 
@@ -228,7 +220,8 @@ def _quotients(H: Hyperfield, coeffs: dict[int, Any], n: int, a) -> set[tuple]:
         for x in H.set_elements(H.add(c[i], H.mul(a, q[0]))):
             rec((x,) + q)
 
-    rec((c[n],))
+    if n > 0:
+        rec((c[n],))
     return out
 
 
@@ -247,15 +240,15 @@ def roots_univariate(p: HPoly) -> list[RootRecord]:
     # Newton cells have distinct levels and base_roots returns distinct
     # units, so every root below is new.
     for cell in newton_cells(p):
-        sub = {j: coeffs[j].coef for j in cell.J}
+        # The root (x, h) has the multiplicity of x in the cell's initial form.
+        sub = {j - cell.J[0]: coeffs[j].coef for j in cell.J}
+        form = hpoly1(H.base, sub)
         for x in base_roots(H.base, sub):
             r = ExtElem(x, cell.level)
-            # multiplicity evaluates p at r and returns 0 exactly when r is
-            # not a root, so this is the check that the solver found roots.
-            m = multiplicity(p, r)
-            if m == 0:
+            if not is_root(p, (r,)):
                 raise SolverInvariantError(f"solver produced a non-root {r} of {p}")
-            out.append(RootRecord(r, m, f"cell h={cell.level} J={cell.J}"))
+            out.append(RootRecord(r, multiplicity(form, x),
+                                  f"cell h={cell.level} J={cell.J}"))
     return out
 
 
@@ -285,8 +278,8 @@ def mult_bound_check(H: Hyperfield, rng, trials: int = 100, deg: int = 6) -> lis
     """Sampled check of: sum of root multiplicities <= degree.
 
     Roots over a tropical extension come from ``roots_univariate``; any
-    other hyperfield is scanned over its units, so one with infinitely many
-    raises BaseSolveError.
+    other hyperfield sums the multiplicities at all its elements, so one
+    with infinitely many units raises BaseSolveError.
     """
     extension = isinstance(H, TropicalExtension)
     if not extension and H.units() is None:
@@ -298,16 +291,9 @@ def mult_bound_check(H: Hyperfield, rng, trials: int = 100, deg: int = 6) -> lis
         d = rng.randint(1, deg)
         p = random_hpoly(H, rng, d)
         if extension:
-            recs = roots_univariate(p)
+            total = sum(r.multiplicity for r in roots_univariate(p))
         else:
-            recs = []
-            coeffs = _univariate_coeffs(p)
-            if min(coeffs) > 0:
-                recs.append(RootRecord(H.zero(), min(coeffs), "zero root"))
-            for x in H.units():
-                if is_root(p, (x,)):
-                    recs.append(RootRecord(x, multiplicity(p, x), "unit scan"))
-        total = sum(r.multiplicity for r in recs)
+            total = sum(multiplicity(p, x) for x in H.elements())
         if total > p.degree():
             failures.append(f"bound violated: {p} has mult sum {total}")
     return failures

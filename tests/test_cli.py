@@ -24,6 +24,19 @@ def test_roots_json(capsys):
     assert rec["multiplicity"] == 2
 
 
+def test_roots_degree_bound_is_on_the_initial_form(capsys):
+    # Each cell's initial form 1 + x^5 is within the bound of 8, though the
+    # polynomial has degree 10; 1 + x^9 is its own initial form.
+    code, out = run(capsys, "roots", "--hyperfield", "T",
+                    "(1,0)*X^10 + (1,0)*X^5 + (1,20)")
+    assert code == 0
+    got = [(rec["root"], rec["multiplicity"]) for rec in json.loads(out)["roots"]]
+    assert got == [(["1", "0"], 5), (["1", "4"], 5)]
+    code, out = run(capsys, "roots", "--hyperfield", "T", "(1,0)*X^9 + (1,0)")
+    assert code == 2
+    assert json.loads(out)["message"] == "degree 9 exceeds the bound 8"
+
+
 def test_eval_phase(capsys):
     code, out = run(capsys, "eval", "--hyperfield", "P",
                     "X^2 + X + 1", "dir(-1, 1)")

@@ -6,13 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from finetrop import solve
+from finetrop import poly, solve
 from finetrop.extension import ExtElem, TropicalExtension, trop, trop_complex, trop_signed
 from finetrop.fields import GF, QQ, QQi, gauss
 from finetrop.hyperfields import K, S, W, field_hyperfield, hom_sign, quotient_build
 from finetrop.ordgroup import gelem, group_add, scalar_mul
 from finetrop.parsing import parse_poly
-from finetrop.poly import fpoly, hpoly1, is_root, product_of_linear_factors, pushforward
+from finetrop.poly import (
+    ZeroPowerError,
+    fpoly,
+    hpoly1,
+    is_root,
+    product_of_linear_factors,
+    pushforward,
+)
 from finetrop.series import SeriesDomain, hom_fval, hom_sval, hom_val, series
 from finetrop.solve import (
     BaseSolveError,
@@ -28,6 +35,7 @@ from finetrop.solve import (
     roots_univariate,
 )
 
+import mult_sweep
 from eval_oracle import is_root_every_term
 from mult_search import search_multiplicity
 from newton_oracle import oracle_newton_cells, tropical_mult_oracle
@@ -253,6 +261,33 @@ def test_initial_form_mult_matches_branching_search():
             assert multiplicity(p, x) == search_multiplicity(p, x), (p, x)
 
 
+def test_base_multiplicities_match_search_and_lemma_a():
+    # Every polynomial of degree 1..4 over six finite bases, at every
+    # element; tests/mult_sweep.py runs the same check at any degree.
+    assert mult_sweep.sweep(4) == 18_540
+
+
+def test_laurent_multiplicity_shifts_by_least_exponent():
+    # x^-1 + x = x^-1 (1 + x^2), and 1 is a double root of 1 + x^2 over K.
+    assert multiplicity(hpoly1(K, {-1: 1, 1: 1}), 1) == 2
+    # -x^-1 + 1 = x^-1 (x - 1) over Q.
+    QF = field_hyperfield(QQ)
+    p = hpoly1(QF, {-1: Fraction(-1), 0: Fraction(1)})
+    assert multiplicity(p, Fraction(1)) == 1
+    assert multiplicity(p, Fraction(2)) == 0
+    with pytest.raises(ZeroPowerError):
+        multiplicity(p, Fraction(0))
+    # At zero the multiplicity is the least exponent, at any degree.
+    assert multiplicity(hpoly1(K, {3: 1, 12: 1}), 0) == 3
+
+
+def test_degree_bound_counts_from_the_least_exponent():
+    # test_cli.py checks the bound on initial forms over an extension.
+    assert multiplicity(hpoly1(K, {4: 1, 12: 1}), 1) == 8
+    with pytest.raises(ValueError, match="degree 9 exceeds the bound 8"):
+        multiplicity(hpoly1(K, {-1: 1, 8: 1}), 1)
+
+
 def test_phase_extension_multiplicity_raises():
     TC = trop_complex()
     p = parse_poly("TC", "X + (dir(-1,0), 0)")
@@ -291,6 +326,27 @@ def test_roots_evaluates_each_root_once(monkeypatch):
     # The zero root is one by construction: p has no constant term.
     assert roots[0] is None and len(roots) == 3
     assert sorted(map(repr, calls)) == sorted(repr((r,)) for r in roots[1:])
+
+
+def test_roots_reach_initial_support_once_per_root(monkeypatch):
+    # The root's own is_root check is the one minimal-level pick: its
+    # multiplicity is read from the Newton cell's initial form.
+    calls = []
+
+    def counting(p, point, support):
+        calls.append(point)
+        return real(p, point, support)
+
+    real = poly.initial_support
+    monkeypatch.setattr(poly, "initial_support", counting)
+    monkeypatch.setattr(solve, "initial_support", counting)
+    # (x - 1)^2 (x - 2) at level 1 and 1 - 2x at level 7.
+    p = parse_poly("Qx|Q", "(1, 0)*X^4 + (-4, 1)*X^3 + (5, 2)*X^2"
+                           " + (-2, 3)*X + (1, 10)")
+    recs = roots_univariate(p)
+    assert sorted(rec.multiplicity for rec in recs) == [1, 1, 2]
+    roots = [rec.root for rec in recs]
+    assert sorted(map(repr, calls)) == sorted(repr((r,)) for r in roots)
 
 
 def test_linear_2x2_keeps_numerator_precision():
