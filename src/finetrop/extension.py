@@ -5,8 +5,11 @@ a unit of the base hyperfield.  Lower level dominates in sums; at equal
 levels the base hyperfield decides, and a base-zero in the sum produces the
 up-set of all strictly larger levels together with zero.  So a sum of many
 terms depends only on its terms at the minimal level; for a polynomial,
-``finetrop.poly.initial_support`` picks those monomials before any of them
-is multiplied out, and the generic ``Hyperfield.nary_sum`` folds them.
+``finetrop.poly.initial_support`` picks those monomials, and since they
+share one level their sum is formed at that level: the base coefficients
+are multiplied and summed in the base hyperfield, and ``level_sum`` puts
+the base sum back at the level (zero and the tail exactly when the base
+sum holds zero), so no extension element is multiplied or added.
 
 Nested extensions flatten: extending H x| Q^m by Q^k gives H x| Q^(k+m)
 with the outer levels first in the lexicographic tuple.
@@ -53,7 +56,8 @@ class TropicalExtension(Hyperfield):
 
     Sums are the generic ``Hyperfield`` fold of ``add_set_elem``; polynomial
     evaluation narrows them to the minimal level first
-    (``finetrop.poly.initial_support``).
+    (``finetrop.poly.initial_support``) and sums there in the base
+    (``level_sum``).
     """
 
     def __init__(self, base: Hyperfield, rank: int = 1):
@@ -142,6 +146,13 @@ class TropicalExtension(Hyperfield):
         if S.tail or S.zero:
             base_part = self.base.union_sets(base_part, self.base.singleton(y.coef))
         return self._mk(g, base_part, tail, tail)
+
+    def level_sum(self, level: GroupElem, C) -> ExtSV:
+        """The sum of terms all at ``level`` whose coefficients sum to C in
+        the base: the one-level case of ``add_set_elem``.  Zero and the
+        tail are both "C holds 0"; the part at ``level`` is C without 0."""
+        tail = self.base.set_contains_zero(C)
+        return self._mk(level, self.base.set_without_zero(C), tail, tail)
 
     def union_sets(self, S: ExtSV, T: ExtSV) -> ExtSV:
         if self.set_is_empty(S):

@@ -14,6 +14,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .extension import TropicalExtension
 from .hyperfields import Hom, Hyperfield
+from .ordgroup import group_add, scalar_mul
 
 
 Expt = tuple[int, ...]
@@ -121,8 +122,11 @@ def eval_poly(p: HPoly, point: Sequence):
     nonzero exponent at a zero coordinate is zero, and a negative exponent
     at any zero coordinate raises ZeroPowerError; both are settled before
     any multiplication.  Over a tropical extension only the monomials that
-    ``initial_support`` picks are multiplied out and summed.  Each
-    coordinate's powers come from one running product
+    ``initial_support`` picks are evaluated, and as they share one level
+    the sum is formed at that level: their base coefficients are
+    multiplied and summed in the base hyperfield, the level is taken once
+    from one monomial, and ``TropicalExtension.level_sum`` puts the two
+    together.  Each coordinate's powers come from one running product
     (``Hyperfield.powers``), shared by every monomial.  The fold runs over
     the support in lexicographic order so results are reproducible;
     hyperaddition is associative so the order is immaterial.
@@ -137,22 +141,29 @@ def eval_poly(p: HPoly, point: Sequence):
         if any(d[i] < 0 for d in support for i in zeros):
             raise ZeroPowerError("0^k undefined for negative k")
         support = [d for d in support if not any(d[i] for i in zeros)]
+    B, level = H, None
     if isinstance(H, TropicalExtension) and support:
         support = initial_support(p, point, support)
+        level = p.coeffs[support[0]].level
+        for a, e in zip(point, support[0]):
+            if e:
+                level = group_add(level, scalar_mul(e, a.level))
+        B, point = H.base, [a if a is None else a.coef for a in point]
+    cs = [p.coeffs[d] if level is None else p.coeffs[d].coef for d in support]
     tables = []  # per variable: ([a^1, ..., a^hi], [a^-1, ..., a^lo])
     for i, a in enumerate(point):
         exps = [d[i] for d in support]
         hi, lo = max(exps, default=0), min(exps, default=0)
-        tables.append((H.powers(a, hi) if hi > 0 else [],
-                       H.powers(a, lo) if lo < 0 else []))
+        tables.append((B.powers(a, hi) if hi > 0 else [],
+                       B.powers(a, lo) if lo < 0 else []))
     terms = []
-    for d in support:
-        val = p.coeffs[d]
+    for d, val in zip(support, cs):
         for e, table in zip(d, tables):
             if e:
-                val = H.mul(val, table[0][e - 1] if e > 0 else table[1][-e - 1])
+                val = B.mul(val, table[0][e - 1] if e > 0 else table[1][-e - 1])
         terms.append(val)
-    return H.nary_sum(terms)
+    total = B.nary_sum(terms)
+    return total if level is None else H.level_sum(level, total)
 
 
 def is_root(p: HPoly, point: Sequence) -> bool:

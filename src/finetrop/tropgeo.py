@@ -23,13 +23,15 @@ set, an integer test.
 Intersections pair the cells of two curves with one walker, whose pairs
 are the cells of the mixed subdivision of Newt(P) + Newt(Q): a vertex of
 either curve is looked up on the other by its argmin set, two crossing
-edges meet at the integer Cramer point of their ties when it lies in
-both, and edges on one line meet where their intervals overlap.  Each
-pair's base conditions are then solved together, with the base field's
-own root finders (``BaseField.nth_roots`` and ``unit_roots``) for the
-binomial and substituted conditions.  Stable intersections perturb only
-the base units of the second curve, and start systems for polyhedral
-homotopy read mixed volumes off the same pairs.
+edges meet at the integer Cramer point of their ties when it lies
+strictly inside both edges' integer spans (an edge cell is the open
+segment of its tie line between its end vertices, so no argmin is taken
+per pair of edges), and edges on one line meet where their intervals
+overlap.  Each pair's base conditions are then solved together, with the
+base field's own root finders (``BaseField.nth_roots`` and
+``unit_roots``) for the binomial and substituted conditions.  Stable
+intersections perturb only the base units of the second curve, and start
+systems for polyhedral homotopy read mixed volumes off the same pairs.
 """
 
 from __future__ import annotations
@@ -507,16 +509,41 @@ def _affine_binomial(F: BaseField, kA, kB, conds):
 # Intersection
 
 
+def _span(c: Cell):
+    """The edge cell c as (i, lo, hi) for the integer span test.
+
+    The crossing (x, y) / den (den > 0) of c's tie line has the parameter
+    t = (x, y)[i] / (den * u), u = c.line_v[i] > 0 with i the first
+    nonzero coordinate of v (``_edge_line``'s rule), so t * u is the
+    coordinate itself.  An end t_e is kept pre-scaled as (num * u, den) of
+    t_e; None is no end.  Ends are strict: a crossing at an end is the
+    vertex's, found by the vertex lookup.
+    """
+    i = 0 if c.line_v[0] else 1
+    u = c.line_v[i]
+    lo, hi = c.interval.lo, c.interval.hi
+    return (i, None if lo is None else (lo.numerator * u, lo.denominator),
+            None if hi is None else (hi.numerator * u, hi.denominator))
+
+
+def _in_span(span, x: int, y: int, den: int) -> bool:
+    i, lo, hi = span
+    z = y if i else x
+    return ((lo is None or lo[0] * den < z * lo[1])
+            and (hi is None or z * hi[1] < hi[0] * den))
+
+
 def _cell_hits(C1: FineCurve, C2: FineCurve):
     """Meeting cells of two fine curves, in the order of C1.cells x C2.cells.
 
     Yields (c1, c2, hit) with hit ("point", g) or ("segment", c1, overlap).
     Cells are relatively open and disjoint, so a vertex of either curve
     meets at most the one cell of the other whose J is the argmin set at
-    the vertex.  Two edges with crossing lines meet at the crossing when
-    it is in both cells; edges on one line meet where their intervals
-    overlap.  These pairs are the cells of the mixed subdivision of
-    Newt(P) + Newt(Q).
+    the vertex: one argmin per vertex.  Two edges with crossing lines meet
+    at the integer Cramer point of their ties when it lies strictly inside
+    both edges' spans, two cross-multiplications per edge (``_in_span``);
+    edges on one line meet where their intervals overlap.  These pairs are
+    the cells of the mixed subdivision of Newt(P) + Newt(Q).
     """
     if not C1.cells or not C2.cells:
         return
@@ -530,7 +557,7 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
             if k1 in on_edge1:  # vertex on vertex is found from C1's side
                 on_edge1[k1].append((k2, ("point", c2.point)))
     s1, s2 = lift1.scale, lift2.scale
-    edges2 = [(k2, c2, lift2.tie(*c2.J[:2]))
+    edges2 = [(k2, c2, lift2.tie(*c2.J[:2]), _span(c2))
               for k2, c2 in enumerate(C2.cells) if c2.dim == 1]
     for k1, c1 in enumerate(C1.cells):
         if c1.dim == 0:
@@ -540,7 +567,8 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
             continue
         hits = on_edge1[k1]
         a1, b1, n1 = lift1.tie(*c1.J[:2])
-        for k2, c2, (a2, b2, n2) in edges2:
+        span1 = _span(c1)
+        for k2, c2, (a2, b2, n2), span2 in edges2:
             det = a1 * b2 - a2 * b1
             if det:
                 # Cramer's rule with the constants n1/s1 and n2/s2.
@@ -549,8 +577,7 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
                 y = a2 * n1 * s2 - a1 * n2 * s1
                 if den < 0:
                     den, x, y = -den, -x, -y
-                if (lift1.argmin(x, y, den) == c1.J
-                        and lift2.argmin(x, y, den) == c2.J):
+                if _in_span(span1, x, y, den) and _in_span(span2, x, y, den):
                     hits.append((k2, ("point", (Fraction(x, den),
                                                 Fraction(y, den)))))
             elif c1.line_p0 == c2.line_p0:
@@ -566,13 +593,16 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
 def fine_intersect(C1: FineCurve, C2: FineCurve):
     """Intersect two fine curves: (isolated FinePoints, components).
 
-    The meeting cell pairs come from ``_cell_hits``, a point lookup on
-    the integer-scaled levels instead of a scan of every pair; each pair's
-    base conditions are then solved together.  Every fine point is
-    checked to be a root of both sources (the hyperfield Kapranov theorem)
-    and a point that is not raises SolverInvariantError.  The check is
-    cheap: ``eval_poly`` multiplies out and sums only the monomials at the
-    minimal level, which ``poly.initial_support`` picks on integers.
+    The meeting cell pairs come from ``_cell_hits``: vertex lookups on
+    the integer-scaled levels and crossings tested against the edges'
+    integer spans, instead of a scan of every pair; each pair's base
+    conditions are then solved together.  Every fine point is checked to
+    be a root of both sources (the hyperfield Kapranov theorem) and a
+    point that is not raises SolverInvariantError.  The check stays
+    independent of the cells, since ``poly.initial_support`` recomputes
+    the minimal-level monomials on integers, and it is cheap: ``eval_poly``
+    sums their base coefficients in the base hyperfield and takes the
+    level once, so no extension element is multiplied or added.
     """
     E = _ext_of(C1.source)
     H = E.base

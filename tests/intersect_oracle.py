@@ -8,6 +8,12 @@ membership tested on the ``Fraction`` rows ``eqs`` (= 0) and ``ineqs``
 ``curve_oracle``.  ``pair_scan_hits`` yields what ``tropgeo._cell_hits``
 yields, in the same order, so it can stand in for the walker.
 
+``argmin_pair_hits`` is the second, integer reference: the walker as it
+was before crossings were tested against the edges' integer spans.  It
+looks vertices up by their argmin set as the walker does, but keeps an
+edge-edge crossing only when the argmin set of each curve's whole support
+at the crossing is that edge's J: two argmins per pair of edges.
+
 ``oracle_intersect_series`` is the series side of the Fundamental
 theorem for two lines: the exact Cramer solution, mapped through the
 fine valuation.
@@ -95,6 +101,50 @@ def pair_scan_hits(C1, C2):
         for c2 in C2.cells:
             for hit in _geom_intersections(c1, c2):
                 yield c1, c2, hit
+
+
+def argmin_pair_hits(C1, C2):
+    if not C1.cells or not C2.cells:
+        return
+    lift1, lift2 = C1.cells[0].lift, C2.cells[0].lift
+    index1 = {c.J: k for k, c in enumerate(C1.cells)}
+    index2 = {c.J: k for k, c in enumerate(C2.cells)}
+    on_edge1 = {k: [] for k, c in enumerate(C1.cells) if c.dim == 1}
+    for k2, c2 in enumerate(C2.cells):
+        if c2.dim == 0:
+            k1 = index1.get(lift1.argmin_at(c2.point))
+            if k1 in on_edge1:  # vertex on vertex is found from C1's side
+                on_edge1[k1].append((k2, ("point", c2.point)))
+    s1, s2 = lift1.scale, lift2.scale
+    edges2 = [(k2, c2, lift2.tie(*c2.J[:2]))
+              for k2, c2 in enumerate(C2.cells) if c2.dim == 1]
+    for k1, c1 in enumerate(C1.cells):
+        if c1.dim == 0:
+            k2 = index2.get(lift2.argmin_at(c1.point))
+            if k2 is not None:
+                yield c1, C2.cells[k2], ("point", c1.point)
+            continue
+        hits = on_edge1[k1]
+        a1, b1, n1 = lift1.tie(*c1.J[:2])
+        for k2, c2, (a2, b2, n2) in edges2:
+            det = a1 * b2 - a2 * b1
+            if det:
+                den = s1 * s2 * det
+                x = b1 * n2 * s1 - b2 * n1 * s2
+                y = a2 * n1 * s2 - a1 * n2 * s1
+                if den < 0:
+                    den, x, y = -den, -x, -y
+                if (lift1.argmin(x, y, den) == c1.J
+                        and lift2.argmin(x, y, den) == c2.J):
+                    hits.append((k2, ("point", (Fraction(x, den),
+                                                Fraction(y, den)))))
+            elif c1.line_p0 == c2.line_p0:
+                overlap = _intersect_intervals(c1.interval, c2.interval)
+                if not overlap.is_empty():
+                    hits.append((k2, ("segment", c1, overlap)))
+        hits.sort(key=lambda h: h[0])
+        for k2, hit in hits:
+            yield c1, C2.cells[k2], hit
 
 
 def oracle_intersect_series(P: FPoly, Q: FPoly, prec=8):

@@ -1,0 +1,169 @@
+"""Check of fine intersections against both references.
+
+Curve pairs pushed along val, sval and fval in turn are met by
+``tropgeo._cell_hits`` and compared, hit for hit and in order, with
+``intersect_oracle.argmin_pair_hits`` (two whole-support argmins per pair
+of edges, on integers) and ``intersect_oracle.pair_scan_hits`` (every pair
+of cells, on ``Fraction`` rows).  Each round k takes four pairs:
+
+- random: supports in the triangle of degree 1 + k % 4, levels with small
+  denominators, sometimes all equal, and sometimes the curve with itself;
+- vertex on edge: a vertex of the second curve moved, by shifting that
+  curve, onto an interior point of an edge of the first (both orders);
+- collinear: a curve with collinear support, whose edges are whole lines,
+  against a random curve or another collinear one;
+- dense: every monomial of degree <= 2 + k % 4 with levels i^2 + ij + j^2
+  plus noise, the second curve shifted by (1/3, -2/7).
+
+Run as ``PYTHONPATH=src python tests/intersect_sweep.py ROUNDS``: it prints
+the number of pairs and hits checked, or the first mismatch and exits 1.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+from typing import Iterator
+
+from finetrop import tropgeo
+from finetrop.fields import QQ
+from finetrop.poly import fpoly, pushforward
+from finetrop.series import SeriesDomain, hom_fval, hom_sval, hom_val, series
+
+from intersect_oracle import argmin_pair_hits, pair_scan_hits
+
+DOM = SeriesDomain(QQ)
+HOMS = (hom_val(), hom_sval(), hom_fval())
+SHIFT = (Fraction(1, 3), Fraction(-2, 7))
+
+
+def triangle(deg: int) -> list:
+    return [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+
+
+def curve_poly(rng, levels: dict):
+    """Monomial-series coefficients c t^level with random nonzero c."""
+    return fpoly(DOM, 2, {d: series(QQ, [(e, Fraction(
+        rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)))])
+        for d, e in levels.items()})
+
+
+def random_levels(rng, support, equal: bool, max_den: int) -> dict:
+    e0 = Fraction(rng.randint(-4, 8), rng.randint(1, max_den))
+    return {d: e0 if equal else Fraction(rng.randint(-4, 8),
+                                         rng.randint(1, max_den))
+            for d in support}
+
+
+def random_support(rng, deg: int) -> list:
+    tri = triangle(deg)
+    return tri if rng.random() < 0.5 else rng.sample(
+        tri, rng.randint(2, len(tri)))
+
+
+def shifted(levels: dict, s) -> dict:
+    """The levels whose curve is the curve of ``levels`` moved by s."""
+    return {d: e - d[0] * s[0] - d[1] * s[1] for d, e in levels.items()}
+
+
+def dense_levels(rng, deg: int) -> dict:
+    return {(i, j): i * i + i * j + j * j + Fraction(rng.randint(-9, 9), 50)
+            for i, j in triangle(deg)}
+
+
+def collinear_levels(rng) -> dict:
+    u = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)])
+    a = (rng.randint(0, 2), rng.randint(2, 4))
+    steps = sorted(rng.sample(range(5), rng.randint(2, 4)))
+    return random_levels(rng, [(a[0] + k * u[0], a[1] + k * u[1])
+                               for k in steps], False, 3)
+
+
+def interior_point(cell):
+    """A point of the relatively open edge cell."""
+    iv = cell.interval
+    if iv.lo is not None and iv.hi is not None:
+        t = (iv.lo + iv.hi) / 2
+    elif iv.lo is not None:
+        t = iv.lo + 1
+    elif iv.hi is not None:
+        t = iv.hi - 1
+    else:
+        t = Fraction(0)
+    return cell.param_at(t)
+
+
+def curve(hom, levels: dict, rng):
+    return tropgeo.fine_hypersurface(pushforward(hom, curve_poly(rng, levels)))
+
+
+def pairs(rounds: int, seed: int = 0) -> Iterator:
+    """(case, C1, C2) for every pair of the sweep, in order."""
+    rng = random.Random(seed)
+    for k in range(rounds):
+        hom, deg = HOMS[k % 3], 1 + k % 4
+        L1 = random_levels(rng, random_support(rng, deg), k % 7 == 0,
+                           1 + k % 3)
+        C1 = curve(hom, L1, rng)
+        C2 = C1 if k % 5 == 0 else curve(hom, random_levels(
+            rng, random_support(rng, deg), k % 7 == 0, 1 + k % 3), rng)
+        yield "random", C1, C2
+        # Vertex on edge: move a vertex w of the second curve onto an edge.
+        L2 = random_levels(rng, triangle(1 + (k + 1) % 3), False, 2)
+        C2 = curve(hom, L2, rng)
+        edges = [c for c in C1.cells if c.dim == 1]
+        vertices = [c for c in C2.cells if c.dim == 0]
+        if edges and vertices:
+            g, w = interior_point(rng.choice(edges)), rng.choice(vertices).point
+            C2 = curve(hom, shifted(L2, (g[0] - w[0], g[1] - w[1])), rng)
+            yield "vertex on edge", *((C1, C2) if k % 2 else (C2, C1))
+        C0 = curve(hom, collinear_levels(rng), rng)
+        other = curve(hom, collinear_levels(rng), rng) if k % 3 == 0 else C1
+        yield "collinear", *((C0, other) if k % 2 else (other, C0))
+        deg = 2 + k % 4
+        yield "dense", curve(hom, dense_levels(rng, deg), rng), curve(
+            hom, shifted(dense_levels(rng, deg), SHIFT), rng)
+
+
+def hit_key(c1, c2, hit):
+    if hit[0] == "point":
+        return (c1.J, c2.J, hit)
+    _, host, overlap = hit
+    return (c1.J, c2.J, "segment", host.J, overlap)
+
+
+def check(C1, C2) -> int:
+    """Compare ``_cell_hits`` with both references on one pair; returns
+    the number of hits and raises ``AssertionError`` on a mismatch."""
+    got = [hit_key(*h) for h in tropgeo._cell_hits(C1, C2)]
+    for name, ref in (("argmin_pair_hits", argmin_pair_hits),
+                      ("pair_scan_hits", pair_scan_hits)):
+        want = [hit_key(*h) for h in ref(C1, C2)]
+        if got != want:
+            raise AssertionError(
+                f"{C1.source} meets {C2.source}: _cell_hits {got}, "
+                f"{name} {want}")
+    return len(got)
+
+
+def sweep(rounds: int) -> tuple[int, int]:
+    """Check every pair of ``rounds`` rounds; returns (pairs, hits) and
+    raises ``AssertionError`` at the first mismatch."""
+    n = hits = 0
+    for case, C1, C2 in pairs(rounds):
+        try:
+            hits += check(C1, C2)
+        except AssertionError as err:
+            raise AssertionError(f"{case} pair {n}: {err}") from None
+        n += 1
+    return n, hits
+
+
+if __name__ == "__main__":
+    try:
+        n, hits = sweep(int(sys.argv[1]))
+    except AssertionError as err:
+        print(f"mismatch: {err}")
+        sys.exit(1)
+    print(f"{n} curve pairs, {hits} hits match both references")

@@ -12,7 +12,7 @@ from finetrop.extension import (
     trop_complex,
     trop_signed,
 )
-from finetrop.hyperfields import K, P, PHI, S, hom_sign, make_dir
+from finetrop.hyperfields import K, P, PHI, S, W, hom_sign, make_dir, quotient_build
 from finetrop.ordgroup import gelem, group_add, group_sub, scalar_mul
 from finetrop.poly import (
     affinize,
@@ -89,10 +89,13 @@ def _ties_at_minimal_level(p, point):
 def test_eval_matches_every_term_oracle():
     rng = random.Random(10)
     hyperfields = (K, S, P, PHI, field_hyperfield(QQ), trop(), trop_signed(),
-                   trop_complex(), TropicalExtension(S, 2), TropicalExtension(K, 3))
+                   trop_complex(), TropicalExtension(S, 2), TropicalExtension(K, 3),
+                   TropicalExtension(W), TropicalExtension(quotient_build(5, [1, 4]), 2),
+                   TropicalExtension(quotient_build(7, [1, 2, 4])),
+                   TropicalExtension(field_hyperfield(GF(5)), 2))
     seen = {"zero coordinate": 0, "laurent": 0, "0^k, k < 0": 0,
             "tie at the minimal level": 0, "all dead": 0}
-    for k in range(900):
+    for k in range(90 * len(hyperfields)):
         H = hyperfields[k % len(hyperfields)]
         nvars = rng.randint(1, 3)
         coeffs = {tuple(rng.randint(-2, 3) for _ in range(nvars)): _unit(H, rng)

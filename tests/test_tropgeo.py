@@ -26,6 +26,7 @@ from finetrop.tropgeo import (
 )
 
 from curve_oracle import fine_hypersurface_by_subsets, vertices_every_triple
+import intersect_sweep
 from intersect_oracle import (
     contains_by_rows,
     oracle_intersect_series,
@@ -128,26 +129,29 @@ def test_vertices_match_every_triple_oracle():
 def test_fine_point_check_sums_only_minimal_level_terms(monkeypatch):
     # A dense cubic over T at a vertex g of its curve: only the monomials
     # in the vertex's J attain the minimal level, and any unit pair over
-    # K is a root there.
+    # K is a root there.  Their sum is formed at that level: the base
+    # hyperfield adds the len(J) coefficients and the extension adds none.
     T = trop()
     levels = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
     p = hpoly(T, 2, {d: T.elem(1, gelem(x))
                      for d, x in zip(_triangle(3), levels)})
-    calls = []
-    add_set_elem = TropicalExtension.add_set_elem
+    ext_calls, base_calls = [], []
+    for cls, calls in ((TropicalExtension, ext_calls),
+                       (type(T.base), base_calls)):
+        def counted(self, S, y, add_set_elem=cls.add_set_elem, calls=calls):
+            calls.append(y)
+            return add_set_elem(self, S, y)
 
-    def counted(self, S, y):
-        calls.append(y)
-        return add_set_elem(self, S, y)
-
-    monkeypatch.setattr(TropicalExtension, "add_set_elem", counted)
+        monkeypatch.setattr(cls, "add_set_elem", counted)
     vertices = [c for c in fine_hypersurface(p).cells if c.dim == 0]
     assert vertices
     for c in vertices:
-        calls.clear()
+        ext_calls.clear()
+        base_calls.clear()
         pt = (T.elem(1, gelem(c.point[0])), T.elem(1, gelem(c.point[1])))
         assert is_root(p, pt)
-        assert len(calls) == len(c.J) < len(p.coeffs)
+        assert len(base_calls) == len(c.J) < len(p.coeffs)
+        assert ext_calls == []
 
 
 def test_fine_curve_matches_subset_oracle():
@@ -162,13 +166,6 @@ def test_fine_curve_matches_subset_oracle():
     # Vertices tied by more than a triple and edges holding more than a
     # pair are the cells a shortcut through triples or pairs would lose.
     assert wide_vertices >= 5 and long_edges >= 10
-
-
-def _hit_key(c1, c2, hit):
-    if hit[0] == "point":
-        return (c1.J, c2.J, hit)
-    _, host, overlap = hit
-    return (c1.J, c2.J, "segment", host.J, overlap)
 
 
 def _outcome(fn):
@@ -216,8 +213,8 @@ def test_fine_intersect_matches_pair_scan_oracle(monkeypatch):
     for hom, P, Q in pairs:
         C1, C2 = (fine_hypersurface(pushforward(hom, F)) for F in (P, Q))
         scan = list(pair_scan_hits(C1, C2))
-        assert ([_hit_key(*h) for h in tropgeo._cell_hits(C1, C2)]
-                == [_hit_key(*h) for h in scan]), (P, Q)
+        assert ([intersect_sweep.hit_key(*h) for h in tropgeo._cell_hits(C1, C2)]
+                == [intersect_sweep.hit_key(*h) for h in scan]), (P, Q)
         got = (_outcome(lambda: _meet(C1, C2)), _outcome(lambda: _start(P, Q)))
         with monkeypatch.context() as m:
             m.setattr(tropgeo, "_cell_hits", pair_scan_hits)
@@ -239,19 +236,60 @@ def test_fine_intersect_matches_pair_scan_oracle(monkeypatch):
     assert min(seen.values()) >= 5, seen
 
 
+def test_cell_hits_match_both_references():
+    # The span test against two argmins per edge pair and against the
+    # Fraction rows of every cell pair: dense pairs of degree 5 and 8 (one
+    # curve shifted), then 12 rounds of tests/intersect_sweep.py (which runs
+    # any number): random pairs, vertices of one curve moved onto edges of
+    # the other, collinear curves, whose edges are whole lines, and dense
+    # pairs of degree 2 to 5.
+    rng = random.Random(31)
+    dense = [(intersect_sweep.curve(hom, intersect_sweep.dense_levels(rng, d),
+                                    rng),
+              intersect_sweep.curve(hom, intersect_sweep.shifted(
+                  intersect_sweep.dense_levels(rng, d), intersect_sweep.SHIFT),
+                  rng))
+             for d, hom in ((5, hom_val()), (8, hom_sval()))]
+    assert [intersect_sweep.check(*pair) for pair in dense] == [25, 64]
+    assert intersect_sweep.sweep(12) == (48, 262)
+    seen = dict.fromkeys(("vertex on edge", "vertex on vertex",
+                          "whole line crossed", "overlap"), 0)
+    for _, C1, C2 in intersect_sweep.pairs(12):
+        for c1, c2, hit in tropgeo._cell_hits(C1, C2):
+            dims = c1.dim + c2.dim
+            if dims < 2:
+                seen["vertex on vertex" if dims == 0 else "vertex on edge"] += 1
+            elif hit[0] == "segment":
+                seen["overlap"] += 1
+            elif any(c.interval.lo is None and c.interval.hi is None
+                     for c in (c1, c2)):
+                seen["whole line crossed"] += 1
+    assert min(seen.values()) >= 5 and seen["vertex on edge"] >= 10, seen
+
+
+def test_cell_hits_argmin_once_per_vertex(monkeypatch):
+    # Edge pairs are settled by the span test; Lift.argmin runs only to
+    # look each vertex of either curve up on the other.
+    rng = random.Random(37)
+    C1, C2 = (intersect_sweep.curve(hom_val(), intersect_sweep.shifted(
+        intersect_sweep.dense_levels(rng, 5), s), rng)
+        for s in ((0, 0), intersect_sweep.SHIFT))
+    calls = []
+    argmin = tropgeo.Lift.argmin
+
+    def counted(self, x, y, den):
+        calls.append((x, y, den))
+        return argmin(self, x, y, den)
+
+    monkeypatch.setattr(tropgeo.Lift, "argmin", counted)
+    assert len(list(tropgeo._cell_hits(C1, C2))) == 25
+    assert len(calls) == sum(c.dim == 0 for c in C1.cells + C2.cells) == 50
+
+
 def _relative_interior_point(cell):
     if cell.dim == 0:
         return cell.point
-    iv = cell.interval
-    if iv.lo is not None and iv.hi is not None:
-        t = (iv.lo + iv.hi) / 2
-    elif iv.lo is not None:
-        t = iv.lo + 1
-    elif iv.hi is not None:
-        t = iv.hi - 1
-    else:
-        t = Fraction(0)
-    return cell.param_at(t)
+    return intersect_sweep.interior_point(cell)
 
 
 def _argmin(hp, g):
