@@ -6,20 +6,15 @@ tropical phase hyperfield Phi, and factor hyperfields GF(p)/U.
 
 Phase elements are unit directions with rational slope, stored as primitive
 integer pairs; no floating point angles appear anywhere.  A set value over P
-or Phi is a canonical ArcSet.  A phase sum with a {0} operand, of two
-points, or of a point and an arc is read off in closed form: {0} + B = B;
-two points a, b sum to {a}, to their antipodal pair with zero (P) or the
-circle with zero (Phi), or to the arc between them the short way round,
-oriented by the sign of cross(a, b); a point a and an arc B sum to the hull
-of a and B on the circle cut at -a, or, when -a lies in B, to the circle
-with zero or (over P, -a a closed end of B) one arc closed at -a with zero.
-Only the other sums use the refinement: P's {a, -a, 0} plus a point, an
-arc plus an arc, and any sum with an operand of several components or with
-zero beside its arcs.  The refinement sorts the endpoints involved once, as
-cuts that split the circle into atoms (the cut points and the open gaps
-between them), and works on atom indices: every arc is a cyclic run of
-atoms, the sum of two atoms is a run in closed form, and stitching the
-maximal runs of the marked atoms gives the canonical result.
+or Phi is a canonical ArcSet.  Every phase sum is a set plus one element,
+read off in closed form one component at a time: S + 0 = S; two points a, b
+sum to {a}, to their antipodal pair with zero (P) or the circle with zero
+(Phi), or to the arc between them the short way round, oriented by the sign
+of cross(a, b); a point a and an arc B sum to the hull of a and B on the
+circle cut at -a, or, when -a lies in B, to the circle with zero or (over P,
+-a a closed end of B) one arc closed at -a with zero.  A set of several
+components, or with zero beside its arcs, sums to the union of its
+components' sums (plus {a} for its zero), canonicalised once.
 """
 
 from __future__ import annotations
@@ -274,42 +269,46 @@ def _canonical_arcs(raw: Sequence[Arc], full: bool, has_zero: bool) -> ArcSet:
 
 
 # ---------------------------------------------------------------------------
-# Phase hyperaddition: closed-form sums of atoms
+# Phase hyperaddition: a set plus one element, in closed form per component
 
 
-def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
-    """Elementwise hyperaddition of two arc sets over P or Phi.
+def phase_add_sets(S: ArcSet, a: Optional[Dir], closed: bool) -> ArcSet:
+    """S + a over P (closed=False) or Phi (closed=True): the union of x + a
+    over x in the arc set S, for one element a, which may be zero (None).
 
-    A sum with a full circle, with an operand holding no arc ({0} or the
-    empty set), or of one point and one arc (itself maybe a point), neither
-    with zero, is read off in closed form.  Every other sum goes
-    through the refinement of ``_refined_sum``: P's {a, -a, 0} plus a
-    point, an arc plus an arc, and any sum with an operand of several
-    components or with zero beside its arcs.
+    S + 0 = S; a full circle plus a direction is the circle with zero; a
+    set holding no arc gives {a} when it holds zero and nothing otherwise.
+    One component without zero is summed by ``_point_plus_point`` or
+    ``_point_plus_arc`` directly.  Otherwise the sum is the union of those
+    per-component sums, plus {a} when S holds zero, canonicalised once; it
+    is the circle with zero as soon as one component gives it.
     """
-    if A.full or B.full:
-        # A full circle dominates: summing it against any set of directions
-        # yields every direction and zero; against {0} alone it is unchanged.
-        other = B if A.full else A
-        if other.full or other.arcs:
-            return ARCSET_FULL_ZERO
-        if other.has_zero:
-            return ArcSet((), True, A.has_zero and B.has_zero)
+    if a is None:
+        return S
+    if S.full:
+        return ARCSET_FULL_ZERO
+    if not S.arcs:
+        if S.has_zero:
+            return ArcSet((point_arc(a),), False, False)
         return ARCSET_EMPTY
-    if not A.arcs or not B.arcs:
-        # {0} + Y = Y, Y being canonical; an empty summand sums to nothing.
-        X, Y = (A, B) if not A.arcs else (B, A)
-        return Y if X.has_zero else ARCSET_EMPTY
-    if (len(A.arcs) == 1 and len(B.arcs) == 1
-            and not A.has_zero and not B.has_zero):
-        x, y = A.arcs[0], B.arcs[0]
-        if not x.is_point():
-            x, y = y, x
-        if x.is_point():
-            if y.is_point():
-                return _point_plus_point(x.start, y.start, closed)
-            return _point_plus_arc(x.start, y, closed)
-    return _refined_sum(A, B, closed)
+    if len(S.arcs) == 1 and not S.has_zero:
+        return _component_plus_point(S.arcs[0], a, closed)
+    raw = [point_arc(a)] if S.has_zero else []
+    has_zero = False
+    for arc in S.arcs:
+        part = _component_plus_point(arc, a, closed)
+        if part.full:
+            return ARCSET_FULL_ZERO
+        raw += part.arcs
+        has_zero = has_zero or part.has_zero
+    return _canonical_arcs(raw, False, has_zero)
+
+
+def _component_plus_point(arc: Arc, a: Dir, closed: bool) -> ArcSet:
+    """The sum of one component of a set (a point or an arc) and a."""
+    if arc.is_point():
+        return _point_plus_point(a, arc.start, closed)
+    return _point_plus_arc(a, arc, closed)
 
 
 def _point_plus_point(a: Dir, b: Dir, closed: bool) -> ArcSet:
@@ -369,57 +368,6 @@ def _point_plus_arc(a: Dir, arc: Arc, closed: bool) -> ArcSet:
     else:
         hull = Arc(s, e, cs, ce)
     return ArcSet((hull,), False, False)
-
-
-def _refined_sum(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
-    """``phase_add_sets`` of two arc sets, neither a full circle, on one
-    refinement of the circle.
-
-    ``phase_add_sets`` calls it only for the shapes it has no closed form
-    for (an arc plus an arc, an operand with zero or with several
-    components); the tests also use it as the reference for the closed
-    forms.
-
-    The cuts are every endpoint of both summands and its negative, so the
-    antipode of atom k is atom k + n, and the sum of two atoms is a run of
-    atoms in closed form: x + x = {x}; antipodal atoms sum to a set holding
-    zero, which over P is the two points themselves when both are points
-    and otherwise the full circle; any other pair sums to the atoms strictly
-    between them the short way round, plus each end that is a gap, plus
-    both ends over Phi.
-    """
-    cuts = sort_dirs(e for X in (A, B) for a in X.arcs
-                     for d in (a.start, a.end) for e in (d, dir_neg(d)))
-    n = len(cuts)
-    m = 2 * n
-    index = {c: i for i, c in enumerate(cuts)}
-    xs = _atoms(A.arcs, index, m)
-    ys = _atoms(B.arcs, index, m)
-    marked = [False] * m
-    has_zero = A.has_zero and B.has_zero
-    if A.has_zero:
-        for y in ys:
-            marked[y] = True
-    if B.has_zero:
-        for x in xs:
-            marked[x] = True
-    for x in xs:
-        for y in ys:
-            d = (y - x) % m
-            if d == 0:
-                marked[x] = True
-            elif d == n:
-                if closed or x % 2:
-                    return ARCSET_FULL_ZERO
-                marked[x] = marked[y] = True
-                has_zero = True
-            else:
-                lo, hi = (x, y) if d < n else (y, x)
-                first = lo + (not (closed or lo % 2))
-                last = hi - (not (closed or hi % 2))
-                for t in range((last - first) % m + 1):
-                    marked[(first + t) % m] = True
-    return _stitch(cuts, marked, has_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +576,10 @@ class FieldHyperfield(FiniteHyperfield):
         return self.field.fmt(a)
 
 
-class KrasnerHyperfield(FiniteHyperfield):
-    """K = {0, 1} with 1 + 1 = {0, 1}."""
-
-    name = "K"
+class _SmallHyperfield(FiniteHyperfield):
+    """What K, S and W share: elements 0, 1 (and -1) multiplied as integers,
+    and a sum with a zero operand that is the other operand.  Each subclass
+    gives ``_add_units``, the sum of two units."""
 
     def zero(self):
         return 0
@@ -639,58 +587,49 @@ class KrasnerHyperfield(FiniteHyperfield):
     def one(self):
         return 1
 
-    def neg(self, a):
-        return a
-
     def mul(self, a, b):
         return a * b
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("no inverse of zero")
-        return 1
+        return a
 
     def add(self, a, b):
         if a == 0:
             return self.singleton(b)
         if b == 0:
             return self.singleton(a)
+        return self._add_units(a, b)
+
+    def is_stringent(self):
+        return True
+
+
+class KrasnerHyperfield(_SmallHyperfield):
+    """K = {0, 1} with 1 + 1 = {0, 1}."""
+
+    name = "K"
+
+    def neg(self, a):
+        return a
+
+    def _add_units(self, a, b):
         return FiniteSV(frozenset([0, 1]))
 
     def elements(self):
         return [0, 1]
 
-    def is_stringent(self):
-        return True
 
-
-class SignHyperfield(FiniteHyperfield):
+class SignHyperfield(_SmallHyperfield):
     """S = {-1, 0, 1} with 1 + (-1) = {-1, 0, 1}."""
 
     name = "S"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def neg(self, a):
         return -a
 
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("no inverse of zero")
-        return a
-
-    def add(self, a, b):
-        if a == 0:
-            return self.singleton(b)
-        if b == 0:
-            return self.singleton(a)
+    def _add_units(self, a, b):
         if a == b:
             return self.singleton(a)
         return FiniteSV(frozenset([-1, 0, 1]))
@@ -698,43 +637,16 @@ class SignHyperfield(FiniteHyperfield):
     def elements(self):
         return [-1, 0, 1]
 
-    def is_stringent(self):
-        return True
 
-
-class WeakSignHyperfield(FiniteHyperfield):
+class WeakSignHyperfield(SignHyperfield):
     """W = {-1, 0, 1}: like S but a + a = {1, -1} for units a."""
 
     name = "W"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("no inverse of zero")
-        return a
-
-    def add(self, a, b):
-        if a == 0:
-            return self.singleton(b)
-        if b == 0:
-            return self.singleton(a)
+    def _add_units(self, a, b):
         if a == b:
             return FiniteSV(frozenset([1, -1]))
         return FiniteSV(frozenset([-1, 0, 1]))
-
-    def elements(self):
-        return [-1, 0, 1]
 
     def is_stringent(self):
         return False
@@ -859,10 +771,10 @@ class PhaseHyperfield(Hyperfield):
         return ARCSET_EMPTY
 
     def add(self, a, b):
-        return self.add_set_elem(self.singleton(a), b)
+        return phase_add_sets(self.singleton(a), b, self.closed)
 
     def add_set_elem(self, S, a):
-        return phase_add_sets(S, self.singleton(a), self.closed)
+        return phase_add_sets(S, a, self.closed)
 
     def union_sets(self, S, T):
         return _canonical_arcs(
@@ -986,11 +898,7 @@ def hom_sign() -> Hom:
 
 def hom_sign_weak() -> Hom:
     """The same sign map viewed with target W."""
-
-    def f(a: Fraction):
-        return 0 if a == 0 else (1 if a > 0 else -1)
-
-    return Hom("sgn:Q->W", QQ, W, f)
+    return Hom("sgn:Q->W", QQ, W, hom_sign().apply)
 
 
 def hom_phase() -> Hom:

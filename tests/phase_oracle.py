@@ -7,6 +7,11 @@ formed case by case, and the raw union is canonicalised by testing a
 midpoint of every atom against every arc.  It is kept only as a slow,
 independent oracle for the tests, and shares nothing with the fast path but
 the ``Dir``, ``Arc`` and ``ArcSet`` types and the circular order.
+
+``_refined_sum`` is the second reference: the sum of two arc sets on one
+refinement of the circle, as the package computed it before its sums became
+a set plus one element.  It shares the atom helpers ``_atoms`` and
+``_stitch`` with the package's canonicalisation.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ import functools
 from typing import Any, Iterable, Sequence
 
 from finetrop.hyperfields import (
+    ARCSET_FULL_ZERO,
     Arc,
     ArcSet,
     Dir,
+    _atoms,
+    _stitch,
     cross,
     dir_between,
     dir_cmp,
@@ -271,6 +279,56 @@ def phase_add_sets(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
             else:
                 _phase_aa(x, y, closed, out)
     return out.done()
+
+
+def _refined_sum(A: ArcSet, B: ArcSet, closed: bool) -> ArcSet:
+    """The sum of two arc sets, neither a full circle, on one refinement of
+    the circle.
+
+    This is how ``finetrop.hyperfields`` summed the shapes it had no closed
+    form for before every sum became a set plus one element; the tests keep
+    it as a second reference beside the piecewise ``phase_add_sets``.
+
+    The cuts are every endpoint of both summands and its negative, so the
+    antipode of atom k is atom k + n, and the sum of two atoms is a run of
+    atoms in closed form: x + x = {x}; antipodal atoms sum to a set holding
+    zero, which over P is the two points themselves when both are points
+    and otherwise the full circle; any other pair sums to the atoms strictly
+    between them the short way round, plus each end that is a gap, plus
+    both ends over Phi.
+    """
+    cuts = sort_dirs(e for X in (A, B) for a in X.arcs
+                     for d in (a.start, a.end) for e in (d, dir_neg(d)))
+    n = len(cuts)
+    m = 2 * n
+    index = {c: i for i, c in enumerate(cuts)}
+    xs = _atoms(A.arcs, index, m)
+    ys = _atoms(B.arcs, index, m)
+    marked = [False] * m
+    has_zero = A.has_zero and B.has_zero
+    if A.has_zero:
+        for y in ys:
+            marked[y] = True
+    if B.has_zero:
+        for x in xs:
+            marked[x] = True
+    for x in xs:
+        for y in ys:
+            d = (y - x) % m
+            if d == 0:
+                marked[x] = True
+            elif d == n:
+                if closed or x % 2:
+                    return ARCSET_FULL_ZERO
+                marked[x] = marked[y] = True
+                has_zero = True
+            else:
+                lo, hi = (x, y) if d < n else (y, x)
+                first = lo + (not (closed or lo % 2))
+                last = hi - (not (closed or hi % 2))
+                for t in range((last - first) % m + 1):
+                    marked[(first + t) % m] = True
+    return _stitch(cuts, marked, has_zero)
 
 
 def union_sets(S: ArcSet, T: ArcSet) -> ArcSet:

@@ -1,27 +1,38 @@
-"""Exhaustive check of the phase sums of one point and one arc.
+"""Exhaustive checks of phase sums, a set plus one element, over P and Phi.
 
-Every sum {a} + B over P and Phi is compared, in both operand orders, with
-the refinement ``_refined_sum`` and with the piecewise oracle
-``phase_oracle.phase_add_sets``.  The point a runs over the directions
-(p, q) with |p|, |q| <= radius.  B runs over the arcs between two distinct
-such directions, with every closure of their ends, and over the circle
-minus each of them; so the arcs that start or end at a or at -a, and the
-circle minus a or minus -a, are all among them.
+``sweep(radius)``: every sum B + a of an arc B and a point a.  The point
+runs over the directions (p, q) with |p|, |q| <= radius.  B runs over the
+arcs between two distinct such directions, with every closure of their
+ends, and over the circle minus each of them; so the arcs that start or end
+at a or at -a, and the circle minus a or minus -a, are all among them.
 
-Run as ``PYTHONPATH=src python tests/phase_sweep.py RADIUS``: it prints the
-number of sums checked, or the first mismatch and exits 1.
+``sweep_sets(stride)``: every canonical arc set of at most two components
+with ends among the 8 directions of radius 1, with and without zero (and
+the empty set, {0} and the full circle with and without zero), plus zero and
+each of the 16 directions of radius 2.  A stride above 1 checks only every
+stride-th set.
+
+Each sum ``phase_add_sets`` gives is compared with the refinement
+``phase_oracle._refined_sum`` and with the piecewise oracle
+``phase_oracle.phase_add_sets`` (the refinement only where the set is not
+a full circle, which it does not take).
+
+Run as ``PYTHONPATH=src python tests/phase_sweep.py RADIUS`` or
+``PYTHONPATH=src python tests/phase_sweep.py --sets [STRIDE]``: it prints
+the number of sums checked, or the first mismatch and exits 1.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Iterator
+from typing import Iterator, Optional
 
 from finetrop.hyperfields import (
+    ARCSET_ZERO,
     Arc,
     ArcSet,
     Dir,
-    _refined_sum,
+    _stitch,
     make_dir,
     phase_add_sets,
     point_arc,
@@ -29,6 +40,7 @@ from finetrop.hyperfields import (
 )
 
 import phase_oracle
+from phase_oracle import _refined_sum
 
 
 def directions(radius: int) -> list[Dir]:
@@ -47,8 +59,35 @@ def single_arcs(dirs: list[Dir]) -> Iterator[Arc]:
                         yield Arc(u, v, cs, ce)
 
 
+def component_sets(dirs: list[Dir]) -> list[ArcSet]:
+    """Every canonical arc set of at most two components with ends among
+    the sorted ``dirs``, with and without zero.  These are the sets of the
+    atoms of ``dirs`` (each direction and the open gap after it) that form
+    at most two cyclic runs, the empty set and the full circle included."""
+    m = 2 * len(dirs)
+    out = []
+    for bits in range(1 << m):
+        marked = [bool(bits >> x & 1) for x in range(m)]
+        if sum(marked[x] != marked[x - 1] for x in range(m)) <= 4:
+            out += [_stitch(dirs, marked, zero) for zero in (False, True)]
+    return out
+
+
+def _check(name: str, S: ArcSet, a: Optional[Dir], closed: bool) -> None:
+    got = phase_add_sets(S, a, closed)
+    A = ARCSET_ZERO if a is None else ArcSet((point_arc(a),), False, False)
+    oracle = phase_oracle.phase_add_sets(S, A, closed)
+    if got != oracle:
+        raise AssertionError(f"{name}: {S} + {a} = {got}, oracle {oracle}")
+    if not S.full:
+        want = _refined_sum(S, A, closed)
+        if got != want:
+            raise AssertionError(f"{name}: {S} + {a} = {got}, "
+                                 f"refinement {want}")
+
+
 def sweep(radius: int) -> int:
-    """Check every (point, arc) sum up to ``radius``; returns the number of
+    """Check every (arc, point) sum up to ``radius``; returns the number of
     sums checked and raises ``AssertionError`` at the first mismatch."""
     dirs = directions(radius)
     arcs = [ArcSet((arc,), False, False) for arc in single_arcs(dirs)]
@@ -56,26 +95,37 @@ def sweep(radius: int) -> int:
     for closed in (False, True):
         name = "Phi" if closed else "P"
         for a in dirs:
-            A = ArcSet((point_arc(a),), False, False)
             for B in arcs:
-                want = _refined_sum(A, B, closed)
-                oracle = phase_oracle.phase_add_sets(A, B, closed)
-                if oracle != want:
-                    raise AssertionError(f"{name}: {A} + {B}: refinement "
-                                         f"{want}, oracle {oracle}")
-                for X, Y in ((A, B), (B, A)):
-                    got = phase_add_sets(X, Y, closed)
-                    if got != want:
-                        raise AssertionError(f"{name}: {X} + {Y} = {got}, "
-                                             f"refinement {want}")
-                    count += 1
+                _check(name, B, a, closed)
+                count += 1
+    return count
+
+
+def sweep_sets(stride: int = 1) -> int:
+    """Check every stride-th set of ``component_sets`` at radius 1 plus
+    zero and every direction of radius 2; returns the number of sums
+    checked and raises ``AssertionError`` at the first mismatch."""
+    sets = component_sets(directions(1))[::stride]
+    elems = [None] + directions(2)
+    count = 0
+    for closed in (False, True):
+        name = "Phi" if closed else "P"
+        for S in sets:
+            for a in elems:
+                _check(name, S, a, closed)
+                count += 1
     return count
 
 
 if __name__ == "__main__":
     try:
-        n = sweep(int(sys.argv[1]))
+        if sys.argv[1] == "--sets":
+            n = sweep_sets(int(sys.argv[2]) if len(sys.argv) > 2 else 1)
+            what = "set-plus-element"
+        else:
+            n = sweep(int(sys.argv[1]))
+            what = "arc-plus-point"
     except AssertionError as err:
         print(f"mismatch: {err}")
         sys.exit(1)
-    print(f"{n} point-plus-arc sums match the refinement and the oracle")
+    print(f"{n} {what} sums match the refinement and the oracle")

@@ -34,11 +34,11 @@ from finetrop.hyperfields import (
     point_arc,
     quotient_build,
     sort_dirs,
-    _refined_sum,
 )
 
 import phase_oracle
 import phase_sweep
+from phase_oracle import _refined_sum
 
 
 def els(H, sv):
@@ -200,9 +200,10 @@ def test_phase_short_arc():
 
 
 def test_phase_point_sums_match_refinement():
-    # Every pair of the operands the closed forms read off, and of the full
-    # circles beside them: each sum equals the oracle's, and each one
-    # without a full circle equals the refinement's too.
+    # Every set of at most one point, with or without zero, and the full
+    # circles beside them, plus zero or a point: each sum equals the
+    # oracle's, and each one without a full circle equals the refinement's
+    # too.
     dirs = sort_dirs(make_dir(p, q) for p in range(-4, 5)
                      for q in range(-4, 5) if p or q)
     ops = [ARCSET_EMPTY, ARCSET_ZERO, ArcSet((), True, False), ARCSET_FULL_ZERO]
@@ -210,16 +211,23 @@ def test_phase_point_sums_match_refinement():
         ops += [ArcSet((point_arc(d),), False, zero) for zero in (False, True)]
     for H in (P, PHI):
         for A in ops:
-            for B in ops:
-                got = phase_add_sets(A, B, H.closed)
-                assert got == phase_oracle.phase_add_sets(A, B, H.closed), (A, B)
-                if not (A.full or B.full):
-                    assert got == _refined_sum(A, B, H.closed), (A, B)
+            for c in [None] + dirs:
+                B = H.singleton(c)
+                got = phase_add_sets(A, c, H.closed)
+                assert got == phase_oracle.phase_add_sets(A, B, H.closed), (A, c)
+                if not A.full:
+                    assert got == _refined_sum(A, B, H.closed), (A, c)
 
 
 def test_phase_point_arc_sums_match_refinement():
-    # 16 directions, 976 arcs, both operand orders, over P and Phi.
-    assert phase_sweep.sweep(2) == 62_464
+    # 16 directions, 976 arcs, over P and Phi.
+    assert phase_sweep.sweep(2) == 31_232
+
+
+def test_phase_set_sums_match_refinement():
+    # Every 37th set of at most two components with ends among the radius-1
+    # directions, plus zero and the 16 radius-2 directions, over P and Phi.
+    assert phase_sweep.sweep_sets(37) == 7_140
 
 
 def test_phase_axioms_sampled():
@@ -260,9 +268,17 @@ def test_phase_arc_algebra_matches_oracle():
     for _ in range(600):
         A, B = _random_arcset(rng), _random_arcset(rng)
         c = P.random_element(rng)
+        ends = {d for a in A.arcs for d in (a.start, a.end)}
+        elems = {None, c} | ends | {P.neg(d) for d in ends}
         for H in (P, PHI):
-            assert phase_add_sets(A, B, H.closed) == phase_oracle.phase_add_sets(
-                A, B, H.closed), (A, B, H.name)
+            if not (A.full or B.full):
+                assert _refined_sum(A, B, H.closed) == phase_oracle.phase_add_sets(
+                    A, B, H.closed), (A, B, H.name)
+            for e in elems:
+                want = phase_oracle.phase_add_sets(A, H.singleton(e), H.closed)
+                assert H.add_set_elem(A, e) == want, (A, e, H.name)
+                if not A.full:
+                    assert _refined_sum(A, H.singleton(e), H.closed) == want
             assert H.union_sets(A, B) == phase_oracle.union_sets(A, B), (A, B)
             assert H.scale_set(A, c) == phase_oracle.scale_set(A, c), (A, c)
         seen["zero"] += A.has_zero
