@@ -2,14 +2,16 @@
 
 Elements are either zero or a pair (coefficient, level) with the coefficient
 a unit of the base hyperfield.  Lower level dominates in sums; at equal
-levels the base hyperfield decides, and a base-zero in the sum produces the
-up-set of all strictly larger levels together with zero.  So a sum of many
-terms depends only on its terms at the minimal level; for a polynomial,
-``finetrop.poly.initial_support`` picks those monomials, and since they
-share one level their sum is formed at that level: the base coefficients
-are multiplied and summed in the base hyperfield, and ``level_sum`` puts
-the base sum back at the level (zero and the tail exactly when the base
-sum holds zero), so no extension element is multiplied or added.
+levels the base hyperfield decides, and a zero in the base sum brings zero
+together with every unit at every strictly larger level (the tail).
+``level_sum`` is the one place that rule is written: ``add_set_elem`` at
+equal levels forms the base sum and hands it to ``level_sum``.  So a sum of
+many terms depends only on its terms at the minimal level; for a
+polynomial, ``finetrop.poly.initial_support`` picks those monomials, and
+since they share one level their sum is formed at that level: the base
+coefficients are multiplied and summed in the base hyperfield, and
+``level_sum`` puts the base sum back at the level, so no extension element
+is multiplied or added.
 
 Nested extensions flatten: extending H x| Q^m by Q^k gives H x| Q^(k+m)
 with the outer levels first in the lexicographic tuple.
@@ -54,10 +56,11 @@ class ExtSV:
 class TropicalExtension(Hyperfield):
     """The hyperfield H x| Q^k for a base hyperfield H.
 
-    Sums are the generic ``Hyperfield`` fold of ``add_set_elem``; polynomial
-    evaluation narrows them to the minimal level first
-    (``finetrop.poly.initial_support``) and sums there in the base
-    (``level_sum``).
+    ``add`` and ``nary_sum`` are the generic ``Hyperfield`` ones over
+    ``add_set_elem``; polynomial evaluation narrows a sum to the minimal
+    level first (``finetrop.poly.initial_support``) and sums there in the
+    base (``level_sum``).  The base is never itself an extension: nested
+    extensions flatten.
     """
 
     def __init__(self, base: Hyperfield, rank: int = 1):
@@ -105,11 +108,9 @@ class TropicalExtension(Hyperfield):
 
     # --- set values -------------------------------------------------------
 
-    def _mk(self, level, base_sv, tail, zero) -> ExtSV:
-        if level is not None and self.base.set_is_empty(base_sv) and not tail:
+    def _mk(self, level: GroupElem, base_sv, tail, zero) -> ExtSV:
+        if self.base.set_is_empty(base_sv) and not tail:
             return ExtSV(None, self.base.empty_set(), False, zero)
-        if level is None:
-            base_sv = self.base.empty_set()
         return ExtSV(level, base_sv, tail, zero)
 
     def singleton(self, a):
@@ -123,10 +124,12 @@ class TropicalExtension(Hyperfield):
     def set_is_empty(self, S) -> bool:
         return S.level is None and not S.zero
 
-    def add(self, a, b):
-        return self.add_set_elem(self.singleton(a), b)
-
     def add_set_elem(self, S: ExtSV, y) -> ExtSV:
+        """S + y: the lower level dominates; at equal levels the sum is
+        ``level_sum`` of the base sum C of S's coefficients and y's, with y
+        itself added to C when S holds zero (0 + y = y).  S's tail needs no
+        case of its own: a set with a tail holds zero, and the tail plus y
+        is y."""
         if y is None:
             return S
         if S.level is None:
@@ -141,35 +144,16 @@ class TropicalExtension(Hyperfield):
             # S's elements sit at a lower level and dominate y.
             return S
         C = self.base.add_set_elem(S.base_sv, y.coef)
-        tail = self.base.set_contains_zero(C)
-        base_part = self.base.set_without_zero(C)
-        if S.tail or S.zero:
-            base_part = self.base.union_sets(base_part, self.base.singleton(y.coef))
-        return self._mk(g, base_part, tail, tail)
+        if S.zero:
+            C = self.base.union_sets(C, self.base.singleton(y.coef))
+        return self.level_sum(g, C)
 
     def level_sum(self, level: GroupElem, C) -> ExtSV:
         """The sum of terms all at ``level`` whose coefficients sum to C in
-        the base: the one-level case of ``add_set_elem``.  Zero and the
-        tail are both "C holds 0"; the part at ``level`` is C without 0."""
+        the base; the only owner of the tail rule.  Zero and the tail are
+        both "C holds 0"; the part at ``level`` is C without 0."""
         tail = self.base.set_contains_zero(C)
         return self._mk(level, self.base.set_without_zero(C), tail, tail)
-
-    def union_sets(self, S: ExtSV, T: ExtSV) -> ExtSV:
-        if self.set_is_empty(S):
-            return T if not S.zero else self._mk(T.level, T.base_sv, T.tail, True)
-        if self.set_is_empty(T):
-            return S if not T.zero else self._mk(S.level, S.base_sv, S.tail, True)
-        if S.level is None or T.level is None:
-            lev = S if S.level is not None else T
-            return self._mk(lev.level, lev.base_sv, lev.tail, S.zero or T.zero)
-        if S.level != T.level:
-            raise ValueError("union of extension sets at different levels")
-        return self._mk(
-            S.level,
-            self.base.union_sets(S.base_sv, T.base_sv),
-            S.tail or T.tail,
-            S.zero or T.zero,
-        )
 
     def set_contains(self, S: ExtSV, a) -> bool:
         if a is None:

@@ -4,6 +4,13 @@ Concrete instances: any exact field viewed as a hyperfield, the Krasner
 hyperfield K, the sign hyperfields S and W, the phase hyperfield P, the
 tropical phase hyperfield Phi, and factor hyperfields GF(p)/U.
 
+A set value over a finite hyperfield (a field, K, S, W, GF(p)/U) is a plain
+frozenset of its elements.  A sum of two elements is ``add``; a set plus
+one element, ``add_set_elem``, is one ``add`` per member of the set for a
+finite hyperfield, and a closed form in every other (``add`` is then the
+singleton plus the element).  A sum of many elements folds
+``add_set_elem`` from the first of them.
+
 Phase elements are unit directions with rational slope, stored as primitive
 integer pairs; no floating point angles appear anywhere.  A set value over P
 or Phi is a canonical ArcSet.  Every phase sum is a set plus one element,
@@ -371,20 +378,6 @@ def _point_plus_arc(a: Dir, arc: Arc, closed: bool) -> ArcSet:
 
 
 # ---------------------------------------------------------------------------
-# Set values
-
-
-@dataclass(frozen=True)
-class FiniteSV:
-    """Finite set value over a hyperfield with hashable elements."""
-
-    elems: frozenset
-
-    def __repr__(self):
-        return "{" + ", ".join(sorted(map(str, self.elems))) + "}"
-
-
-# ---------------------------------------------------------------------------
 # Hyperfield interface
 
 
@@ -420,11 +413,15 @@ class Hyperfield:
         raise NotImplementedError
 
     def add(self, a, b):
-        """Hypersum of two elements as a set value."""
-        raise NotImplementedError
+        """Hypersum of two elements as a set value: {a} + b.  A finite
+        hyperfield defines its own ``add`` and derives ``add_set_elem``
+        from it."""
+        return self.add_set_elem(self.singleton(a), b)
 
     def add_set_elem(self, S, a):
-        """Union of x + a over x in S."""
+        """Union of x + a over x in S.  P, Phi and tropical extensions
+        define it in closed form; a finite hyperfield derives it from
+        ``add``."""
         raise NotImplementedError
 
     def union_sets(self, S, T):
@@ -479,9 +476,12 @@ class Hyperfield:
         return str(a)
 
     def nary_sum(self, terms: Sequence):
-        """Left fold of hyperaddition over a list of elements."""
-        acc = self.singleton(self.zero())
-        for t in terms:
+        """Left fold of ``add_set_elem`` over a list of elements, from the
+        singleton of the first (0 + t = {t}); {0} for no terms."""
+        if not terms:
+            return self.singleton(self.zero())
+        acc = self.singleton(terms[0])
+        for t in terms[1:]:
             acc = self.add_set_elem(acc, t)
         return acc
 
@@ -505,37 +505,37 @@ class Hyperfield:
 
 
 class FiniteHyperfield(Hyperfield):
-    """Base for hyperfields whose set values are finite sets."""
+    """Base for hyperfields whose set values are frozensets of elements.
+
+    Each subclass defines ``add``; S + a is the union of x + a over x in S.
+    """
 
     def singleton(self, a):
-        return FiniteSV(frozenset([a]))
+        return frozenset((a,))
 
     def empty_set(self):
-        return FiniteSV(frozenset())
+        return frozenset()
 
     def add_set_elem(self, S, a):
-        out = set()
-        for x in S.elems:
-            out |= self.add(x, a).elems
-        return FiniteSV(frozenset(out))
+        return frozenset().union(*(self.add(x, a) for x in S))
 
     def union_sets(self, S, T):
-        return FiniteSV(S.elems | T.elems)
+        return S | T
 
     def set_contains(self, S, a) -> bool:
-        return a in S.elems
+        return a in S
 
     def set_is_empty(self, S) -> bool:
-        return not S.elems
+        return not S
 
     def set_without_zero(self, S):
-        return FiniteSV(S.elems - {self.zero()})
+        return S - {self.zero()}
 
     def scale_set(self, S, c):
-        return FiniteSV(frozenset(self.mul(c, x) for x in S.elems))
+        return frozenset(self.mul(c, x) for x in S)
 
     def set_elements(self, S) -> list:
-        return list(S.elems)
+        return list(S)
 
 
 class FieldHyperfield(FiniteHyperfield):
@@ -606,6 +606,11 @@ class _SmallHyperfield(FiniteHyperfield):
         return True
 
 
+_ZERO_ONE = frozenset((0, 1))
+_SIGNS = frozenset((-1, 0, 1))
+_UNIT_SIGNS = frozenset((-1, 1))
+
+
 class KrasnerHyperfield(_SmallHyperfield):
     """K = {0, 1} with 1 + 1 = {0, 1}."""
 
@@ -615,7 +620,7 @@ class KrasnerHyperfield(_SmallHyperfield):
         return a
 
     def _add_units(self, a, b):
-        return FiniteSV(frozenset([0, 1]))
+        return _ZERO_ONE
 
     def elements(self):
         return [0, 1]
@@ -632,7 +637,7 @@ class SignHyperfield(_SmallHyperfield):
     def _add_units(self, a, b):
         if a == b:
             return self.singleton(a)
-        return FiniteSV(frozenset([-1, 0, 1]))
+        return _SIGNS
 
     def elements(self):
         return [-1, 0, 1]
@@ -644,9 +649,7 @@ class WeakSignHyperfield(SignHyperfield):
     name = "W"
 
     def _add_units(self, a, b):
-        if a == b:
-            return FiniteSV(frozenset([1, -1]))
-        return FiniteSV(frozenset([-1, 0, 1]))
+        return _UNIT_SIGNS if a == b else _SIGNS
 
     def is_stringent(self):
         return False
@@ -683,7 +686,6 @@ class QuotientHyperfield(FiniteHyperfield):
                 for u in U:
                     self._rep[(a * u) % p] = a
         self.name = f"GF{p}/{{{','.join(map(str, sorted(U)))}}}"
-        self._add_table: dict[tuple[int, int], FiniteSV] = {}
 
     def rep(self, a: int) -> int:
         return self._rep[a % self.field.p]
@@ -703,18 +705,11 @@ class QuotientHyperfield(FiniteHyperfield):
     def inv(self, a):
         return self.rep(self.field.inv(a))
 
-    def _coset_sum(self, a, b) -> FiniteSV:
+    def add(self, a, b):
         # a*u + b*v = u*(a + b*w) with w = v/u in U, so the cosets in the
         # sum of the cosets of a and b are those of a + b*w.
         p = self.field.p
-        return FiniteSV(frozenset(self._rep[(a + b * w) % p] for w in self.U))
-
-    def add(self, a, b):
-        key = (a, b) if a <= b else (b, a)
-        cached = self._add_table.get(key)
-        if cached is None:
-            cached = self._add_table[key] = self._coset_sum(a, b)
-        return cached
+        return frozenset(self._rep[(a + b * w) % p] for w in self.U)
 
     def elements(self):
         return list(self._reps)
@@ -725,11 +720,9 @@ class QuotientHyperfield(FiniteHyperfield):
     def stringency_witness(self):
         # a + b = a(1 + b/a), so a witness (a, b) gives the witness
         # (1, b/a); 1 is the least unit, so the first witness has a = 1.
-        # The sums 1 + b are not cached: the scan would fill the add table
-        # with one entry per unit.
         one = self.one()
         for b in self.units():
-            if b != self.neg(one) and len(self._coset_sum(one, b).elems) > 1:
+            if b != self.neg(one) and len(self.add(one, b)) > 1:
                 return (one, b)
         return None
 
@@ -769,9 +762,6 @@ class PhaseHyperfield(Hyperfield):
 
     def empty_set(self):
         return ARCSET_EMPTY
-
-    def add(self, a, b):
-        return phase_add_sets(self.singleton(a), b, self.closed)
 
     def add_set_elem(self, S, a):
         return phase_add_sets(S, a, self.closed)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .extension import TropicalExtension, trop, trop_complex, trop_signed
 from .fields import BaseField, QQ, QQi
@@ -374,63 +374,42 @@ class SeriesDomain:
 # Enriched valuations
 
 
-def _lead(a: SeriesTrunc):
-    if a.is_indeterminate():
-        raise PrecisionError("insufficient precision to take a valuation")
-    return a.leading()
+def _enriched(name: str, field: BaseField, target: TropicalExtension,
+              unit: Callable[[Any], Any]) -> Hom:
+    """The map c t^g + ... -> (unit(c), g) into ``target``, 0 -> 0, from
+    series over ``field``; an indeterminate series raises PrecisionError."""
+
+    def f(a: SeriesTrunc):
+        if a.is_zero():
+            return None
+        if a.is_indeterminate():
+            raise PrecisionError("insufficient precision to take a valuation")
+        c, g = a.leading()
+        return target.elem(unit(c), gelem(g))
+
+    return Hom(name, SeriesDomain(field), target, f)
 
 
 def hom_val(field: BaseField = QQ) -> Hom:
     """Valuation: a nonzero series maps to its leading exponent in K x| Q."""
-    T = trop()
-
-    def f(a: SeriesTrunc):
-        if a.is_zero():
-            return None
-        _, g = _lead(a)
-        return T.elem(1, gelem(g))
-
-    return Hom(f"val:{field.name}((t))->T", SeriesDomain(field), T, f)
+    return _enriched(f"val:{field.name}((t))->T", field, trop(), lambda c: 1)
 
 
 def hom_sval() -> Hom:
     """Signed valuation over rational series: (sign of lead, lead exponent)."""
-    TR = trop_signed()
-
-    def f(a: SeriesTrunc):
-        if a.is_zero():
-            return None
-        c, g = _lead(a)
-        return TR.elem(1 if c > 0 else -1, gelem(g))
-
-    return Hom("sval:Q((t))->TR", SeriesDomain(QQ), TR, f)
+    return _enriched("sval:Q((t))->TR", QQ, trop_signed(),
+                     lambda c: 1 if c > 0 else -1)
 
 
 def hom_fval(field: BaseField = QQ) -> Hom:
     """Fine valuation: (leading coefficient, leading exponent)."""
-    target = TropicalExtension(FieldHyperfield(field), 1)
-
-    def f(a: SeriesTrunc):
-        if a.is_zero():
-            return None
-        c, g = _lead(a)
-        return target.elem(c, gelem(g))
-
-    return Hom(f"fval:{field.name}((t))->{field.name}x|Q", SeriesDomain(field),
-               target, f)
+    return _enriched(f"fval:{field.name}((t))->{field.name}x|Q", field,
+                     TropicalExtension(FieldHyperfield(field), 1), lambda c: c)
 
 
 def hom_phval() -> Hom:
     """Phased valuation over Gaussian-rational series into Phi x| Q."""
-    TC = trop_complex()
-
-    def f(a: SeriesTrunc):
-        if a.is_zero():
-            return None
-        c, g = _lead(a)
-        return TC.elem(dir_of_gauss(c), gelem(g))
-
-    return Hom("phval:Qi((t))->TC", SeriesDomain(QQi), TC, f)
+    return _enriched("phval:Qi((t))->TC", QQi, trop_complex(), dir_of_gauss)
 
 
 def hom_by_name(name: str) -> Hom:

@@ -49,7 +49,15 @@ from .poly import (
     product_of_linear_factors,
     pushforward,
 )
-from .series import SeriesDomain, SeriesTrunc, series, series_div, series_mul, series_sub
+from .series import (
+    SeriesDomain,
+    SeriesTrunc,
+    hom_val,
+    series,
+    series_div,
+    series_mul,
+    series_sub,
+)
 
 
 DEFAULT_DEGREE_BOUND = 8
@@ -256,7 +264,7 @@ def roots_univariate(p: HPoly) -> list[RootRecord]:
 # Multiplicity bound
 
 
-def random_hpoly(H: Hyperfield, rng, deg: int, ext_levels: bool = True) -> HPoly:
+def random_hpoly(H: Hyperfield, rng, deg: int) -> HPoly:
     coeffs = {}
     for i in range(deg + 1):
         if rng.random() < 0.35 and i != deg:
@@ -429,7 +437,6 @@ def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
     Coefficients are unit series; pairs whose tropical lines share a ray
     are resampled, since those are not 0-dimensional systems.
     """
-    from .series import hom_val
     from .tropgeo import fine_hypersurface, fine_intersect
 
     def unit():

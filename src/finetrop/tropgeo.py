@@ -46,7 +46,7 @@ from .extension import ExtElem, TropicalExtension
 from .fields import BaseField, BaseSolveError
 from .hyperfields import FieldHyperfield, Hyperfield
 from .ordgroup import gelem
-from .poly import FPoly, HPoly, hpoly, is_root, pushforward
+from .poly import FPoly, HPoly, hpoly, is_root, prevariety_member, pushforward
 from .series import hom_fval
 from .solve import SolverInvariantError
 
@@ -382,10 +382,6 @@ def _classify_cond(F: BaseField, cond: HPoly):
     raise BaseSolveError(f"base condition outside supported shapes: {cond}")
 
 
-def _check_pair(conds: Sequence[HPoly], u, v) -> bool:
-    return all(is_root(c, (u, v)) for c in conds)
-
-
 def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     """Unit solutions of two initial-form conditions.
 
@@ -395,7 +391,7 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     units = H.units()
     if units is not None:
         sols = [(u, v) for u in units for v in units
-                if _check_pair((condA, condB), u, v)]
+                if prevariety_member((condA, condB), (u, v))]
         return ("points", sols)
     if not isinstance(H, FieldHyperfield):
         raise BaseSolveError(f"base solving unsupported over {H.name}")
@@ -458,7 +454,7 @@ def _binomial_pair(F: BaseField, kA, kB, conds):
     out = []
     for u in F.nth_roots(u_rhs, det):
         for v in F.nth_roots(v_rhs, det):
-            if _check_pair(conds, u, v) and (u, v) not in out:
+            if prevariety_member(conds, (u, v)) and (u, v) not in out:
                 out.append((u, v))
     return ("points", out)
 
@@ -500,7 +496,7 @@ def _affine_binomial(F: BaseField, kA, kB, conds):
         base = F.mul(w, F.power(y, -dv))
         x = base if du == 1 else F.inv(base)
         pair = (y, x) if swap else (x, y)
-        if _check_pair(conds, *pair) and pair not in sols:
+        if prevariety_member(conds, pair) and pair not in sols:
             sols.append(pair)
     return ("points", sols)
 

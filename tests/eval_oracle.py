@@ -3,12 +3,17 @@
 This is how ``finetrop.poly.eval_poly`` evaluated before it shared one
 running power per coordinate and before tropical extensions summed only
 their minimal-level terms: each monomial builds every x^e from scratch by
-the generic ``Hyperfield.power`` (e multiplications), and the generic
-``Hyperfield.nary_sum`` folds every term.  Both are called unbound so no
-hyperfield's own closed forms stand in for them.  A monomial with a nonzero
+the generic ``Hyperfield.power`` (e multiplications), called unbound so no
+hyperfield's own closed form stands in for it, and ``fold_from_zero`` folds
+every term.  A monomial with a nonzero
 exponent at a zero coordinate is zero, and a negative exponent at any zero
 coordinate raises, whatever the order of the variables.  It is kept only as
 a slow oracle for the tests.
+
+``fold_from_zero`` is the n-ary sum as ``Hyperfield.nary_sum`` folded it
+before it started at its first term, and ``extension_add_set_elem`` is
+``TropicalExtension.add_set_elem`` as it was before ``level_sum`` owned the
+equal-level rule, kept verbatim with ``self`` the extension.
 """
 
 from __future__ import annotations
@@ -33,8 +38,37 @@ def eval_every_term(p: HPoly, point: Sequence):
             if e:
                 val = H.mul(val, Hyperfield.power(H, a, e))
         terms.append(val)
-    return Hyperfield.nary_sum(H, terms)
+    return fold_from_zero(H, terms)
 
 
 def is_root_every_term(p: HPoly, point: Sequence) -> bool:
     return p.hyperfield.set_contains_zero(eval_every_term(p, point))
+
+
+def fold_from_zero(H: Hyperfield, terms: Sequence):
+    acc = H.singleton(H.zero())
+    for t in terms:
+        acc = H.add_set_elem(acc, t)
+    return acc
+
+
+def extension_add_set_elem(self, S, y):
+    if y is None:
+        return S
+    if S.level is None:
+        if S.zero:
+            return self.singleton(y)
+        return S
+    g, h = S.level, y.level
+    if h < g:
+        # The new element dominates everything in S.
+        return self.singleton(y)
+    if g < h:
+        # S's elements sit at a lower level and dominate y.
+        return S
+    C = self.base.add_set_elem(S.base_sv, y.coef)
+    tail = self.base.set_contains_zero(C)
+    base_part = self.base.set_without_zero(C)
+    if S.tail or S.zero:
+        base_part = self.base.union_sets(base_part, self.base.singleton(y.coef))
+    return self._mk(g, base_part, tail, tail)

@@ -10,8 +10,18 @@ from finetrop.extension import (
     trop_signed,
 )
 from finetrop.fields import QQ
-from finetrop.hyperfields import FieldHyperfield, check_axioms
+from finetrop.hyperfields import (
+    K,
+    PHI,
+    S,
+    W,
+    FieldHyperfield,
+    check_axioms,
+    quotient_build,
+)
 from finetrop.ordgroup import gelem
+
+from eval_oracle import extension_add_set_elem
 
 T = trop()
 TR = trop_signed()
@@ -98,3 +108,20 @@ def test_minimal_level_sum_and_running_powers_equal_the_generic_ones():
                                           for k in range(1, abs(n) + 1)]
                 assert E.base.powers(a.coef, n) == [
                     E.base.power(a.coef, s * k) for k in range(1, abs(n) + 1)]
+
+
+def test_extension_sums_match_the_reference():
+    # Sets drawn as sums of up to four terms at levels -1, 0 and 1, plus
+    # one more such term, over bases with and without cancellation.
+    rng = random.Random(20)
+    tails = 0
+    for base in (K, S, W, quotient_build(5, [1, 4]), quotient_build(7, [1, 2, 4]),
+                 FieldHyperfield(QQ), PHI):
+        E = TropicalExtension(base, 1)
+        for _ in range(300):
+            A = E.nary_sum([_term(E, rng) for _ in range(rng.randint(0, 4))])
+            y = _term(E, rng)
+            tails += A.tail
+            assert E.add_set_elem(A, y) == extension_add_set_elem(E, A, y), (
+                E.name, A, y)
+    assert tails >= 100

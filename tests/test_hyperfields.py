@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from finetrop import hyperfields
+from finetrop.extension import TropicalExtension, trop, trop_complex, trop_signed
 from finetrop.fields import GF, QQ, gauss
 from finetrop.hyperfields import (
     ARCSET_EMPTY,
@@ -13,7 +15,6 @@ from finetrop.hyperfields import (
     Arc,
     ArcSet,
     Dir,
-    FiniteSV,
     K,
     P,
     PHI,
@@ -38,6 +39,7 @@ from finetrop.hyperfields import (
 
 import phase_oracle
 import phase_sweep
+from eval_oracle import fold_from_zero
 from phase_oracle import _refined_sum
 
 
@@ -114,7 +116,7 @@ def test_axioms_report_a_second_additive_inverse():
 
         def add(self, a, b):
             if a == b != 0:
-                return FiniteSV(frozenset([0, a]))
+                return frozenset([0, a])
             return super().add(a, b)
 
     fails = check_axioms(DoubledSigns())
@@ -126,7 +128,7 @@ def test_axioms_report_a_second_additive_inverse():
 def _pair_search_witness(H):
     for a in H.units():
         for b in H.units():
-            if len(H.add(a, b).elems) > 1 and b != H.neg(a):
+            if len(H.add(a, b)) > 1 and b != H.neg(a):
                 return (a, b)
     return None
 
@@ -142,11 +144,13 @@ def test_quotient_witness_matches_the_pair_search():
 
 
 def test_stringency_witness_leaves_the_add_table_alone():
-    # The scan sums 1 + b for every unit b; none of them is kept.
+    # The scan sums 1 + b for every unit b; neither it nor a sum changes
+    # the hyperfield's state.
     H = quotient_build(101, [1])
+    before = dict(vars(H))
     H.add(1, 1)
     assert H.stringency_witness() is None
-    assert list(H._add_table) == [(1, 1)]
+    assert vars(H) == before
 
 
 def test_field_draws_match_a_choice_from_the_elements():
@@ -288,6 +292,51 @@ def test_phase_arc_algebra_matches_oracle():
         dirs = {a.start for a in A.arcs if a.is_point()}
         seen["antipodal"] += any(P.neg(d) in dirs for d in dirs)
     assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# n-ary sums
+
+
+def _unit(H, rng):
+    while True:
+        a = H.random_element(rng)
+        if not H.is_zero(a):
+            return a
+
+
+def _draw(H, rng):
+    """Zero one time in five, else a unit; over an extension the levels
+    lie in {-1, 0, 1}, so terms often tie."""
+    if rng.random() < 0.2:
+        return H.zero()
+    if isinstance(H, TropicalExtension):
+        return H.elem(_unit(H.base, rng),
+                      *[rng.randint(-1, 1) for _ in range(H.rank)])
+    return _unit(H, rng)
+
+
+def test_sum_fold_matches_the_fold_from_zero(monkeypatch):
+    GF5_14 = quotient_build(5, [1, 4])
+    hs = [K, S, W, GF5_14, quotient_build(7, [1, 2, 4]),
+          field_hyperfield(GF(5)), P, PHI, trop(), trop_signed(),
+          trop_complex(), trop(2), TropicalExtension(field_hyperfield(QQ)),
+          TropicalExtension(W), TropicalExtension(GF5_14)]
+    rng = random.Random(20)
+    zero_first = 0
+    for H in hs:
+        assert H.nary_sum([]) == fold_from_zero(H, []) == H.singleton(H.zero())
+        for _ in range(200):
+            terms = [_draw(H, rng) for _ in range(rng.randint(1, 5))]
+            zero_first += H.is_zero(terms[0])
+            assert H.nary_sum(terms) == fold_from_zero(H, terms), (H.name, terms)
+    assert zero_first >= 300
+    # A one-term sum is the singleton: no phase sum is formed.
+    calls = []
+    monkeypatch.setattr(hyperfields, "phase_add_sets",
+                        lambda *args: calls.append(args))
+    assert P.nary_sum([make_dir(1, 2)]) == P.singleton(make_dir(1, 2))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
