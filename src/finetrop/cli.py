@@ -376,6 +376,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
+    # Exact answers can have more digits than Python's int <-> str limit
+    # (4300 by default).  Lift it for this call only: callers that run main
+    # in-process keep their own limit.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (ParseError, BaseSolveError, ValueError) as e:
@@ -383,6 +389,9 @@ def main(argv=None) -> int:
                   sys.stdout, indent=2, sort_keys=True)
         print()
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

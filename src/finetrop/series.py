@@ -9,8 +9,9 @@ Products and quotients scale the exponents of their operands to integers
 on a common grid 1/D (D the lcm of their denominators) and work on integer
 offsets: a product is a convolution that stops each row at the result's
 precision, a quotient a/b is the division recurrence q (1 + u) = a / c for
-b = c t^g (1 + u), run only over the terms the result keeps, and an
-inverse is the quotient 1/b.  Precision follows the known terms: a product
+b = c t^g (1 + u), run only over the terms the result keeps (or, in
+``series_div_lead``, only its first term), and an inverse is the quotient
+1/b.  Precision follows the known terms: a product
 is known up to the smaller of lead(a) + prec(b) and lead(b) + prec(a), the
 inverse of c t^g + O(t^p) up to O(t^(p - 2g)), and a quotient as far as a
 times that inverse.  Exponents are Fractions again in every result.
@@ -110,12 +111,6 @@ def s_const(field: BaseField, c) -> SeriesTrunc:
     return SeriesTrunc(field, ((Fraction(0), c),))
 
 
-def s_monomial(field: BaseField, c, exp) -> SeriesTrunc:
-    if field.is_zero(c):
-        return s_zero(field)
-    return SeriesTrunc(field, ((Fraction(exp), c),))
-
-
 def _min_prec(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
     if a is None:
         return b
@@ -210,12 +205,6 @@ def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
     return SeriesTrunc(F, tuple(terms), p)
 
 
-def series_truncate(a: SeriesTrunc, prec) -> SeriesTrunc:
-    """a known only below prec; its terms are already sorted and nonzero."""
-    p = _min_prec(a.prec, Fraction(prec))
-    return SeriesTrunc(a.field, tuple(t for t in a.terms if t[0] < p), p)
-
-
 def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:
     """1/a as the quotient ``series_div(1, a, prec)``.
 
@@ -243,6 +232,29 @@ def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
     term divides exactly; any other exact b needs a prec.  A zero a gives
     0, or O(t^prec) when a prec is given.
     """
+    p, _, terms = _quotient(a, b, prec)
+    return SeriesTrunc(a.field, tuple(terms), p)
+
+
+def series_div_lead(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
+    """``series_div(a, b, prec)`` cut to its first term.
+
+    Only q_0 of the recurrence is computed; the cut is known below the
+    lower of p and the next grid point, so it claims no term it did not
+    compute.  It has the leading term of the full quotient, or none when
+    the full quotient has none, with the same precision rule and errors,
+    so an enriched valuation maps both alike.
+    """
+    p, D, terms = _quotient(a, b, prec)
+    first = next(terms, None)
+    if first is None:
+        return SeriesTrunc(a.field, (), p)
+    return SeriesTrunc(a.field, (first,), _min_prec(p, first[0] + Fraction(1, D)))
+
+
+def _quotient(a: SeriesTrunc, b: SeriesTrunc, prec):
+    """(p, D, the nonzero terms below p, lazily) of a/b on the grid 1/D;
+    see series_div."""
     F = a.field
     if b.is_zero():
         raise ZeroDivisionError("cannot invert the zero series")
@@ -258,7 +270,7 @@ def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
     if target is None and len(b.terms) > 1:
         raise PrecisionError("inverse of a multi-term exact series needs a precision")
     if a.is_zero():
-        return SeriesTrunc(F, (), prec)
+        return prec, None, iter(())
     p: Optional[Fraction] = None
     if target is not None:
         p = (a.terms[0][0] if a.terms else a.prec) + target
@@ -266,7 +278,7 @@ def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
         p = _min_prec(p, a.prec - g)
     p = _min_prec(p, prec)
     if not a.terms:
-        return SeriesTrunc(F, (), p)
+        return p, None, iter(())
     lead = a.terms[0][0]
     da = [e - lead for e, _ in a.terms]
     db = [e - g for e, _ in b.terms[1:]]
@@ -280,27 +292,29 @@ def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
     shift = lead - g
     num, den = shift.numerator * D, shift.denominator * D
     size = max(alpha) + 1 if p is None else ceil((p - shift) * D)
-    # None in q marks a zero q_n.
-    q: list[Any] = [None] * max(0, size)
-    terms = []
-    for n in range(len(q)):
-        xs, ys = [], []
-        if n in alpha:
-            xs.append(cinv)
-            ys.append(alpha[n])
-        for k, nuk in nu:
-            if k > n:
-                break
-            prev = q[n - k]
-            if prev is not None:
-                xs.append(nuk)
-                ys.append(prev)
-        if xs:
-            s = F.dot(xs, ys)
-            if not F.is_zero(s):
-                q[n] = s
-                terms.append((Fraction(num + n * shift.denominator, den), s))
-    return SeriesTrunc(F, tuple(terms), p)
+
+    def terms():
+        # None in q marks a zero q_n.
+        q: list[Any] = [None] * max(0, size)
+        for n in range(len(q)):
+            xs, ys = [], []
+            if n in alpha:
+                xs.append(cinv)
+                ys.append(alpha[n])
+            for k, nuk in nu:
+                if k > n:
+                    break
+                prev = q[n - k]
+                if prev is not None:
+                    xs.append(nuk)
+                    ys.append(prev)
+            if xs:
+                s = F.dot(xs, ys)
+                if not F.is_zero(s):
+                    q[n] = s
+                    yield Fraction(num + n * shift.denominator, den), s
+
+    return p, D, terms()
 
 
 def fmt_coeff(field: BaseField, c) -> str:
@@ -422,32 +436,3 @@ def hom_by_name(name: str) -> Hom:
     if name not in table:
         raise ValueError(f"unknown homomorphism {name!r}")
     return table[name]()
-
-
-# ---------------------------------------------------------------------------
-# The surjectivity-of-sums condition for sign maps out of Q
-
-def sign_sum_condition_witness(target) -> Optional[tuple]:
-    """Check, for the sign map Q -> target in {S, W}, that every gamma in
-    alpha + beta is realised as sgn(a + b) with sgn a = alpha, sgn b = beta.
-
-    Rationals of fixed signs have knowable sums: same sign forces that
-    sign, opposite signs realise all three.  Returns a witness triple
-    (alpha, beta, gamma) that cannot be realised, or None.
-    """
-    def reachable(alpha: int, beta: int) -> set[int]:
-        if alpha == 0:
-            return {beta}
-        if beta == 0:
-            return {alpha}
-        if alpha == beta:
-            return {alpha}
-        return {-1, 0, 1}
-
-    for alpha in (-1, 0, 1):
-        for beta in (-1, 0, 1):
-            hsum = target.add(alpha, beta)
-            for gamma in target.set_elements(hsum):
-                if gamma not in reachable(alpha, beta):
-                    return (alpha, beta, gamma)
-    return None

@@ -20,6 +20,9 @@ level of the recursion evaluates p.
 
 Also: multiplicity-bound checks, instance-level relative-algebraic-closedness
 checks, and the Kapranov / fundamental-theorem verification harnesses.
+``solve_linear_2x2`` is the full series solve of a 2x2 linear system; the
+fundamental harness shares its Cramer step but, since an enriched valuation
+reads only a leading term, divides out one term of each coordinate.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .series import (
     hom_val,
     series,
     series_div,
+    series_div_lead,
     series_mul,
     series_sub,
 )
@@ -462,13 +466,10 @@ def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
             return P, Q
 
 
-def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTrunc]:
-    """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series.
-
-    Each coordinate is its numerator divided by the determinant to
-    O(t^prec), one ``series_div`` recurrence over the terms it keeps; the
-    determinant is never inverted on its own.
-    """
+def _cramer(P: FPoly, Q: FPoly) -> tuple[SeriesTrunc, SeriesTrunc, SeriesTrunc]:
+    """Cramer numerators and determinant (nx, ny, det) of
+    a X + b Y + c = 0, d X + e Y + g = 0 over series; raises ValueError when
+    the determinant vanishes."""
     dom = P.domain
 
     def coef(p: FPoly, d):
@@ -481,28 +482,53 @@ def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTru
         raise ValueError("no isolated solution: determinant vanishes")
     nx = series_sub(series_mul(b, g), series_mul(c, e))
     ny = series_sub(series_mul(c, d_), series_mul(a, g))
-    target = Fraction(prec)
-    return series_div(nx, det, target), series_div(ny, det, target)
+    return nx, ny, det
+
+
+def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTrunc]:
+    """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series.
+
+    Each coordinate is its numerator divided by the determinant to
+    O(t^prec), one ``series_div`` recurrence over the terms it keeps; the
+    determinant is never inverted on its own.  This is the full solve;
+    ``fundamental_harness`` reads only the first term of each quotient.
+    """
+    nx, ny, det = _cramer(P, Q)
+    return series_div(nx, det, prec), series_div(ny, det, prec)
+
+
+def _solution_image(f: Hom, P: FPoly, Q: FPoly, prec=8) -> tuple:
+    """f of both coordinates of the solution of (P, Q) to O(t^prec).
+
+    An enriched valuation reads only a leading term, so each coordinate is
+    its quotient cut to its first term (``series_div_lead``): the image
+    of ``solve_linear_2x2`` without expanding the quotients.  Raises
+    ValueError, PrecisionError included, where that solve and f would.
+    """
+    nx, ny, det = _cramer(P, Q)
+    return f(series_div_lead(nx, det, prec)), f(series_div_lead(ny, det, prec))
 
 
 def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],
                         prec=8) -> list[str]:
     """Both sides of the push-forward variety equality, on 2x2 linear systems.
 
-    The series side solves exactly by Cramer elimination and applies f;
-    the hyperfield side intersects the two fine curves of the pushed
-    generators.  The two point sets must agree exactly.
+    The series side solves by Cramer elimination and applies f, reading
+    one term of each coordinate (``_solution_image``); the hyperfield side
+    intersects the two fine curves of the pushed generators.  The two
+    point sets must agree exactly.  A system whose determinant vanishes or
+    whose solution is not known to a leading term below O(t^prec) is
+    reported as that system's failure.
     """
     from .tropgeo import fine_hypersurface, fine_intersect
 
     failures = []
     for idx, (P, Q) in enumerate(systems):
         try:
-            x, y = solve_linear_2x2(P, Q, prec)
+            img = _solution_image(f, P, Q, prec)
         except ValueError as e:
             failures.append(f"system {idx}: {e}")
             continue
-        img = (f(x), f(y))
         hp = pushforward(f, P)
         hq = pushforward(f, Q)
         pts, comps = fine_intersect(fine_hypersurface(hp), fine_hypersurface(hq))

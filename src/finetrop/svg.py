@@ -9,10 +9,15 @@ plain SVG 1.1, parseable by xml.etree.
 from __future__ import annotations
 
 from typing import Optional
-from xml.sax.saxutils import escape
 
 VIEW = 10.0  # drawing spans [-VIEW, VIEW]^2 in curve coordinates
 SIZE = 400.0
+
+
+def _escape(text: str) -> str:
+    """Text content with &, < and > escaped.  Not xml.sax.saxutils.escape,
+    whose import pulls in urllib.request and with it http, email and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _map(x: float, y: float) -> tuple[float, float]:
@@ -39,7 +44,7 @@ def _segment(p0, v, iv, style: str, label: Optional[str] = None) -> list[str]:
     if label:
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
         out.append(f'<text x="{mx:.2f}" y="{my - 4:.2f}" font-size="10">'
-                   f"{escape(label)}</text>")
+                   f"{_escape(label)}</text>")
     return out
 
 
@@ -48,7 +53,7 @@ def _vertex(pt, style: str, label: Optional[str] = None) -> list[str]:
     out = [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" {style}/>']
     if label:
         out.append(f'<text x="{x + 5:.2f}" y="{y - 5:.2f}" font-size="10">'
-                   f"{escape(label)}</text>")
+                   f"{_escape(label)}</text>")
     return out
 
 

@@ -6,7 +6,7 @@ product list every term, or every pairwise product, and let ``series()``
 merge, sort and truncate them, one field operation at a time; the inverse
 sums the powers of ``-u`` one full product at a time.  It is kept only as
 a slow, independent oracle for the tests, and shares nothing with the fast
-path but the ``series()`` constructor, negation and truncation.
+path but the ``series()`` constructor and negation.
 """
 
 from __future__ import annotations
@@ -19,12 +19,22 @@ from finetrop.series import (
     SeriesTrunc,
     _min_prec,
     s_const,
-    s_monomial,
     s_zero,
     series,
     series_neg,
-    series_truncate,
 )
+
+
+def s_monomial(field, c, exp) -> SeriesTrunc:
+    if field.is_zero(c):
+        return s_zero(field)
+    return SeriesTrunc(field, ((Fraction(exp), c),))
+
+
+def series_truncate(a: SeriesTrunc, prec) -> SeriesTrunc:
+    """a known only below prec; its terms are already sorted and nonzero."""
+    p = _min_prec(a.prec, Fraction(prec))
+    return SeriesTrunc(a.field, tuple(t for t in a.terms if t[0] < p), p)
 
 
 def series_add(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:

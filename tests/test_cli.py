@@ -1,6 +1,7 @@
 """Command line interface: JSON shapes, exit codes, and determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -118,6 +119,28 @@ def test_fine_curve_svg(capsys, tmp_path):
                   "X + Y + (1, 0)")
     assert code == 0
     assert out_file.read_text().startswith("<svg")
+
+
+def test_svg_labels_escape_like_saxutils():
+    # The svg module escapes by hand so that importing it does not load
+    # urllib.request (and http, email, ssl) through xml.sax.saxutils.
+    import os
+    import subprocess
+    from pathlib import Path
+    from xml.sax.saxutils import escape
+
+    import finetrop
+    from finetrop.svg import _escape
+
+    for text in ("a<b>&c", "&amp;", "<<>>&&", "", "K{1} & S<W>"):
+        assert _escape(text) == escape(text)
+    probe = ("import sys, finetrop.cli; "
+             "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl', "
+             "'email') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(finetrop.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_multbound(capsys):
@@ -254,3 +277,15 @@ def test_verify_kapranov_over_a_phase_base_is_one_error(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "BaseSolveError" and "Phi" in doc["message"]
+
+
+def test_eval_prints_values_beyond_the_int_str_limit(capsys):
+    # 2^20000 has 6,021 digits, more than Python's default limit of 4300
+    # for int <-> str; main lifts it for its own call only.
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "eval", "--hyperfield", "Q", "X^20000", "2")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    digits = json.loads(out)["value"][1:-1]
+    assert len(digits) == 6021 and digits.isdigit()
+    assert int(digits[-40:]) == pow(2, 20000, 10**40)

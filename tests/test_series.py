@@ -21,18 +21,18 @@ from finetrop.series import (
     series,
     series_add,
     series_div,
+    series_div_lead,
     series_inv,
     series_mul,
     series_neg,
     series_sub,
-    series_truncate,
-    sign_sum_condition_witness,
 )
 from finetrop.poly import fpoly
 import finetrop.solve
 from finetrop.solve import random_linear_system, solve_linear_2x2
 
 import series_oracle
+from series_oracle import series_truncate
 
 
 def test_series_basics():
@@ -118,6 +118,32 @@ def test_phval_uses_gauss_direction():
     f = hom_phval()
     a = series(QQi, [(0, gauss(3, 4))])
     assert f(a).coef == make_dir(3, 4)
+
+
+def sign_sum_condition_witness(target):
+    """Check, for the sign map Q -> target in {S, W}, that every gamma in
+    alpha + beta is realised as sgn(a + b) with sgn a = alpha, sgn b = beta.
+
+    Rationals of fixed signs have knowable sums: same sign forces that
+    sign, opposite signs realise all three.  Returns a witness triple
+    (alpha, beta, gamma) that cannot be realised, or None.
+    """
+    def reachable(alpha: int, beta: int) -> set[int]:
+        if alpha == 0:
+            return {beta}
+        if beta == 0:
+            return {alpha}
+        if alpha == beta:
+            return {alpha}
+        return {-1, 0, 1}
+
+    for alpha in (-1, 0, 1):
+        for beta in (-1, 0, 1):
+            hsum = target.add(alpha, beta)
+            for gamma in target.set_elements(hsum):
+                if gamma not in reachable(alpha, beta):
+                    return (alpha, beta, gamma)
+    return None
 
 
 def test_sign_sum_condition():
@@ -213,6 +239,28 @@ def test_rational_products_and_inverses_return_fractions():
             assert got == _outcome(old, *args), (new.__name__, args)
             if isinstance(got, SeriesTrunc):
                 assert all(type(c) is Fraction for _, c in got.terms), got
+
+
+def test_division_lead_is_the_quotient_cut_to_its_first_term():
+    rng = random.Random(4242)
+    kinds = set()
+    for F in (QQ, QQi, GF(5)):
+        for _ in range(200):
+            a = _random_series(F, rng, rng.random() < 0.5)
+            b = _random_series(F, rng, rng.random() < 0.5)
+            prec = rng.choice([None, Fraction(rng.randint(-2, 8), rng.randint(1, 3))])
+            full = _outcome(series_div, a, b, prec)
+            lead = _outcome(series_div_lead, a, b, prec)
+            if isinstance(full, type) or not full.terms:
+                assert lead == full, (a, b, prec)
+                kinds.add(full if isinstance(full, type) else "no term")
+                continue
+            # Known below its precision, the cut agrees with the quotient.
+            assert lead.terms == full.terms[:1], (a, b, prec)
+            assert full.prec is None or lead.prec <= full.prec
+            assert series_truncate(full, lead.prec) == lead, (a, b, prec)
+            kinds.add("term")
+    assert kinds == {ZeroDivisionError, PrecisionError, "no term", "term"}
 
 
 def test_solve_divides_without_inverting(monkeypatch):

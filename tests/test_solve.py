@@ -25,16 +25,19 @@ from finetrop.solve import (
     BaseSolveError,
     SolverInvariantError,
     base_roots,
+    fundamental_harness,
     kapranov_harness,
     mult_bound_check,
     multiplicity,
     newton_cells,
     rac_check_instance,
     random_hpoly,
+    random_linear_system,
     random_series_root,
     roots_univariate,
 )
 
+import harness_sweep
 import mult_sweep
 from eval_oracle import is_root_every_term
 from mult_search import search_multiplicity
@@ -368,3 +371,36 @@ def test_linear_2x2_keeps_numerator_precision():
     x, y = solve.solve_linear_2x2(P, Q)
     assert x.prec <= 1 and x.leading() == (Fraction(-1), 0)
     assert y.prec <= 1 and y.leading() == (Fraction(-1), 0)
+
+
+def test_harness_reports_an_unknown_coordinate_as_that_systems_failure():
+    # System 1261 of ``verify fundamental --seed 0`` has x = -63/32 t^8 + ...,
+    # so x = O(t^8) at prec 8.  Its PrecisionError used to end the whole
+    # harness; now it is one failure and the systems around it still run.
+    dom = SeriesDomain(QQ)
+    _, P, Q = harness_sweep.built_systems()[-1]
+    rng = random.Random(3)
+    good = random_linear_system(dom, rng)
+    for hom in (hom_fval(), hom_val()):
+        assert fundamental_harness(hom, [good, (P, Q), good]) == [
+            "system 1: insufficient precision to take a valuation"]
+        assert fundamental_harness(hom, [good, (P, Q), good], prec=20) == []
+
+
+def test_harness_divides_out_one_term_per_coordinate(monkeypatch):
+    def full_solve(*args, **kwargs):
+        raise AssertionError("the harness expanded a quotient")
+
+    monkeypatch.setattr(solve, "solve_linear_2x2", full_solve)
+    monkeypatch.setattr(solve, "series_div", full_solve)
+    rng = random.Random(21)
+    systems = [random_linear_system(SeriesDomain(QQ), rng) for _ in range(6)]
+    for hom in (hom_fval(), hom_val(), hom_sval()):
+        assert fundamental_harness(hom, systems) == []
+
+
+def test_harness_images_match_the_full_solve():
+    # Built cases and 6 rounds of tests/harness_sweep.py, which runs any
+    # number of rounds: every image and failure list equals the full solve's.
+    assert harness_sweep.sweep(6) == {"image": 96, "PrecisionError": 204,
+                                      "ValueError": 15}
