@@ -486,10 +486,13 @@ class Hyperfield:
         return acc
 
     def power(self, a, n: int):
+        """a^n by n - 1 products (none for n = 0 or 1); a^n = (1/a)^-n."""
         if n < 0:
             return self.power(self.inv(a), -n)
-        r = self.one()
-        for _ in range(n):
+        if n == 0:
+            return self.one()
+        r = a
+        for _ in range(n - 1):
             r = self.mul(r, a)
         return r
 

@@ -115,21 +115,20 @@ def initial_support(p: HPoly, point: Sequence,
     return [d for d, v in zip(support, vals) if v == m]
 
 
-def eval_poly(p: HPoly, point: Sequence):
-    """Set-valued evaluation: the hypersum of the monomial values.
+def _base_terms(p: HPoly, point: Sequence):
+    """(B, support, terms): the monomials of p that count at ``point`` and
+    their values in B, whose sum decides the evaluation.
 
     The point must have one coordinate per variable.  A monomial with a
     nonzero exponent at a zero coordinate is zero, and a negative exponent
     at any zero coordinate raises ZeroPowerError; both are settled before
-    any multiplication.  Over a tropical extension only the monomials that
-    ``initial_support`` picks are evaluated, and as they share one level
-    the sum is formed at that level: their base coefficients are
-    multiplied and summed in the base hyperfield, the level is taken once
-    from one monomial, and ``TropicalExtension.level_sum`` puts the two
-    together.  Each coordinate's powers come from one running product
-    (``Hyperfield.powers``), shared by every monomial.  The fold runs over
-    the support in lexicographic order so results are reproducible;
-    hyperaddition is associative so the order is immaterial.
+    any multiplication.  Over a tropical extension a sum depends only on
+    its terms at the minimal level, so only the monomials that
+    ``initial_support`` picks count, and B is the base hyperfield: each
+    term is a base coefficient times the base parts of the powers.
+    Otherwise B is p's hyperfield.  Each coordinate's powers come from one
+    running product (``Hyperfield.powers``), shared by every monomial.
+    Terms follow the support in lexicographic order.
     """
     H = p.hyperfield
     if len(point) != p.nvars:
@@ -141,15 +140,11 @@ def eval_poly(p: HPoly, point: Sequence):
         if any(d[i] < 0 for d in support for i in zeros):
             raise ZeroPowerError("0^k undefined for negative k")
         support = [d for d in support if not any(d[i] for i in zeros)]
-    B, level = H, None
+    B, cs = H, [p.coeffs[d] for d in support]
     if isinstance(H, TropicalExtension) and support:
         support = initial_support(p, point, support)
-        level = p.coeffs[support[0]].level
-        for a, e in zip(point, support[0]):
-            if e:
-                level = group_add(level, scalar_mul(e, a.level))
         B, point = H.base, [a if a is None else a.coef for a in point]
-    cs = [p.coeffs[d] if level is None else p.coeffs[d].coef for d in support]
+        cs = [p.coeffs[d].coef for d in support]
     tables = []  # per variable: ([a^1, ..., a^hi], [a^-1, ..., a^lo])
     for i, a in enumerate(point):
         exps = [d[i] for d in support]
@@ -162,12 +157,37 @@ def eval_poly(p: HPoly, point: Sequence):
             if e:
                 val = B.mul(val, table[0][e - 1] if e > 0 else table[1][-e - 1])
         terms.append(val)
+    return B, support, terms
+
+
+def eval_poly(p: HPoly, point: Sequence):
+    """Set-valued evaluation: the hypersum of the monomial values.
+
+    The terms come from ``_base_terms``.  Over a tropical extension they
+    share one level, so their sum is formed at that level: the base terms
+    are summed in the base hyperfield, the level is taken once from one
+    monomial, and ``TropicalExtension.level_sum`` puts the two together.
+    The fold runs over the support in lexicographic order so results are
+    reproducible; hyperaddition is associative so the order is immaterial.
+    """
+    H = p.hyperfield
+    B, support, terms = _base_terms(p, point)
     total = B.nary_sum(terms)
-    return total if level is None else H.level_sum(level, total)
+    if B is H:
+        return total
+    level = p.coeffs[support[0]].level
+    for a, e in zip(point, support[0]):
+        if e:
+            level = group_add(level, scalar_mul(e, a.level))
+    return H.level_sum(level, total)
 
 
 def is_root(p: HPoly, point: Sequence) -> bool:
-    return p.hyperfield.set_contains_zero(eval_poly(p, point))
+    """0 in p(point).  Over a tropical extension this is 0 in the base sum
+    of the minimal-level terms (the hyperfield Kapranov theorem: a root
+    depends only on the initial form), so no level is computed."""
+    B, _, terms = _base_terms(p, point)
+    return B.set_contains_zero(B.nary_sum(terms))
 
 
 def prevariety_member(polys: Iterable[HPoly], point: Sequence) -> bool:
@@ -182,63 +202,6 @@ def pushforward(f: Hom, p) -> HPoly:
     """
     coeffs = {d: f(c) for d, c in p.coeffs.items()}
     return hpoly(f.target, p.nvars, coeffs)
-
-
-def homogenize(p: HPoly) -> HPoly:
-    """Pad each monomial with a new first variable up to total degree."""
-    if p.is_laurent():
-        raise ValueError("homogenize a polynomial, not a Laurent polynomial")
-    alpha = p.degree()
-    coeffs = {}
-    for d, c in p.coeffs.items():
-        coeffs[(alpha - sum(d),) + tuple(d)] = c
-    return hpoly(p.hyperfield, p.nvars + 1, coeffs)
-
-
-def affinize(p: HPoly) -> HPoly:
-    """Clear negative exponents by the minimal monomial shift."""
-    if not p.coeffs:
-        return p
-    shifts = tuple(
-        -min(min(d[i] for d in p.coeffs), 0) for i in range(p.nvars)
-    )
-    coeffs = {
-        tuple(e + s for e, s in zip(d, shifts)): c for d, c in p.coeffs.items()
-    }
-    return hpoly(p.hyperfield, p.nvars, coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Projective points
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """Point of P^n(H), stored with first nonzero coordinate scaled to one."""
-
-    hyperfield: Hyperfield
-    coords: tuple
-
-
-def proj_point(H: Hyperfield, coords: Sequence) -> ProjPoint:
-    coords = tuple(coords)
-    pivot = None
-    for c in coords:
-        if not H.is_zero(c):
-            pivot = c
-            break
-    if pivot is None:
-        raise ValueError("projective point needs a nonzero coordinate")
-    lam = H.inv(pivot)
-    scaled = tuple(H.zero() if H.is_zero(c) else H.mul(lam, c) for c in coords)
-    return ProjPoint(H, scaled)
-
-
-def proj_is_root(p: HPoly, pt: ProjPoint) -> bool:
-    degs = {sum(d) for d in p.coeffs}
-    if len(degs) > 1:
-        raise ValueError("projective root test needs a homogeneous polynomial")
-    return is_root(p, pt.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +236,6 @@ class FPoly:
 
 def fpoly(domain, nvars: int, coeffs: Mapping[Expt, Any]) -> FPoly:
     return FPoly(domain, nvars, coeffs)
-
-
-def fpoly_eval(p: FPoly, point: Sequence):
-    D = p.domain
-    total = D.zero()
-    for d, c in p.coeffs.items():
-        val = c
-        for a, e in zip(point, d):
-            for _ in range(e):
-                val = D.mul(val, a)
-        total = D.add(total, val)
-    return total
 
 
 def product_of_linear_factors(domain, roots: Sequence) -> FPoly:

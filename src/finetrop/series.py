@@ -230,7 +230,8 @@ def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
     place of l for an indeterminate a.  When target + g <= 0 the inverse
     has no known term and p <= l - g, so no q_n is kept.  A single exact
     term divides exactly; any other exact b needs a prec.  A zero a gives
-    0, or O(t^prec) when a prec is given.
+    exactly 0, with or without a prec: 0/b = 0 for every b != 0, as an
+    exact zero annihilates in ``series_mul``.
     """
     p, _, terms = _quotient(a, b, prec)
     return SeriesTrunc(a.field, tuple(terms), p)
@@ -270,7 +271,7 @@ def _quotient(a: SeriesTrunc, b: SeriesTrunc, prec):
     if target is None and len(b.terms) > 1:
         raise PrecisionError("inverse of a multi-term exact series needs a precision")
     if a.is_zero():
-        return prec, None, iter(())
+        return None, None, iter(())
     p: Optional[Fraction] = None
     if target is not None:
         p = (a.terms[0][0] if a.terms else a.prec) + target

@@ -516,18 +516,24 @@ def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],
     The series side solves by Cramer elimination and applies f, reading
     one term of each coordinate (``_solution_image``); the hyperfield side
     intersects the two fine curves of the pushed generators.  The two
-    point sets must agree exactly.  A system whose determinant vanishes or
-    whose solution is not known to a leading term below O(t^prec) is
-    reported as that system's failure.
+    point sets must agree exactly.  A system whose determinant vanishes,
+    whose solution is not known to a leading term below O(t^prec), or
+    whose solution has a zero coordinate (fine curves meet only on the
+    torus) is reported as that system's failure.
     """
     from .tropgeo import fine_hypersurface, fine_intersect
 
+    H = f.target
     failures = []
     for idx, (P, Q) in enumerate(systems):
         try:
             img = _solution_image(f, P, Q, prec)
         except ValueError as e:
             failures.append(f"system {idx}: {e}")
+            continue
+        if any(H.is_zero(a) for a in img):
+            failures.append(f"system {idx}: solution has a zero coordinate "
+                            "(off the torus)")
             continue
         hp = pushforward(f, P)
         hq = pushforward(f, Q)
@@ -538,7 +544,6 @@ def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],
         # Non-transversal pairs (shared tropical rays) carry genuine
         # 1-dimensional overlap; the solution image must still be exactly
         # the isolated part of the intersection.
-        H = f.target
         keyed = {(_root_key(H, a), _root_key(H, b)) for a, b in
                  [tuple(pt.coords) for pt in pts]}
         want = {(_root_key(H, img[0]), _root_key(H, img[1]))}

@@ -29,7 +29,14 @@ segment of its tie line between its end vertices, so no argmin is taken
 per pair of edges), and edges on one line meet where their intervals
 overlap.  Each pair's base conditions are then solved together, with the
 base field's own root finders (``BaseField.nth_roots`` and
-``unit_roots``) for the binomial and substituted conditions.  Stable
+``unit_roots``) for the binomial and substituted conditions, or, over a
+base with finitely many units, by testing every unit pair with each
+unit's powers read by residue (u^e = u^(e mod m) in a unit group of
+order m).  Every fine point is checked to be a root of both sources,
+independently of the cells: by the hyperfield Kapranov theorem it is one
+exactly when 0 lies in the base sum of the source's terms of minimal
+level at the point, found on the source's levels scaled to integers
+once per call.  Stable
 intersections perturb only the base units of the second curve, and start
 systems for polyhedral homotopy read mixed volumes off the same pairs.
 """
@@ -46,7 +53,7 @@ from .extension import ExtElem, TropicalExtension
 from .fields import BaseField, BaseSolveError
 from .hyperfields import FieldHyperfield, Hyperfield
 from .ordgroup import gelem
-from .poly import FPoly, HPoly, hpoly, is_root, prevariety_member, pushforward
+from .poly import FPoly, HPoly, hpoly, prevariety_member, pushforward
 from .series import hom_fval
 from .solve import SolverInvariantError
 
@@ -127,6 +134,15 @@ class Lift:
     def row(self, j0: Expt, d: Expt) -> Row:
         a, b, n = self.tie(j0, d)
         return (Fraction(a), Fraction(b), Fraction(n, self.scale))
+
+
+def _lift(p: HPoly) -> Lift:
+    """p's support with its rank-one levels scaled to integers by one lcm."""
+    support = tuple(sorted(p.coeffs))
+    levels = [p.coeffs[d].level.coords[0] for d in support]
+    scale = math.lcm(*[x.denominator for x in levels])
+    return Lift(support, {d: x.numerator * (scale // x.denominator)
+                          for d, x in zip(support, levels)}, scale)
 
 
 @dataclass(frozen=True)
@@ -328,11 +344,7 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
         raise ValueError("plane curves only")
     if not p.coeffs:
         raise ValueError("zero polynomial")
-    support = tuple(sorted(p.coeffs))
-    levels = [p.coeffs[d].level.coords[0] for d in support]
-    scale = math.lcm(*[x.denominator for x in levels])
-    lift = Lift(support, {d: x.numerator * (scale // x.denominator)
-                          for d, x in zip(support, levels)}, scale)
+    lift = _lift(p)
     vertices, edges = _walk(lift)
     cells = []
     for J in sorted([*vertices, *edges], key=lambda J: (len(J), J)):
@@ -390,9 +402,7 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     """
     units = H.units()
     if units is not None:
-        sols = [(u, v) for u in units for v in units
-                if prevariety_member((condA, condB), (u, v))]
-        return ("points", sols)
+        return ("points", _unit_scan(H, units, (condA, condB)))
     if not isinstance(H, FieldHyperfield):
         raise BaseSolveError(f"base solving unsupported over {H.name}")
     F = H.field
@@ -417,6 +427,40 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
         kA, kB = kB, kA
         condA, condB = condB, condA
     return _affine_binomial(F, kA, kB, (condA, condB))
+
+
+def _zero_in_base_sum(B: Hyperfield, terms, pu, pv) -> bool:
+    """Whether 0 lies in the sum over B of c * u^d0 * v^d1 for the terms
+    ((d0, d1), c), with u^d0 read from pu[d0] and v^d1 from pv[d1]; a
+    zero exponent multiplies by nothing."""
+    vals = []
+    for (d0, d1), c in terms:
+        if d0:
+            c = B.mul(c, pu[d0])
+        if d1:
+            c = B.mul(c, pv[d1])
+        vals.append(c)
+    return B.set_contains_zero(B.nary_sum(vals))
+
+
+def _unit_scan(H: Hyperfield, units: list, conds) -> list:
+    """The unit pairs (u, v), in the order of units x units, at which
+    every condition holds.
+
+    The units form a group of order m = len(units), so u^e = u^(e mod m)
+    for every e, negative e included (Lagrange).  Each condition is read
+    once as terms keyed by residues, and each unit's powers are tabulated
+    once, over only the residues the conditions use, each from the
+    exponent of least size in its class.
+    """
+    m = len(units)
+    terms = [[((d0 % m, d1 % m), c) for (d0, d1), c in cond.coeffs.items()]
+             for cond in conds]
+    residues = {e % m for cond in conds for d in cond.coeffs for e in d}
+    table = [{r: H.power(u, r if 2 * r <= m else r - m) for r in residues}
+             for u in units]
+    return [(u, v) for u, pu in zip(units, table) for v, pv in zip(units, table)
+            if all(_zero_in_base_sum(H, ts, pu, pv) for ts in terms)]
 
 
 def _affine_rank1(F: BaseField, r1, r2):
@@ -586,6 +630,16 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
             yield c1, C2.cells[k2], hit
 
 
+def _is_fine_root(B: Hyperfield, p: HPoly, lift: Lift, g: Vec2, u, v) -> bool:
+    """Whether the fine point (u at level g[0], v at level g[1]) is a root
+    of p, whose levels ``lift`` holds scaled: by the hyperfield Kapranov
+    theorem, whether 0 lies in the base sum over the argmin at g."""
+    J = lift.argmin_at(g)
+    return _zero_in_base_sum(B, [(d, p.coeffs[d].coef) for d in J],
+                             {d[0]: B.power(u, d[0]) for d in J},
+                             {d[1]: B.power(v, d[1]) for d in J})
+
+
 def fine_intersect(C1: FineCurve, C2: FineCurve):
     """Intersect two fine curves: (isolated FinePoints, components).
 
@@ -593,15 +647,16 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
     the integer-scaled levels and crossings tested against the edges'
     integer spans, instead of a scan of every pair; each pair's base
     conditions are then solved together.  Every fine point is checked to
-    be a root of both sources (the hyperfield Kapranov theorem) and a
-    point that is not raises SolverInvariantError.  The check stays
-    independent of the cells, since ``poly.initial_support`` recomputes
-    the minimal-level monomials on integers, and it is cheap: ``eval_poly``
-    sums their base coefficients in the base hyperfield and takes the
-    level once, so no extension element is multiplied or added.
+    be a root of both sources (``_is_fine_root``, the hyperfield Kapranov
+    theorem) and a point that is not raises SolverInvariantError.  The
+    check stays independent of the cells: each source's levels are scaled
+    to integers once per call from the source itself, and at each fine
+    point the check takes the argmin of those levels and sums the base
+    terms over it, so no extension element is built or added.
     """
     E = _ext_of(C1.source)
     H = E.base
+    checks = [(C.source, _lift(C.source)) for C in (C1, C2)]
     points: list[FinePoint] = []
     comps: list[ComponentDescription] = []
     seen_pts = set()
@@ -621,10 +676,10 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                 if key in seen_pts:
                     continue
                 seen_pts.add(key)
-                for C in (C1, C2):
-                    if not is_root(C.source, pt.coords):
+                for p, lift in checks:
+                    if not _is_fine_root(H, p, lift, g, u, v):
                         raise SolverInvariantError(
-                            f"fine point {pt.coords} is not a root of {C.source}")
+                            f"fine point {pt.coords} is not a root of {p}")
                 points.append(pt)
         else:
             _, host, overlap = hit

@@ -32,6 +32,10 @@ def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],
         except ValueError as e:
             failures.append(f"system {idx}: {e}")
             continue
+        if any(f.target.is_zero(a) for a in img):
+            failures.append(f"system {idx}: solution has a zero coordinate "
+                            "(off the torus)")
+            continue
         hp = pushforward(f, P)
         hq = pushforward(f, Q)
         pts, comps = fine_intersect(fine_hypersurface(hp), fine_hypersurface(hq))

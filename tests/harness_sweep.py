@@ -81,7 +81,7 @@ def built_systems() -> list:
     fuzzy = s((0, 1), prec=1)
     return [
         # X + Y + 1 = 0, X + 2Y + 2 = 0: x = 0, y = -1.  The quotient
-        # 0 / det to O(t^prec) has no known term.
+        # 0 / det is exactly 0, so the solution is off the torus.
         ("zero numerator", *sys2({X: one, Y: one, C: one},
                                  {X: one, Y: s((0, 2)), C: s((0, 2))})),
         ("vanishing determinant", *sys2({X: one, Y: one, C: one},

@@ -15,8 +15,19 @@ of cells, on ``Fraction`` rows).  Each round k takes four pairs:
 - dense: every monomial of degree <= 2 + k % 4 with levels i^2 + ij + j^2
   plus noise, the second curve shifted by (1/3, -2/7).
 
+The same pairs also check the base solving of ``tropgeo.fine_intersect``
+hit by hit (``check_base``):
+
+- over K and S, ``solve_base_pair``'s unit-pair scan, which reads powers
+  by residue, against every unit pair tested by ``poly.prevariety_member``;
+- at every point hit, ``tropgeo._is_fine_root``, the fine-point check on
+  levels scaled once, against ``poly.is_root`` on both sources: at every
+  unit pair over K and S, and over Q at each solution (u, v) and at
+  (-u, v) and (u, 2v).
+
 Run as ``PYTHONPATH=src python tests/intersect_sweep.py ROUNDS``: it prints
-the number of pairs and hits checked, or the first mismatch and exits 1.
+the number of pairs and hits checked and the number of scans and fine-point
+checks compared, or the first mismatch and exits 1.
 """
 
 from __future__ import annotations
@@ -27,8 +38,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from finetrop import tropgeo
-from finetrop.fields import QQ
-from finetrop.poly import fpoly, pushforward
+from finetrop.extension import ExtElem
+from finetrop.fields import BaseSolveError, QQ
+from finetrop.ordgroup import gelem
+from finetrop.poly import fpoly, is_root, prevariety_member, pushforward
 from finetrop.series import SeriesDomain, hom_fval, hom_sval, hom_val, series
 
 from intersect_oracle import argmin_pair_hits, pair_scan_hits
@@ -147,6 +160,59 @@ def check(C1, C2) -> int:
     return len(got)
 
 
+def check_base(C1, C2) -> tuple[int, int]:
+    """Compare the unit-pair scans and the fine-point checks of one pair
+    with ``prevariety_member`` and ``is_root``; returns the numbers of
+    scans and checks and raises ``AssertionError`` on a mismatch."""
+    H = C1.source.hyperfield.base
+    units = H.units()
+    checks = [(C.source, tropgeo._lift(C.source)) for C in (C1, C2)]
+    scans = n = 0
+    for c1, c2, hit in tropgeo._cell_hits(C1, C2):
+        conds = (c1.base_cond, c2.base_cond)
+        try:
+            kind, sols = tropgeo.solve_base_pair(H, *conds)
+        except BaseSolveError:
+            continue
+        if units is not None:
+            want = [(u, v) for u in units for v in units
+                    if prevariety_member(conds, (u, v))]
+            if sols != want:
+                raise AssertionError(f"{conds}: scan {sols}, "
+                                     f"prevariety_member {want}")
+            scans += 1
+        if hit[0] != "point" or kind != "points":
+            continue
+        g = hit[1]
+        if units is not None:
+            tried = [(u, v) for u in units for v in units]
+        else:
+            tried = [(w * u, x * v) for u, v in sols
+                     for w, x in ((1, 1), (-1, 1), (1, 2))]
+        for u, v in tried:
+            pt = (ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1])))
+            for p, lift in checks:
+                got = tropgeo._is_fine_root(H, p, lift, g, u, v)
+                if got != is_root(p, pt):
+                    raise AssertionError(f"{p} at {pt}: fine-point check "
+                                         f"{got}, is_root {not got}")
+                n += 1
+    return scans, n
+
+
+def base_sweep(rounds: int) -> tuple[int, int]:
+    """``check_base`` on every pair of ``rounds`` rounds; returns (scans,
+    checks) and raises ``AssertionError`` at the first mismatch."""
+    scans = n = 0
+    for k, (case, C1, C2) in enumerate(pairs(rounds)):
+        try:
+            s, c = check_base(C1, C2)
+        except AssertionError as err:
+            raise AssertionError(f"{case} pair {k}: {err}") from None
+        scans, n = scans + s, n + c
+    return scans, n
+
+
 def sweep(rounds: int) -> tuple[int, int]:
     """Check every pair of ``rounds`` rounds; returns (pairs, hits) and
     raises ``AssertionError`` at the first mismatch."""
@@ -163,7 +229,10 @@ def sweep(rounds: int) -> tuple[int, int]:
 if __name__ == "__main__":
     try:
         n, hits = sweep(int(sys.argv[1]))
+        scans, checks = base_sweep(int(sys.argv[1]))
     except AssertionError as err:
         print(f"mismatch: {err}")
         sys.exit(1)
     print(f"{n} curve pairs, {hits} hits match both references")
+    print(f"{scans} unit-pair scans match prevariety_member, "
+          f"{checks} fine-point checks match is_root")

@@ -112,8 +112,10 @@ def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:
 
 
 def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
+    """a times the inverse of b, cut at prec; an exact zero a stays exactly
+    zero, as in the product."""
     out = series_mul(a, series_inv(b, prec))
-    if prec is not None:
+    if prec is not None and not out.is_zero():
         out = series_truncate(out, prec)
     return out
 

@@ -15,18 +15,13 @@ from finetrop.extension import (
 from finetrop.hyperfields import K, P, PHI, S, W, hom_sign, make_dir, quotient_build
 from finetrop.ordgroup import gelem, group_add, group_sub, scalar_mul
 from finetrop.poly import (
-    affinize,
     eval_poly,
-    fpoly_eval,
-    homogenize,
     hpoly,
     hpoly1,
     initial_support,
     is_root,
     prevariety_member,
     product_of_linear_factors,
-    proj_is_root,
-    proj_point,
     pushforward,
 )
 from finetrop.series import SeriesDomain, fmt_series, s_const, s_zero, series
@@ -35,6 +30,7 @@ from finetrop.hyperfields import field_hyperfield
 
 from eval_oracle import eval_every_term, is_root_every_term
 import product_oracle
+from proj_oracle import affinize, fpoly_eval, homogenize, proj_is_root, proj_point
 
 
 def test_eval_over_sign():
@@ -92,7 +88,8 @@ def test_eval_matches_every_term_oracle():
                    trop_complex(), TropicalExtension(S, 2), TropicalExtension(K, 3),
                    TropicalExtension(W), TropicalExtension(quotient_build(5, [1, 4]), 2),
                    TropicalExtension(quotient_build(7, [1, 2, 4])),
-                   TropicalExtension(field_hyperfield(GF(5)), 2))
+                   TropicalExtension(field_hyperfield(GF(5)), 2),
+                   TropicalExtension(field_hyperfield(QQ)))
     seen = {"zero coordinate": 0, "laurent": 0, "0^k, k < 0": 0,
             "tie at the minimal level": 0, "all dead": 0}
     for k in range(90 * len(hyperfields)):
@@ -104,8 +101,10 @@ def test_eval_matches_every_term_oracle():
         point = tuple(_elem(H, rng) for _ in range(nvars))
         got = _outcome(lambda: eval_poly(p, point))
         assert got == _outcome(lambda: eval_every_term(p, point)), (p, point)
-        assert (_outcome(lambda: is_root(p, point))
-                == _outcome(lambda: is_root_every_term(p, point)))
+        root = _outcome(lambda: is_root(p, point))
+        assert root == _outcome(lambda: is_root_every_term(p, point))
+        # is_root stops at the base sum that eval_poly puts at its level.
+        assert root == _outcome(lambda: H.set_contains_zero(eval_poly(p, point)))
         zeros = [i for i, a in enumerate(point) if H.is_zero(a)]
         seen["zero coordinate"] += bool(zeros)
         seen["laurent"] += p.is_laurent()

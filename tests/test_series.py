@@ -292,7 +292,7 @@ def test_division_special_cases_match_reference():
                                          ZeroDivisionError),
         "indeterminate divisor": (one, series(F, [], 2), 3, PrecisionError),
         "multi-term exact divisor": (one, two_term, None, PrecisionError),
-        "zero numerator": (series(F, []), two_term, 4, "indeterminate"),
+        "zero numerator": (series(F, []), two_term, 4, "zero"),
         "zero numerator, no prec": (series(F, []), series(F, [(1, 3)], 5), None,
                                     "zero"),
         "indeterminate numerator": (series(F, [], 2), two_term, 4, "indeterminate"),

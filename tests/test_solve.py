@@ -387,6 +387,17 @@ def test_harness_reports_an_unknown_coordinate_as_that_systems_failure():
         assert fundamental_harness(hom, [good, (P, Q), good], prec=20) == []
 
 
+def test_harness_reports_a_zero_coordinate_as_off_the_torus():
+    # X + Y + 1 = 0, X + 2Y + 2 = 0: x = 0 / det is exactly 0 at every prec.
+    name, P, Q = harness_sweep.built_systems()[0]
+    assert name == "zero numerator"
+    for hom in (hom_fval(), hom_val(), hom_sval()):
+        for prec in (8, 20, None):
+            assert solve._solution_image(hom, P, Q, prec)[0] is None
+            assert fundamental_harness(hom, [(P, Q)], prec) == [
+                "system 0: solution has a zero coordinate (off the torus)"]
+
+
 def test_harness_divides_out_one_term_per_coordinate(monkeypatch):
     def full_solve(*args, **kwargs):
         raise AssertionError("the harness expanded a quotient")
@@ -402,5 +413,5 @@ def test_harness_divides_out_one_term_per_coordinate(monkeypatch):
 def test_harness_images_match_the_full_solve():
     # Built cases and 6 rounds of tests/harness_sweep.py, which runs any
     # number of rounds: every image and failure list equals the full solve's.
-    assert harness_sweep.sweep(6) == {"image": 96, "PrecisionError": 204,
+    assert harness_sweep.sweep(6) == {"image": 105, "PrecisionError": 195,
                                       "ValueError": 15}

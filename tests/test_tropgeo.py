@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from finetrop import tropgeo
-from finetrop.extension import TropicalExtension, trop
-from finetrop.fields import QQ, QQi, gauss
+from finetrop.extension import ExtElem, TropicalExtension, trop
+from finetrop.fields import GF, QQ, QQi, gauss
+from finetrop.hyperfields import K, S, W, field_hyperfield, quotient_build
 from finetrop.ordgroup import gelem
 from finetrop.parsing import parse_fpoly, parse_poly
-from finetrop.poly import fpoly, hpoly, is_root, pushforward
+from finetrop.poly import fpoly, hpoly, is_root, prevariety_member, pushforward
 from finetrop.series import SeriesDomain, fmt_series, hom_fval, hom_sval, hom_val, series
 from finetrop.solve import BaseSolveError, SolverInvariantError
 from finetrop.svg import render_fine_curve, render_trop
@@ -153,6 +154,82 @@ def test_fine_point_check_sums_only_minimal_level_terms(monkeypatch):
         assert is_root(p, pt)
         assert len(base_calls) == len(c.J) - 1 < len(p.coeffs) - 1
         assert ext_calls == []
+
+
+def test_unit_scan_matches_prevariety_member():
+    # Powers read by residue mod the order m of the unit group against
+    # every unit pair evaluated by prevariety_member, on random conditions
+    # of one to four terms with exponents in [-5, 5].
+    rng = random.Random(41)
+    bases = (K, S, W, field_hyperfield(GF(5)), quotient_build(7, [1, 2, 4]),
+             quotient_build(13, [1, 3, 9]))
+    solved = 0
+    for k in range(150 * len(bases)):
+        H = bases[k % len(bases)]
+        units = H.units()
+
+        def cond():
+            return hpoly(H, 2, {(rng.randint(-5, 5), rng.randint(-5, 5)):
+                                rng.choice(units)
+                                for _ in range(rng.randint(1, 4))})
+
+        conds = (cond(), cond())
+        want = [(u, v) for u in units for v in units
+                if prevariety_member(conds, (u, v))]
+        assert tropgeo.solve_base_pair(H, *conds) == ("points", want), conds
+        solved += bool(want) and len(want) < len(units) ** 2
+    assert solved >= 100, solved
+
+
+def _on_cell_units(B, p, J, rng):
+    """A unit pair solving the condition of the edge J = (d, e) of p by
+    v^(d1 - e1) = -c_e u^(e0 - d0) / c_d, when d1 - e1 is +-1."""
+    d, e = J
+    if abs(d[1] - e[1]) != 1:
+        return None
+    u = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
+    w = B.neg(B.mul(B.mul(p.coeffs[e].coef, B.power(u, e[0] - d[0])),
+                    B.inv(p.coeffs[d].coef)))
+    return u, w if d[1] - e[1] == 1 else B.inv(w)
+
+
+def test_fine_point_check_matches_is_root():
+    # The check on levels scaled once against poly.is_root at unit points
+    # on each curve (a point of every cell: every unit pair over K and S,
+    # over Q random units and, on edges, units solving the edge's
+    # condition) and mostly off it (random levels).
+    rng = random.Random(43)
+    seen = {}
+    for hp in _oracle_curves():
+        B = hp.hyperfield.base
+        units = B.units()
+        lift = tropgeo._lift(hp)
+        tries = []
+        for c in fine_hypersurface(hp).cells:
+            g = c.point if c.dim == 0 else intersect_sweep.interior_point(c)
+            tries.append(g)
+        for _ in range(3):
+            tries.append((Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                          Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+        for g in tries:
+            J = lift.argmin_at(g)
+            if units is not None:
+                pairs = [(u, v) for u in units for v in units]
+            else:
+                pairs = [(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 5)),
+                          Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 5)))
+                         for _ in range(2)]
+                if len(J) == 2 and (uv := _on_cell_units(B, hp, J, rng)):
+                    pairs.append(uv)
+            for u, v in pairs:
+                got = tropgeo._is_fine_root(B, hp, lift, g, u, v)
+                pt = (ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1])))
+                assert got == is_root(hp, pt), (hp, pt)
+                seen[B.name, got] = seen.get((B.name, got), 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
+    # The base solving of 6 rounds of tests/intersect_sweep.py (which runs
+    # any number): unit-pair scans and fine-point checks at every hit.
+    assert intersect_sweep.base_sweep(6) == (73, 460)
 
 
 def test_fine_curve_matches_subset_oracle():
@@ -402,7 +479,8 @@ def test_parallel_binomials(m, n, w2, family):
 
 
 def test_fine_intersect_check_raises_without_assert(monkeypatch):
-    monkeypatch.setattr(tropgeo, "is_root", lambda p, point: False)
+    # The fine-point check failing on a point raises, also under -O.
+    monkeypatch.setattr(tropgeo, "_is_fine_root", lambda *args: False)
     with pytest.raises(SolverInvariantError):
         fine_intersect(line_curve(), second_curve())
 
