@@ -68,10 +68,6 @@ def group_neg(a: GroupElem) -> GroupElem:
     return GroupElem(tuple(-x for x in a.coords))
 
 
-def group_sub(a: GroupElem, b: GroupElem) -> GroupElem:
-    return group_add(a, group_neg(b))
-
-
 def lex_compare(a: GroupElem, b: GroupElem) -> int:
     """Total order on Q^k: returns LT, EQ or GT."""
     _check_rank(a, b)
@@ -84,10 +80,3 @@ def lex_compare(a: GroupElem, b: GroupElem) -> int:
 
 def scalar_mul(n: int, a: GroupElem) -> GroupElem:
     return GroupElem(tuple(n * x for x in a.coords))
-
-
-def group_div(a: GroupElem, n: int) -> GroupElem:
-    """Exact division by a nonzero integer (Q^k is divisible)."""
-    if n == 0:
-        raise ZeroDivisionError("cannot divide group element by 0")
-    return GroupElem(tuple(x / n for x in a.coords))

@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from .extension import TropicalExtension
 from .hyperfields import Hom, Hyperfield
 from .ordgroup import group_add, scalar_mul
+from .series import (
+    SeriesDomain,
+    _from_grid,
+    _GRID_ZERO,
+    _mul_add,
+    _to_grid,
+    series_neg,
+)
 
 
 Expt = tuple[int, ...]
@@ -238,17 +247,29 @@ def fpoly(domain, nvars: int, coeffs: Mapping[Expt, Any]) -> FPoly:
     return FPoly(domain, nvars, coeffs)
 
 
-def product_of_linear_factors(domain, roots: Sequence) -> FPoly:
+def product_of_linear_factors(domain: SeriesDomain, roots: Sequence) -> FPoly:
     """prod (X - r) over the roots, one factor at a time by shift-and-scale.
 
-    Multiplying c_0 + ... + c_n X^n by X - r gives c'_i = c_{i-1} - r c_i:
-    one product by -r and one sum per coefficient.  Keys run from the
-    highest degree down, the order the expanded product always had.
+    Multiplying c_0 + ... + c_n X^n by X - r gives c'_i = c_{i-1} + (-r) c_i.
+    Every exponent and finite precision of the roots is put once on one
+    grid 1/D, D the lcm of their denominators, where the running
+    coefficients are integer offsets; each c'_i is one grid step
+    ``series._mul_add``, which holds the precision rule of a sum plus a
+    product.  The exponents become Fractions again once at the end, one per
+    distinct offset.  Keys run from the highest degree down, the order the
+    expanded product always had.
     """
-    cs = [domain.one()]
+    F = domain.field
+    D = math.lcm(*[e.denominator for r in roots for e, _ in r.terms],
+                 *[r.prec.denominator for r in roots if r.prec is not None])
+    cs = [_to_grid(domain.one(), D)]
     for r in roots:
-        nr = domain.neg(r)
-        cs = ([domain.mul(cs[0], nr)]
-              + [domain.add(prev, domain.mul(c, nr)) for prev, c in zip(cs, cs[1:])]
+        nr = _to_grid(series_neg(r), D)
+        cs = ([_mul_add(F, _GRID_ZERO, cs[0], nr)]
+              + [_mul_add(F, prev, c, nr) for prev, c in zip(cs, cs[1:])]
               + [cs[-1]])
-    return FPoly(domain, 1, {(i,): cs[i] for i in reversed(range(len(cs)))})
+    offsets = {n for terms, _ in cs for n, _ in terms}
+    offsets.update(p for _, p in cs if p is not None)
+    exps = {n: Fraction(n, D) for n in offsets}
+    return FPoly(domain, 1, {(i,): _from_grid(F, cs[i], exps)
+                             for i in reversed(range(len(cs)))})

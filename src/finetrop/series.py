@@ -16,6 +16,14 @@ is known up to the smaller of lead(a) + prec(b) and lead(b) + prec(a), the
 inverse of c t^g + O(t^p) up to O(t^(p - 2g)), and a quotient as far as a
 times that inverse.  Exponents are Fractions again in every result.
 
+The product and its precision rule are written once, as the private grid
+step ``_mul_add``: s + a*b for three series already on one grid, with
+integer offsets and integer precisions.  ``series_mul`` is that step onto
+an exact zero, on the grid of its two operands' exponents and precisions;
+``poly.product_of_linear_factors`` puts all its roots on one grid and runs
+its whole shift-and-scale loop through the step, turning offsets back into
+Fractions only once at the end.
+
 Each output coefficient of a product or quotient is one ``F.dot`` over its
 factor pairs; over Q that sums integer numerators and reduces once, so a
 term costs one Fraction instead of one per multiply and add.  A sum merges
@@ -111,7 +119,9 @@ def s_const(field: BaseField, c) -> SeriesTrunc:
     return SeriesTrunc(field, ((Fraction(0), c),))
 
 
-def _min_prec(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
+def _min_prec(a, b):
+    """The lower of two precisions (Fractions, or offsets on one grid);
+    None is exact."""
     if a is None:
         return b
     if b is None:
@@ -158,33 +168,69 @@ def series_sub(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
 
 
 def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
-    F = a.field
-    if a.is_zero() or b.is_zero():
-        # Exact zero annihilates even unknown tails.
-        return s_zero(F)
-    p: Optional[Fraction] = None
-    if b.prec is not None:
-        if a.is_indeterminate():
-            p = _min_prec(p, a.prec + b.prec)
-        else:
-            p = _min_prec(p, a.terms[0][0] + b.prec)
-    if a.prec is not None:
-        if b.is_indeterminate():
-            p = _min_prec(p, a.prec + b.prec)
-        else:
-            p = _min_prec(p, b.terms[0][0] + a.prec)
-    if not a.terms or not b.terms:
-        return SeriesTrunc(F, (), p)
-    # Convolve over integer offsets n = e * D on the common grid 1/D.  Terms
-    # are sorted, so each row stops at the first sum at or above p.
+    """a*b as one grid step ``_mul_add`` onto an exact zero, on the grid
+    of the denominators of both operands' exponents and precisions."""
     # A list, not a generator: a tuple unpacked from a generator is sized
     # by a guess and shrunk, and CPython's tuple free lists then keep one
     # more block per call until the next full collection (peak RSS grew).
     D = lcm(*[e.denominator for e, _ in a.terms + b.terms])
-    xs = [(e.numerator * (D // e.denominator), c) for e, c in a.terms]
-    ys = [(e.numerator * (D // e.denominator), c) for e, c in b.terms]
-    stop = xs[-1][0] + ys[-1][0] + 1 if p is None else ceil(p * D)
-    # The factor pairs of each output offset are summed by one F.dot.
+    for q in (a.prec, b.prec):
+        if q is not None:
+            D = lcm(D, q.denominator)
+    F = a.field
+    terms, p = _mul_add(F, _GRID_ZERO, _to_grid(a, D), _to_grid(b, D))
+    return SeriesTrunc(F, tuple([(Fraction(n, D), c) for n, c in terms]),
+                       None if p is None else Fraction(p, D))
+
+
+# A series on the grid 1/D is (terms, prec): terms (offset, coeff) with
+# strictly increasing integer offsets n for the exponents n/D, prec an
+# integer offset or None.
+
+_GRID_ZERO = ((), None)
+
+
+def _to_grid(a: SeriesTrunc, D: int):
+    """a on the grid 1/D; D must be a multiple of every denominator of its
+    exponents and of its precision."""
+    p = a.prec
+    return ([(e.numerator * (D // e.denominator), c) for e, c in a.terms],
+            None if p is None else p.numerator * (D // p.denominator))
+
+
+def _from_grid(F: BaseField, g, exps: dict[int, Fraction]) -> SeriesTrunc:
+    """The series of ``g``, each offset n read as the exponent exps[n]."""
+    terms, p = g
+    return SeriesTrunc(F, tuple([(exps[n], c) for n, c in terms]),
+                       None if p is None else exps[p])
+
+
+def _mul_add(F: BaseField, s, a, b):
+    """s + a*b for series s, a, b on one grid 1/D.
+
+    This is the one place the precision rule of sums and products lives.
+    An exact zero factor annihilates even unknown tails, so s comes back
+    as it is.  Otherwise a*b is known below the smaller of lead(a) +
+    prec(b) and lead(b) + prec(a), a precision standing in for the lead
+    of a factor with no known term, and the sum below the smaller of that
+    and prec(s).  The product is a convolution whose rows stop at that
+    precision, so truncated terms are never formed; each output offset is
+    one ``F.dot`` over its factor pairs and, when s has a term there, the
+    pair (1, that term).  A term of s with no product term at its offset
+    is passed through as it is.  Zero sums are dropped.
+    """
+    (xs, pa), (ys, pb) = a, b
+    if (not xs and pa is None) or (not ys and pb is None):
+        return s
+    terms, p = s
+    if pb is not None:
+        p = _min_prec(p, (xs[0][0] if xs else pa) + pb)
+    if pa is not None:
+        p = _min_prec(p, (ys[0][0] if ys else pb) + pa)
+    if p is None:  # all three exact, and both factors have terms
+        stop = max(xs[-1][0] + ys[-1][0], terms[-1][0] if terms else 0) + 1
+    else:
+        stop = p
     acc: dict[int, tuple[list, list]] = {}
     for n1, c1 in xs:
         for n2, c2 in ys:
@@ -197,12 +243,23 @@ def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
                 l2.append(c2)
             else:
                 acc[n] = ([c1], [c2])
-    terms = []
-    for n in sorted(acc):
-        c = F.dot(*acc[n])
+    out = []
+    one = F.one() if terms else None
+    for n, c in terms:
+        if n >= stop:
+            break
+        if n in acc:
+            l1, l2 = acc[n]
+            l1.append(one)
+            l2.append(c)
+        else:
+            out.append((n, c))
+    for n, pair in acc.items():
+        c = F.dot(*pair)
         if not F.is_zero(c):
-            terms.append((Fraction(n, D), c))
-    return SeriesTrunc(F, tuple(terms), p)
+            out.append((n, c))
+    out.sort()  # offsets are distinct, so no coefficient is compared
+    return out, p
 
 
 def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:

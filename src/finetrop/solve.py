@@ -5,10 +5,11 @@ levels g_i + i*h of the monomials attain their minimum at least twice on
 an index set J and x solves the restricted sum over the base hyperfield.
 The cells (h, J) are the edges of the lower convex hull of the points
 (i, level of c_i): h is minus the slope of an edge and J every point on
-it, found in one monotone-chain pass.  Base solving is exact: a field
-without finitely many units asks its field for the unit roots
-(``BaseField.unit_roots``), any other base with finitely many units is
-scanned over them, and a phase base raises ``BaseSolveError``.
+it, found in one monotone-chain pass on integer-scaled levels.  Base
+solving is exact: a field without finitely many units asks its field for
+the unit roots (``BaseField.unit_roots``), any other base with finitely
+many units is scanned over them, and a phase base raises
+``BaseSolveError``.
 
 Baker-Lorscheid multiplicities reduce to the base: a root (c, h) on the
 Newton cell (h, J) has the multiplicity of c in the initial form
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Iterable, Optional
 
 from .extension import ExtElem, TropicalExtension
@@ -39,7 +41,7 @@ from .hyperfields import (
     Hyperfield,
     PhaseHyperfield,
 )
-from .ordgroup import GroupElem, group_div, group_sub, scalar_mul
+from .ordgroup import GroupElem
 from .poly import (
     FPoly,
     HPoly,
@@ -93,28 +95,37 @@ def newton_cells(p: HPoly) -> list[NewtonCell]:
 
     They are the edges of the lower convex hull of the points
     (i, level(c_i)): h is minus the slope of an edge and J is every point
-    on it.  The cells come out in increasing level.
+    on it.  The hull is found on integers: each coordinate of the value
+    group is scaled by one lcm of its denominators (the rule of
+    ``poly.initial_support``), which keeps the lexicographic order, and
+    the monotone chain compares integer tuples.  Each cell level is one
+    ``GroupElem`` built once per hull edge.  The cells come out in
+    increasing level.
     """
     H = p.hyperfield
     if not isinstance(H, TropicalExtension):
         raise ValueError("newton_cells needs a tropical extension")
     coeffs = _univariate_coeffs(p)
-    hull: list[tuple[int, GroupElem]] = []
-    for i in sorted(coeffs):
-        g = coeffs[i].level
+    idx = sorted(coeffs)
+    levels = [coeffs[i].level.coords for i in idx]
+    dens = [lcm(*[g[k].denominator for g in levels]) for k in range(H.rank)]
+    hull: list[tuple[int, list[int]]] = []
+    for i, g in zip(idx, levels):
+        g = [x.numerator * (den // x.denominator) for x, den in zip(g, dens)]
         # Pop the last hull point b while it lies strictly above the chord
         # from the point a before it to (i, g).  Points on the chord stay,
         # so an edge keeps all its collinear points.
         while len(hull) >= 2:
             (a, ga), (b, gb) = hull[-2], hull[-1]
-            rise_b = scalar_mul(i - a, group_sub(gb, ga))
-            if rise_b <= scalar_mul(b - a, group_sub(g, ga)):
+            if ([(i - a) * (y - x) for x, y in zip(ga, gb)]
+                    <= [(b - a) * (y - x) for x, y in zip(ga, g)]):
                 break
             hull.pop()
         hull.append((i, g))
     cells: list[NewtonCell] = []
     for (a, ga), (b, gb) in zip(hull, hull[1:]):
-        h = group_div(group_sub(ga, gb), b - a)
+        h = GroupElem(tuple([Fraction(x - y, (b - a) * den)
+                             for x, y, den in zip(ga, gb, dens)]))
         if cells and cells[-1].level == h:
             cells[-1] = NewtonCell(h, cells[-1].J + (b,))
         else:

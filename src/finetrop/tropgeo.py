@@ -353,7 +353,8 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
             shape = (0, (Fraction(x, den), Fraction(y, den)), None, None, None)
         else:
             shape = (1, None, *_edge_line(lift, J, edges[J]))
-        base_cond = hpoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
+        # The coefficients of p are units, so no zero check is needed.
+        base_cond = HPoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
         cells.append(Cell(J, *shape, base_cond, lift))
     return FineCurve(p, tuple(cells))
 

@@ -11,7 +11,18 @@ from __future__ import annotations
 
 import itertools
 
-from finetrop.ordgroup import group_add, group_div, group_sub, scalar_mul
+from finetrop.ordgroup import GroupElem, group_add, group_neg, scalar_mul
+
+
+def group_sub(a: GroupElem, b: GroupElem) -> GroupElem:
+    return group_add(a, group_neg(b))
+
+
+def group_div(a: GroupElem, n: int) -> GroupElem:
+    """Exact division by a nonzero integer (Q^k is divisible)."""
+    if n == 0:
+        raise ZeroDivisionError("cannot divide group element by 0")
+    return GroupElem(tuple(x / n for x in a.coords))
 
 
 def oracle_newton_cells(p) -> list[tuple]:

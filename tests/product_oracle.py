@@ -4,8 +4,10 @@ This is how ``finetrop.poly.product_of_linear_factors`` expanded
 prod (X - r) before it shifted and scaled the coefficient list: each factor
 X - r is a two-term polynomial, and the running product multiplies every
 pair of coefficients and adds each product to the sum already held for its
-exponent (a zero to begin with).  It is kept only as a slow, independent
-oracle for the tests.
+exponent (a zero to begin with).  The sums and products of the series
+coefficients are those of ``series_oracle``, so the oracle shares neither
+the grid nor the precision rule of ``series._mul_add``.  It is kept only
+as a slow, independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +15,19 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from finetrop.poly import Expt, FPoly
+from finetrop.series import SeriesDomain
+
+import series_oracle
+
+
+class ReferenceSeries(SeriesDomain):
+    """A series domain whose sum and product are ``series_oracle``'s."""
+
+    def add(self, a, b):
+        return series_oracle.series_add(a, b)
+
+    def mul(self, a, b):
+        return series_oracle.series_mul(a, b)
 
 
 def fpoly_mul(a: FPoly, b: FPoly) -> FPoly:
@@ -32,7 +47,8 @@ def linear_factor(domain, root) -> FPoly:
 
 
 def product_of_linear_factors(domain, roots: Sequence) -> FPoly:
-    p = FPoly(domain, 1, {(0,): domain.one()})
+    ref = ReferenceSeries(domain.field)
+    p = FPoly(ref, 1, {(0,): ref.one()})
     for r in roots:
-        p = fpoly_mul(p, linear_factor(domain, r))
-    return p
+        p = fpoly_mul(p, linear_factor(ref, r))
+    return FPoly(domain, 1, p.coeffs)

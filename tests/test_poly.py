@@ -13,7 +13,7 @@ from finetrop.extension import (
     trop_signed,
 )
 from finetrop.hyperfields import K, P, PHI, S, W, hom_sign, make_dir, quotient_build
-from finetrop.ordgroup import gelem, group_add, group_sub, scalar_mul
+from finetrop.ordgroup import gelem, group_add, scalar_mul
 from finetrop.poly import (
     eval_poly,
     hpoly,
@@ -29,6 +29,7 @@ from finetrop.fields import GF, QQ, QQi
 from finetrop.hyperfields import field_hyperfield
 
 from eval_oracle import eval_every_term, is_root_every_term
+from newton_oracle import group_sub
 import product_oracle
 from proj_oracle import affinize, fpoly_eval, homogenize, proj_is_root, proj_point
 
@@ -260,6 +261,35 @@ def test_shift_and_scale_product_matches_generic_product():
                 assert got.coeffs == want.coeffs, roots
                 assert list(got.coeffs) == list(want.coeffs), roots
     assert min(seen.values()) >= 30, seen
+    for F in (QQ, QQi, GF(5)):
+        dom = SeriesDomain(F)
+
+        def s_(terms, prec=None):
+            return series(F, [(Fraction(e), F.from_int(c)) for e, c in terms], prec)
+
+        quarter = s_([("-1/4", 2), ("1/4", 3), ("3/4", 1)], Fraction(1, 3))
+        cases = [
+            # An indeterminate root: no terms, finite precision.
+            [s_([], Fraction(2, 3))],
+            [s_([("1/2", 1)]), s_([], Fraction(-1, 5)), s_([(0, 3)], 2)],
+            # A precision whose denominator is in no exponent.
+            [quarter],
+            [quarter, s_([("1/4", 1), (1, 2)]), s_([("-3/4", 4)], Fraction(5, 3))],
+            # Repeated and exact-zero roots.
+            [quarter, s_zero(F), quarter, s_zero(F), quarter],
+            [s_zero(F), s_zero(F)],
+            # Laurent exponents.
+            [s_([(-3, 1), ("-1/2", 2)]), s_([("-5/3", 1), (2, 4)], Fraction(7, 2)),
+             s_([(-2, 3)], -1)],
+        ]
+        for roots in cases:
+            got = product_of_linear_factors(dom, roots)
+            want = product_oracle.product_of_linear_factors(dom, roots)
+            assert got.coeffs == want.coeffs, roots
+            assert list(got.coeffs) == list(want.coeffs), roots
+            for c in got.coeffs.values():
+                assert all(type(e) is Fraction for e, _ in c.terms), c
+                assert c.prec is None or type(c.prec) is Fraction, c
 
 
 def test_repr_parenthesizes_compound_coeffs():

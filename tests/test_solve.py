@@ -41,7 +41,7 @@ import harness_sweep
 import mult_sweep
 from eval_oracle import is_root_every_term
 from mult_search import search_multiplicity
-from newton_oracle import oracle_newton_cells, tropical_mult_oracle
+from newton_oracle import group_div, group_sub, oracle_newton_cells, tropical_mult_oracle
 
 T = trop()
 TR = trop_signed()
@@ -54,11 +54,17 @@ def test_newton_cells():
     assert got == {(Fraction(0), (1, 2)), (Fraction(1), (0, 1))}
 
 
-def _near_line_hpoly(H, rng, deg):
-    """Levels on one line, some raised off it, so that ties are common."""
+def _near_line_hpoly(H, rng, deg, dens=(1, 2, 3)):
+    """Levels on one line, some raised off it, so that ties are common.
+
+    ``dens`` holds the denominators to draw from, one tuple for every
+    coordinate or one tuple shared by all of them."""
+    if isinstance(dens[0], int):
+        dens = (dens,) * H.rank
+
     def vec():
-        return gelem(*[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                       for _ in range(H.rank)])
+        return gelem(*[Fraction(rng.randint(-4, 4), rng.choice(dens[k]))
+                       for k in range(H.rank)])
 
     g0, slope = vec(), vec()
     coeffs = {}
@@ -87,6 +93,30 @@ def test_newton_cells_match_pair_search():
                     assert got == oracle_newton_cells(p), p
                     long_ties += sum(len(J) >= 3 for _, J in got)
         assert long_ties >= 10, (rank, long_ties)
+    # Coprime denominators, a different pair for every coordinate, so each
+    # coordinate is scaled by its own lcm.
+    primes = (7, 11, 13)
+    for rank in (2, 3):
+        dens = [(1, primes[k], primes[(k + 1) % 3]) for k in range(rank)]
+        long_ties, seen = 0, set()
+        for base in (K, field_hyperfield(QQ)):
+            H = TropicalExtension(base, rank)
+            for _ in range(40):
+                p = _near_line_hpoly(H, rng, rng.randint(2, 8), dens)
+                got = [(c.level, c.J) for c in newton_cells(p)]
+                assert got == oracle_newton_cells(p), p
+                long_ties += sum(len(J) >= 3 for _, J in got)
+                seen |= {x.denominator for c, _ in got for x in c.coords}
+        assert long_ties >= 10, (rank, long_ties)
+        assert all(any(d % q == 0 for d in seen) for q in primes), seen
+
+
+def test_oracle_group_sub_and_div():
+    assert group_sub(gelem(1, 2), gelem(3, -1)) == gelem(-2, 3)
+    assert group_div(gelem(1), 2) == gelem(Fraction(1, 2))
+    assert group_div(gelem(Fraction(3, 7), -2), 3) == gelem(Fraction(1, 7), Fraction(-2, 3))
+    with pytest.raises(ZeroDivisionError):
+        group_div(gelem(1), 0)
 
 
 def test_roots_with_base_data():
