@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 
@@ -93,6 +94,19 @@ class BaseField:
     def from_int(self, n: int):
         raise NotImplementedError
 
+    def numerators(self, cs) -> tuple:
+        """(ring, L, numerators): the coefficients cs times one common L,
+        as elements of a ring with ``one``, ``neg``, ``is_zero`` and ``dot``.
+
+        Sums and products of numerators run in the ring.  An element of the
+        ring is an element of the field, so a quotient of two values of
+        equal degree needs no reduction; a value homogeneous of degree k
+        in the numerators is L^k times its value in the coefficients, which
+        the field's ``div`` by L^k reduces.  Here the ring is the field
+        itself and L is 1, so nothing needs reducing.
+        """
+        return self, 1, list(cs)
+
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
@@ -159,6 +173,25 @@ MAX_ROOT_SEARCH_COEF = 10 ** 12
 MAX_ROOT_SEARCH_PAIRS = 10 ** 5
 
 
+class _Integers:
+    """The integers as the numerator ring of Q (see BaseField.numerators)."""
+
+    def one(self):
+        return 1
+
+    def neg(self, a):
+        return -a
+
+    def is_zero(self, a):
+        return a == 0
+
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys))
+
+
+_ZZ = _Integers()
+
+
 class RationalField(BaseField):
     name = "Q"
 
@@ -181,6 +214,17 @@ class RationalField(BaseField):
         if a == 0:
             raise ZeroDivisionError("no inverse of zero")
         return Fraction(1, a)
+
+    def div(self, a, b):
+        """a/b as one Fraction, reduced once."""
+        if b == 0:
+            raise ZeroDivisionError("no inverse of zero")
+        return Fraction(a, b)
+
+    def numerators(self, cs):
+        """Python ints over L, the lcm of the denominators of cs."""
+        L = math.lcm(*[c.denominator for c in cs])
+        return _ZZ, L, [c.numerator * (L // c.denominator) for c in cs]
 
     def dot(self, xs, ys):
         """sum of x*y as one Fraction, reduced once at the end.
@@ -475,12 +519,3 @@ def GF(p: int) -> PrimeField:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
 
-
-def field_by_name(name: str) -> BaseField:
-    if name == "Q":
-        return QQ
-    if name == "Qi":
-        return QQi
-    if name.startswith("GF"):
-        return GF(int(name[2:]))
-    raise ValueError(f"unknown field {name!r}")

@@ -18,11 +18,11 @@ from .hyperfields import Hom, Hyperfield
 from .ordgroup import group_add, scalar_mul
 from .series import (
     SeriesDomain,
-    _from_grid,
+    SeriesTrunc,
     _GRID_ZERO,
     _mul_add,
-    _to_grid,
-    series_neg,
+    _numerator_grids,
+    _reduced,
 )
 
 
@@ -252,24 +252,33 @@ def product_of_linear_factors(domain: SeriesDomain, roots: Sequence) -> FPoly:
 
     Multiplying c_0 + ... + c_n X^n by X - r gives c'_i = c_{i-1} + (-r) c_i.
     Every exponent and finite precision of the roots is put once on one
-    grid 1/D, D the lcm of their denominators, where the running
-    coefficients are integer offsets; each c'_i is one grid step
-    ``series._mul_add``, which holds the precision rule of a sum plus a
-    product.  The exponents become Fractions again once at the end, one per
-    distinct offset.  Keys run from the highest degree down, the order the
-    expanded product always had.
+    grid 1/D, and every coefficient once over one denominator L
+    (``series._numerator_grids``): the running coefficients have integer
+    offsets and numerators in the field's numerator ring, and each c'_i is
+    one grid step ``series._mul_add`` in that ring, which holds the
+    precision rule of a sum plus a product.  Coefficient i of a product of
+    n factors is homogeneous of degree n - i in the roots, so its
+    numerators are over L^(n-i); each output term is reduced once, as
+    ``F.div(E, L^(n-i))`` (``series._reduced``), and its exponent becomes
+    a Fraction once, one per distinct offset.  Keys run from the highest degree down, the order
+    the expanded product always had.
     """
     F = domain.field
-    D = math.lcm(*[e.denominator for r in roots for e, _ in r.terms],
-                 *[r.prec.denominator for r in roots if r.prec is not None])
-    cs = [_to_grid(domain.one(), D)]
-    for r in roots:
-        nr = _to_grid(series_neg(r), D)
-        cs = ([_mul_add(F, _GRID_ZERO, cs[0], nr)]
-              + [_mul_add(F, prev, c, nr) for prev, c in zip(cs, cs[1:])]
+    R, L, D, grids, _ = _numerator_grids(F, roots)
+    cs = [([(0, R.one())], None)]
+    for terms, p in grids:
+        nr = [(n, R.neg(c)) for n, c in terms], p
+        cs = ([_mul_add(R, _GRID_ZERO, cs[0], nr)]
+              + [_mul_add(R, prev, c, nr) for prev, c in zip(cs, cs[1:])]
               + [cs[-1]])
     offsets = {n for terms, _ in cs for n, _ in terms}
     offsets.update(p for _, p in cs if p is not None)
     exps = {n: Fraction(n, D) for n in offsets}
-    return FPoly(domain, 1, {(i,): _from_grid(F, cs[i], exps)
-                             for i in reversed(range(len(cs)))})
+    n = len(roots)
+    out = {}
+    for i in reversed(range(len(cs))):
+        terms, p = cs[i]
+        out[(i,)] = SeriesTrunc(
+            F, tuple([(exps[m], c) for m, c in _reduced(F, R, L, n - i, terms)]),
+            None if p is None else exps[p])
+    return FPoly(domain, 1, out)

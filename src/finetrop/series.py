@@ -9,25 +9,44 @@ Products and quotients scale the exponents of their operands to integers
 on a common grid 1/D (D the lcm of their denominators) and work on integer
 offsets: a product is a convolution that stops each row at the result's
 precision, a quotient a/b is the division recurrence q (1 + u) = a / c for
-b = c t^g (1 + u), run only over the terms the result keeps (or, in
-``series_div_lead``, only its first term), and an inverse is the quotient
-1/b.  Precision follows the known terms: a product
-is known up to the smaller of lead(a) + prec(b) and lead(b) + prec(a), the
-inverse of c t^g + O(t^p) up to O(t^(p - 2g)), and a quotient as far as a
-times that inverse.  Exponents are Fractions again in every result.
+b = c t^g (1 + u), run only over the terms the result keeps (or, cut to
+its lead, only its first term), and an inverse is the quotient 1/b.
+Precision follows the known terms: a product is known up to the smaller
+of lead(a) + prec(b) and lead(b) + prec(a), the inverse of c t^g + O(t^p)
+up to O(t^(p - 2g)), and a quotient as far as a times that inverse.
+Exponents are Fractions again only in the terms a result returns.
 
-The product and its precision rule are written once, as the private grid
-step ``_mul_add``: s + a*b for three series already on one grid, with
-integer offsets and integer precisions.  ``series_mul`` is that step onto
-an exact zero, on the grid of its two operands' exponents and precisions;
-``poly.product_of_linear_factors`` puts all its roots on one grid and runs
-its whole shift-and-scale loop through the step, turning offsets back into
-Fractions only once at the end.
+The grid form is private to the package and written once here:
+``_numerator_grids`` puts a list of series on one grid with integer
+offsets and integer precisions, and forms their coefficients' numerators
+over one common denominator L with ``BaseField.numerators`` (over Q, Python
+ints; over the other fields, the coefficients themselves).  The product
+and its precision rule are the grid step ``_mul_add``: s + a*b in the
+numerator ring.  The quotient, its precision rule and its errors are
+``_quotient``, which runs on numerators as they are, since a/b does not
+change when both are multiplied by L.  Numerators become field elements
+in two places only: a quotient's terms are its ``F.dot``s, and a
+product's terms, of degree k in the coefficients, are reduced by
+``_reduced``, one ``F.div`` by L^k per term.
 
-Each output coefficient of a product or quotient is one ``F.dot`` over its
-factor pairs; over Q that sums integer numerators and reduces once, so a
-term costs one Fraction instead of one per multiply and add.  A sum merges
-the two sorted term tuples in one pass.
+- ``series_mul`` is one step onto an exact zero, on the field elements
+  themselves (``_to_grid``): for one product, forming numerators and
+  reducing each term again costs more than it saves.
+- ``series_div`` (and ``series_inv``) put both operands on one numerator
+  grid, then run ``_quotient``.
+- ``solve.solve_linear_2x2`` puts the six coefficients of a 2x2 system on
+  one numerator grid, forms the Cramer numerators and determinant with
+  ``_mul_add`` in the numerator ring, and runs ``_quotient`` on them; the
+  fundamental harness takes the quotients cut to their first terms.
+- ``poly.product_of_linear_factors`` runs its shift-and-scale loop through
+  ``_mul_add`` on one numerator grid of all its roots.
+
+Each output coefficient of a product or quotient is one ``dot`` over its
+factor pairs.  Over Q, on numerators, a product's is a sum of int
+products, reduced once by ``_reduced``; a quotient's, and one of
+``series_mul``, is one ``QQ.dot``, which sums integer numerators and
+reduces once.  So a term costs one Fraction instead of one per multiply
+and add.  A sum merges the two sorted term tuples in one pass.
 
 Also defines the enriched valuations val, sval, fval and phval into
 tropical extensions, and checks of the homomorphism laws.
@@ -37,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
+from math import gcd, lcm
 from typing import Any, Callable, Optional
 
 from .extension import TropicalExtension, trop, trop_complex, trop_signed
@@ -198,15 +217,47 @@ def _to_grid(a: SeriesTrunc, D: int):
             None if p is None else p.numerator * (D // p.denominator))
 
 
-def _from_grid(F: BaseField, g, exps: dict[int, Fraction]) -> SeriesTrunc:
-    """The series of ``g``, each offset n read as the exponent exps[n]."""
-    terms, p = g
-    return SeriesTrunc(F, tuple([(exps[n], c) for n, c in terms]),
-                       None if p is None else exps[p])
+def _numerator_grids(F: BaseField, ss, prec=None):
+    """(R, L, D, grids, q): the series ss on one grid 1/D, their
+    coefficients as numerators over one L (``F.numerators``), and prec as
+    an offset q on that grid (None stays None).
+
+    D is the lcm of the denominators of every exponent and precision of ss
+    and of prec.  Each grid is (terms, prec) as in ``_mul_add``, with the
+    numerators, elements of the ring R, in place of the coefficients.
+    """
+    if prec is not None:
+        prec = Fraction(prec)
+    D = lcm(*[e.denominator for s in ss for e, _ in s.terms],
+            *[s.prec.denominator for s in ss if s.prec is not None],
+            *([] if prec is None else [prec.denominator]))
+    R, L, nums = F.numerators([c for s in ss for _, c in s.terms])
+    grids, i = [], 0
+    for s in ss:
+        j = i + len(s.terms)
+        grids.append(([(e.numerator * (D // e.denominator), c)
+                       for (e, _), c in zip(s.terms, nums[i:j])],
+                      None if s.prec is None
+                      else s.prec.numerator * (D // s.prec.denominator)))
+        i = j
+    q = None if prec is None else prec.numerator * (D // prec.denominator)
+    return R, L, D, grids, q
 
 
-def _mul_add(F: BaseField, s, a, b):
-    """s + a*b for series s, a, b on one grid 1/D.
+def _reduced(F: BaseField, R, L, k: int, terms) -> list:
+    """Grid terms whose numerators (of ``_numerator_grids``) have degree k
+    in the coefficients, as field elements: each one ``F.div`` by L^k,
+    unless the numerator ring R is the field itself."""
+    if R is F:
+        return terms
+    Lk = L ** k
+    return [(n, F.div(E, Lk)) for n, E in terms]
+
+
+def _mul_add(F, s, a, b):
+    """s + a*b for series s, a, b on one grid 1/D, with coefficients in F:
+    a field, or the numerator ring of ``BaseField.numerators`` (only
+    ``one``, ``is_zero`` and ``dot`` are used).
 
     This is the one place the precision rule of sums and products lives.
     An exact zero factor annihilates even unknown tails, so s comes back
@@ -272,12 +323,27 @@ def series_inv(a: SeriesTrunc, prec=None) -> SeriesTrunc:
 
 
 def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
-    """a/b by one division recurrence on an integer exponent grid.
+    """a/b: both operands put once on one grid with one denominator
+    (``_numerator_grids``), then one ``_quotient``."""
+    F = a.field
+    _, _, D, (ga, gb), q = _numerator_grids(F, (a, b), prec)
+    return _quotient(F, D, ga, gb, q)
 
-    Write b = c t^g (1 + u) with u's exponents positive and a = t^l A with
-    A's offsets non-negative.  With D the lcm of the denominators of A's
-    and u's offsets, A = sum_n A_n t^(n/D), b = c t^g + sum_k b_k t^(g+k/D)
-    and the quotient is t^(l-g) sum_n q_n t^(n/D) with
+
+def _quotient(F: BaseField, D: int, a, b, prec, lead: bool = False) -> SeriesTrunc:
+    """a/b over F for a, b on the grid 1/D and prec an offset on it (or
+    None); with ``lead``, cut to its first term.
+
+    The coefficients of a and b may be numerators over one common L
+    (``F.numerators``): the quotient does not change when both operands are
+    multiplied by L, and a numerator is an element of F, so the recurrence
+    runs on them as they are.  This is the one place the precision rule,
+    the errors and the division recurrence of a quotient live.
+
+    Write b = c t^g (1 + u) with u's offsets positive and a = t^l A with
+    A's offsets non-negative.  On the coarsest grid 1/D' holding A's and
+    u's offsets, A = sum_n A_n t^(n/D'), b = c t^g + sum_k b_k t^(g+k/D')
+    and the quotient is t^(l-g) sum_n q_n t^(n/D') with
 
         q_n = c^(-1) A_n + sum_{k>=1} nu_k q_{n-k},    nu_k = -b_k c^(-1),
 
@@ -289,90 +355,67 @@ def series_div(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
     term divides exactly; any other exact b needs a prec.  A zero a gives
     exactly 0, with or without a prec: 0/b = 0 for every b != 0, as an
     exact zero annihilates in ``series_mul``.
+
+    The lead cut computes only q_0, which is the first term whenever any
+    term is kept, and is known below the lower of p and the next grid
+    point, so it claims no term it did not compute.  An enriched valuation
+    maps it as it maps the full quotient.  Exponents become Fractions only
+    for the terms returned.
     """
-    p, _, terms = _quotient(a, b, prec)
-    return SeriesTrunc(a.field, tuple(terms), p)
-
-
-def series_div_lead(a: SeriesTrunc, b: SeriesTrunc, prec=None) -> SeriesTrunc:
-    """``series_div(a, b, prec)`` cut to its first term.
-
-    Only q_0 of the recurrence is computed; the cut is known below the
-    lower of p and the next grid point, so it claims no term it did not
-    compute.  It has the leading term of the full quotient, or none when
-    the full quotient has none, with the same precision rule and errors,
-    so an enriched valuation maps both alike.
-    """
-    p, D, terms = _quotient(a, b, prec)
-    first = next(terms, None)
-    if first is None:
-        return SeriesTrunc(a.field, (), p)
-    return SeriesTrunc(a.field, (first,), _min_prec(p, first[0] + Fraction(1, D)))
-
-
-def _quotient(a: SeriesTrunc, b: SeriesTrunc, prec):
-    """(p, D, the nonzero terms below p, lazily) of a/b on the grid 1/D;
-    see series_div."""
-    F = a.field
-    if b.is_zero():
-        raise ZeroDivisionError("cannot invert the zero series")
-    if b.is_indeterminate():
+    (at, pa), (bt, pb) = a, b
+    if not bt:
+        if pb is None:
+            raise ZeroDivisionError("cannot invert the zero series")
         raise PrecisionError("insufficient precision: leading term unknown")
-    g, c = b.terms[0]
-    target: Optional[Fraction] = None
-    if b.prec is not None:
-        target = b.prec - 2 * g
-    if prec is not None:
-        prec = Fraction(prec)
-        target = _min_prec(target, prec)
-    if target is None and len(b.terms) > 1:
+    g, c = bt[0]
+    target = _min_prec(None if pb is None else pb - 2 * g, prec)
+    if target is None and len(bt) > 1:
         raise PrecisionError("inverse of a multi-term exact series needs a precision")
-    if a.is_zero():
-        return None, None, iter(())
-    p: Optional[Fraction] = None
+    if not at and pa is None:
+        return SeriesTrunc(F, ())
+    p = None
     if target is not None:
-        p = (a.terms[0][0] if a.terms else a.prec) + target
-    if a.prec is not None:
-        p = _min_prec(p, a.prec - g)
+        p = (at[0][0] if at else pa) + target
+    if pa is not None:
+        p = _min_prec(p, pa - g)
     p = _min_prec(p, prec)
-    if not a.terms:
-        return p, None, iter(())
-    lead = a.terms[0][0]
-    da = [e - lead for e, _ in a.terms]
-    db = [e - g for e, _ in b.terms[1:]]
-    D = lcm(*[e.denominator for e in da + db])  # a list, as in series_mul
-    # A_n by integer offset; -b_k c^(-1) at increasing offsets k >= 1.
+    if not at:
+        return SeriesTrunc(F, (), Fraction(p, D))
+    lo = at[0][0]
+    shift = lo - g
+    step = gcd(D, *[n - lo for n, _ in at], *[n - g for n, _ in bt])
+    size = (at[-1][0] - lo) // step + 1 if p is None else -((shift - p) // step)
+    if lead and size > 0:
+        size = 1
+        p = _min_prec(p, shift + step)
     cinv = F.inv(c)
-    alpha = {e.numerator * (D // e.denominator): ca
-             for e, (_, ca) in zip(da, a.terms)}
-    nu = [(e.numerator * (D // e.denominator), F.neg(F.mul(cb, cinv)))
-          for e, (_, cb) in zip(db, b.terms[1:])]
-    shift = lead - g
-    num, den = shift.numerator * D, shift.denominator * D
-    size = max(alpha) + 1 if p is None else ceil((p - shift) * D)
-
-    def terms():
-        # None in q marks a zero q_n.
-        q: list[Any] = [None] * max(0, size)
-        for n in range(len(q)):
-            xs, ys = [], []
-            if n in alpha:
-                xs.append(cinv)
-                ys.append(alpha[n])
-            for k, nuk in nu:
-                if k > n:
-                    break
-                prev = q[n - k]
-                if prev is not None:
-                    xs.append(nuk)
-                    ys.append(prev)
-            if xs:
-                s = F.dot(xs, ys)
-                if not F.is_zero(s):
-                    q[n] = s
-                    yield Fraction(num + n * shift.denominator, den), s
-
-    return p, D, terms()
+    # A_n by step index; -b_k c^(-1) at increasing indices k >= 1, which
+    # q_0 alone does not need.
+    alpha = {(n - lo) // step: ca for n, ca in at}
+    nu = []
+    if size > 1:
+        nu = [((n - g) // step, F.neg(F.mul(cb, cinv))) for n, cb in bt[1:]]
+    # None in q marks a zero q_n.
+    q: list[Any] = [None] * max(0, size)
+    terms = []
+    for n in range(len(q)):
+        xs, ys = [], []
+        if n in alpha:
+            xs.append(cinv)
+            ys.append(alpha[n])
+        for k, nuk in nu:
+            if k > n:
+                break
+            prev = q[n - k]
+            if prev is not None:
+                xs.append(nuk)
+                ys.append(prev)
+        if xs:
+            s = F.dot(xs, ys)
+            if not F.is_zero(s):
+                q[n] = s
+                terms.append((Fraction(shift + n * step, D), s))
+    return SeriesTrunc(F, tuple(terms), None if p is None else Fraction(p, D))
 
 
 def fmt_coeff(field: BaseField, c) -> str:

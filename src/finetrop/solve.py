@@ -57,12 +57,12 @@ from .poly import (
 from .series import (
     SeriesDomain,
     SeriesTrunc,
+    _GRID_ZERO,
+    _mul_add,
+    _numerator_grids,
+    _quotient,
     hom_val,
     series,
-    series_div,
-    series_div_lead,
-    series_mul,
-    series_sub,
 )
 
 
@@ -477,47 +477,61 @@ def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
             return P, Q
 
 
-def _cramer(P: FPoly, Q: FPoly) -> tuple[SeriesTrunc, SeriesTrunc, SeriesTrunc]:
-    """Cramer numerators and determinant (nx, ny, det) of
-    a X + b Y + c = 0, d X + e Y + g = 0 over series; raises ValueError when
-    the determinant vanishes."""
-    dom = P.domain
+def _cramer(P: FPoly, Q: FPoly, prec):
+    """(F, D, nx, ny, det, q): the Cramer numerators and determinant of
+    a X + b Y + c = 0, d X + e Y + g = 0 over series, on one grid 1/D.
 
-    def coef(p: FPoly, d):
-        return p.coeffs.get(d, dom.zero())
+    The six coefficients are put once on one grid with numerators over one
+    denominator L (``series._numerator_grids``); D also covers prec, which
+    comes back as the offset q.  det = a e - b d, nx = b g - c e and
+    ny = c d - a g are each two grid steps ``series._mul_add`` in the
+    numerator ring, so their numerators are over L^2, which both quotients
+    cancel.  Raises ValueError when the determinant vanishes.
+    """
+    F = P.domain.field
+    zero = P.domain.zero()
+    coeffs = [p.coeffs.get(d, zero) for p in (P, Q)
+              for d in ((1, 0), (0, 1), (0, 0))]
+    R, _, D, (a, b, c, d_, e, g), q = _numerator_grids(F, coeffs, prec)
 
-    a, b, c = coef(P, (1, 0)), coef(P, (0, 1)), coef(P, (0, 0))
-    d_, e, g = coef(Q, (1, 0)), coef(Q, (0, 1)), coef(Q, (0, 0))
-    det = series_sub(series_mul(a, e), series_mul(b, d_))
-    if det.is_zero():
+    def neg(x):
+        terms, p = x
+        return [(n, R.neg(v)) for n, v in terms], p
+
+    det = _mul_add(R, _mul_add(R, _GRID_ZERO, a, e), b, neg(d_))
+    if not det[0] and det[1] is None:
         raise ValueError("no isolated solution: determinant vanishes")
-    nx = series_sub(series_mul(b, g), series_mul(c, e))
-    ny = series_sub(series_mul(c, d_), series_mul(a, g))
-    return nx, ny, det
+    nx = _mul_add(R, _mul_add(R, _GRID_ZERO, b, g), c, neg(e))
+    ny = _mul_add(R, _mul_add(R, _GRID_ZERO, c, d_), a, neg(g))
+    return F, D, nx, ny, det, q
 
 
 def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTrunc]:
     """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series.
 
     Each coordinate is its numerator divided by the determinant to
-    O(t^prec), one ``series_div`` recurrence over the terms it keeps; the
-    determinant is never inverted on its own.  This is the full solve;
+    O(t^prec), one ``series._quotient`` recurrence over every term it
+    keeps, run on the grid numerators of ``_cramer``; the determinant is
+    never inverted on its own, and the numerators are reduced to field
+    elements only in the quotient's terms.  This is the full solve;
     ``fundamental_harness`` reads only the first term of each quotient.
     """
-    nx, ny, det = _cramer(P, Q)
-    return series_div(nx, det, prec), series_div(ny, det, prec)
+    F, D, nx, ny, det, q = _cramer(P, Q, prec)
+    return _quotient(F, D, nx, det, q), _quotient(F, D, ny, det, q)
 
 
 def _solution_image(f: Hom, P: FPoly, Q: FPoly, prec=8) -> tuple:
     """f of both coordinates of the solution of (P, Q) to O(t^prec).
 
     An enriched valuation reads only a leading term, so each coordinate is
-    its quotient cut to its first term (``series_div_lead``): the image
-    of ``solve_linear_2x2`` without expanding the quotients.  Raises
-    ValueError, PrecisionError included, where that solve and f would.
+    its quotient cut to its first term (``series._quotient`` with
+    ``lead``): the image of ``solve_linear_2x2`` without expanding the
+    quotients.  Raises ValueError, PrecisionError included, where that
+    solve and f would.
     """
-    nx, ny, det = _cramer(P, Q)
-    return f(series_div_lead(nx, det, prec)), f(series_div_lead(ny, det, prec))
+    F, D, nx, ny, det, q = _cramer(P, Q, prec)
+    return (f(_quotient(F, D, nx, det, q, lead=True)),
+            f(_quotient(F, D, ny, det, q, lead=True)))
 
 
 def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],

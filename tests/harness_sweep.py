@@ -1,10 +1,13 @@
-"""Check of the fundamental harness against the full solve.
+"""Check of the fundamental harness and the full solve against the reference.
 
 The harness maps each coordinate's Cramer quotient cut to its first term
 (``solve._solution_image``).  For every case below, that image, or the
 error raised in its place, must equal ``harness_oracle.solution_image``
-(``solve_linear_2x2`` to O(t^prec), then f), and ``fundamental_harness``
-must return the failure list of ``harness_oracle.fundamental_harness``.
+(``series_oracle.solve_linear_2x2`` to O(t^prec), then f), and
+``fundamental_harness`` must return the failure list of
+``harness_oracle.fundamental_harness``.  The full solve
+``solve.solve_linear_2x2`` must return both series of
+``series_oracle.solve_linear_2x2``, or the same error type and message.
 Each case runs at prec 8, 2, 0, -1 and 1/3, under val, sval and fval:
 
 - random: each round's system from ``random_linear_system`` over Q, with
@@ -17,7 +20,8 @@ Each round also compares the phval image of a system over Q(i), exact and
 cut, at every prec (the phase base has no fine intersection to compare).
 
 Run as ``PYTHONPATH=src python tests/harness_sweep.py ROUNDS``: it prints
-the number of cases checked by outcome, or the first mismatch and exits 1.
+the number of images and of full solves checked by outcome, or the first
+mismatch and exits 1.
 """
 
 from __future__ import annotations
@@ -37,9 +41,15 @@ from finetrop.series import (
     hom_val,
     series,
 )
-from finetrop.solve import _solution_image, fundamental_harness, random_linear_system
+from finetrop.solve import (
+    _solution_image,
+    fundamental_harness,
+    random_linear_system,
+    solve_linear_2x2,
+)
 
 import harness_oracle
+import series_oracle
 
 PRECS = (Fraction(8), Fraction(2), Fraction(0), Fraction(-1), Fraction(1, 3))
 HOMS = (hom_val(), hom_sval(), hom_fval())
@@ -104,12 +114,38 @@ def built_systems() -> list:
     ]
 
 
-def check(homs, P, Q, harness: bool, label: str, counts: Counter) -> None:
-    """Compare images (and, with ``harness``, failure lists) at every prec."""
-    for hom in homs:
-        for prec in PRECS:
+def reference(P, Q, prec):
+    """``series_oracle.solve_linear_2x2`` of (P, Q) at prec, solved once: a
+    function of the solve's arguments that returns the solution or raises
+    the ValueError it raised."""
+    try:
+        sol, err = series_oracle.solve_linear_2x2(P, Q, prec), None
+    except ValueError as e:
+        sol, err = None, e
+
+    def solve(*_):
+        if err is not None:
+            raise err
+        return sol
+
+    return solve
+
+
+def check(homs, P, Q, harness: bool, label: str, counts: Counter,
+          solves: Counter) -> None:
+    """Compare full solves and images (and, with ``harness``, failure
+    lists) at every prec."""
+    for prec in PRECS:
+        ref = reference(P, Q, prec)
+        got = outcome(solve_linear_2x2, P, Q, prec)
+        want = outcome(ref)
+        if got != want:
+            raise AssertionError(f"{label}, prec {prec}: solve {got}, "
+                                 f"reference {want}")
+        solves["solution" if kind(got) == "image" else got[0]] += 1
+        for hom in homs:
             got = outcome(_solution_image, hom, P, Q, prec)
-            want = outcome(harness_oracle.solution_image, hom, P, Q, prec)
+            want = outcome(harness_oracle.solution_image, hom, P, Q, prec, ref)
             if got != want:
                 raise AssertionError(f"{label}, {hom.name}, prec {prec}: image "
                                      f"{got}, full solve {want}")
@@ -117,37 +153,41 @@ def check(homs, P, Q, harness: bool, label: str, counts: Counter) -> None:
             if harness:
                 got = outcome(fundamental_harness, hom, [(P, Q)], prec)
                 want = outcome(harness_oracle.fundamental_harness, hom,
-                               [(P, Q)], prec)
+                               [(P, Q)], prec, ref)
                 if got != want:
                     raise AssertionError(f"{label}, {hom.name}, prec {prec}: "
                                          f"harness {got}, reference {want}")
 
 
-def sweep(rounds: int) -> Counter:
+def sweep(rounds: int) -> tuple[Counter, Counter]:
     """Check the built cases and ``rounds`` random rounds; returns the
-    number of images checked by outcome and raises ``AssertionError`` at
-    the first mismatch."""
+    number of images and of full solves checked, each by outcome, and
+    raises ``AssertionError`` at the first mismatch."""
     counts: Counter = Counter()
+    solves: Counter = Counter()
     for name, P, Q in built_systems():
-        check(HOMS, P, Q, True, name, counts)
+        check(HOMS, P, Q, True, name, counts, solves)
     rng = random.Random(2161)
     dom, domi = SeriesDomain(QQ), SeriesDomain(QQi)
     for r in range(rounds):
         P, Q = random_linear_system(dom, rng)
-        check(HOMS, P, Q, True, f"round {r}", counts)
-        check(HOMS, cut(P, rng), cut(Q, rng), True, f"round {r}, cut", counts)
+        check(HOMS, P, Q, True, f"round {r}", counts, solves)
+        check(HOMS, cut(P, rng), cut(Q, rng), True, f"round {r}, cut", counts,
+              solves)
         P, Q = random_linear_system(domi, rng)
-        check((PHVAL,), P, Q, False, f"round {r}, Q(i)", counts)
+        check((PHVAL,), P, Q, False, f"round {r}, Q(i)", counts, solves)
         check((PHVAL,), cut(P, rng), cut(Q, rng), False,
-              f"round {r}, Q(i), cut", counts)
-    return counts
+              f"round {r}, Q(i), cut", counts, solves)
+    return counts, solves
 
 
 if __name__ == "__main__":
     try:
-        counts = sweep(int(sys.argv[1]))
+        counts, solves = sweep(int(sys.argv[1]))
     except AssertionError as err:
         print(f"mismatch: {err}")
         sys.exit(1)
     print(f"{sum(counts.values())} images match the full solve "
-          f"({dict(sorted(counts.items()))}); failure lists match")
+          f"({dict(sorted(counts.items()))}); failure lists match; "
+          f"{sum(solves.values())} full solves match the reference "
+          f"({dict(sorted(solves.items()))})")

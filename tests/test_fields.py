@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from finetrop.fields import GF, QQ, QQi, BaseSolveError, field_by_name, gauss
+from finetrop.fields import GF, QQ, QQi, BaseSolveError, gauss
 
 import root_oracle
 
@@ -167,9 +167,31 @@ def test_nonprime_rejected():
         GF(6)
 
 
-def test_field_by_name():
-    assert field_by_name("Q") is QQ
-    assert field_by_name("Qi") is QQi
-    assert field_by_name("GF5").p == 5
-    with pytest.raises(ValueError):
-        field_by_name("R")
+def test_numerators_round_trip():
+    # Negative values, integral coefficients and a repeated denominator;
+    # over Q the numerators are ints over the lcm of the denominators, and
+    # a degree-k value of them reduces by L^k to the value of the
+    # coefficients.  The other fields are their own numerator ring.
+    cases = {
+        QQ: [Fraction(-3, 4), Fraction(5), Fraction(2, 3), Fraction(-7),
+             Fraction(1, 6), 3, -2],
+        QQi: [gauss(Fraction(-3, 4), 2), gauss(5), gauss(0, Fraction(-1, 6)),
+              gauss(-7, Fraction(2, 3))],
+        GF(5): [4, 1, 3, 2, 1],
+    }
+    for F, cs in cases.items():
+        R, L, nums = F.numerators(cs)
+        assert len(nums) == len(cs)
+        if F is QQ:
+            assert L == 12 and all(type(n) is int for n in nums)
+            assert [F.div(n, L) for n in nums] == cs
+            assert all(type(F.div(n, L)) is Fraction for n in nums)
+        else:
+            assert R is F and L == 1 and nums == cs
+        reduce = (lambda v, k: v) if R is F else (lambda v, k: F.div(v, L ** k))
+        assert reduce(R.one(), 0) == F.one()
+        assert [reduce(R.neg(n), 1) for n in nums] == [F.neg(c) for c in cs]
+        assert reduce(R.dot(nums, nums[::-1]), 2) == F.dot(cs, cs[::-1])
+        assert R.is_zero(R.dot([nums[0], R.neg(nums[0])], [R.one(), R.one()]))
+        assert not any(R.is_zero(n) for n in nums)
+    assert QQ.numerators([])[1:] == (1, [])

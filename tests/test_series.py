@@ -21,11 +21,12 @@ from finetrop.series import (
     series,
     series_add,
     series_div,
-    series_div_lead,
     series_inv,
     series_mul,
     series_neg,
     series_sub,
+    _numerator_grids,
+    _quotient,
 )
 from finetrop.poly import fpoly
 import finetrop.solve
@@ -173,6 +174,7 @@ def _random_series(F, rng, exact):
 
 def test_grid_arithmetic_matches_reference_expansion():
     rng = random.Random(20231)
+    kinds = set()
     for F in (QQ, QQi, GF(5)):
         for _ in range(60):
             a = _random_series(F, rng, rng.random() < 0.5)
@@ -185,12 +187,27 @@ def test_grid_arithmetic_matches_reference_expansion():
             ):
                 assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
         dom = SeriesDomain(F)
-        for k in range(4):
+        for k in range(8):
             P, Q = random_linear_system(dom, rng)
-            if k % 2:
+            if k in (1, 3):
                 P = fpoly(dom, 2, {d: series(F, c.terms, rng.randint(1, 6))
                                    for d, c in P.coeffs.items()})
-            assert solve_linear_2x2(P, Q) == series_oracle.solve_linear_2x2(P, Q)
+            if k >= 4:
+                # Every coefficient known only below its lead plus 1/4 .. 3.
+                P, Q = (fpoly(dom, 2, {d: series(F, c.terms, c.terms[0][0]
+                                                 + Fraction(rng.randint(1, 12), 4))
+                                       for d, c in S.coeffs.items()})
+                        for S in (P, Q))
+            if k < 4:
+                assert solve_linear_2x2(P, Q) == series_oracle.solve_linear_2x2(P, Q)
+            for prec in (8, Fraction(1, 3)):
+                got = _outcome(solve_linear_2x2, P, Q, prec)
+                assert got == _outcome(series_oracle.solve_linear_2x2, P, Q, prec)
+                kinds.add((F.name, isinstance(got, type)
+                           or any(x.is_indeterminate() for x in got)))
+    # Each field has solutions known to a term and ones known to none.
+    assert kinds == {(F.name, b) for F in (QQ, QQi, GF(5))
+                     for b in (False, True)}, kinds
 
 
 def test_merged_sums_match_rebuilt_sums():
@@ -241,6 +258,12 @@ def test_rational_products_and_inverses_return_fractions():
                 assert all(type(c) is Fraction for _, c in got.terms), got
 
 
+def _lead_quotient(a, b, prec):
+    """a/b cut to its first term, on the numerator grid the harness uses."""
+    _, _, D, (ga, gb), q = _numerator_grids(a.field, (a, b), prec)
+    return _quotient(a.field, D, ga, gb, q, lead=True)
+
+
 def test_division_lead_is_the_quotient_cut_to_its_first_term():
     rng = random.Random(4242)
     kinds = set()
@@ -250,7 +273,7 @@ def test_division_lead_is_the_quotient_cut_to_its_first_term():
             b = _random_series(F, rng, rng.random() < 0.5)
             prec = rng.choice([None, Fraction(rng.randint(-2, 8), rng.randint(1, 3))])
             full = _outcome(series_div, a, b, prec)
-            lead = _outcome(series_div_lead, a, b, prec)
+            lead = _outcome(_lead_quotient, a, b, prec)
             if isinstance(full, type) or not full.terms:
                 assert lead == full, (a, b, prec)
                 kinds.add(full if isinstance(full, type) else "no term")

@@ -432,16 +432,28 @@ def test_harness_divides_out_one_term_per_coordinate(monkeypatch):
     def full_solve(*args, **kwargs):
         raise AssertionError("the harness expanded a quotient")
 
+    quotient = solve._quotient
+    leads = []
+
+    def lead_only(*args, lead=False):
+        if not lead:
+            full_solve()
+        leads.append(args)
+        return quotient(*args, lead=lead)
+
     monkeypatch.setattr(solve, "solve_linear_2x2", full_solve)
-    monkeypatch.setattr(solve, "series_div", full_solve)
+    monkeypatch.setattr(solve, "_quotient", lead_only)
     rng = random.Random(21)
     systems = [random_linear_system(SeriesDomain(QQ), rng) for _ in range(6)]
     for hom in (hom_fval(), hom_val(), hom_sval()):
         assert fundamental_harness(hom, systems) == []
+    assert len(leads) == 3 * 6 * 2
 
 
 def test_harness_images_match_the_full_solve():
     # Built cases and 6 rounds of tests/harness_sweep.py, which runs any
-    # number of rounds: every image and failure list equals the full solve's.
-    assert harness_sweep.sweep(6) == {"image": 105, "PrecisionError": 195,
-                                      "ValueError": 15}
+    # number of rounds: every image and failure list equals the reference
+    # solve's, and so does every full solve.
+    images, solves = harness_sweep.sweep(6)
+    assert images == {"image": 105, "PrecisionError": 195, "ValueError": 15}
+    assert solves == {"solution": 135, "PrecisionError": 5, "ValueError": 5}
