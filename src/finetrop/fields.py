@@ -122,12 +122,20 @@ class BaseField:
         raise NotImplementedError
 
     def power(self, a, n: int):
-        """a^n by repeated multiplication; a negative n inverts a first."""
+        """a^n by square-and-multiply, O(log |n|) products; a negative n
+        inverts a first.  It uses only ``one``, ``mul`` and ``inv``, so
+        ``Hyperfield`` shares it."""
         if n < 0:
             a, n = self.inv(a), -n
-        r = self.one()
-        for _ in range(n):
-            r = self.mul(r, a)
+        if n == 0:
+            return self.one()
+        while not n & 1:
+            a, n = self.mul(a, a), n >> 1
+        r = a
+        while n > 1:
+            a, n = self.mul(a, a), n >> 1
+            if n & 1:
+                r = self.mul(r, a)
         return r
 
     def nth_roots(self, w, n: int) -> list:

@@ -485,26 +485,8 @@ class Hyperfield:
             acc = self.add_set_elem(acc, t)
         return acc
 
-    def power(self, a, n: int):
-        """a^n by n - 1 products (none for n = 0 or 1); a^n = (1/a)^-n."""
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        if n == 0:
-            return self.one()
-        r = a
-        for _ in range(n - 1):
-            r = self.mul(r, a)
-        return r
-
-    def powers(self, a, n: int) -> list:
-        """[a^s, a^2s, ..., a^n] with s the sign of n, by one running
-        product: entry k - 1 equals ``power(a, s*k)``; [] for n = 0."""
-        if n < 0:
-            return self.powers(self.inv(a), -n)
-        out = [a] if n else []
-        while len(out) < n:
-            out.append(self.mul(out[-1], a))
-        return out
+    # a^n by square-and-multiply; a negative n inverts a first.
+    power = BaseField.power
 
 
 class FiniteHyperfield(Hyperfield):

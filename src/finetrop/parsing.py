@@ -143,13 +143,6 @@ def _parse_rational(lx: _Lexer) -> Fraction:
     return Fraction(num)
 
 
-def parse_rational(text: str) -> Fraction:
-    lx = _Lexer(text)
-    x = _parse_rational(lx)
-    _require_end(lx)
-    return x
-
-
 def _signed_terms(lx: _Lexer, term, sign: int) -> list:
     """Terms joined by `+` and `-`: the first is term(sign), each later one
     term(1) after a `+` or term(-1) after a `-`.  Stops at the first token
@@ -187,13 +180,6 @@ def _parse_gauss(lx: _Lexer, greedy: bool = True) -> GaussRat:
         return term(1)
     terms = _signed_terms(lx, term, 1)
     return GaussRat(sum(z.re for z in terms), sum(z.im for z in terms))
-
-
-def parse_gauss(text: str) -> GaussRat:
-    lx = _Lexer(text)
-    z = _parse_gauss(lx)
-    _require_end(lx)
-    return z
 
 
 def _parse_dir(lx: _Lexer):

@@ -124,9 +124,52 @@ def initial_support(p: HPoly, point: Sequence,
     return [d for d, v in zip(support, vals) if v == m]
 
 
+def _power_table(B: Hyperfield, a, exps, m=None) -> dict:
+    """{e: a^e} for each distinct exponent e of ``exps``.
+
+    One running product walks the sorted exponents and steps over each
+    gap with ``power``: dense exponents cost one product each, and a large
+    one only its logarithm.  Given the order m of a finite unit group
+    holding a, each power is read from its residue instead, a^e =
+    a^(e mod m) (Lagrange), in O(log m) products.
+    """
+    if m is not None:
+        return {e: B.power(a, e % m) for e in exps}
+    table, prev = {}, None
+    for e in sorted(exps):
+        # From 0 (a^0 = 1) or from nothing, the step is the power itself.
+        table[e] = x = (B.power(a, e) if not prev else
+                        B.mul(x, a if e - prev == 1 else B.power(a, e - prev)))
+        prev = e
+    return table
+
+
+def _base_sum(B: Hyperfield, terms, tables):
+    """The sum over B of c * x_1^d_1 * ... * x_n^d_n for the terms (d, c),
+    each x_i^e read from tables[i][e]; a zero exponent multiplies by
+    nothing.  The fold follows the order of the terms."""
+    vals = []
+    for d, c in terms:
+        i = 0  # an index, not a zip: no iterator per term on this hot path
+        for e in d:
+            if e:
+                c = B.mul(c, tables[i][e])
+            i += 1
+        vals.append(c)
+    return B.nary_sum(vals)
+
+
+def _zero_in_base_sum(B: Hyperfield, terms, tables) -> bool:
+    """Whether 0 lies in ``_base_sum``: every root test ends here, since
+    by the hyperfield Kapranov theorem a root over a tropical extension
+    depends only on the base sum of its minimal-level terms."""
+    return B.set_contains_zero(_base_sum(B, terms, tables))
+
+
 def _base_terms(p: HPoly, point: Sequence):
-    """(B, support, terms): the monomials of p that count at ``point`` and
-    their values in B, whose sum decides the evaluation.
+    """(B, terms, tables): the monomials (d, c) of p that count at
+    ``point``, with c in B, and each coordinate's ``_power_table`` over
+    their exponents; their ``_base_sum`` decides the evaluation.
 
     The point must have one coordinate per variable.  A monomial with a
     nonzero exponent at a zero coordinate is zero, and a negative exponent
@@ -135,9 +178,8 @@ def _base_terms(p: HPoly, point: Sequence):
     its terms at the minimal level, so only the monomials that
     ``initial_support`` picks count, and B is the base hyperfield: each
     term is a base coefficient times the base parts of the powers.
-    Otherwise B is p's hyperfield.  Each coordinate's powers come from one
-    running product (``Hyperfield.powers``), shared by every monomial.
-    Terms follow the support in lexicographic order.
+    Otherwise B is p's hyperfield.  Terms follow the support in
+    lexicographic order.
     """
     H = p.hyperfield
     if len(point) != p.nvars:
@@ -149,24 +191,16 @@ def _base_terms(p: HPoly, point: Sequence):
         if any(d[i] < 0 for d in support for i in zeros):
             raise ZeroPowerError("0^k undefined for negative k")
         support = [d for d in support if not any(d[i] for i in zeros)]
-    B, cs = H, [p.coeffs[d] for d in support]
+    B, coeffs = H, p.coeffs
     if isinstance(H, TropicalExtension) and support:
         support = initial_support(p, point, support)
         B, point = H.base, [a if a is None else a.coef for a in point]
-        cs = [p.coeffs[d].coef for d in support]
-    tables = []  # per variable: ([a^1, ..., a^hi], [a^-1, ..., a^lo])
-    for i, a in enumerate(point):
-        exps = [d[i] for d in support]
-        hi, lo = max(exps, default=0), min(exps, default=0)
-        tables.append((B.powers(a, hi) if hi > 0 else [],
-                       B.powers(a, lo) if lo < 0 else []))
-    terms = []
-    for d, val in zip(support, cs):
-        for e, table in zip(d, tables):
-            if e:
-                val = B.mul(val, table[0][e - 1] if e > 0 else table[1][-e - 1])
-        terms.append(val)
-    return B, support, terms
+        terms = [(d, coeffs[d].coef) for d in support]
+    else:
+        terms = [(d, coeffs[d]) for d in support]
+    tables = [_power_table(B, a, {d[i] for d in support})
+              for i, a in enumerate(point)]
+    return B, terms, tables
 
 
 def eval_poly(p: HPoly, point: Sequence):
@@ -180,12 +214,13 @@ def eval_poly(p: HPoly, point: Sequence):
     reproducible; hyperaddition is associative so the order is immaterial.
     """
     H = p.hyperfield
-    B, support, terms = _base_terms(p, point)
-    total = B.nary_sum(terms)
+    B, terms, tables = _base_terms(p, point)
+    total = _base_sum(B, terms, tables)
     if B is H:
         return total
-    level = p.coeffs[support[0]].level
-    for a, e in zip(point, support[0]):
+    d = terms[0][0]
+    level = p.coeffs[d].level
+    for a, e in zip(point, d):
         if e:
             level = group_add(level, scalar_mul(e, a.level))
     return H.level_sum(level, total)
@@ -195,8 +230,7 @@ def is_root(p: HPoly, point: Sequence) -> bool:
     """0 in p(point).  Over a tropical extension this is 0 in the base sum
     of the minimal-level terms (the hyperfield Kapranov theorem: a root
     depends only on the initial form), so no level is computed."""
-    B, _, terms = _base_terms(p, point)
-    return B.set_contains_zero(B.nary_sum(terms))
+    return _zero_in_base_sum(*_base_terms(p, point))
 
 
 def prevariety_member(polys: Iterable[HPoly], point: Sequence) -> bool:

@@ -46,6 +46,8 @@ from .poly import (
     FPoly,
     HPoly,
     ZeroPowerError,
+    _power_table,
+    _zero_in_base_sum,
     fpoly,
     hpoly1,
     initial_support,
@@ -67,6 +69,12 @@ from .series import (
 
 
 DEFAULT_DEGREE_BOUND = 8
+
+
+def _check_degree(n: int) -> None:
+    """Raise ValueError for a base solve of degree above the bound."""
+    if n > DEFAULT_DEGREE_BOUND:
+        raise ValueError(f"degree {n} exceeds the bound {DEFAULT_DEGREE_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,9 @@ class SolverInvariantError(RuntimeError):
 def base_roots(H: Hyperfield, coeffs: dict[int, Any]) -> list:
     """Solve 0 in sum of c_j x^j over the base hyperfield, x a unit.
 
-    A base with finitely many units is scanned over them and a field asks
-    its ``unit_roots``; any other base, such as a phase hyperfield, raises
+    A base with finitely many units is scanned over them, each unit's
+    powers read by residue (``poly._power_table``), and a field asks its
+    ``unit_roots``; any other base, such as a phase hyperfield, raises
     BaseSolveError.
     """
     coeffs = {j: c for j, c in coeffs.items() if not H.is_zero(c)}
@@ -154,18 +163,10 @@ def base_roots(H: Hyperfield, coeffs: dict[int, Any]) -> list:
         raise ValueError("no nonzero coefficients")
     units = H.units()
     if units is not None:
-        # The sum is evaluated here rather than through is_root, which
-        # stays the independent check that roots_univariate applies.  It
-        # is shifted by x^-lo, a unit, so one running power serves.
-        lo = min(0, *coeffs)
-        top = max(coeffs) - lo
-        out = []
-        for x in units:
-            pw = [H.one(), *H.powers(x, top)]
-            terms = [H.mul(c, pw[j - lo]) for j, c in coeffs.items()]
-            if H.set_contains_zero(H.nary_sum(terms)):
-                out.append(x)
-        return out
+        terms = [((j,), c) for j, c in coeffs.items()]
+        m = len(units)
+        return [x for x in units if _zero_in_base_sum(
+            H, terms, [_power_table(H, x, coeffs, m)])]
     if isinstance(H, FieldHyperfield):
         return H.field.unit_roots(coeffs)
     raise BaseSolveError(f"base solve incomplete over {H.name}")
@@ -207,8 +208,7 @@ def multiplicity(p: HPoly, a) -> int:
         coeffs = {j: coeffs[j].coef for j in J}
     lo = min(coeffs)
     n = max(coeffs) - lo
-    if n > DEFAULT_DEGREE_BOUND:
-        raise ValueError(f"degree {n} exceeds the bound {DEFAULT_DEGREE_BOUND}")
+    _check_degree(n)
     if isinstance(H, PhaseHyperfield):
         raise BaseSolveError(f"multiplicity over {H.name} is not supported")
     memo: dict[tuple, int] = {}
@@ -263,7 +263,9 @@ def roots_univariate(p: HPoly) -> list[RootRecord]:
     # Newton cells have distinct levels and base_roots returns distinct
     # units, so every root below is new.
     for cell in newton_cells(p):
-        # The root (x, h) has the multiplicity of x in the cell's initial form.
+        # The root (x, h) has the multiplicity of x in the cell's initial
+        # form, whose degree is bounded before any base solve.
+        _check_degree(cell.J[-1] - cell.J[0])
         sub = {j - cell.J[0]: coeffs[j].coef for j in cell.J}
         form = hpoly1(H.base, sub)
         for x in base_roots(H.base, sub):

@@ -1,9 +1,9 @@
-"""Minimal SVG rendering of tropical curves and fine curves.
+"""Minimal SVG rendering of fine curves.
 
-Renders the output of trop_project (vertices, segments, rays) into a
-fixed viewBox, clipping unbounded rays at the viewport.  Fine curves get
-the same skeleton with base-condition labels on each cell.  The output is
-plain SVG 1.1, parseable by xml.etree.
+Renders the cells of a fine curve (vertices, segments, rays) into a fixed
+viewBox, clipping unbounded rays at the viewport, with base-condition
+labels on each cell.  The output is plain SVG 1.1, parseable by
+xml.etree.
 """
 
 from __future__ import annotations
@@ -55,18 +55,6 @@ def _vertex(pt, style: str, label: Optional[str] = None) -> list[str]:
         out.append(f'<text x="{x + 5:.2f}" y="{y - 5:.2f}" font-size="10">'
                    f"{_escape(label)}</text>")
     return out
-
-
-def render_trop(cells: list[dict]) -> str:
-    """SVG for trop_project output: dicts with dim/point or p0/v/interval."""
-    body = []
-    for c in cells:
-        if c["dim"] == 0:
-            body.extend(_vertex(c["point"], 'fill="black"'))
-        else:
-            body.extend(_segment(c["p0"], c["v"], c["interval"],
-                                 'stroke="black" stroke-width="1.5"'))
-    return _document(body)
 
 
 def render_fine_curve(curve) -> str:

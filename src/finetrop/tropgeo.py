@@ -30,13 +30,14 @@ per pair of edges), and edges on one line meet where their intervals
 overlap.  Each pair's base conditions are then solved together, with the
 base field's own root finders (``BaseField.nth_roots`` and
 ``unit_roots``) for the binomial and substituted conditions, or, over a
-base with finitely many units, by testing every unit pair with each
-unit's powers read by residue (u^e = u^(e mod m) in a unit group of
-order m).  Every fine point is checked to be a root of both sources,
-independently of the cells: by the hyperfield Kapranov theorem it is one
-exactly when 0 lies in the base sum of the source's terms of minimal
-level at the point, found on the source's levels scaled to integers
-once per call.  Stable
+base with finitely many units, by testing every unit pair.  Every fine
+point is checked to be a root of both sources, independently of the
+cells: by the hyperfield Kapranov theorem it is one exactly when 0 lies
+in the base sum of the source's terms of minimal level at the point,
+found on the source's levels scaled to integers once per call.  Both the
+scan and the check decide a base sum with ``poly._zero_in_base_sum``, on
+powers from ``poly._power_table``, which over a finite base reads them
+by residue (u^e = u^(e mod m) in a unit group of order m).  Stable
 intersections perturb only the base units of the second curve, and start
 systems for polyhedral homotopy read mixed volumes off the same pairs.
 """
@@ -53,7 +54,15 @@ from .extension import ExtElem, TropicalExtension
 from .fields import BaseField, BaseSolveError
 from .hyperfields import FieldHyperfield, Hyperfield
 from .ordgroup import gelem
-from .poly import FPoly, HPoly, hpoly, prevariety_member, pushforward
+from .poly import (
+    FPoly,
+    HPoly,
+    _power_table,
+    _zero_in_base_sum,
+    hpoly,
+    prevariety_member,
+    pushforward,
+)
 from .series import hom_fval
 from .solve import SolverInvariantError
 
@@ -430,20 +439,6 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     return _affine_binomial(F, kA, kB, (condA, condB))
 
 
-def _zero_in_base_sum(B: Hyperfield, terms, pu, pv) -> bool:
-    """Whether 0 lies in the sum over B of c * u^d0 * v^d1 for the terms
-    ((d0, d1), c), with u^d0 read from pu[d0] and v^d1 from pv[d1]; a
-    zero exponent multiplies by nothing."""
-    vals = []
-    for (d0, d1), c in terms:
-        if d0:
-            c = B.mul(c, pu[d0])
-        if d1:
-            c = B.mul(c, pv[d1])
-        vals.append(c)
-    return B.set_contains_zero(B.nary_sum(vals))
-
-
 def _unit_scan(H: Hyperfield, units: list, conds) -> list:
     """The unit pairs (u, v), in the order of units x units, at which
     every condition holds.
@@ -451,17 +446,15 @@ def _unit_scan(H: Hyperfield, units: list, conds) -> list:
     The units form a group of order m = len(units), so u^e = u^(e mod m)
     for every e, negative e included (Lagrange).  Each condition is read
     once as terms keyed by residues, and each unit's powers are tabulated
-    once, over only the residues the conditions use, each from the
-    exponent of least size in its class.
+    once, over only the residues the conditions use.
     """
     m = len(units)
     terms = [[((d0 % m, d1 % m), c) for (d0, d1), c in cond.coeffs.items()]
              for cond in conds]
-    residues = {e % m for cond in conds for d in cond.coeffs for e in d}
-    table = [{r: H.power(u, r if 2 * r <= m else r - m) for r in residues}
-             for u in units]
+    residues = {e for ts in terms for d, _ in ts for e in d}
+    table = [_power_table(H, u, residues) for u in units]
     return [(u, v) for u, pu in zip(units, table) for v, pv in zip(units, table)
-            if all(_zero_in_base_sum(H, ts, pu, pv) for ts in terms)]
+            if all(_zero_in_base_sum(H, ts, (pu, pv)) for ts in terms)]
 
 
 def _affine_rank1(F: BaseField, r1, r2):
@@ -631,14 +624,16 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
             yield c1, C2.cells[k2], hit
 
 
-def _is_fine_root(B: Hyperfield, p: HPoly, lift: Lift, g: Vec2, u, v) -> bool:
+def _is_fine_root(B: Hyperfield, p: HPoly, lift: Lift, g: Vec2, u, v,
+                  m: Optional[int]) -> bool:
     """Whether the fine point (u at level g[0], v at level g[1]) is a root
     of p, whose levels ``lift`` holds scaled: by the hyperfield Kapranov
-    theorem, whether 0 lies in the base sum over the argmin at g."""
+    theorem, whether 0 lies in the base sum over the argmin at g.  m is
+    the order of B's unit group, or None when it is infinite."""
     J = lift.argmin_at(g)
     return _zero_in_base_sum(B, [(d, p.coeffs[d].coef) for d in J],
-                             {d[0]: B.power(u, d[0]) for d in J},
-                             {d[1]: B.power(v, d[1]) for d in J})
+                             (_power_table(B, u, {d[0] for d in J}, m),
+                              _power_table(B, v, {d[1] for d in J}, m)))
 
 
 def fine_intersect(C1: FineCurve, C2: FineCurve):
@@ -657,6 +652,8 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
     """
     E = _ext_of(C1.source)
     H = E.base
+    units = H.units()
+    m = None if units is None else len(units)
     checks = [(C.source, _lift(C.source)) for C in (C1, C2)]
     points: list[FinePoint] = []
     comps: list[ComponentDescription] = []
@@ -678,7 +675,7 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                     continue
                 seen_pts.add(key)
                 for p, lift in checks:
-                    if not _is_fine_root(H, p, lift, g, u, v):
+                    if not _is_fine_root(H, p, lift, g, u, v, m):
                         raise SolverInvariantError(
                             f"fine point {pt.coords} is not a root of {p}")
                 points.append(pt)

@@ -3,12 +3,11 @@
 This is how ``finetrop.poly.eval_poly`` evaluated before it shared one
 running power per coordinate and before tropical extensions summed only
 their minimal-level terms: each monomial builds every x^e from scratch by
-the generic ``Hyperfield.power`` (e multiplications), called unbound so no
-hyperfield's own closed form stands in for it, and ``fold_from_zero`` folds
-every term.  A monomial with a nonzero
-exponent at a zero coordinate is zero, and a negative exponent at any zero
-coordinate raises, whatever the order of the variables.  It is kept only as
-a slow oracle for the tests.
+``power_by_products`` (e multiplications, the generic power as it was
+before square-and-multiply), and ``fold_from_zero`` folds every term.  A
+monomial with a nonzero exponent at a zero coordinate is zero, and a
+negative exponent at any zero coordinate raises, whatever the order of the
+variables.  It is kept only as a slow oracle for the tests.
 
 ``fold_from_zero`` is the n-ary sum as ``Hyperfield.nary_sum`` folded it
 before it started at its first term, and ``extension_add_set_elem`` is
@@ -24,6 +23,18 @@ from finetrop.hyperfields import Hyperfield
 from finetrop.poly import HPoly
 
 
+def power_by_products(H: Hyperfield, a, n: int):
+    """a^n by |n| - 1 products (none for n = 0 or 1); a^n = (1/a)^-n."""
+    if n < 0:
+        return power_by_products(H, H.inv(a), -n)
+    if n == 0:
+        return H.one()
+    r = a
+    for _ in range(n - 1):
+        r = H.mul(r, a)
+    return r
+
+
 def eval_every_term(p: HPoly, point: Sequence):
     H = p.hyperfield
     terms = []
@@ -36,7 +47,7 @@ def eval_every_term(p: HPoly, point: Sequence):
         val = p.coeffs[d]
         for a, e in zip(point, d):
             if e:
-                val = H.mul(val, Hyperfield.power(H, a, e))
+                val = H.mul(val, power_by_products(H, a, e))
         terms.append(val)
     return fold_from_zero(H, terms)
 

@@ -19,11 +19,16 @@ The same pairs also check the base solving of ``tropgeo.fine_intersect``
 hit by hit (``check_base``):
 
 - over K and S, ``solve_base_pair``'s unit-pair scan, which reads powers
-  by residue, against every unit pair tested by ``poly.prevariety_member``;
+  by residue, against every unit pair tested by
+  ``eval_oracle.is_root_every_term`` on both conditions;
 - at every point hit, ``tropgeo._is_fine_root``, the fine-point check on
-  levels scaled once, against ``poly.is_root`` on both sources: at every
-  unit pair over K and S, and over Q at each solution (u, v) and at
-  (-u, v) and (u, 2v).
+  levels scaled once, against ``eval_oracle.is_root_every_term`` on both
+  sources: at every unit pair over K and S, and over Q at each solution
+  (u, v) and at (-u, v) and (u, 2v).
+
+The scan and the check decide their base sums with ``poly``'s own power
+table and base-sum test, so the reference evaluates every term with its
+own powers instead.
 
 Run as ``PYTHONPATH=src python tests/intersect_sweep.py ROUNDS``: it prints
 the number of pairs and hits checked and the number of scans and fine-point
@@ -41,9 +46,10 @@ from finetrop import tropgeo
 from finetrop.extension import ExtElem
 from finetrop.fields import BaseSolveError, QQ
 from finetrop.ordgroup import gelem
-from finetrop.poly import fpoly, is_root, prevariety_member, pushforward
+from finetrop.poly import fpoly, pushforward
 from finetrop.series import SeriesDomain, hom_fval, hom_sval, hom_val, series
 
+from eval_oracle import is_root_every_term
 from intersect_oracle import argmin_pair_hits, pair_scan_hits
 
 DOM = SeriesDomain(QQ)
@@ -162,10 +168,11 @@ def check(C1, C2) -> int:
 
 def check_base(C1, C2) -> tuple[int, int]:
     """Compare the unit-pair scans and the fine-point checks of one pair
-    with ``prevariety_member`` and ``is_root``; returns the numbers of
-    scans and checks and raises ``AssertionError`` on a mismatch."""
+    with ``is_root_every_term``; returns the numbers of scans and checks
+    and raises ``AssertionError`` on a mismatch."""
     H = C1.source.hyperfield.base
     units = H.units()
+    m = None if units is None else len(units)
     checks = [(C.source, tropgeo._lift(C.source)) for C in (C1, C2)]
     scans = n = 0
     for c1, c2, hit in tropgeo._cell_hits(C1, C2):
@@ -176,10 +183,10 @@ def check_base(C1, C2) -> tuple[int, int]:
             continue
         if units is not None:
             want = [(u, v) for u in units for v in units
-                    if prevariety_member(conds, (u, v))]
+                    if all(is_root_every_term(c, (u, v)) for c in conds)]
             if sols != want:
                 raise AssertionError(f"{conds}: scan {sols}, "
-                                     f"prevariety_member {want}")
+                                     f"every-term oracle {want}")
             scans += 1
         if hit[0] != "point" or kind != "points":
             continue
@@ -192,10 +199,10 @@ def check_base(C1, C2) -> tuple[int, int]:
         for u, v in tried:
             pt = (ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1])))
             for p, lift in checks:
-                got = tropgeo._is_fine_root(H, p, lift, g, u, v)
-                if got != is_root(p, pt):
+                got = tropgeo._is_fine_root(H, p, lift, g, u, v, m)
+                if got != is_root_every_term(p, pt):
                     raise AssertionError(f"{p} at {pt}: fine-point check "
-                                         f"{got}, is_root {not got}")
+                                         f"{got}, every-term oracle {not got}")
                 n += 1
     return scans, n
 
@@ -234,5 +241,5 @@ if __name__ == "__main__":
         print(f"mismatch: {err}")
         sys.exit(1)
     print(f"{n} curve pairs, {hits} hits match both references")
-    print(f"{scans} unit-pair scans match prevariety_member, "
-          f"{checks} fine-point checks match is_root")
+    print(f"{scans} unit-pair scans and {checks} fine-point checks match "
+          f"the every-term oracle")

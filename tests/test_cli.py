@@ -38,6 +38,45 @@ def test_roots_degree_bound_is_on_the_initial_form(capsys):
     assert json.loads(out)["message"] == "degree 9 exceeds the bound 8"
 
 
+BIG = "100000000"
+TOO_BIG = f"degree {BIG} exceeds the bound 8"
+
+
+@pytest.mark.parametrize("argv, code, key, want", [
+    pytest.param(["roots", "--hyperfield", "T", f"(1,0)*X^{BIG} + (1,0)"],
+                 2, "message", TOO_BIG, id="roots-T"),
+    pytest.param(["roots", "--hyperfield", "Qx|Q", f"(1,0)*X^{BIG} + (-1,0)"],
+                 2, "message", TOO_BIG, id="roots-Q"),
+    pytest.param(["roots", "--hyperfield", "GF7/{1,2,4}x|Q",
+                  f"(1,0)*X^{BIG} + (1,0)"],
+                 2, "message", TOO_BIG, id="roots-GF7-quotient"),
+    pytest.param(["eval", "--hyperfield", "T", f"X^{BIG}", "(1, 2)"],
+                 0, "value", "{(1, 200000000)}", id="eval-T"),
+    pytest.param(["eval", "--hyperfield", "K", f"X^{BIG}", "1"],
+                 0, "value", "{1}", id="eval-K"),
+    pytest.param(["eval", "--hyperfield", "GF7/{1,2,4}", f"X^{BIG}", "3"],
+                 0, "value", "{1}", id="eval-GF7-quotient"),
+    pytest.param(["eval", "--hyperfield", "P", f"X^{BIG}", "dir(0,1)"],
+                 0, "value", "{dir(1,0)}", id="eval-P-i"),
+    pytest.param(["eval", "--hyperfield", "P", "X^100000", "dir(3,4)"],
+                 0, "contains_zero", False, id="eval-P-growing"),
+])
+def test_large_exponents_answer_in_time(argv, code, key, want):
+    # Work grows with the number of terms and the size of the answer, not
+    # with a written exponent: each of these once ran for minutes.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import finetrop
+
+    env = {**os.environ, "PYTHONPATH": str(Path(finetrop.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "finetrop.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stdout)[key] == want
+
+
 def test_eval_phase(capsys):
     code, out = run(capsys, "eval", "--hyperfield", "P",
                     "X^2 + X + 1", "dir(-1, 1)")

@@ -20,8 +20,9 @@ from finetrop.hyperfields import (
     quotient_build,
 )
 from finetrop.ordgroup import gelem
+from finetrop.poly import _power_table
 
-from eval_oracle import extension_add_set_elem
+from eval_oracle import extension_add_set_elem, power_by_products
 
 T = trop()
 TR = trop_signed()
@@ -102,12 +103,11 @@ def test_minimal_level_sum_and_running_powers_equal_the_generic_ones():
             a = next((t for t in ts if t is not None), None)
             if a is None:
                 continue
-            for n in range(-4, 7):
-                s = -1 if n < 0 else 1
-                assert E.powers(a, n) == [E.power(a, s * k)
-                                          for k in range(1, abs(n) + 1)]
-                assert E.base.powers(a.coef, n) == [
-                    E.base.power(a.coef, s * k) for k in range(1, abs(n) + 1)]
+            exps = range(-4, 7)
+            assert _power_table(E, a, exps) == {
+                n: power_by_products(E, a, n) for n in exps}
+            assert _power_table(E.base, a.coef, exps) == {
+                n: power_by_products(E.base, a.coef, n) for n in exps}
 
 
 def test_extension_sums_match_the_reference():

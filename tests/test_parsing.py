@@ -12,9 +12,7 @@ from finetrop.parsing import (
     hyperfield_by_name,
     parse_elem,
     parse_fpoly,
-    parse_gauss,
     parse_poly,
-    parse_rational,
     parse_series,
 )
 from finetrop.series import SeriesDomain, fmt_series, series
@@ -24,12 +22,12 @@ KEYS = ["K", "S", "W", "P", "Phi", "Q", "Qi", "GF5", "GF5/{1,4}",
 
 
 def test_scalar_literals():
-    assert parse_rational("-7/3") == Fraction(-7, 3)
-    assert parse_gauss("2-3/4i") == gauss(2, Fraction(-3, 4))
-    assert parse_gauss("i") == gauss(0, 1)
-    assert parse_gauss("-i") == gauss(0, -1)
+    assert parse_elem("Q", "-7/3") == Fraction(-7, 3)
+    assert parse_elem("Qi", "2-3/4i") == gauss(2, Fraction(-3, 4))
+    assert parse_elem("Qi", "i") == gauss(0, 1)
+    assert parse_elem("Qi", "-i") == gauss(0, -1)
     with pytest.raises(ParseError):
-        parse_rational("1/")
+        parse_elem("Q", "1/")
 
 
 def test_elem_round_trips_sampled():
@@ -46,7 +44,7 @@ def test_elem_round_trips_sampled():
 def test_unicode_aliases():
     assert parse_poly("T", "X \u229e (1, 2)").coeffs == \
         parse_poly("T", "X + (1, 2)").coeffs
-    assert parse_rational("\u22123/2") == Fraction(-3, 2)
+    assert parse_elem("Q", "\u22123/2") == Fraction(-3, 2)
 
 
 def test_dir_literals():

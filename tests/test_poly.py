@@ -15,6 +15,7 @@ from finetrop.extension import (
 from finetrop.hyperfields import K, P, PHI, S, W, hom_sign, make_dir, quotient_build
 from finetrop.ordgroup import gelem, group_add, scalar_mul
 from finetrop.poly import (
+    _power_table,
     eval_poly,
     hpoly,
     hpoly1,
@@ -28,7 +29,7 @@ from finetrop.series import SeriesDomain, fmt_series, s_const, s_zero, series
 from finetrop.fields import GF, QQ, QQi
 from finetrop.hyperfields import field_hyperfield
 
-from eval_oracle import eval_every_term, is_root_every_term
+from eval_oracle import eval_every_term, is_root_every_term, power_by_products
 from newton_oracle import group_sub
 import product_oracle
 from proj_oracle import affinize, fpoly_eval, homogenize, proj_is_root, proj_point
@@ -116,6 +117,29 @@ def test_eval_matches_every_term_oracle():
                 seen["tie at the minimal level"] += _ties_at_minimal_level(
                     p, point)
     assert min(seen.values()) >= 10, seen
+
+
+def test_power_table_matches_repeated_products():
+    # Sparse and dense exponents on both sides of 0, each hyperfield with
+    # a finite unit group also by residue, on exponents that include
+    # multiples of its order m.
+    rng = random.Random(14)
+    hyperfields = (K, S, W, field_hyperfield(GF(5)), quotient_build(5, [1, 4]),
+                   quotient_build(7, [1, 2, 4]), field_hyperfield(QQ),
+                   field_hyperfield(QQi), P, PHI, trop())
+    for H in hyperfields:
+        units = H.units()
+        for _ in range(40):
+            a = _unit(H, rng)
+            exps = {rng.randint(-30, 30) for _ in range(rng.randint(1, 8))}
+            exps |= {rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
+            want = {e: power_by_products(H, a, e) for e in exps}
+            assert _power_table(H, a, exps) == want, (H.name, a, exps)
+            if units is not None:
+                m = len(units)
+                exps |= {m * rng.randint(-4, 4) for _ in range(3)}
+                want = {e: power_by_products(H, a, e) for e in exps}
+                assert _power_table(H, a, exps, m) == want, (H.name, a, exps)
 
 
 def test_initial_support_matches_group_arithmetic():
