@@ -126,10 +126,10 @@ class TropicalExtension(Hyperfield):
 
     def add_set_elem(self, S: ExtSV, y) -> ExtSV:
         """S + y: the lower level dominates; at equal levels the sum is
-        ``level_sum`` of the base sum C of S's coefficients and y's, with y
-        itself added to C when S holds zero (0 + y = y).  S's tail needs no
-        case of its own: a set with a tail holds zero, and the tail plus y
-        is y."""
+        ``level_sum`` of the base sum of S's coefficients and y's, with 0
+        among S's coefficients when S holds zero (0 + y = y).  S's tail
+        needs no case of its own: a set with a tail holds zero, and the
+        tail plus y is y."""
         if y is None:
             return S
         if S.level is None:
@@ -143,10 +143,8 @@ class TropicalExtension(Hyperfield):
         if g < h:
             # S's elements sit at a lower level and dominate y.
             return S
-        C = self.base.add_set_elem(S.base_sv, y.coef)
-        if S.zero:
-            C = self.base.union_sets(C, self.base.singleton(y.coef))
-        return self.level_sum(g, C)
+        C = self.base.set_with_zero(S.base_sv) if S.zero else S.base_sv
+        return self.level_sum(g, self.base.add_set_elem(C, y.coef))
 
     def level_sum(self, level: GroupElem, C) -> ExtSV:
         """The sum of terms all at ``level`` whose coefficients sum to C in
@@ -198,20 +196,10 @@ class TropicalExtension(Hyperfield):
     def random_element(self, rng):
         if rng.random() < 0.1:
             return None
-        base_units = self.base.units()
-        if base_units is not None:
-            c = rng.choice(base_units)
-        else:
-            while True:
-                c = self.base.random_element(rng)
-                if not self.base.is_zero(c):
-                    break
+        c = self.base.random_unit(rng)
         g = gelem(*[Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                     for _ in range(self.rank)])
         return ExtElem(c, g)
-
-    def is_stringent(self):
-        return self.base.is_stringent()
 
     def stringency_witness(self):
         w = self.base.stringency_witness()

@@ -13,20 +13,19 @@ singleton plus the element).  A sum of many elements folds
 
 Phase elements are unit directions with rational slope, stored as primitive
 integer pairs; no floating point angles appear anywhere.  A set value over P
-or Phi is a canonical ArcSet.  Every phase sum is a set plus one element,
-read off in closed form one component at a time: S + 0 = S; two points a, b
-sum to {a}, to their antipodal pair with zero (P) or the circle with zero
-(Phi), or to the arc between them the short way round, oriented by the sign
-of cross(a, b); a point a and an arc B sum to the hull of a and B on the
-circle cut at -a, or, when -a lies in B, to the circle with zero or (over P,
--a a closed end of B) one arc closed at -a with zero.  A set of several
-components, or with zero beside its arcs, sums to the union of its
-components' sums (plus {a} for its zero), canonicalised once.
+or Phi is a canonical ArcSet.  Every phase sum is a set S plus one element
+a, read off in closed form by one pass over S's arcs (``phase_add_sets``):
+a + x is the short arc between a and x, closed over Phi and open over P, so
+S + a is the hull of S and a on the circle cut at -a.  S + 0 = S; -a inside
+an arc of S (over Phi, anywhere in S) gives the circle with zero; otherwise
+the sum runs from S's clockwise-most end to its counterclockwise-most one,
+one arc over Phi, and over P split at a unless a, 0 or -a lies in S, with
+-a in S adding zero and -a itself.  However many components S has, the sum
+is at most three arcs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,11 +113,6 @@ def dir_cmp(a: Dir, b: Dir) -> int:
     if c < 0:
         return 1
     return 0
-
-
-def sort_dirs(dirs: Iterable[Dir]) -> list[Dir]:
-    uniq = set(dirs)
-    return sorted(uniq, key=functools.cmp_to_key(dir_cmp))
 
 
 def dir_between(u: Dir, x: Dir, v: Dir) -> bool:
@@ -221,74 +215,42 @@ ARCSET_FULL_ZERO = ArcSet((), True, True)
 
 
 # ---------------------------------------------------------------------------
-# Arc sets on one refinement of the circle
-#
-# Sorted cuts c_0 ... c_{n-1} cut the circle into 2n atoms: atom 2i is the
-# point c_i and atom 2i+1 the open gap (c_i, c_{i+1}).  A set that is a union
-# of arcs with endpoints among the cuts is a set of atoms.
+# Phase hyperaddition: a set plus one element, as one hull in closed form
 
 
-def _atoms(arcs: Iterable[Arc], index: dict[Dir, int], m: int) -> set[int]:
-    """Atom indices of a union of arcs whose endpoints are cuts."""
-    out: set[int] = set()
-    for a in arcs:
-        first = 2 * index[a.start] + (not a.closed_start)
-        last = 2 * index[a.end] - (not a.closed_end)
-        out.update((first + t) % m for t in range((last - first) % m + 1))
-    return out
-
-
-def _stitch(cuts: Sequence[Dir], marked: Sequence[bool], has_zero: bool) -> ArcSet:
-    """The canonical ArcSet of the marked atoms: one arc per maximal run,
-    sorted by start."""
-    if not any(marked):
-        return ArcSet((), False, has_zero)
-    if all(marked):
-        return ArcSet((), True, has_zero)
-    m, n = len(marked), len(cuts)
-    # Walk once round from an unmarked atom, so that no run wraps the walk.
-    k = marked.index(False)
-    runs = []
-    first = None
-    for j in range(k + 1, k + m + 1):
-        x = j % m
-        if marked[x]:
-            if first is None:
-                first = x
-            last = x
-        elif first is not None:
-            runs.append((first, last))
-            first = None
-    return ArcSet(tuple(
-        Arc(cuts[f // 2], cuts[(l + 1) // 2 % n], f % 2 == 0, l % 2 == 0)
-        for f, l in sorted(runs)), False, has_zero)
-
-
-def _canonical_arcs(raw: Sequence[Arc], full: bool, has_zero: bool) -> ArcSet:
-    """Canonicalise a raw union of arcs on the refinement at its endpoints."""
-    if full:
-        return ArcSet((), True, has_zero)
-    cuts = sort_dirs(d for a in raw for d in (a.start, a.end))
-    marked = [False] * (2 * len(cuts))
-    for x in _atoms(raw, {c: i for i, c in enumerate(cuts)}, len(marked)):
-        marked[x] = True
-    return _stitch(cuts, marked, has_zero)
-
-
-# ---------------------------------------------------------------------------
-# Phase hyperaddition: a set plus one element, in closed form per component
+def _from_least_start(arcs: list[Arc]) -> tuple[Arc, ...]:
+    """Disjoint arcs in counterclockwise order, rotated to begin at the arc
+    with the least start: the canonical order of an ArcSet."""
+    k = 0
+    for i in range(1, len(arcs)):
+        if dir_cmp(arcs[i].start, arcs[k].start) < 0:
+            k = i
+    return tuple(arcs[k:] + arcs[:k])
 
 
 def phase_add_sets(S: ArcSet, a: Optional[Dir], closed: bool) -> ArcSet:
     """S + a over P (closed=False) or Phi (closed=True): the union of x + a
-    over x in the arc set S, for one element a, which may be zero (None).
+    over x in the canonical arc set S, for one element a, which may be zero
+    (None).
 
-    S + 0 = S; a full circle plus a direction is the circle with zero; a
-    set holding no arc gives {a} when it holds zero and nothing otherwise.
-    One component without zero is summed by ``_point_plus_point`` or
-    ``_point_plus_arc`` directly.  Otherwise the sum is the union of those
-    per-component sums, plus {a} when S holds zero, canonicalised once; it
-    is the circle with zero as soon as one component gives it.
+    a + x is the short arc between a and x: closed over Phi, open over P,
+    {a} for x == a, and for x == -a the circle with zero (Phi) or {a, -a}
+    with zero (P).  So S + a is the hull of S and a on the circle cut at
+    -a.  S + 0 = S; a full circle gives the circle with zero; a set holding
+    no arc gives {a} when it holds zero and nothing otherwise.  Otherwise
+    each end of an arc of S is keyed by its side of a, read off the sign of
+    cross(a, x): -1 clockwise, 1 counterclockwise, 0 at a, and -2 (a start)
+    or 2 (an end) at -a, told from a by the dot product.
+    - An arc running through -a gives the circle with zero; over Phi, so
+      does -a anywhere in S.  The circle minus -a is its own sum.
+    - Else the sum runs from the clockwise-most start L of S to the
+      counterclockwise-most end R (a itself where S has none on that
+      side).  Over Phi it is one arc holding a, each end closed where S's
+      is, and an end at a closed.
+    - Over P it holds a only when a, 0 or -a lies in S; without a it is
+      the two arcs (L, a) and (a, R).  Ends are open except at a (closed
+      when a is in the sum) and at -a (closed where S's end is).  -a in S
+      (a closed end or a point) adds zero, and -a as a point adds itself.
     """
     if a is None:
         return S
@@ -298,83 +260,54 @@ def phase_add_sets(S: ArcSet, a: Optional[Dir], closed: bool) -> ArcSet:
         if S.has_zero:
             return ArcSet((point_arc(a),), False, False)
         return ARCSET_EMPTY
-    if len(S.arcs) == 1 and not S.has_zero:
-        return _component_plus_point(S.arcs[0], a, closed)
-    raw = [point_arc(a)] if S.has_zero else []
-    has_zero = False
+    ap, aq = a.p, a.q
+    lo = hi = a
+    kl = kr = 0
+    clo = chi = False
+    has_a, anti, lone = S.has_zero, False, False
     for arc in S.arcs:
-        part = _component_plus_point(arc, a, closed)
-        if part.full:
+        s, e, cs, ce = arc.start, arc.end, arc.closed_start, arc.closed_end
+        c = ap * s.q - aq * s.p
+        ks = 1 if c > 0 else -1 if c < 0 else 0 if ap * s.p + aq * s.q > 0 else -2
+        c = ap * e.q - aq * e.p
+        ke = 1 if c > 0 else -1 if c < 0 else 0 if ap * e.p + aq * e.q > 0 else 2
+        if s.p == e.p and s.q == e.q:
+            if not cs:
+                # The circle minus s: it runs through -a unless s == -a.
+                return ArcSet((arc,), False, False) if ks == -2 else ARCSET_FULL_ZERO
+            if ks == -2:
+                anti = lone = True
+                continue
+        elif ks > ke or (ks == ke and s.p * e.q - s.q * e.p < 0):
             return ARCSET_FULL_ZERO
-        raw += part.arcs
-        has_zero = has_zero or part.has_zero
-    return _canonical_arcs(raw, False, has_zero)
-
-
-def _component_plus_point(arc: Arc, a: Dir, closed: bool) -> ArcSet:
-    """The sum of one component of a set (a point or an arc) and a."""
-    if arc.is_point():
-        return _point_plus_point(a, arc.start, closed)
-    return _point_plus_arc(a, arc, closed)
-
-
-def _point_plus_point(a: Dir, b: Dir, closed: bool) -> ArcSet:
-    """{a} + {b}: {a} for a == b, the antipodal pair with zero (P) or the
-    circle with zero (Phi) for b == -a, else the arc between them the short
-    way round."""
-    c = cross(a, b)
-    if c:
-        arc = Arc(a, b, closed, closed) if c > 0 else Arc(b, a, closed, closed)
-        return ArcSet((arc,), False, False)
-    if a == b:
-        return ArcSet((point_arc(a),), False, False)
+        if ks == -2:
+            lo, kl, clo, anti = s, -2, cs, anti or cs
+        elif ks == 0:
+            has_a = has_a or cs
+        elif ks == -1 and (kl == 0 or (kl == -1 and s.p * lo.q - s.q * lo.p > 0)):
+            lo, kl, clo = s, -1, cs
+        if ke == 2:
+            hi, kr, chi, anti = e, 2, ce, anti or ce
+        elif ke == 0:
+            has_a = has_a or ce
+        elif ke == 1 and (kr == 0 or (kr == 1 and hi.p * e.q - hi.q * e.p > 0)):
+            hi, kr, chi = e, 1, ce
+        if ks < 0 < ke:
+            has_a = True
     if closed:
-        return ARCSET_FULL_ZERO
-    na = dir_neg(a)
-    lo, hi = (a, na) if dir_cmp(a, na) < 0 else (na, a)
-    return ArcSet((point_arc(lo), point_arc(hi)), False, True)
-
-
-def _point_plus_arc(a: Dir, arc: Arc, closed: bool) -> ArcSet:
-    """{a} + B for an arc B that is not a single point.
-
-    a + x is the segment from a to x the short way round: closed over Phi,
-    open over P, and {a} for x == a.
-    - If -a is not in B, cut the circle at -a.  B is an interval there,
-      with a in the middle, and the sum is the hull of a and B.  An end at
-      a is closed over Phi, and over P only when a is in B.  An end of B
-      is closed only over Phi, and only where B's is; so an end at -a,
-      which B leaves out, is open.
-    - If -a is in B, the sum holds zero and is the whole circle, except
-      over P with -a a closed end of B.  Then it is one arc, closed at -a,
-      that runs to a, or on to B's far end (open there) when a lies
-      inside B.
-    """
-    na = dir_neg(a)
-    s, e = arc.start, arc.end
-    if arc.contains(na):
-        if closed or (na != s and na != e):
+        if anti:
             return ARCSET_FULL_ZERO
-        if na == s:
-            hull = (Arc(na, e, True, False) if dir_between(na, a, e)
-                    else Arc(na, a, True, True))
-        else:
-            hull = (Arc(s, na, False, True) if dir_between(s, a, na)
-                    else Arc(a, na, True, True))
-        return ArcSet((hull,), False, True)
-    if s == e:
-        # The circle minus -a: every a + x lies in it, and covers it.
-        return ArcSet((arc,), False, False)
-    cs, ce = closed and arc.closed_start, closed and arc.closed_end
-    if a == s or cross(a, s) > 0:
-        # B starts at or after a.
-        hull = Arc(a, e, closed or (a == s and arc.closed_start), ce)
-    elif a == e or cross(a, e) < 0:
-        # B ends at or before a.
-        hull = Arc(s, a, cs, closed or (a == e and arc.closed_end))
+        return ArcSet((Arc(lo, hi, clo or not kl, chi or not kr),), False, False)
+    has_a = has_a or anti
+    clo = has_a if kl == 0 else clo and kl == -2
+    chi = has_a if kr == 0 else chi and kr == 2
+    if has_a or not kl or not kr:
+        arcs = [Arc(lo, hi, clo, chi)]
     else:
-        hull = Arc(s, e, cs, ce)
-    return ArcSet((hull,), False, False)
+        arcs = [Arc(lo, a, clo, False), Arc(a, hi, False, chi)]
+    if lone:
+        arcs.insert(0, point_arc(dir_neg(a)))
+    return ArcSet(_from_least_start(arcs), False, anti)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +357,6 @@ class Hyperfield:
         ``add``."""
         raise NotImplementedError
 
-    def union_sets(self, S, T):
-        raise NotImplementedError
-
     def set_contains(self, S, a) -> bool:
         raise NotImplementedError
 
@@ -437,6 +367,9 @@ class Hyperfield:
         raise NotImplementedError
 
     def set_without_zero(self, S):
+        raise NotImplementedError
+
+    def set_with_zero(self, S):
         raise NotImplementedError
 
     def scale_set(self, S, c):
@@ -465,8 +398,19 @@ class Hyperfield:
             raise NotImplementedError
         return rng.choice(els)
 
+    def random_unit(self, rng):
+        """A random unit: a choice from ``units()`` when there are finitely
+        many, else the first nonzero ``random_element``."""
+        units = self.units()
+        if units is not None:
+            return rng.choice(units)
+        while True:
+            a = self.random_element(rng)
+            if not self.is_zero(a):
+                return a
+
     def is_stringent(self) -> bool:
-        raise NotImplementedError
+        return self.stringency_witness() is None
 
     def stringency_witness(self):
         """A pair (a, b) with a != -b whose sum is multivalued, or None."""
@@ -504,9 +448,6 @@ class FiniteHyperfield(Hyperfield):
     def add_set_elem(self, S, a):
         return frozenset().union(*(self.add(x, a) for x in S))
 
-    def union_sets(self, S, T):
-        return S | T
-
     def set_contains(self, S, a) -> bool:
         return a in S
 
@@ -515,6 +456,9 @@ class FiniteHyperfield(Hyperfield):
 
     def set_without_zero(self, S):
         return S - {self.zero()}
+
+    def set_with_zero(self, S):
+        return S | {self.zero()}
 
     def scale_set(self, S, c):
         return frozenset(self.mul(c, x) for x in S)
@@ -554,8 +498,11 @@ class FieldHyperfield(FiniteHyperfield):
     def random_element(self, rng):
         return self.field.random(rng)
 
-    def is_stringent(self):
-        return True
+    def random_unit(self, rng):
+        if isinstance(self.field, PrimeField):
+            # The units of GF(p) are 1, ..., p - 1: no list is built.
+            return rng.randrange(1, self.field.p)
+        return super().random_unit(rng)
 
     def fmt(self, a):
         return self.field.fmt(a)
@@ -586,9 +533,6 @@ class _SmallHyperfield(FiniteHyperfield):
         if b == 0:
             return self.singleton(a)
         return self._add_units(a, b)
-
-    def is_stringent(self):
-        return True
 
 
 _ZERO_ONE = frozenset((0, 1))
@@ -635,9 +579,6 @@ class WeakSignHyperfield(SignHyperfield):
 
     def _add_units(self, a, b):
         return _UNIT_SIGNS if a == b else _SIGNS
-
-    def is_stringent(self):
-        return False
 
     def stringency_witness(self):
         return (1, 1)
@@ -699,8 +640,12 @@ class QuotientHyperfield(FiniteHyperfield):
     def elements(self):
         return list(self._reps)
 
-    def is_stringent(self):
-        return self.stringency_witness() is None
+    def random_element(self, rng):
+        return rng.choice(self._reps)
+
+    def random_unit(self, rng):
+        # One draw, as rng.choice over the units _reps[1:] makes.
+        return self._reps[rng.randrange(1, len(self._reps))]
 
     def stringency_witness(self):
         # a + b = a(1 + b/a), so a witness (a, b) gives the witness
@@ -751,13 +696,6 @@ class PhaseHyperfield(Hyperfield):
     def add_set_elem(self, S, a):
         return phase_add_sets(S, a, self.closed)
 
-    def union_sets(self, S, T):
-        return _canonical_arcs(
-            list(S.arcs) + list(T.arcs),
-            S.full or T.full,
-            S.has_zero or T.has_zero,
-        )
-
     def set_contains(self, S, a) -> bool:
         if a is None:
             return S.has_zero
@@ -772,6 +710,9 @@ class PhaseHyperfield(Hyperfield):
     def set_without_zero(self, S):
         return ArcSet(S.arcs, S.full, False)
 
+    def set_with_zero(self, S):
+        return ArcSet(S.arcs, S.full, True)
+
     def scale_set(self, S, c):
         if c is None:
             if self.set_is_empty(S):
@@ -780,18 +721,13 @@ class PhaseHyperfield(Hyperfield):
         if S.full or not S.arcs:
             return S
         # A rotation keeps the arcs of a canonical set disjoint and in cyclic
-        # order, so the rotated tuple is canonical once it starts at the arc
-        # with the least start.
+        # order.
         arcs = []
         for a in S.arcs:
             start = dir_mul(c, a.start)
             end = start if a.end == a.start else dir_mul(c, a.end)
             arcs.append(Arc(start, end, a.closed_start, a.closed_end))
-        k = 0
-        for i in range(1, len(arcs)):
-            if dir_cmp(arcs[i].start, arcs[k].start) < 0:
-                k = i
-        return ArcSet(tuple(arcs[k:] + arcs[:k]), False, S.has_zero)
+        return ArcSet(_from_least_start(arcs), False, S.has_zero)
 
     def set_elements(self, S) -> list:
         if not S.is_finite():
@@ -808,9 +744,6 @@ class PhaseHyperfield(Hyperfield):
             p, q = rng.randint(-5, 5), rng.randint(-5, 5)
             if p or q:
                 return make_dir(p, q)
-
-    def is_stringent(self):
-        return False
 
     def stringency_witness(self):
         return (Dir(1, 0), Dir(0, 1))

@@ -27,6 +27,7 @@ from .hyperfields import (
     P,
     PHI,
     PhaseHyperfield,
+    QuotientHyperfield,
     S,
     W,
     make_dir,
@@ -262,10 +263,11 @@ def _parse_base_elem(H: Hyperfield, lx: _Lexer, greedy: bool = True):
         if H.field is QQi:
             return _parse_gauss(lx, greedy)
         return H.field.from_int(_parse_int(lx))
-    # K, S, W, quotients: small integer representatives.
+    # K, S, W, quotients: small integer representatives; a quotient's are
+    # the fixed points of its ``rep``.
     n = _parse_int(lx)
-    els = H.elements()
-    if els is not None and n not in els:
+    if not (H.rep(n) == n if isinstance(H, QuotientHyperfield)
+            else n in H.elements()):
         raise ParseError(f"{n} is not an element of {H.name}", lx.peek().pos)
     return n
 

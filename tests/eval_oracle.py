@@ -12,15 +12,19 @@ variables.  It is kept only as a slow oracle for the tests.
 ``fold_from_zero`` is the n-ary sum as ``Hyperfield.nary_sum`` folded it
 before it started at its first term, and ``extension_add_set_elem`` is
 ``TropicalExtension.add_set_elem`` as it was before ``level_sum`` owned the
-equal-level rule, kept verbatim with ``self`` the extension.
+equal-level rule, with ``self`` the extension.  It forms its own union of
+base sets: ``|`` over the finite hyperfields and the oracle's
+``phase_oracle.union_sets`` over P and Phi.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from finetrop.hyperfields import Hyperfield
+from finetrop.hyperfields import Hyperfield, PhaseHyperfield
 from finetrop.poly import HPoly
+
+import phase_oracle
 
 
 def power_by_products(H: Hyperfield, a, n: int):
@@ -81,5 +85,9 @@ def extension_add_set_elem(self, S, y):
     tail = self.base.set_contains_zero(C)
     base_part = self.base.set_without_zero(C)
     if S.tail or S.zero:
-        base_part = self.base.union_sets(base_part, self.base.singleton(y.coef))
+        y_set = self.base.singleton(y.coef)
+        if isinstance(self.base, PhaseHyperfield):
+            base_part = phase_oracle.union_sets(base_part, y_set)
+        else:
+            base_part = base_part | y_set
     return self._mk(g, base_part, tail, tail)

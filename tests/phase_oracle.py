@@ -4,14 +4,17 @@ This is how ``finetrop.hyperfields`` added arc sets before it moved to one
 refinement of the circle.  Each pair of arcs is split again at its own
 endpoints and their negatives, point, point-arc and open-piece sums are
 formed case by case, and the raw union is canonicalised by testing a
-midpoint of every atom against every arc.  It is kept only as a slow,
-independent oracle for the tests, and shares nothing with the fast path but
-the ``Dir``, ``Arc`` and ``ArcSet`` types and the circular order.
+midpoint of every atom against every arc (``canonical_arcs``, which
+``union_sets`` and ``scale_set`` use too).  It is kept only as a slow,
+independent oracle for the tests.
 
 ``_refined_sum`` is the second reference: the sum of two arc sets on one
 refinement of the circle, as the package computed it before its sums became
-a set plus one element.  It shares the atom helpers ``_atoms`` and
-``_stitch`` with the package's canonicalisation.
+a set plus one element.  Its atom helpers ``_atoms`` and ``_stitch``, and
+``sort_dirs``, live here: the package reads every sum off one hull and
+refines nothing.  So the oracles share only the ``Dir``, ``Arc`` and
+``ArcSet`` types and the direction primitives (``cross``, ``dir_cmp``,
+``dir_between`` and the like) with the package.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from finetrop.hyperfields import (
     Arc,
     ArcSet,
     Dir,
-    _atoms,
-    _stitch,
     cross,
     dir_between,
     dir_cmp,
@@ -33,8 +34,54 @@ from finetrop.hyperfields import (
     dir_neg,
     make_dir,
     point_arc,
-    sort_dirs,
 )
+
+
+def sort_dirs(dirs: Iterable[Dir]) -> list[Dir]:
+    """The distinct directions in the circular order of ``dir_cmp``."""
+    return sorted(set(dirs), key=functools.cmp_to_key(dir_cmp))
+
+
+# Arc sets on one refinement of the circle.  Sorted cuts c_0 ... c_{n-1} cut
+# the circle into 2n atoms: atom 2i is the point c_i and atom 2i+1 the open
+# gap (c_i, c_{i+1}).  A set that is a union of arcs with endpoints among the
+# cuts is a set of atoms.
+
+
+def _atoms(arcs: Iterable[Arc], index: dict[Dir, int], m: int) -> set[int]:
+    """Atom indices of a union of arcs whose endpoints are cuts."""
+    out: set[int] = set()
+    for a in arcs:
+        first = 2 * index[a.start] + (not a.closed_start)
+        last = 2 * index[a.end] - (not a.closed_end)
+        out.update((first + t) % m for t in range((last - first) % m + 1))
+    return out
+
+
+def _stitch(cuts: Sequence[Dir], marked: Sequence[bool], has_zero: bool) -> ArcSet:
+    """The canonical ArcSet of the marked atoms: one arc per maximal run,
+    sorted by start."""
+    if not any(marked):
+        return ArcSet((), False, has_zero)
+    if all(marked):
+        return ArcSet((), True, has_zero)
+    m, n = len(marked), len(cuts)
+    # Walk once round from an unmarked atom, so that no run wraps the walk.
+    k = marked.index(False)
+    runs = []
+    first = None
+    for j in range(k + 1, k + m + 1):
+        x = j % m
+        if marked[x]:
+            if first is None:
+                first = x
+            last = x
+        elif first is not None:
+            runs.append((first, last))
+            first = None
+    return ArcSet(tuple(
+        Arc(cuts[f // 2], cuts[(l + 1) // 2 % n], f % 2 == 0, l % 2 == 0)
+        for f, l in sorted(runs)), False, has_zero)
 
 
 def _mediant(u: Dir, v: Dir) -> Dir:

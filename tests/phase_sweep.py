@@ -6,11 +6,11 @@ arcs between two distinct such directions, with every closure of their
 ends, and over the circle minus each of them; so the arcs that start or end
 at a or at -a, and the circle minus a or minus -a, are all among them.
 
-``sweep_sets(stride)``: every canonical arc set of at most two components
-with ends among the 8 directions of radius 1, with and without zero (and
-the empty set, {0} and the full circle with and without zero), plus zero and
-each of the 16 directions of radius 2.  A stride above 1 checks only every
-stride-th set.
+``sweep_sets(stride, components)``: every canonical arc set of at most
+``components`` components (two by default) with ends among the 8
+directions of radius 1, with and without zero (and the empty set, {0} and
+the full circle with and without zero), plus zero and each of the 16
+directions of radius 2.  A stride above 1 checks only every stride-th set.
 
 Each sum ``phase_add_sets`` gives is compared with the refinement
 ``phase_oracle._refined_sum`` and with the piecewise oracle
@@ -18,8 +18,8 @@ Each sum ``phase_add_sets`` gives is compared with the refinement
 a full circle, which it does not take).
 
 Run as ``PYTHONPATH=src python tests/phase_sweep.py RADIUS`` or
-``PYTHONPATH=src python tests/phase_sweep.py --sets [STRIDE]``: it prints
-the number of sums checked, or the first mismatch and exits 1.
+``PYTHONPATH=src python tests/phase_sweep.py --sets [STRIDE [COMPONENTS]]``:
+it prints the number of sums checked, or the first mismatch and exits 1.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ from finetrop.hyperfields import (
     Arc,
     ArcSet,
     Dir,
-    _stitch,
     make_dir,
     phase_add_sets,
     point_arc,
-    sort_dirs,
 )
 
 import phase_oracle
-from phase_oracle import _refined_sum
+from phase_oracle import _refined_sum, _stitch, sort_dirs
 
 
 def directions(radius: int) -> list[Dir]:
@@ -59,18 +57,23 @@ def single_arcs(dirs: list[Dir]) -> Iterator[Arc]:
                         yield Arc(u, v, cs, ce)
 
 
-def component_sets(dirs: list[Dir]) -> list[ArcSet]:
-    """Every canonical arc set of at most two components with ends among
-    the sorted ``dirs``, with and without zero.  These are the sets of the
-    atoms of ``dirs`` (each direction and the open gap after it) that form
-    at most two cyclic runs, the empty set and the full circle included."""
+def component_sets(dirs: list[Dir], components: int = 2,
+                   stride: int = 1) -> list[ArcSet]:
+    """Every stride-th canonical arc set of at most ``components``
+    components with ends among the sorted ``dirs``, with and without zero.
+    These are the sets of the atoms of ``dirs`` (each direction and the
+    open gap after it) that form at most that many cyclic runs, the empty
+    set and the full circle included: the bit masks over the atoms that
+    differ from their rotation by one atom in at most twice as many
+    places."""
     m = 2 * len(dirs)
-    out = []
-    for bits in range(1 << m):
-        marked = [bool(bits >> x & 1) for x in range(m)]
-        if sum(marked[x] != marked[x - 1] for x in range(m)) <= 4:
-            out += [_stitch(dirs, marked, zero) for zero in (False, True)]
-    return out
+    every = (1 << m) - 1
+    keys = [(bits, zero) for bits in range(1 << m)
+            if bin(bits ^ ((bits << 1 | bits >> (m - 1)) & every)).count("1")
+            <= 2 * components
+            for zero in (False, True)]
+    return [_stitch(dirs, [bool(bits >> x & 1) for x in range(m)], zero)
+            for bits, zero in keys[::stride]]
 
 
 def _check(name: str, S: ArcSet, a: Optional[Dir], closed: bool) -> None:
@@ -101,11 +104,11 @@ def sweep(radius: int) -> int:
     return count
 
 
-def sweep_sets(stride: int = 1) -> int:
+def sweep_sets(stride: int = 1, components: int = 2) -> int:
     """Check every stride-th set of ``component_sets`` at radius 1 plus
     zero and every direction of radius 2; returns the number of sums
     checked and raises ``AssertionError`` at the first mismatch."""
-    sets = component_sets(directions(1))[::stride]
+    sets = component_sets(directions(1), components, stride)
     elems = [None] + directions(2)
     count = 0
     for closed in (False, True):
@@ -120,7 +123,7 @@ def sweep_sets(stride: int = 1) -> int:
 if __name__ == "__main__":
     try:
         if sys.argv[1] == "--sets":
-            n = sweep_sets(int(sys.argv[2]) if len(sys.argv) > 2 else 1)
+            n = sweep_sets(*(int(x) for x in sys.argv[2:4]))
             what = "set-plus-element"
         else:
             n = sweep(int(sys.argv[1]))

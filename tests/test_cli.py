@@ -64,6 +64,23 @@ TOO_BIG = f"degree {BIG} exceeds the bound 8"
 def test_large_exponents_answer_in_time(argv, code, key, want):
     # Work grows with the number of terms and the size of the answer, not
     # with a written exponent: each of these once ran for minutes.
+    _answers_in_time(argv, code, key, want)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["axioms", "--hyperfield", "GF100003x|Q", "--samples", "3000"],
+                 id="GF100003-extension"),
+    pytest.param(["axioms", "--hyperfield", "GF100003/{1}x|Q", "--samples", "300"],
+                 id="GF100003-quotient-extension"),
+])
+def test_large_prime_draws_answer_in_time(argv):
+    # A random draw builds no list of the p elements: each draw once copied
+    # (and filtered) them, and these ran for 10 s to over a minute.
+    _answers_in_time(argv, 0, "status", "pass")
+
+
+def _answers_in_time(argv, code, key, want):
+    """Run the CLI in a subprocess that must exit within 10 s."""
     import os
     import subprocess
     from pathlib import Path
