@@ -46,4 +46,20 @@ from .tropgeo import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Written out, by module: the README's API sketch and the hyperfields,
+# polynomials, valuations and curves the CLI works with.
+__all__ = [
+    "ExtElem", "TropicalExtension", "trop", "trop_complex", "trop_signed",
+    "GF", "GaussRat", "QQ", "QQi", "gauss",
+    "Hom", "Hyperfield", "K", "P", "PHI", "S", "W", "check_axioms",
+    "field_hyperfield", "hom_check", "hom_phase", "hom_sign", "hom_sign_weak",
+    "hom_trivial", "make_dir", "quotient_build",
+    "GroupElem", "gelem", "gzero",
+    "hyperfield_by_name", "parse_elem", "parse_poly", "parse_series",
+    "HPoly", "eval_poly", "hpoly", "hpoly1", "is_root", "pushforward",
+    "SeriesDomain", "SeriesTrunc", "hom_fval", "hom_phval", "hom_sval",
+    "hom_val", "series",
+    "multiplicity", "newton_cells", "roots_univariate",
+    "FineCurve", "FinePoint", "fine_hypersurface", "fine_intersect",
+    "homotopy_start", "stable_intersect", "trop_project",
+]

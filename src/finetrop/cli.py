@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional
 
-from .extension import ExtElem, TropicalExtension
-from .fields import QQ, QQi
+from .extension import TropicalExtension
 from .hyperfields import Hyperfield, check_axioms
 from .parsing import (
     ParseError,
@@ -25,9 +24,10 @@ from .parsing import (
     parse_poly,
 )
 from .poly import HPoly, eval_poly, pushforward
-from .series import SeriesDomain, hom_by_name
+from .series import hom_by_name
 from .solve import (
     BaseSolveError,
+    fundamental_harness,
     kapranov_harness,
     mult_bound_check,
     random_linear_system,
@@ -128,11 +128,6 @@ def _load_poly_arg(arg: str, args, nvars: Optional[int] = None) -> HPoly:
     return parse_poly(args.hyperfield, arg, nvars=nvars)
 
 
-def _series_domain(args) -> SeriesDomain:
-    field = QQi if getattr(args, "field", "Q") == "Qi" else QQ
-    return SeriesDomain(field)
-
-
 def cmd_eval(args) -> int:
     H = hyperfield_by_name(args.hyperfield)
     p = parse_poly(H, args.poly)
@@ -163,9 +158,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_pushforward(args) -> int:
-    f = hom_by_name(args.hom)
-    dom = _series_domain(args)
-    p = parse_fpoly(dom, args.poly)
+    f = hom_by_name(args.hom, args.field)
+    p = parse_fpoly(f.source, args.poly)
     hp = pushforward(f, p)
     _emit({
         "hom": f.name,
@@ -174,11 +168,6 @@ def cmd_pushforward(args) -> int:
         "hyperfield": hp.hyperfield.name,
     }, args)
     return 0
-
-
-def cmd_tropicalize(args) -> int:
-    args.hom = args.hom or "val"
-    return cmd_pushforward(args)
 
 
 def cmd_fine_curve(args) -> int:
@@ -201,11 +190,9 @@ def cmd_fine_curve(args) -> int:
 
 def cmd_intersect(args) -> int:
     if args.hom:
-        dom = _series_domain(args)
-        f = hom_by_name(args.hom)
-        P = parse_fpoly(dom, args.P, nvars=2)
-        Q = parse_fpoly(dom, args.Q, nvars=2)
-        hp, hq = pushforward(f, P), pushforward(f, Q)
+        f = hom_by_name(args.hom, args.field)
+        hp, hq = (pushforward(f, parse_fpoly(f.source, a, nvars=2))
+                  for a in (args.P, args.Q))
     else:
         hp = _load_poly_arg(args.P, args, nvars=2)
         hq = _load_poly_arg(args.Q, args, nvars=2)
@@ -233,10 +220,9 @@ def cmd_intersect(args) -> int:
 
 
 def cmd_homotopy_start(args) -> int:
-    dom = _series_domain(args)
-    P = parse_fpoly(dom, args.P, nvars=2)
-    Q = parse_fpoly(dom, args.Q, nvars=2)
-    sols, cells, report = homotopy_start(P, Q)
+    f = hom_by_name("fval", args.field)
+    sols, cells, report = homotopy_start(
+        *[parse_fpoly(f.source, a, nvars=2) for a in (args.P, args.Q)])
     out = {
         "report": report,
         "cells": [
@@ -248,59 +234,39 @@ def cmd_homotopy_start(args) -> int:
             }
             for c in cells
         ],
-        "solutions": [],
+        "solutions": [_point_json(f.target, s.coords) for s in sols],
     }
-    for s in sols:
-        out["solutions"].append([_elem_json_auto(c) for c in s.coords])
     _emit(out, args)
     return 0
 
 
-def _elem_json_auto(a: ExtElem) -> list:
-    return [str(a.coef)] + [_frac(c) for c in a.level.coords]
+def _verdict(args, instance: str, expected: str, fails: list, **extra) -> int:
+    """Emit a check's verdict, with the first ten failures; exit 1 on any."""
+    _emit({"instance": instance, "expected": expected, "got": fails[:10],
+           "status": "fail" if fails else "pass", **extra}, args)
+    return 1 if fails else 0
 
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
+    if args.target == "multbound":
+        H = hyperfield_by_name(args.hyperfield or "T")
+        fails = mult_bound_check(H, rng, trials=args.trials)
+        return _verdict(args, f"multbound:{H.name}", "0 failures", fails)
+    f = hom_by_name(args.hom or "fval")
     if args.target == "kapranov":
-        f = hom_by_name(args.hom or "fval")
         fails = kapranov_harness(f, rng, trials=args.trials)
-        status = "pass" if not fails else "fail"
-        _emit({"instance": f"kapranov:{f.name}", "expected": "0 failures",
-               "got": fails[:10], "status": status}, args)
-        return 0 if not fails else 1
-    if args.target == "fundamental":
-        from .solve import fundamental_harness
-        f = hom_by_name(args.hom or "fval")
-        dom = f.source
-        systems = [random_linear_system(dom, rng)
-                   for _ in range(args.trials)]
-        fails = fundamental_harness(f, systems)
-        status = "pass" if not fails else "fail"
-        _emit({"instance": f"fundamental:{f.name}", "expected": "0 failures",
-               "got": fails[:10], "status": status}, args)
-        return 0 if not fails else 1
-    H = hyperfield_by_name(args.hyperfield or "T")  # target "multbound"
-    fails = mult_bound_check(H, rng, trials=args.trials)
-    status = "pass" if not fails else "fail"
-    _emit({"instance": f"multbound:{H.name}", "expected": "0 failures",
-           "got": fails[:10], "status": status}, args)
-    return 0 if not fails else 1
+    else:
+        fails = fundamental_harness(f, [random_linear_system(f.source, rng)
+                                        for _ in range(args.trials)])
+    return _verdict(args, f"{args.target}:{f.name}", "0 failures", fails)
 
 
 def cmd_axioms(args) -> int:
     H = hyperfield_by_name(args.hyperfield)
-    rng = random.Random(args.seed)
-    fails = check_axioms(H, rng, samples=args.samples)
-    status = "pass" if not fails else "fail"
-    _emit({
-        "instance": f"axioms:{H.name}",
-        "expected": "0 violations",
-        "got": fails[:10],
-        "status": status,
-        "stringent": H.is_stringent(),
-    }, args)
-    return 0 if not fails else 1
+    fails = check_axioms(H, random.Random(args.seed), samples=args.samples)
+    return _verdict(args, f"axioms:{H.name}", "0 violations", fails,
+                    stringent=H.is_stringent())
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +295,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     p.set_defaults(fn=cmd_roots)
 
-    for name, fn in (("pushforward", cmd_pushforward),
-                     ("tropicalize", cmd_tropicalize)):
+    for name, hom in (("pushforward", "fval"), ("tropicalize", "val")):
         p = add_parser(name, help=f"{name} of a series polynomial")
-        p.add_argument("--hom", default="fval" if name == "pushforward" else None)
-        p.add_argument("--field", choices=["Q", "Qi"], default="Q")
+        p.add_argument("--hom", default=hom)
+        p.add_argument("--field", choices=["Q", "Qi"])
         p.add_argument("poly")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_pushforward)
 
     p = add_parser("fine-curve", help="cells of a fine tropical curve")
     p.add_argument("--hyperfield")
@@ -346,14 +311,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = add_parser("intersect", help="fine intersection of two curves")
     p.add_argument("--hyperfield")
     p.add_argument("--hom")
-    p.add_argument("--field", choices=["Q", "Qi"], default="Q")
+    p.add_argument("--field", choices=["Q", "Qi"])
     p.add_argument("--stable", action="store_true")
     p.add_argument("P")
     p.add_argument("Q")
     p.set_defaults(fn=cmd_intersect)
 
     p = add_parser("homotopy-start", help="polyhedral homotopy start system")
-    p.add_argument("--field", choices=["Q", "Qi"], default="Q")
+    p.add_argument("--field", choices=["Q", "Qi"])
     p.add_argument("P")
     p.add_argument("Q")
     p.set_defaults(fn=cmd_homotopy_start)

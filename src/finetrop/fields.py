@@ -44,15 +44,27 @@ class BaseSolveError(ValueError):
     """Exact base solving is outside the supported shapes."""
 
 
+# Miller-Rabin on the first 13 primes is exact below this bound (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin on ``_MR_BASES``: n - 1 = d 2^s with d odd, and a base a
+    proves n composite unless a^d = 1 or a^(d 2^r) = -1 mod n for an r < s.
+    Raises ValueError from ``PRIMALITY_BOUND`` up."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"GF({n}): primality is decided only below "
+                         f"{PRIMALITY_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    return not any(pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1
+                                             for r in range(s))
+                   for a in _MR_BASES)
 
 
 class BaseField:
@@ -116,6 +128,13 @@ class BaseField:
 
     def random(self, rng):
         raise NotImplementedError
+
+    def random_unit(self, rng):
+        """A random nonzero element: ``random`` drawn until nonzero."""
+        while True:
+            a = self.random(rng)
+            if not self.is_zero(a):
+                return a
 
     def sqrt(self, a):
         """An exact square root in the field, or None if there is none."""
@@ -501,6 +520,9 @@ class PrimeField(BaseField):
 
     def random(self, rng):
         return rng.randrange(self.p)
+
+    def random_unit(self, rng):
+        return rng.randrange(1, self.p)  # one draw; no list of the units
 
     def sqrt(self, a):
         a %= self.p

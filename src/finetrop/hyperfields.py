@@ -499,10 +499,7 @@ class FieldHyperfield(FiniteHyperfield):
         return self.field.random(rng)
 
     def random_unit(self, rng):
-        if isinstance(self.field, PrimeField):
-            # The units of GF(p) are 1, ..., p - 1: no list is built.
-            return rng.randrange(1, self.field.p)
-        return super().random_unit(rng)
+        return self.field.random_unit(rng)
 
     def fmt(self, a):
         return self.field.fmt(a)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Any, Iterable, Mapping, Sequence
 
 from .extension import TropicalExtension
@@ -43,9 +44,6 @@ class HPoly:
     @property
     def support(self) -> list[Expt]:
         return sorted(self.coeffs)
-
-    def is_laurent(self) -> bool:
-        return any(e < 0 for d in self.coeffs for e in d)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -164,6 +162,24 @@ def _zero_in_base_sum(B: Hyperfield, terms, tables) -> bool:
     by the hyperfield Kapranov theorem a root over a tropical extension
     depends only on the base sum of its minimal-level terms."""
     return B.set_contains_zero(_base_sum(B, terms, tables))
+
+
+def _unit_scan(H: Hyperfield, units: list, conds: Sequence[Mapping]) -> list:
+    """The tuples of n units, in the order of the n-fold product of
+    ``units``, at which every condition {exponent n-tuple: coefficient}
+    holds.
+
+    The units form a group of order m = len(units), so u^e = u^(e mod m)
+    for every e, negative e included (Lagrange): each unit's powers are
+    tabulated once, by residue, over only the exponents the conditions use.
+    """
+    m = len(units)
+    exps = {e for cond in conds for d in cond for e in d}
+    tables = [_power_table(H, u, exps, m) for u in units]
+    n = len(next(iter(conds[0])))
+    return [x for x, px in zip(product(units, repeat=n),
+                               product(tables, repeat=n))
+            if all(_zero_in_base_sum(H, cond.items(), px) for cond in conds)]
 
 
 def _base_terms(p: HPoly, point: Sequence):

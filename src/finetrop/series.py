@@ -29,9 +29,8 @@ in two places only: a quotient's terms are its ``F.dot``s, and a
 product's terms, of degree k in the coefficients, are reduced by
 ``_reduced``, one ``F.div`` by L^k per term.
 
-- ``series_mul`` is one step onto an exact zero, on the field elements
-  themselves (``_to_grid``): for one product, forming numerators and
-  reducing each term again costs more than it saves.
+- ``series_mul`` puts both operands on one numerator grid and takes one
+  step onto an exact zero.
 - ``series_div`` (and ``series_inv``) put both operands on one numerator
   grid, then run ``_quotient``.
 - ``solve.solve_linear_2x2`` puts the six coefficients of a 2x2 system on
@@ -43,10 +42,10 @@ product's terms, of degree k in the coefficients, are reduced by
 
 Each output coefficient of a product or quotient is one ``dot`` over its
 factor pairs.  Over Q, on numerators, a product's is a sum of int
-products, reduced once by ``_reduced``; a quotient's, and one of
-``series_mul``, is one ``QQ.dot``, which sums integer numerators and
-reduces once.  So a term costs one Fraction instead of one per multiply
-and add.  A sum merges the two sorted term tuples in one pass.
+products, reduced once by ``_reduced``; a quotient's is one ``QQ.dot``,
+which sums integer numerators and reduces once.  So a term costs one
+Fraction instead of one per multiply and add.  A sum merges the two
+sorted term tuples in one pass.
 
 Also defines the enriched valuations val, sval, fval and phval into
 tropical extensions, and checks of the homomorphism laws.
@@ -182,23 +181,15 @@ def series_neg(a: SeriesTrunc) -> SeriesTrunc:
     return SeriesTrunc(a.field, tuple([(e, a.field.neg(c)) for e, c in a.terms]), a.prec)
 
 
-def series_sub(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
-    return series_add(a, series_neg(b))
-
-
 def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
-    """a*b as one grid step ``_mul_add`` onto an exact zero, on the grid
-    of the denominators of both operands' exponents and precisions."""
-    # A list, not a generator: a tuple unpacked from a generator is sized
-    # by a guess and shrunk, and CPython's tuple free lists then keep one
-    # more block per call until the next full collection (peak RSS grew).
-    D = lcm(*[e.denominator for e, _ in a.terms + b.terms])
-    for q in (a.prec, b.prec):
-        if q is not None:
-            D = lcm(D, q.denominator)
+    """a*b as one grid step ``_mul_add`` onto an exact zero, on one
+    numerator grid of both operands (``_numerator_grids``); each term of
+    degree 2 in the coefficients is reduced once (``_reduced``)."""
     F = a.field
-    terms, p = _mul_add(F, _GRID_ZERO, _to_grid(a, D), _to_grid(b, D))
-    return SeriesTrunc(F, tuple([(Fraction(n, D), c) for n, c in terms]),
+    R, L, D, (ga, gb), _ = _numerator_grids(F, (a, b))
+    terms, p = _mul_add(R, _GRID_ZERO, ga, gb)
+    return SeriesTrunc(F, tuple([(Fraction(n, D), c)
+                                 for n, c in _reduced(F, R, L, 2, terms)]),
                        None if p is None else Fraction(p, D))
 
 
@@ -207,14 +198,6 @@ def series_mul(a: SeriesTrunc, b: SeriesTrunc) -> SeriesTrunc:
 # integer offset or None.
 
 _GRID_ZERO = ((), None)
-
-
-def _to_grid(a: SeriesTrunc, D: int):
-    """a on the grid 1/D; D must be a multiple of every denominator of its
-    exponents and of its precision."""
-    p = a.prec
-    return ([(e.numerator * (D // e.denominator), c) for e, c in a.terms],
-            None if p is None else p.numerator * (D // p.denominator))
 
 
 def _numerator_grids(F: BaseField, ss, prec=None):
@@ -448,10 +431,8 @@ def fmt_series(a: SeriesTrunc) -> str:
 class SeriesDomain:
     """The exact-series ring over a base field, with random sampling."""
 
-    def __init__(self, field: BaseField, max_terms: int = 3, denom: int = 4):
+    def __init__(self, field: BaseField):
         self.field = field
-        self.max_terms = max_terms
-        self.denom = denom
         self.name = f"{field.name}((t))"
 
     def zero(self):
@@ -473,16 +454,18 @@ class SeriesDomain:
         return series_neg(a)
 
     def random(self, rng) -> SeriesTrunc:
-        n = rng.randint(0, self.max_terms)
-        terms = []
-        for _ in range(n):
-            e = Fraction(rng.randint(-4, 8), rng.randint(1, self.denom))
-            while True:
-                c = self.field.random(rng)
-                if not self.field.is_zero(c):
-                    break
-            terms.append((e, c))
-        return series(self.field, terms)
+        """Up to three terms, exponents n/d with -4 <= n <= 8, 1 <= d <= 4."""
+        return _random_series(self.field, rng, rng.randint(0, 3), 4, (-4, 8))
+
+
+def _random_series(field: BaseField, rng, k: int, denom: int, span,
+                   prec=None) -> SeriesTrunc:
+    """A series of k drawn terms c t^(n/d) to O(t^prec): n from the range
+    ``span``, d from 1 to denom, then c from ``field.random_unit``, in that
+    order; terms drawn at one exponent are added."""
+    lo, hi = span
+    return series(field, [(Fraction(rng.randint(lo, hi), rng.randint(1, denom)),
+                           field.random_unit(rng)) for _ in range(k)], prec)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +510,17 @@ def hom_phval() -> Hom:
     return _enriched("phval:Qi((t))->TC", QQi, trop_complex(), dir_of_gauss)
 
 
-def hom_by_name(name: str) -> Hom:
-    table = {
-        "val": hom_val,
-        "sval": hom_sval,
-        "fval": hom_fval,
-        "phval": hom_phval,
-    }
+def hom_by_name(name: str, field: Optional[str] = None) -> Hom:
+    """The enriched valuation ``name`` from series over the field named
+    ``field``, or over its first field when None: val and fval take Q or
+    Qi, sval only Q and phval only Qi."""
+    table = {"val": (hom_val, QQ, QQi), "sval": (lambda F: hom_sval(), QQ),
+             "fval": (hom_fval, QQ, QQi), "phval": (lambda F: hom_phval(), QQi)}
     if name not in table:
         raise ValueError(f"unknown homomorphism {name!r}")
-    return table[name]()
+    make, *fields = table[name]
+    for F in fields:
+        if field in (None, F.name):
+            return make(F)
+    raise ValueError(f"{name} takes series over "
+                     f"{' or '.join(F.name for F in fields)}, not {field}")

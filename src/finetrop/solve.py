@@ -46,8 +46,7 @@ from .poly import (
     FPoly,
     HPoly,
     ZeroPowerError,
-    _power_table,
-    _zero_in_base_sum,
+    _unit_scan,
     fpoly,
     hpoly1,
     initial_support,
@@ -63,8 +62,8 @@ from .series import (
     _mul_add,
     _numerator_grids,
     _quotient,
+    _random_series,
     hom_val,
-    series,
 )
 
 
@@ -153,20 +152,18 @@ class SolverInvariantError(RuntimeError):
 def base_roots(H: Hyperfield, coeffs: dict[int, Any]) -> list:
     """Solve 0 in sum of c_j x^j over the base hyperfield, x a unit.
 
-    A base with finitely many units is scanned over them, each unit's
-    powers read by residue (``poly._power_table``), and a field asks its
-    ``unit_roots``; any other base, such as a phase hyperfield, raises
-    BaseSolveError.
+    A base with finitely many units is scanned over them by
+    ``poly._unit_scan``, the scan ``tropgeo.solve_base_pair`` runs on unit
+    pairs, and a field asks its ``unit_roots``; any other base, such as a
+    phase hyperfield, raises BaseSolveError.
     """
     coeffs = {j: c for j, c in coeffs.items() if not H.is_zero(c)}
     if not coeffs:
         raise ValueError("no nonzero coefficients")
     units = H.units()
     if units is not None:
-        terms = [((j,), c) for j, c in coeffs.items()]
-        m = len(units)
-        return [x for x in units if _zero_in_base_sum(
-            H, terms, [_power_table(H, x, coeffs, m)])]
+        return [x for (x,) in _unit_scan(
+            H, units, [{(j,): c for j, c in coeffs.items()}])]
     if isinstance(H, FieldHyperfield):
         return H.field.unit_roots(coeffs)
     raise BaseSolveError(f"base solve incomplete over {H.name}")
@@ -286,17 +283,8 @@ def random_hpoly(H: Hyperfield, rng, deg: int) -> HPoly:
     for i in range(deg + 1):
         if rng.random() < 0.35 and i != deg:
             continue
-        coeffs[i] = _random_unit(H, rng)
-    if not coeffs:
-        coeffs[deg] = _random_unit(H, rng)
+        coeffs[i] = H.random_unit(rng)  # never skipped at i = deg
     return hpoly1(H, coeffs)
-
-
-def _random_unit(H: Hyperfield, rng):
-    while True:
-        x = H.random_element(rng)
-        if not H.is_zero(x):
-            return x
 
 
 def mult_bound_check(H: Hyperfield, rng, trials: int = 100, deg: int = 6) -> list[str]:
@@ -395,15 +383,8 @@ def rac_check_instance(f: Hom, p: HPoly, beta, corpus: Optional[list] = None) ->
 
 def random_series_root(field: BaseField, rng, denom: int = 4, prec=None) -> SeriesTrunc:
     n = rng.randint(0, 2)
-    terms = []
-    for _ in range(n + (0 if rng.random() < 0.15 else 1)):
-        e = Fraction(rng.randint(-2, 6), rng.randint(1, denom))
-        while True:
-            c = field.random(rng)
-            if not field.is_zero(c):
-                break
-        terms.append((e, c))
-    return series(field, terms, prec)
+    return _random_series(field, rng, n + (0 if rng.random() < 0.15 else 1),
+                          denom, (-2, 6), prec)
 
 
 def kapranov_harness(f: Hom, rng, trials: int = 200, max_factors: int = 5,
@@ -457,15 +438,7 @@ def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
     from .tropgeo import fine_hypersurface, fine_intersect
 
     def unit():
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            e = Fraction(rng.randint(-2, 6), rng.randint(1, denom))
-            while True:
-                c = dom.field.random(rng)
-                if not dom.field.is_zero(c):
-                    break
-            terms.append((e, c))
-        return series(dom.field, terms)
+        return _random_series(dom.field, rng, rng.randint(1, 3), denom, (-2, 6))
 
     def lin():
         return fpoly(dom, 2, {(1, 0): unit(), (0, 1): unit(), (0, 0): unit()})

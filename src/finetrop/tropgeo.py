@@ -3,8 +3,8 @@
 A fine curve is the cell decomposition of the corner locus of the level
 polynomial, each cell carrying the initial-form condition on the base
 units.  Cells are indexed by the subset J of the support on which the
-minimum of level(c_d) + d.g is attained exactly; their polyhedra live in
-Q^2 with exact rational constraints.
+minimum of level(c_d) + d.g is attained exactly; their polyhedra are
+exact rational points, and open segments, rays or lines, in Q^2.
 
 The cells are dual to the regular subdivision of the Newton polygon
 induced by the lifted points (d, level(c_d)): vertices to its lower
@@ -30,16 +30,17 @@ per pair of edges), and edges on one line meet where their intervals
 overlap.  Each pair's base conditions are then solved together, with the
 base field's own root finders (``BaseField.nth_roots`` and
 ``unit_roots``) for the binomial and substituted conditions, or, over a
-base with finitely many units, by testing every unit pair.  Every fine
-point is checked to be a root of both sources, independently of the
-cells: by the hyperfield Kapranov theorem it is one exactly when 0 lies
-in the base sum of the source's terms of minimal level at the point,
-found on the source's levels scaled to integers once per call.  Both the
-scan and the check decide a base sum with ``poly._zero_in_base_sum``, on
-powers from ``poly._power_table``, which over a finite base reads them
-by residue (u^e = u^(e mod m) in a unit group of order m).  Stable
-intersections perturb only the base units of the second curve, and start
-systems for polyhedral homotopy read mixed volumes off the same pairs.
+base with finitely many units, by ``poly._unit_scan`` over every unit
+pair.  Every fine point is checked to be a root of both sources,
+independently of the cells: by the hyperfield Kapranov theorem it is one
+exactly when 0 lies in the base sum of the source's terms of minimal
+level at the point, found on the source's levels scaled to integers once
+per call.  Both the scan and the check decide a base sum with
+``poly._zero_in_base_sum``, on powers from ``poly._power_table``, which
+over a finite base reads them by residue (u^e = u^(e mod m) in a unit
+group of order m).  Stable intersections perturb only the base units of
+the second curve, and start systems for polyhedral homotopy read mixed
+volumes off the same pairs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .poly import (
     FPoly,
     HPoly,
     _power_table,
+    _unit_scan,
     _zero_in_base_sum,
     hpoly,
     prevariety_member,
@@ -68,7 +70,6 @@ from .solve import SolverInvariantError
 
 
 Vec2 = tuple[Fraction, Fraction]
-Row = tuple[Fraction, Fraction, Fraction]  # a*gX + b*gY + c (rel) 0
 Expt = tuple[int, int]
 
 
@@ -140,10 +141,6 @@ class Lift:
         level_d + d.g - level_j0 - j0.g = a*gX + b*gY + n/scale."""
         return d[0] - j0[0], d[1] - j0[1], self.lev[d] - self.lev[j0]
 
-    def row(self, j0: Expt, d: Expt) -> Row:
-        a, b, n = self.tie(j0, d)
-        return (Fraction(a), Fraction(b), Fraction(n, self.scale))
-
 
 def _lift(p: HPoly) -> Lift:
     """p's support with its rank-one levels scaled to integers by one lcm."""
@@ -159,8 +156,8 @@ class Cell:
     """One cell of a fine curve: polyhedron plus initial-form condition.
 
     The polyhedron is relatively open: the points g where the argmin set
-    of level_d + d.g is exactly J.  As rows it is ``eqs`` (= 0) and
-    ``ineqs`` (> 0), the ties of J[0] with the other exponents.
+    of level_d + d.g (``lift.argmin_at``) is exactly J.  A vertex is its
+    ``point``, an edge the open ``interval`` of ``line_p0 + t * line_v``.
     """
 
     J: tuple[Expt, ...]
@@ -171,18 +168,6 @@ class Cell:
     interval: Optional[Interval]
     base_cond: HPoly  # over the base hyperfield, variables = the two units
     lift: Lift  # shared by every cell of the curve
-
-    @property
-    def eqs(self) -> tuple[Row, ...]:
-        return tuple(self.lift.row(self.J[0], d) for d in self.J[1:])
-
-    @property
-    def ineqs(self) -> tuple[Row, ...]:  # strict: value > 0
-        return tuple(self.lift.row(self.J[0], d)
-                     for d in self.lift.support if d not in self.J)
-
-    def contains(self, g: Vec2) -> bool:
-        return self.lift.argmin_at(g) == self.J
 
     def param_at(self, t: Fraction) -> Vec2:
         return (self.line_p0[0] + t * self.line_v[0],
@@ -412,7 +397,7 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     """
     units = H.units()
     if units is not None:
-        return ("points", _unit_scan(H, units, (condA, condB)))
+        return ("points", _unit_scan(H, units, (condA.coeffs, condB.coeffs)))
     if not isinstance(H, FieldHyperfield):
         raise BaseSolveError(f"base solving unsupported over {H.name}")
     F = H.field
@@ -437,24 +422,6 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
         kA, kB = kB, kA
         condA, condB = condB, condA
     return _affine_binomial(F, kA, kB, (condA, condB))
-
-
-def _unit_scan(H: Hyperfield, units: list, conds) -> list:
-    """The unit pairs (u, v), in the order of units x units, at which
-    every condition holds.
-
-    The units form a group of order m = len(units), so u^e = u^(e mod m)
-    for every e, negative e included (Lagrange).  Each condition is read
-    once as terms keyed by residues, and each unit's powers are tabulated
-    once, over only the residues the conditions use.
-    """
-    m = len(units)
-    terms = [[((d0 % m, d1 % m), c) for (d0, d1), c in cond.coeffs.items()]
-             for cond in conds]
-    residues = {e for ts in terms for d, _ in ts for e in d}
-    table = [_power_table(H, u, residues) for u in units]
-    return [(u, v) for u, pu in zip(units, table) for v, pv in zip(units, table)
-            if all(_zero_in_base_sum(H, ts, (pu, pv)) for ts in terms)]
 
 
 def _affine_rank1(F: BaseField, r1, r2):

@@ -6,7 +6,8 @@ levels: each subset J with |J| >= 2, in ``itertools.combinations`` order,
 is solved for its tie equations as exact ``Fraction`` rows and tested
 against the strict inequalities of the other support points.  It is kept
 only as a slow oracle for the tests (2^n subsets for n monomials).  The
-row helpers serve the pair-scan oracle in ``intersect_oracle`` too.
+rows of a cell, ``tie_rows``, and the row helpers serve the pair-scan
+oracle in ``intersect_oracle`` too: the package's cells keep no rows.
 
 ``vertices_every_triple`` is how the vertices were found before
 ``fine_hypersurface`` walked the lower faces of the lifted support: it
@@ -24,13 +25,28 @@ from typing import Optional, Sequence
 from finetrop.poly import HPoly, hpoly
 from finetrop.tropgeo import (
     Interval,
-    Row,
     Vec2,
     Lift,
     _ext_of,
     _intersect_intervals,
     _primitive,
 )
+
+Row = tuple[Fraction, Fraction, Fraction]  # a*gX + b*gY + c (rel) 0
+
+
+def tie_rows(p: HPoly, J) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+    """(eqs, ineqs): the ties level_d + d.g - level_j0 - j0.g of j0 = J[0]
+    with the other points of J (= 0 on the cell) and with the support
+    points outside J (> 0 on the cell), as rows read off p's levels."""
+    j0 = J[0]
+
+    def row(d):
+        return (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
+                p.coeffs[d].level.coords[0] - p.coeffs[j0].level.coords[0])
+
+    return (tuple(row(d) for d in J[1:]),
+            tuple(row(d) for d in sorted(p.coeffs) if d not in J))
 
 
 def _row_at(row: Row, g: Vec2) -> Fraction:
@@ -104,21 +120,10 @@ def fine_hypersurface_by_subsets(p: HPoly) -> tuple[SubsetCell, ...]:
     if p.nvars != 2:
         raise ValueError("plane curves only")
     support = sorted(p.coeffs)
-    levels = {d: p.coeffs[d].level.coords[0] for d in support}
     cells = []
     for r in range(2, len(support) + 1):
         for J in itertools.combinations(support, r):
-            j0 = J[0]
-            eqs = tuple(
-                (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
-                 levels[d] - levels[j0])
-                for d in J[1:]
-            )
-            ineqs = tuple(
-                (Fraction(d[0] - j0[0]), Fraction(d[1] - j0[1]),
-                 levels[d] - levels[j0])
-                for d in support if d not in J
-            )
+            eqs, ineqs = tie_rows(p, J)
             sol = _solve_rows(eqs)
             if sol[0] == "empty":
                 continue

@@ -4,9 +4,11 @@ This is how ``finetrop.tropgeo`` found meeting cells before its walker
 looked vertices up by their argmin set on integer levels: every cell of
 the first curve is tried against every cell of the second, with cell
 membership tested on the ``Fraction`` rows ``eqs`` (= 0) and ``ineqs``
-(> 0) and transversal edges solved by the row solver of
-``curve_oracle``.  ``pair_scan_hits`` yields what ``tropgeo._cell_hits``
-yields, in the same order, so it can stand in for the walker.
+(> 0) that ``curve_oracle.tie_rows`` reads off each curve's source, and
+transversal edges solved by the row solver of ``curve_oracle``.  So the
+scan shares no tie rule with the package's integer walk.
+``pair_scan_hits`` yields what ``tropgeo._cell_hits`` yields, in the same
+order, so it can stand in for the walker.
 
 ``argmin_pair_hits`` is the second, integer reference: the walker as it
 was before crossings were tested against the edges' integer spans.  It
@@ -32,13 +34,14 @@ from finetrop.tropgeo import (
     _intersect_intervals,
 )
 
-from curve_oracle import _row_at, _solve_rows
+from curve_oracle import _row_at, _solve_rows, tie_rows
 
 
-def contains_by_rows(cell, g) -> bool:
-    """Cell membership on the rows: every eq = 0 and every ineq > 0."""
-    return (all(_row_at(r, g) == 0 for r in cell.eqs)
-            and all(_row_at(r, g) > 0 for r in cell.ineqs))
+def contains_by_rows(rows, g) -> bool:
+    """Cell membership on its ``tie_rows``: every eq = 0, every ineq > 0."""
+    eqs, ineqs = rows
+    return (all(_row_at(r, g) == 0 for r in eqs)
+            and all(_row_at(r, g) > 0 for r in ineqs))
 
 
 def _param_of(cell, g) -> Fraction:
@@ -48,31 +51,32 @@ def _param_of(cell, g) -> Fraction:
     return (g[1] - cell.line_p0[1]) / vy
 
 
-def _geom_intersections(c1, c2):
-    """Geometric intersections of two cells: points and shared segments."""
+def _geom_intersections(c1, rows1, c2, rows2):
+    """Geometric intersections of two cells, given their ``tie_rows``:
+    points and shared segments."""
     if c1.dim == 0 and c2.dim == 0:
         if c1.point == c2.point:
             yield ("point", c1.point)
         return
     if c1.dim == 0:
-        if contains_by_rows(c2, c1.point):
+        if contains_by_rows(rows2, c1.point):
             yield ("point", c1.point)
         return
     if c2.dim == 0:
-        if contains_by_rows(c1, c2.point):
+        if contains_by_rows(rows1, c2.point):
             yield ("point", c2.point)
         return
     v1, v2 = c1.line_v, c2.line_v
     det = v1[0] * v2[1] - v1[1] * v2[0]
     if det != 0:
-        sol = _solve_rows(list(c1.eqs) + list(c2.eqs))
+        sol = _solve_rows(list(rows1[0]) + list(rows2[0]))
         if sol[0] == "point":
             g = sol[1]
-            if contains_by_rows(c1, g) and contains_by_rows(c2, g):
+            if contains_by_rows(rows1, g) and contains_by_rows(rows2, g):
                 yield ("point", g)
         return
     # Parallel: same line or disjoint.
-    if not all(_row_at(r, c2.line_p0) == 0 for r in c1.eqs):
+    if not all(_row_at(r, c2.line_p0) == 0 for r in rows1[0]):
         return
     # Map c2's interval into c1's parameterization: c2's parameter s is
     # c1's t = t0 + s * scale.
@@ -97,9 +101,11 @@ def _geom_intersections(c1, c2):
 
 
 def pair_scan_hits(C1, C2):
+    rows2 = [tie_rows(C2.source, c2.J) for c2 in C2.cells]
     for c1 in C1.cells:
-        for c2 in C2.cells:
-            for hit in _geom_intersections(c1, c2):
+        rows1 = tie_rows(C1.source, c1.J)
+        for c2, r2 in zip(C2.cells, rows2):
+            for hit in _geom_intersections(c1, rows1, c2, r2):
                 yield c1, c2, hit
 
 

@@ -4,7 +4,8 @@ Curve pairs pushed along val, sval and fval in turn are met by
 ``tropgeo._cell_hits`` and compared, hit for hit and in order, with
 ``intersect_oracle.argmin_pair_hits`` (two whole-support argmins per pair
 of edges, on integers) and ``intersect_oracle.pair_scan_hits`` (every pair
-of cells, on ``Fraction`` rows).  Each round k takes four pairs:
+of cells, on ``Fraction`` rows that the oracle reads off each source's
+levels itself).  Each round k takes four pairs:
 
 - random: supports in the triangle of degree 1 + k % 4, levels with small
   denominators, sometimes all equal, and sometimes the curve with itself;

@@ -5,7 +5,8 @@ on affine and Laurent polynomials over hyperfields.  They stay here as
 small references for the tests of ``tests/test_poly.py``:
 
 - ``homogenize`` and ``affinize`` move a polynomial between affine and
-  projective form;
+  projective form, and ``is_laurent`` tells a Laurent polynomial, which
+  has no homogenisation;
 - ``proj_point`` and ``proj_is_root`` test a homogeneous polynomial at a
   point of P^n(H), through ``finetrop.poly.is_root``;
 - ``fpoly_eval`` evaluates a polynomial over a field or series domain by
@@ -21,9 +22,14 @@ from finetrop.hyperfields import Hyperfield
 from finetrop.poly import FPoly, HPoly, hpoly, is_root
 
 
+def is_laurent(p: HPoly) -> bool:
+    """Whether some monomial of p has a negative exponent."""
+    return any(e < 0 for d in p.coeffs for e in d)
+
+
 def homogenize(p: HPoly) -> HPoly:
     """Pad each monomial with a new first variable up to total degree."""
-    if p.is_laurent():
+    if is_laurent(p):
         raise ValueError("homogenize a polynomial, not a Laurent polynomial")
     alpha = p.degree()
     coeffs = {}

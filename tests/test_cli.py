@@ -79,6 +79,19 @@ def test_large_prime_draws_answer_in_time(argv):
     _answers_in_time(argv, 0, "status", "pass")
 
 
+@pytest.mark.parametrize("argv, code, key, want", [
+    pytest.param(["eval", "--hyperfield", "GF2305843009213693951", "X + 1", "3"],
+                 0, "value", "{4}", id="GF-2^61-1"),
+    pytest.param(["eval", "--hyperfield", "GF3317044064679887385961981",
+                  "X + 1", "3"],
+                 2, "error", "ValueError", id="GF-at-the-primality-bound"),
+])
+def test_large_prime_keys_answer_in_time(argv, code, key, want):
+    # Primality is Miller-Rabin on 13 bases, exact below the bound; trial
+    # division up to the square root of 2^61 - 1 ran for minutes.
+    _answers_in_time(argv, code, key, want)
+
+
 def _answers_in_time(argv, code, key, want):
     """Run the CLI in a subprocess that must exit within 10 s."""
     import os
@@ -146,6 +159,34 @@ def test_pushforward_and_tropicalize(capsys):
     assert doc["hyperfield"] == "Qx|Q"
     code, out = run(capsys, "tropicalize", "X + Y - 1")
     assert json.loads(out)["hyperfield"] == "Kx|Q"
+
+
+@pytest.mark.parametrize("argv, code, key, want", [
+    pytest.param(["pushforward", "--hom", "phval", "X + 1"],
+                 0, "pushforward", "(dir(1,0), 0)*X + (dir(1,0), 0)",
+                 id="pushforward-phval"),
+    pytest.param(["pushforward", "--hom", "fval", "--field", "Qi",
+                  "(1+2i)*X + 1"],
+                 0, "hom", "fval:Qi((t))->Qix|Q", id="pushforward-fval-Qi"),
+    pytest.param(["intersect", "--hom", "phval", "X + Y - 1",
+                  "t*X + (1 + t^2)*Y + 1"],
+                 2, "error", "BaseSolveError", id="intersect-phval"),
+    pytest.param(["intersect", "--hom", "fval", "--field", "Qi", "X + Y - 1",
+                  "t*X + (1 + t^2)*Y + 1"],
+                 0, "points", [[["2", "0"], ["-1", "0"]]],
+                 id="intersect-fval-Qi"),
+    pytest.param(["tropicalize", "--hom", "sval", "--field", "Qi", "X + 1"],
+                 2, "message", "sval takes series over Q, not Qi",
+                 id="tropicalize-sval-Qi"),
+])
+def test_series_are_read_over_the_source_of_the_hom(capsys, argv, code, key,
+                                                    want):
+    # --field picks the field of val and fval; sval is over Q and phval
+    # over Qi only.  The polynomial is parsed over the hom's own source, so
+    # the two cannot disagree: these ran into tracebacks or printed Gaussian
+    # coefficients under a hom from Q((t)).
+    got, out = run(capsys, *argv)
+    assert (got, json.loads(out)[key]) == (code, want)
 
 
 def test_intersect_stable(capsys):

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from finetrop.fields import GF, QQ, QQi, BaseSolveError, gauss
+from finetrop.fields import (
+    GF, PRIMALITY_BOUND, QQ, QQi, BaseSolveError, _is_prime, gauss)
 
 import root_oracle
 
@@ -165,6 +167,26 @@ def test_prime_field():
 def test_nonprime_rejected():
     with pytest.raises(ValueError, match="only prime"):
         GF(6)
+
+
+def test_primality_matches_trial_division():
+    def by_trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10 ** 5) if _is_prime(n) != by_trial(n)] == []
+
+
+def test_primality_on_the_thirteenth_base_and_the_bound():
+    # A strong pseudoprime to the twelve prime bases 2 to 37 (Sorenson and
+    # Webster 2017): only base 41 shows it composite.
+    for n in (318665857834031151167461, 3 * (2 ** 61 - 1)):
+        with pytest.raises(ValueError, match="only prime"):
+            GF(n)
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    # From the bound up, the bases no longer decide primality.
+    with pytest.raises(ValueError, match=f"only below {PRIMALITY_BOUND}"):
+        GF(PRIMALITY_BOUND)
+    assert _is_prime(PRIMALITY_BOUND - 2) is False  # 3 divides it
 
 
 def test_numerators_round_trip():

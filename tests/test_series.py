@@ -24,7 +24,6 @@ from finetrop.series import (
     series_inv,
     series_mul,
     series_neg,
-    series_sub,
     _numerator_grids,
     _quotient,
 )
@@ -225,11 +224,8 @@ def test_merged_sums_match_rebuilt_sums():
             elif roll < 0.6:
                 negs = [(e, F.neg(c)) for e, c in a.terms if rng.random() < 0.6]
                 b = series(F, list(b.terms) + negs, b.prec)
-            for new, old in ((series_add, series_oracle.series_add),
-                             (series_sub, series_oracle.series_sub)):
-                got = new(a, b)
-                assert got == old(a, b), (new.__name__, a, b)
             s = series_add(a, b)
+            assert s == series_oracle.series_add(a, b), (a, b)
             if s.is_zero():
                 zeros += 1
             common = {e for e, _ in a.terms} & {e for e, _ in b.terms}

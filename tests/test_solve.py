@@ -74,7 +74,7 @@ def _near_line_hpoly(H, rng, deg, dens=(1, 2, 3)):
         level = group_add(g0, scalar_mul(i, slope))
         if rng.random() < 0.4:
             level = group_add(level, gelem(*[abs(c) for c in vec().coords]))
-        coeffs[i] = ExtElem(solve._random_unit(H.base, rng), level)
+        coeffs[i] = ExtElem(H.base.random_unit(rng), level)
     return hpoly1(H, coeffs)
 
 

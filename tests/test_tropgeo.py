@@ -26,7 +26,11 @@ from finetrop.tropgeo import (
     trop_project,
 )
 
-from curve_oracle import fine_hypersurface_by_subsets, vertices_every_triple
+from curve_oracle import (
+    fine_hypersurface_by_subsets,
+    tie_rows,
+    vertices_every_triple,
+)
 from eval_oracle import is_root_every_term
 import intersect_sweep
 from intersect_oracle import (
@@ -69,9 +73,9 @@ def test_fine_line_cells():
     assert repr(vertex.base_cond) == "X + Y + -1"
 
 
-def _cell_key(c):
+def _cell_key(c, rows):
     iv = c.interval
-    return (c.J, c.dim, c.eqs, c.ineqs, c.point, c.line_p0, c.line_v,
+    return (c.J, c.dim, *rows, c.point, c.line_p0, c.line_v,
             None if iv is None else (iv.lo, iv.lo_strict, iv.hi, iv.hi_strict),
             c.base_cond.hyperfield.name, tuple(c.base_cond.coeffs.items()))
 
@@ -239,8 +243,11 @@ def test_fine_curve_matches_subset_oracle():
     curves = _oracle_curves()
     wide_vertices = long_edges = 0
     for hp in curves:
-        got = [_cell_key(c) for c in fine_hypersurface(hp).cells]
-        assert got == [_cell_key(c)
+        # The walk's cells keep no rows: theirs are the oracle's tie_rows
+        # of their J, against the rows each subset cell was solved from.
+        got = [_cell_key(c, tie_rows(hp, c.J))
+               for c in fine_hypersurface(hp).cells]
+        assert got == [_cell_key(c, (c.eqs, c.ineqs))
                        for c in fine_hypersurface_by_subsets(hp)], hp
         wide_vertices += sum(1 for c in got if c[1] == 0 and len(c[0]) > 3)
         long_edges += sum(1 for c in got if c[1] == 1 and len(c[0]) > 2)
@@ -309,8 +316,11 @@ def test_fine_intersect_matches_pair_scan_oracle(monkeypatch):
             dims = c1.dim + c2.dim
             if dims < 2:
                 seen["vertex on vertex" if dims == 0 else "vertex on edge"] += 1
-            for c in C1.cells + C2.cells:
-                assert c.contains(hit[1]) == contains_by_rows(c, hit[1])
+            for C in (C1, C2):
+                for c in C.cells:
+                    assert ((c.lift.argmin_at(hit[1]) == c.J)
+                            == contains_by_rows(tie_rows(C.source, c.J),
+                                                hit[1]))
         if not isinstance(got[0], str):
             seen["unit family"] += sum(c[-1].startswith("unit family")
                                        for c in got[0][1])
