@@ -15,20 +15,22 @@ is multiplied or added.
 
 Nested extensions flatten: extending H x| Q^m by Q^k gives H x| Q^(k+m)
 with the outer levels first in the lexicographic tuple.
+
+ExtElem and ExtSV are named tuples: they are built, hashed and compared as
+the tuples of their fields, they can be unpacked, and assigning a field
+raises AttributeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .hyperfields import Hyperfield, K, S, PHI
 from .ordgroup import GroupElem, gelem, gzero, group_add, group_neg
 
 
-@dataclass(frozen=True)
-class ExtElem:
+class ExtElem(NamedTuple):
     """Nonzero element (coefficient, level) of a tropical extension."""
 
     coef: Any
@@ -38,8 +40,7 @@ class ExtElem:
         return f"({self.coef}@{','.join(str(c) for c in self.level.coords)})"
 
 
-@dataclass(frozen=True)
-class ExtSV:
+class ExtSV(NamedTuple):
     """Set value over a tropical extension.
 
     Holds coefficients at a single level, an optional tail of every unit at

@@ -22,6 +22,10 @@ the sum runs from S's clockwise-most end to its counterclockwise-most one,
 one arc over Phi, and over P split at a unless a, 0 or -a lies in S, with
 -a in S adding zero and -a itself.  However many components S has, the sum
 is at most three arcs.
+
+Dir, Arc and ArcSet are named tuples: they are built, hashed and compared
+as the tuples of their fields, so a Dir equals the plain pair (p, q), they
+can be unpacked, and assigning a field raises AttributeError.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .fields import BaseField, GaussRat, PrimeField, QQ, QQi
 
@@ -38,19 +42,17 @@ from .fields import BaseField, GaussRat, PrimeField, QQ, QQi
 # Directions on the unit circle
 
 
-@dataclass(frozen=True)
-class Dir:
+class Dir(NamedTuple("Dir", [("p", int), ("q", int)])):
     """Primitive integer pair (p, q) naming the direction of p + qi."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p == 0 and self.q == 0:
+    def __new__(cls, p: int, q: int):
+        if p == 0 and q == 0:
             raise ValueError("zero is not a direction")
-        g = math.gcd(abs(self.p), abs(self.q))
-        if g != 1:
-            raise ValueError(f"direction ({self.p},{self.q}) is not primitive")
+        if math.gcd(p, q) != 1:
+            raise ValueError(f"direction ({p},{q}) is not primitive")
+        return tuple.__new__(cls, (p, q))
 
     def __repr__(self):
         return f"dir({self.p},{self.q})"
@@ -59,10 +61,7 @@ class Dir:
 def _primitive_dir(p: int, q: int) -> Dir:
     """The Dir of a pair that is primitive by construction, built without
     the gcd check of the public constructor."""
-    d = object.__new__(Dir)
-    object.__setattr__(d, "p", p)
-    object.__setattr__(d, "q", q)
-    return d
+    return tuple.__new__(Dir, (p, q))
 
 
 def make_dir(p: int, q: int) -> Dir:
@@ -136,8 +135,7 @@ def dir_between(u: Dir, x: Dir, v: Dir) -> bool:
 # Arcs and canonical arc sets
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Counterclockwise arc from start to end with closure flags.
 
     start == end with both ends closed is the single point; start == end
@@ -177,8 +175,7 @@ def point_arc(a: Dir) -> Arc:
     return Arc(a, a, True, True)
 
 
-@dataclass(frozen=True)
-class ArcSet:
+class ArcSet(NamedTuple):
     """Canonical finite union of arcs, maybe with zero or the full circle."""
 
     arcs: tuple[Arc, ...]

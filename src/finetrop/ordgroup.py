@@ -1,14 +1,16 @@
 """Ordered abelian value groups: Q and lexicographically ordered Q^k.
 
 All coordinates are exact rationals kept in canonical form by Fraction,
-so structural equality coincides with group equality.
+so structural equality coincides with group equality.  A GroupElem is a
+named tuple holding the tuple of its coordinates: it is built, hashed and
+tested for equality as that tuple, and assigning a field raises
+AttributeError; its four order comparisons check the ranks first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 LT, EQ, GT = -1, 0, 1
 
@@ -19,15 +21,15 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class GroupElem:
+class GroupElem(NamedTuple("GroupElem", [("coords", tuple)])):
     """Element of Q^k with the lexicographic order (k = 1 is plain Q)."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coords) < 1:
+    def __new__(cls, coords: tuple[Fraction, ...]):
+        if len(coords) < 1:
             raise ValueError("group element needs rank >= 1")
+        return tuple.__new__(cls, (coords,))
 
     @property
     def rank(self) -> int:
@@ -36,7 +38,10 @@ class GroupElem:
     def __repr__(self):
         return "G(" + ", ".join(str(c) for c in self.coords) + ")"
 
-    # Comparisons delegate to the lexicographic tuple order on Fractions.
+    # Comparisons delegate to the lexicographic tuple order on Fractions,
+    # all four with a rank check: the tuple base would order elements of
+    # different ranks silently.  ``>`` and ``>=`` are ``<`` and ``<=``
+    # with the operands swapped, looked up on the class at each call.
     def __lt__(self, other: "GroupElem") -> bool:
         _check_rank(self, other)
         return self.coords < other.coords
@@ -44,6 +49,12 @@ class GroupElem:
     def __le__(self, other: "GroupElem") -> bool:
         _check_rank(self, other)
         return self.coords <= other.coords
+
+    def __gt__(self, other: "GroupElem") -> bool:
+        return GroupElem.__lt__(other, self)
+
+    def __ge__(self, other: "GroupElem") -> bool:
+        return GroupElem.__le__(other, self)
 
 
 def gelem(*coords: RationalLike) -> GroupElem:
@@ -55,8 +66,8 @@ def gzero(rank: int = 1) -> GroupElem:
 
 
 def _check_rank(a: GroupElem, b: GroupElem) -> None:
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
+    if len(a.coords) != len(b.coords):
+        raise ValueError(f"rank mismatch: {len(a.coords)} vs {len(b.coords)}")
 
 
 def group_add(a: GroupElem, b: GroupElem) -> GroupElem:

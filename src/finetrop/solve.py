@@ -287,13 +287,20 @@ def random_hpoly(H: Hyperfield, rng, deg: int) -> HPoly:
     return hpoly1(H, coeffs)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
+
+
 def mult_bound_check(H: Hyperfield, rng, trials: int = 100, deg: int = 6) -> list[str]:
     """Sampled check of: sum of root multiplicities <= degree.
 
     Roots over a tropical extension come from ``roots_univariate``; any
     other hyperfield sums the multiplicities at all its elements, so one
-    with infinitely many units raises BaseSolveError.
+    with infinitely many units raises BaseSolveError.  A count of trials
+    below 1 raises ValueError, so that a check of nothing cannot pass.
     """
+    _check_trials(trials)
     extension = isinstance(H, TropicalExtension)
     if not extension and H.units() is None:
         raise BaseSolveError(
@@ -395,8 +402,10 @@ def kapranov_harness(f: Hom, rng, trials: int = 200, max_factors: int = 5,
     exactly; the solver's root multiset of the push-forward must equal the
     multiset of images f(a_i).  A target whose base has infinitely many
     units and is not a field, such as a phase base, cannot be solved over,
-    so it raises BaseSolveError up front.
+    so it raises BaseSolveError up front, and a count of trials below 1
+    raises ValueError.
     """
+    _check_trials(trials)
     base = f.target.base
     if base.units() is None and not isinstance(base, FieldHyperfield):
         raise BaseSolveError(f"base solve incomplete over {base.name}")
@@ -519,10 +528,14 @@ def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],
     point sets must agree exactly.  A system whose determinant vanishes,
     whose solution is not known to a leading term below O(t^prec), or
     whose solution has a zero coordinate (fine curves meet only on the
-    torus) is reported as that system's failure.
+    torus) is reported as that system's failure.  No system at all raises
+    ValueError, so that a check of nothing cannot pass.
     """
     from .tropgeo import fine_hypersurface, fine_intersect
 
+    systems = list(systems)
+    if not systems:
+        raise ValueError("fundamental harness needs at least one system")
     H = f.target
     failures = []
     for idx, (P, Q) in enumerate(systems):

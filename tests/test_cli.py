@@ -258,6 +258,21 @@ def test_verify_multbound_needs_finitely_many_units(capsys, name):
     assert doc["error"] == "BaseSolveError" and "units" in doc["message"]
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["kapranov", "--trials", "-3"], "trials must be at least 1, not -3"),
+    (["fundamental", "--trials", "0"], "at least one system"),
+    (["multbound", "--hyperfield", "T", "--trials", "0"],
+     "trials must be at least 1, not 0"),
+])
+def test_verify_refuses_to_run_no_trial(capsys, argv, word):
+    # A check of nothing must not pass: one ValueError naming what is
+    # missing.
+    code, out = run(capsys, "verify", *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError" and word in doc["message"]
+
+
 def test_parse_error_exit_code(capsys):
     code, out = run(capsys, "roots", "--hyperfield", "T", "X^2 +")
     assert code == 2

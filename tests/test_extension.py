@@ -2,8 +2,11 @@
 
 import random
 
+import pytest
+
 from finetrop.extension import (
     ExtElem,
+    ExtSV,
     TropicalExtension,
     trop,
     trop_complex,
@@ -13,10 +16,15 @@ from finetrop.fields import QQ
 from finetrop.hyperfields import (
     K,
     PHI,
+    Arc,
+    ArcSet,
+    Dir,
     S,
     W,
     FieldHyperfield,
     check_axioms,
+    make_dir,
+    point_arc,
     quotient_build,
 )
 from finetrop.ordgroup import gelem
@@ -125,3 +133,22 @@ def test_extension_sums_match_the_reference():
             assert E.add_set_elem(A, y) == extension_add_set_elem(E, A, y), (
                 E.name, A, y)
     assert tails >= 100
+
+
+def test_extension_values_are_frozen_tuples():
+    TC2 = TropicalExtension(PHI, 2)
+    e = ExtElem(Dir(1, 2), gelem(1, "1/2"))
+    point = ExtSV(e.level, ArcSet((point_arc(e.coef),), False, False), False,
+                  False)
+    arc = ArcSet((Arc(Dir(1, 0), Dir(0, 1), True, False),), False, True)
+    assert repr(e) == "(dir(1,2)@1,1/2)"
+    assert repr(ExtSV(e.level, arc, True, False)) == (
+        "ExtSV(level=G(1, 1/2), base_sv={[dir(1,0),dir(0,1)), 0}, tail=True, "
+        "zero=False)")
+    for value, field in ((e, "level"), (point, "zero")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    # Hashed as the tuple of the fields, as the frozen dataclasses were.
+    for value, twin in ((e, TC2.elem(make_dir(2, 4), 1, "1/2")),
+                        (point, TC2.singleton(e))):
+        assert value == twin and hash(value) == hash(twin) == hash(tuple(value))

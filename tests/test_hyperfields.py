@@ -210,6 +210,36 @@ def test_dir_constructor_checks_primitivity():
     assert dir_neg(make_dir(4, -2)) == Dir(-2, 1)
 
 
+_ARC = Arc(Dir(1, 0), Dir(0, 1), True, False)
+
+
+@pytest.mark.parametrize("text, build, build_twin, field", [
+    ("dir(1,2)", lambda: Dir(1, 2), lambda: make_dir(2, 4), "p"),
+    ("[dir(1,0),dir(0,1))", lambda: _ARC,
+     lambda: Arc(make_dir(3, 0), dir_neg(Dir(0, -1)), True, False), "start"),
+    ("{dir(1,2)}", lambda: point_arc(Dir(1, 2)),
+     lambda: P.singleton(make_dir(2, 4)).arcs[0], "closed_end"),
+    ("{[dir(1,0),dir(0,1)), 0}", lambda: ArcSet((_ARC,), False, True),
+     lambda: P.set_with_zero(ArcSet((_ARC,), False, False)), "has_zero"),
+    ("{}", lambda: ARCSET_EMPTY, lambda: P.empty_set(), "arcs"),
+    ("{circle, 0}", lambda: ARCSET_FULL_ZERO,
+     lambda: PHI.add(Dir(1, 0), Dir(-1, 0)), "full"),
+])
+def test_phase_values_are_frozen_tuples(text, build, build_twin, field):
+    value, twin = build(), build_twin()
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    # Hashed as the tuple of the fields, as the frozen dataclasses were.
+    assert value == twin and hash(value) == hash(twin) == hash(tuple(value))
+
+
+def test_a_direction_equals_its_plain_pair():
+    assert Dir(1, 0) == (1, 0) and Dir(-3, 2) != (3, -2)
+    p, q = make_dir(-6, 4)
+    assert (p, q) == (-3, 2)
+
+
 def test_phase_point_sums():
     d = make_dir(1, 0)
     assert els(P, P.add(d, d)) == {d}

@@ -1,8 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 
 from finetrop.ordgroup import (
+    GroupElem,
     gelem,
     group_add,
     group_neg,
@@ -17,6 +19,8 @@ def test_lex_order():
     assert gelem(1, -5) < gelem(1, 0)
     assert not gelem(1, 0) < gelem(1, 0)
     assert gelem(Fraction(1, 3)) < gelem(Fraction(1, 2))
+    assert gelem(1, -5) > gelem(0, 1) and gelem(1, 0) >= gelem(1, 0)
+    assert not gelem(0, 1) > gelem(0, 1) and not gelem(0, 1) >= gelem(1, -5)
 
 
 def test_arithmetic():
@@ -36,3 +40,23 @@ def test_lex_compare():
 def test_rank_mismatch():
     with pytest.raises(ValueError):
         group_add(gelem(1), gelem(1, 2))
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt,
+                                operator.ge])
+def test_orders_refuse_a_rank_mismatch(op):
+    # The tuple base would order (1,) against (1, 2) silently.
+    for a, b in ((gelem(1), gelem(1, 2)), (gelem(1, 2), gelem(1))):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            op(a, b)
+
+
+def test_group_elements_are_frozen_tuples():
+    a = gelem(1, "1/2")
+    assert repr(a) == "G(1, 1/2)"
+    with pytest.raises(AttributeError):
+        a.coords = (Fraction(0),)
+    with pytest.raises(ValueError):
+        GroupElem(())
+    twin = group_add(gelem(0, 1), gelem(1, "-1/2"))
+    assert a == twin and hash(a) == hash(twin) == hash((a.coords,))
