@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Any, Optional
 
 from .extension import TropicalExtension
@@ -42,15 +41,11 @@ from .tropgeo import (
 )
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _elem_json(H, a) -> Any:
     if isinstance(H, TropicalExtension):
         if a is None:
             return "inf"
-        return [H.base.fmt(a.coef)] + [_frac(c) for c in a.level.coords]
+        return [H.base.fmt(a.coef)] + [str(c) for c in a.level.coords]
     return H.fmt(a)
 
 
@@ -62,9 +57,9 @@ def _interval_json(iv) -> Optional[dict]:
     if iv is None:
         return None
     return {
-        "lo": None if iv.lo is None else _frac(iv.lo),
+        "lo": None if iv.lo is None else str(iv.lo),
         "lo_strict": iv.lo_strict,
-        "hi": None if iv.hi is None else _frac(iv.hi),
+        "hi": None if iv.hi is None else str(iv.hi),
         "hi_strict": iv.hi_strict,
     }
 
@@ -76,9 +71,9 @@ def _cell_json(c) -> dict:
         "base_condition": str(c.base_cond),
     }
     if c.dim == 0:
-        out["point"] = [_frac(c.point[0]), _frac(c.point[1])]
+        out["point"] = list(map(str, c.point))
     else:
-        out["p0"] = [_frac(c.line_p0[0]), _frac(c.line_p0[1])]
+        out["p0"] = list(map(str, c.line_p0))
         out["v"] = list(c.line_v)
         out["interval"] = _interval_json(c.interval)
     return out
@@ -96,7 +91,7 @@ def _fmt_set(H: Hyperfield, S) -> str:
     if isinstance(H, TropicalExtension):
         parts = []
         if S.level is not None:
-            lev = ",".join(_frac(c) for c in S.level.coords)
+            lev = ",".join(str(c) for c in S.level.coords)
             base = H.base
             try:
                 els = sorted(base.fmt(x) for x in base.set_elements(S.base_sv))
@@ -122,6 +117,12 @@ def _load_poly_arg(arg: str, args, nvars: Optional[int] = None) -> HPoly:
     if arg.endswith(".json"):
         with open(arg) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{arg}: expected a JSON object, found "
+                             f"{type(data).__name__}")
+        for key in ("hyperfield", "poly"):
+            if not isinstance(data.get(key), str):
+                raise ValueError(f"{arg}: no string field {key!r}")
         return parse_poly(data["hyperfield"], data["poly"], nvars=nvars)
     if not args.hyperfield:
         raise ValueError("--hyperfield is required for inline expressions")
@@ -203,8 +204,7 @@ def cmd_intersect(args) -> int:
         "points": [_point_json(H, pt.coords) for pt in pts],
         "components": [
             {
-                "p0": None if c.line_p0 is None else
-                [_frac(c.line_p0[0]), _frac(c.line_p0[1])],
+                "p0": None if c.line_p0 is None else list(map(str, c.line_p0)),
                 "v": None if c.line_v is None else list(c.line_v),
                 "interval": _interval_json(c.interval),
                 "note": c.note,
@@ -214,7 +214,7 @@ def cmd_intersect(args) -> int:
     }
     if args.stable:
         proj = stable_intersect(C1, C2, seed=args.seed)
-        out["stable"] = [[_frac(g[0]), _frac(g[1])] for g in proj]
+        out["stable"] = [list(map(str, g)) for g in proj]
     _emit(out, args)
     return 0
 
@@ -227,7 +227,7 @@ def cmd_homotopy_start(args) -> int:
         "report": report,
         "cells": [
             {
-                "point": [_frac(c.point[0]), _frac(c.point[1])],
+                "point": list(map(str, c.point)),
                 "J1": [list(d) for d in c.J1],
                 "J2": [list(d) for d in c.J2],
                 "volume": c.volume,
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
-    except (ParseError, BaseSolveError, ValueError) as e:
+    except (ParseError, BaseSolveError, ValueError, OSError) as e:
         json.dump({"error": type(e).__name__, "message": str(e)},
                   sys.stdout, indent=2, sort_keys=True)
         print()

@@ -8,7 +8,9 @@ The fields also own exact root finding, which base solving reduces to:
 ``sqrt``, ``nth_roots`` (x^n = w, through square roots and a per-field
 ``odd_roots``) and ``unit_roots`` (the nonzero roots of a sparse Laurent
 polynomial: the rational-root search over Q, closed forms up to degree
-two over Q(i)).  Shapes outside these raise BaseSolveError.
+two over Q(i)).  Over Q and Q(i) every square and odd root is one
+rational root, ``_frac_root``: the integer roots of the numerator and
+the denominator.  Shapes outside these raise BaseSolveError.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ def gauss(re, im=0) -> GaussRat:
 
 class BaseSolveError(ValueError):
     """Exact base solving is outside the supported shapes."""
+
+
+class SolverInvariantError(RuntimeError):
+    """The solver's own result failed its check: a bug, not a bad input."""
 
 
 # Miller-Rabin on the first 13 primes is exact below this bound (Sorenson
@@ -277,10 +283,10 @@ class RationalField(BaseField):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def sqrt(self, a):
-        return _frac_sqrt(a)
+        return _frac_root(a, 2)
 
     def odd_roots(self, w, n):
-        r = _frac_odd_root(w, n)
+        r = _frac_root(w, n)
         return [] if r is None else [r]
 
     def unit_roots(self, coeffs):
@@ -344,44 +350,28 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _int_sqrt(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 def _iroot(m: int, n: int) -> Optional[int]:
     """The integer n-th root of m >= 0, or None when m is not an n-th power."""
     if m < 2:
         return m
     # Newton's method on integers, from a start at or above the root,
-    # decreases to the floor of the root.
-    r = 1 << -(-m.bit_length() // n)
-    while True:
-        s = ((n - 1) * r + m // r ** (n - 1)) // n
-        if s >= r:
-            return r if r ** n == m else None
+    # decreases to the floor of the root (at once from isqrt for n = 2).
+    r = math.isqrt(m) if n == 2 else 1 << -(-m.bit_length() // n)
+    while (s := ((n - 1) * r + m // r ** (n - 1)) // n) < r:
         r = s
+    return r if r ** n == m else None
 
 
-def _frac_odd_root(a: Fraction, n: int) -> Optional[Fraction]:
-    """The rational n-th root of a for odd n, or None if there is none."""
+def _frac_root(a: Fraction, n: int) -> Optional[Fraction]:
+    """The rational n-th root of a, n >= 1, or None if there is none.  For
+    even n it is the non-negative root, and a negative a has none."""
     num, den = a.numerator, a.denominator
+    if num < 0 and n % 2 == 0:
+        return None
     rn, rd = _iroot(abs(num), n), _iroot(den, n)
     if rn is None or rd is None:
         return None
     return Fraction(rn if num >= 0 else -rn, rd)
-
-
-def _frac_sqrt(a: Fraction) -> Optional[Fraction]:
-    if a < 0:
-        return None
-    p = _int_sqrt(a.numerator)
-    q = _int_sqrt(a.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
 
 
 class GaussianRationalField(BaseField):
@@ -424,15 +414,15 @@ class GaussianRationalField(BaseField):
         # Solve (x + yi)^2 = a exactly: x^2 - y^2 = re, 2xy = im.
         if a.im == 0:
             if a.re >= 0:
-                r = _frac_sqrt(a.re)
+                r = _frac_root(a.re, 2)
                 return None if r is None else GaussRat(r, Fraction(0))
-            r = _frac_sqrt(-a.re)
+            r = _frac_root(-a.re, 2)
             return None if r is None else GaussRat(Fraction(0), r)
-        norm = _frac_sqrt(a.re * a.re + a.im * a.im)
+        norm = _frac_root(a.re * a.re + a.im * a.im, 2)
         if norm is None:
             return None
         x2 = (a.re + norm) / 2
-        x = _frac_sqrt(x2)
+        x = _frac_root(x2, 2)
         if x is None or x == 0:
             return None
         y = a.im / (2 * x)
@@ -444,10 +434,10 @@ class GaussianRationalField(BaseField):
         # (q rational) forces x real, and x^n = q*i forces x = t*i with
         # t^n = q*i^(1-n) = +-q.  Other radicands are not supported.
         if w.im == 0:
-            r = _frac_odd_root(w.re, n)
+            r = _frac_root(w.re, n)
             return [] if r is None else [GaussRat(r, Fraction(0))]
         if w.re == 0:
-            t = _frac_odd_root(w.im if n % 4 == 1 else -w.im, n)
+            t = _frac_root(w.im if n % 4 == 1 else -w.im, n)
             return [] if t is None else [GaussRat(Fraction(0), t)]
         raise BaseSolveError(f"odd root of {w!r} over Q(i): the radicand "
                              f"is neither real nor imaginary")

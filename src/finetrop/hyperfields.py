@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .fields import BaseField, GaussRat, PrimeField, QQ, QQi
+from .fields import GF, BaseField, GaussRat, PrimeField, QQ, QQi
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +186,6 @@ class ArcSet(NamedTuple):
         if self.full:
             return True
         return any(a.contains(x) for a in self.arcs)
-
-    def is_finite(self) -> bool:
-        return not self.full and all(a.is_point() for a in self.arcs)
-
-    def finite_dirs(self) -> list[Dir]:
-        if not self.is_finite():
-            raise ValueError("arc set is not finite")
-        return [a.start for a in self.arcs]
 
     def __repr__(self):
         parts = []
@@ -724,9 +716,9 @@ class PhaseHyperfield(Hyperfield):
         return ArcSet(_from_least_start(arcs), False, S.has_zero)
 
     def set_elements(self, S) -> list:
-        if not S.is_finite():
+        if S.full or not all(a.is_point() for a in S.arcs):
             raise ValueError("cannot enumerate an infinite arc set")
-        out: list = S.finite_dirs()
+        out: list = [a.start for a in S.arcs]
         if S.has_zero:
             out.append(None)
         return out
@@ -758,8 +750,6 @@ def field_hyperfield(field: BaseField) -> FieldHyperfield:
 
 
 def quotient_build(p: int, subgroup: Iterable[int]) -> QuotientHyperfield:
-    from .fields import GF
-
     return QuotientHyperfield(GF(p), subgroup)
 
 

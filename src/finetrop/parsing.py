@@ -158,7 +158,7 @@ def _signed_terms(lx: _Lexer, term, sign: int) -> list:
             return out
 
 
-def _parse_gauss(lx: _Lexer, greedy: bool = True) -> GaussRat:
+def _parse_gauss(lx: _Lexer, greedy: bool) -> GaussRat:
     # Sum of terms from {a, b*i, i, a/b i}, each after an optional minus.
     # In polynomial or series context only a single term is read
     # (multi-term Gaussians must be parenthesized there), so the sum's own
@@ -181,6 +181,16 @@ def _parse_gauss(lx: _Lexer, greedy: bool = True) -> GaussRat:
         return term(1)
     terms = _signed_terms(lx, term, 1)
     return GaussRat(sum(z.re for z in terms), sum(z.im for z in terms))
+
+
+def _field_scalar(field, lx: _Lexer, greedy: bool):
+    """An element of Q, Q(i) or GF(p): a rational, a Gaussian rational (a
+    sum of terms when ``greedy``, else one term), or an integer mod p."""
+    if field is QQ:
+        return _parse_rational(lx)
+    if field is QQi:
+        return _parse_gauss(lx, greedy)
+    return field.from_int(_parse_int(lx))
 
 
 def _parse_dir(lx: _Lexer):
@@ -258,11 +268,7 @@ def _parse_base_elem(H: Hyperfield, lx: _Lexer, greedy: bool = True):
             return H.one()
         raise ParseError("phase elements are dir(p,q), 1, -1 or 0", t.pos)
     if isinstance(H, FieldHyperfield):
-        if H.field is QQ:
-            return _parse_rational(lx)
-        if H.field is QQi:
-            return _parse_gauss(lx, greedy)
-        return H.field.from_int(_parse_int(lx))
+        return _field_scalar(H.field, lx, greedy)
     # K, S, W, quotients: small integer representatives; a quotient's are
     # the fixed points of its ``rep``.
     n = _parse_int(lx)
@@ -327,10 +333,6 @@ def _t_power(lx: _Lexer) -> Fraction:
     return _parse_exponent(lx) if lx.accept("sym", "^") else Fraction(1)
 
 
-def _series_scalar(field, lx: _Lexer, greedy: bool = False):
-    return _parse_gauss(lx, greedy) if field is QQi else _parse_rational(lx)
-
-
 def _parse_series(lx: _Lexer, field) -> SeriesTrunc:
     """`c*t^e + ... + O(t^p)` up to the end of input or an unmatched `)`;
     bare `t` means exponent one, and no terms at all the zero series."""
@@ -352,10 +354,10 @@ def _parse_series(lx: _Lexer, field) -> SeriesTrunc:
             terms.append((_t_power(lx), field.from_int(sign)))
             return
         if lx.accept("sym", "("):
-            c = _series_scalar(field, lx, greedy=True)
+            c = _field_scalar(field, lx, True)
             lx.expect("sym", ")")
         else:
-            c = _series_scalar(field, lx)
+            c = _field_scalar(field, lx, False)
         e = Fraction(0)
         if lx.accept("sym", "*"):
             lx.expect("name", "t")
@@ -473,7 +475,7 @@ def parse_fpoly(dom: SeriesDomain, text: str,
             return c
         if lx.accept("name", "t"):
             return series(F, {_t_power(lx): F.one()})
-        return series(F, {Fraction(0): _series_scalar(F, lx)})
+        return series(F, {Fraction(0): _field_scalar(F, lx, False)})
 
     return fpoly(dom, n, _parse_poly(lx, n, dom, coeff_literal))
 

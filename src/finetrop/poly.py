@@ -122,24 +122,10 @@ def initial_support(p: HPoly, point: Sequence,
     return [d for d, v in zip(support, vals) if v == m]
 
 
-def _power_table(B: Hyperfield, a, exps, m=None) -> dict:
-    """{e: a^e} for each distinct exponent e of ``exps``.
-
-    One running product walks the sorted exponents and steps over each
-    gap with ``power``: dense exponents cost one product each, and a large
-    one only its logarithm.  Given the order m of a finite unit group
-    holding a, each power is read from its residue instead, a^e =
-    a^(e mod m) (Lagrange), in O(log m) products.
-    """
-    if m is not None:
-        return {e: B.power(a, e % m) for e in exps}
-    table, prev = {}, None
-    for e in sorted(exps):
-        # From 0 (a^0 = 1) or from nothing, the step is the power itself.
-        table[e] = x = (B.power(a, e) if not prev else
-                        B.mul(x, a if e - prev == 1 else B.power(a, e - prev)))
-        prev = e
-    return table
+def _power_table(B: Hyperfield, a, exps) -> dict:
+    """{e: a^e} for each distinct exponent e of ``exps``, each by one
+    ``power``: square-and-multiply, O(log |e|) products, exact for any e."""
+    return {e: B.power(a, e) for e in exps}
 
 
 def _base_sum(B: Hyperfield, terms, tables):
@@ -167,15 +153,10 @@ def _zero_in_base_sum(B: Hyperfield, terms, tables) -> bool:
 def _unit_scan(H: Hyperfield, units: list, conds: Sequence[Mapping]) -> list:
     """The tuples of n units, in the order of the n-fold product of
     ``units``, at which every condition {exponent n-tuple: coefficient}
-    holds.
-
-    The units form a group of order m = len(units), so u^e = u^(e mod m)
-    for every e, negative e included (Lagrange): each unit's powers are
-    tabulated once, by residue, over only the exponents the conditions use.
-    """
-    m = len(units)
+    holds.  Each unit's powers are tabulated once, over only the exponents
+    the conditions use."""
     exps = {e for cond in conds for d in cond for e in d}
-    tables = [_power_table(H, u, exps, m) for u in units]
+    tables = [_power_table(H, u, exps) for u in units]
     n = len(next(iter(conds[0])))
     return [x for x, px in zip(product(units, repeat=n),
                                product(tables, repeat=n))

@@ -34,7 +34,7 @@ from math import lcm
 from typing import Any, Iterable, Optional
 
 from .extension import ExtElem, TropicalExtension
-from .fields import BaseField, BaseSolveError, QQ
+from .fields import BaseField, BaseSolveError, QQ, SolverInvariantError
 from .hyperfields import (
     FieldHyperfield,
     Hom,
@@ -65,6 +65,7 @@ from .series import (
     _random_series,
     hom_val,
 )
+from .tropgeo import fine_hypersurface, fine_intersect
 
 
 DEFAULT_DEGREE_BOUND = 8
@@ -143,10 +144,6 @@ def newton_cells(p: HPoly) -> list[NewtonCell]:
 
 # ---------------------------------------------------------------------------
 # Base solving
-
-
-class SolverInvariantError(RuntimeError):
-    """The solver's own result failed its check: a bug, not a bad input."""
 
 
 def base_roots(H: Hyperfield, coeffs: dict[int, Any]) -> list:
@@ -394,16 +391,15 @@ def random_series_root(field: BaseField, rng, denom: int = 4, prec=None) -> Seri
                           denom, (-2, 6), prec)
 
 
-def kapranov_harness(f: Hom, rng, trials: int = 200, max_factors: int = 5,
-                     denom: int = 4) -> list[str]:
+def kapranov_harness(f: Hom, rng, trials: int = 200) -> list[str]:
     """Push-forward roots of products of linear factors match the images.
 
-    For each trial, p = prod (X - a_i) over the series field is expanded
-    exactly; the solver's root multiset of the push-forward must equal the
-    multiset of images f(a_i).  A target whose base has infinitely many
-    units and is not a field, such as a phase base, cannot be solved over,
-    so it raises BaseSolveError up front, and a count of trials below 1
-    raises ValueError.
+    For each trial, p = prod (X - a_i) over the series field, of 1 to 5
+    factors, is expanded exactly; the solver's root multiset of the
+    push-forward must equal the multiset of images f(a_i).  A target whose
+    base has infinitely many units and is not a field, such as a phase
+    base, cannot be solved over, so it raises BaseSolveError up front, and
+    a count of trials below 1 raises ValueError.
     """
     _check_trials(trials)
     base = f.target.base
@@ -412,8 +408,8 @@ def kapranov_harness(f: Hom, rng, trials: int = 200, max_factors: int = 5,
     failures = []
     dom: SeriesDomain = f.source
     for trial in range(trials):
-        k = rng.randint(1, max_factors)
-        roots = [random_series_root(dom.field, rng, denom) for _ in range(k)]
+        k = rng.randint(1, 5)
+        roots = [random_series_root(dom.field, rng) for _ in range(k)]
         p = product_of_linear_factors(dom, roots)
         hp = pushforward(f, fpoly(dom, 1, p.coeffs))
         try:
@@ -438,16 +434,14 @@ def _root_key(H: Hyperfield, r):
     return "0" if r is None else H.fmt(r)
 
 
-def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
+def random_linear_system(dom: SeriesDomain, rng):
     """A random tropically 0-dimensional 2x2 linear system.
 
     Coefficients are unit series; pairs whose tropical lines share a ray
     are resampled, since those are not 0-dimensional systems.
     """
-    from .tropgeo import fine_hypersurface, fine_intersect
-
     def unit():
-        return _random_series(dom.field, rng, rng.randint(1, 3), denom, (-2, 6))
+        return _random_series(dom.field, rng, rng.randint(1, 3), 4, (-2, 6))
 
     def lin():
         return fpoly(dom, 2, {(1, 0): unit(), (0, 1): unit(), (0, 0): unit()})
@@ -461,16 +455,20 @@ def random_linear_system(dom: SeriesDomain, rng, denom: int = 4):
             return P, Q
 
 
-def _cramer(P: FPoly, Q: FPoly, prec):
-    """(F, D, nx, ny, det, q): the Cramer numerators and determinant of
-    a X + b Y + c = 0, d X + e Y + g = 0 over series, on one grid 1/D.
+def _cramer(P: FPoly, Q: FPoly, prec, lead: bool = False) -> tuple:
+    """The two Cramer quotients (x, y) of a X + b Y + c = 0,
+    d X + e Y + g = 0 over series, to O(t^prec).
 
     The six coefficients are put once on one grid with numerators over one
-    denominator L (``series._numerator_grids``); D also covers prec, which
-    comes back as the offset q.  det = a e - b d, nx = b g - c e and
-    ny = c d - a g are each two grid steps ``series._mul_add`` in the
-    numerator ring, so their numerators are over L^2, which both quotients
-    cancel.  Raises ValueError when the determinant vanishes.
+    denominator L (``series._numerator_grids``); D also covers prec.
+    det = a e - b d, nx = b g - c e and ny = c d - a g are each two grid
+    steps ``series._mul_add`` in the numerator ring, so their numerators
+    are over L^2, which both quotients cancel.  Each coordinate is then
+    one ``series._quotient`` recurrence of its numerator by det: the
+    determinant is never inverted on its own, and the numerators are
+    reduced to field elements only in the quotient's terms.  With
+    ``lead`` each quotient stops at its first term.  Raises ValueError
+    when the determinant vanishes.
     """
     F = P.domain.field
     zero = P.domain.zero()
@@ -487,35 +485,26 @@ def _cramer(P: FPoly, Q: FPoly, prec):
         raise ValueError("no isolated solution: determinant vanishes")
     nx = _mul_add(R, _mul_add(R, _GRID_ZERO, b, g), c, neg(e))
     ny = _mul_add(R, _mul_add(R, _GRID_ZERO, c, d_), a, neg(g))
-    return F, D, nx, ny, det, q
+    return (_quotient(F, D, nx, det, q, lead=lead),
+            _quotient(F, D, ny, det, q, lead=lead))
 
 
 def solve_linear_2x2(P: FPoly, Q: FPoly, prec=8) -> tuple[SeriesTrunc, SeriesTrunc]:
-    """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series.
-
-    Each coordinate is its numerator divided by the determinant to
-    O(t^prec), one ``series._quotient`` recurrence over every term it
-    keeps, run on the grid numerators of ``_cramer``; the determinant is
-    never inverted on its own, and the numerators are reduced to field
-    elements only in the quotient's terms.  This is the full solve;
-    ``fundamental_harness`` reads only the first term of each quotient.
-    """
-    F, D, nx, ny, det, q = _cramer(P, Q, prec)
-    return _quotient(F, D, nx, det, q), _quotient(F, D, ny, det, q)
+    """Cramer solution of a X + b Y + c = 0, d X + e Y + g = 0 over series,
+    to O(t^prec): the full solve of ``_cramer``.  ``fundamental_harness``
+    reads only the first term of each quotient."""
+    return _cramer(P, Q, prec)
 
 
 def _solution_image(f: Hom, P: FPoly, Q: FPoly, prec=8) -> tuple:
     """f of both coordinates of the solution of (P, Q) to O(t^prec).
 
     An enriched valuation reads only a leading term, so each coordinate is
-    its quotient cut to its first term (``series._quotient`` with
-    ``lead``): the image of ``solve_linear_2x2`` without expanding the
-    quotients.  Raises ValueError, PrecisionError included, where that
-    solve and f would.
+    its quotient cut to its first term (``_cramer`` with ``lead``): the
+    image of ``solve_linear_2x2`` without expanding the quotients.  Raises
+    ValueError, PrecisionError included, where that solve and f would.
     """
-    F, D, nx, ny, det, q = _cramer(P, Q, prec)
-    return (f(_quotient(F, D, nx, det, q, lead=True)),
-            f(_quotient(F, D, ny, det, q, lead=True)))
+    return tuple(f(x) for x in _cramer(P, Q, prec, lead=True))
 
 
 def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],
@@ -531,8 +520,6 @@ def fundamental_harness(f: Hom, systems: Iterable[tuple[FPoly, FPoly]],
     torus) is reported as that system's failure.  No system at all raises
     ValueError, so that a check of nothing cannot pass.
     """
-    from .tropgeo import fine_hypersurface, fine_intersect
-
     systems = list(systems)
     if not systems:
         raise ValueError("fundamental harness needs at least one system")

@@ -36,10 +36,9 @@ independently of the cells: by the hyperfield Kapranov theorem it is one
 exactly when 0 lies in the base sum of the source's terms of minimal
 level at the point, found on the source's levels scaled to integers once
 per call.  Both the scan and the check decide a base sum with
-``poly._zero_in_base_sum``, on powers from ``poly._power_table``, which
-over a finite base reads them by residue (u^e = u^(e mod m) in a unit
-group of order m).  Stable intersections perturb only the base units of
-the second curve, and start systems for polyhedral homotopy read mixed
+``poly._zero_in_base_sum``, on powers from ``poly._power_table``, each
+by square-and-multiply.  Stable intersections perturb only the base units
+of the second curve, and start systems for polyhedral homotopy read mixed
 volumes off the same pairs.
 """
 
@@ -52,7 +51,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from .extension import ExtElem, TropicalExtension
-from .fields import BaseField, BaseSolveError
+from .fields import BaseField, BaseSolveError, SolverInvariantError
 from .hyperfields import FieldHyperfield, Hyperfield
 from .ordgroup import gelem
 from .poly import (
@@ -66,7 +65,6 @@ from .poly import (
     pushforward,
 )
 from .series import hom_fval
-from .solve import SolverInvariantError
 
 
 Vec2 = tuple[Fraction, Fraction]
@@ -193,7 +191,7 @@ class ComponentDescription:
     line_v: Optional[tuple[int, int]]
     interval: Optional[Interval]
     unit_constraints: tuple  # conjoined base conditions (HPoly pair)
-    fixed_units: Any  # dict var-index -> unit, for solved coordinates
+    fixed_units: Any  # the unit pairs (u, v) solved on an overlap, or None
     note: str = ""
 
 
@@ -591,16 +589,14 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
             yield c1, C2.cells[k2], hit
 
 
-def _is_fine_root(B: Hyperfield, p: HPoly, lift: Lift, g: Vec2, u, v,
-                  m: Optional[int]) -> bool:
+def _is_fine_root(B: Hyperfield, p: HPoly, lift: Lift, g: Vec2, u, v) -> bool:
     """Whether the fine point (u at level g[0], v at level g[1]) is a root
     of p, whose levels ``lift`` holds scaled: by the hyperfield Kapranov
-    theorem, whether 0 lies in the base sum over the argmin at g.  m is
-    the order of B's unit group, or None when it is infinite."""
+    theorem, whether 0 lies in the base sum over the argmin at g."""
     J = lift.argmin_at(g)
     return _zero_in_base_sum(B, [(d, p.coeffs[d].coef) for d in J],
-                             (_power_table(B, u, {d[0] for d in J}, m),
-                              _power_table(B, v, {d[1] for d in J}, m)))
+                             (_power_table(B, u, {d[0] for d in J}),
+                              _power_table(B, v, {d[1] for d in J})))
 
 
 def fine_intersect(C1: FineCurve, C2: FineCurve):
@@ -619,8 +615,6 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
     """
     E = _ext_of(C1.source)
     H = E.base
-    units = H.units()
-    m = None if units is None else len(units)
     checks = [(C.source, _lift(C.source)) for C in (C1, C2)]
     points: list[FinePoint] = []
     comps: list[ComponentDescription] = []
@@ -631,8 +625,8 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
             g = hit[1]
             if kind == "family":
                 comps.append(ComponentDescription(
-                    None, None, None, (c1.base_cond, c2.base_cond),
-                    sols, note=f"unit family at {g}"))
+                    None, None, None, (c1.base_cond, c2.base_cond), None,
+                    note=f"unit family at ({g[0]}, {g[1]}): {sols}"))
                 continue
             for (u, v) in sols:
                 pt = FinePoint((
@@ -642,7 +636,7 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                     continue
                 seen_pts.add(key)
                 for p, lift in checks:
-                    if not _is_fine_root(H, p, lift, g, u, v, m):
+                    if not _is_fine_root(H, p, lift, g, u, v):
                         raise SolverInvariantError(
                             f"fine point {pt.coords} is not a root of {p}")
                 points.append(pt)
@@ -680,18 +674,18 @@ def _perturb_source(p: HPoly, rng) -> HPoly:
     return hpoly(E, 2, coeffs)
 
 
-def stable_intersect(C1: FineCurve, C2: FineCurve, seed: int = 0,
-                     max_attempts: int = 25) -> list[Vec2]:
+def stable_intersect(C1: FineCurve, C2: FineCurve, seed: int = 0) -> list[Vec2]:
     """Projected stable intersection points in Q^2.
 
     If the fine intersection is already a finite point set, project it;
-    otherwise perturb C2's base units generically and retry.
+    otherwise perturb C2's base units generically and retry, 25 times at
+    most.
     """
     pts, comps = fine_intersect(C1, C2)
     if not comps:
         return sorted({_project(pt) for pt in pts})
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(25):
         try:
             perturbed = fine_hypersurface(_perturb_source(C2.source, rng))
             pts, comps = fine_intersect(C1, perturbed)

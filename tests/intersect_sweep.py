@@ -19,9 +19,8 @@ levels itself).  Each round k takes four pairs:
 The same pairs also check the base solving of ``tropgeo.fine_intersect``
 hit by hit (``check_base``):
 
-- over K and S, ``solve_base_pair``'s unit-pair scan, which reads powers
-  by residue, against every unit pair tested by
-  ``eval_oracle.is_root_every_term`` on both conditions;
+- over K and S, ``solve_base_pair``'s unit-pair scan against every unit
+  pair tested by ``eval_oracle.is_root_every_term`` on both conditions;
 - at every point hit, ``tropgeo._is_fine_root``, the fine-point check on
   levels scaled once, against ``eval_oracle.is_root_every_term`` on both
   sources: at every unit pair over K and S, and over Q at each solution
@@ -173,7 +172,6 @@ def check_base(C1, C2) -> tuple[int, int]:
     and raises ``AssertionError`` on a mismatch."""
     H = C1.source.hyperfield.base
     units = H.units()
-    m = None if units is None else len(units)
     checks = [(C.source, tropgeo._lift(C.source)) for C in (C1, C2)]
     scans = n = 0
     for c1, c2, hit in tropgeo._cell_hits(C1, C2):
@@ -200,7 +198,7 @@ def check_base(C1, C2) -> tuple[int, int]:
         for u, v in tried:
             pt = (ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1])))
             for p, lift in checks:
-                got = tropgeo._is_fine_root(H, p, lift, g, u, v, m)
+                got = tropgeo._is_fine_root(H, p, lift, g, u, v)
                 if got != is_root_every_term(p, pt):
                     raise AssertionError(f"{p} at {pt}: fine-point check "
                                          f"{got}, every-term oracle {not got}")

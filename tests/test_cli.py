@@ -351,6 +351,42 @@ def test_inline_poly_without_hyperfield_is_a_json_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("content, error, words", [
+    pytest.param(None, "FileNotFoundError", "No such file", id="missing"),
+    pytest.param({"poly": "X + Y"}, "ValueError", "'hyperfield'",
+                 id="no-hyperfield"),
+    pytest.param({"hyperfield": "T", "poly": 3}, "ValueError", "'poly'",
+                 id="poly-not-a-string"),
+    pytest.param(["T", "X + Y"], "ValueError", "JSON object", id="list"),
+])
+def test_poly_file_errors_are_json_errors(capsys, tmp_path, content, error,
+                                          words):
+    path = tmp_path / "curve.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    code, out = run(capsys, "fine-curve", str(path))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == error and words in doc["message"], doc
+
+
+def test_unwritable_out_is_a_json_error(capsys, tmp_path):
+    code, out = run(capsys, "eval", "--out", str(tmp_path / "no" / "x.json"),
+                    "--hyperfield", "T", "X", "(1,2)")
+    assert code == 2
+    assert json.loads(out)["error"] == "FileNotFoundError"
+
+
+def test_unit_family_note_prints_rationals(capsys):
+    # Proportional lines meet in a family of units at their common vertex.
+    code, out = run(capsys, "intersect", "--hyperfield", "Qx|Q",
+                    "(1,0)*X + (1,0)*Y + (1,0)", "(2,0)*X + (2,0)*Y + (2,0)")
+    assert code == 0
+    notes = [c["note"] for c in json.loads(out)["components"]]
+    assert notes == ["1-dimensional tropical overlap"] * 3 + [
+        "unit family at (0, 0): one affine condition, one free unit"]
+
+
 def test_eval_point_of_the_wrong_arity_is_a_json_error(capsys):
     code, out = run(capsys, "eval", "--hyperfield", "T",
                     "X*Y + (1,0)", "(1,0)")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from finetrop.fields import (
-    GF, PRIMALITY_BOUND, QQ, QQi, BaseSolveError, _is_prime, gauss)
+    GF, PRIMALITY_BOUND, QQ, QQi, BaseSolveError, _frac_root, _is_prime, gauss)
 
 import root_oracle
 
@@ -99,6 +99,36 @@ def test_rational_sqrt():
     assert QQ.sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert QQ.sqrt(Fraction(2)) is None
     assert QQ.sqrt(Fraction(-1)) is None
+
+
+def test_rational_root_matches_the_search():
+    # Every rational x = s/t with |s|, t <= 40 against the radicands u/w
+    # with |u|, w <= 40 and the n-th powers of s/t with |s|, t <= 5, for
+    # n = 1..6.  A root s/t of u/w in lowest terms has |s|^n = |u| and
+    # t^n = w, so the search holds every root: the answer is the one root
+    # for odd n, the non-negative one for even n, and None without a root,
+    # negative radicands of even n included.
+    xs = {Fraction(s, t) for s in range(-40, 41) for t in range(1, 41)}
+    small = [x for x in xs if abs(x.numerator) <= 5 and x.denominator <= 5]
+    for n in range(1, 7):
+        roots: dict = {}
+        for x in xs:
+            roots.setdefault(x ** n, []).append(x)
+        radicands = {Fraction(u, w) for u in range(-40, 41)
+                     for w in range(1, 41)}
+        radicands |= {x ** n for x in small}
+        found = 0
+        for a in radicands:
+            want = max(roots[a]) if a in roots else None
+            assert _frac_root(a, n) == want, (a, n)
+            found += want is not None
+        assert found >= 20, (n, found)
+        # Large radicands, where Newton's method takes many steps.
+        r = Fraction(7 ** 30, 11 ** 20)
+        assert _frac_root(r ** n, n) == r
+        assert _frac_root(-(r ** n), n) == (None if n % 2 == 0 else -r)
+        if n > 1:
+            assert _frac_root(r ** n + 1, n) is None
 
 
 def test_gauss_arithmetic():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from finetrop.fields import QQ, QQi, gauss
+from finetrop.fields import GF, QQ, QQi, gauss
 from finetrop.hyperfields import make_dir
 from finetrop.parsing import (
     ParseError,
@@ -66,6 +66,13 @@ def test_series_round_trip():
     assert b.prec is None
     assert dict(b.terms) == {Fraction(1, 2): Fraction(1),
                              Fraction(3): Fraction(2)}
+    # Over GF(p) a series reads its scalars as an element of GF(p) is read:
+    # integers mod p.
+    c = parse_series("3 + 7*t - t^2", field=GF(5))
+    assert c.terms == ((0, 3), (1, 2), (2, 4))
+    assert all(type(v) is int for _, v in c.terms)
+    with pytest.raises(ParseError):
+        parse_series("1/2", field=GF(5))
 
 
 def test_poly_round_trips():
