@@ -354,6 +354,8 @@ def _iroot(m: int, n: int) -> Optional[int]:
     """The integer n-th root of m >= 0, or None when m is not an n-th power."""
     if m < 2:
         return m
+    if m.bit_length() <= n:  # 1 < m < 2^n: the root lies strictly in (1, 2)
+        return None
     # Newton's method on integers, from a start at or above the root,
     # decreases to the floor of the root (at once from isqrt for n = 2).
     r = math.isqrt(m) if n == 2 else 1 << -(-m.bit_length() // n)

@@ -27,19 +27,22 @@ edges meet at the integer Cramer point of their ties when it lies
 strictly inside both edges' integer spans (an edge cell is the open
 segment of its tie line between its end vertices, so no argmin is taken
 per pair of edges), and edges on one line meet where their intervals
-overlap.  Each pair's base conditions are then solved together, with the
-base field's own root finders (``BaseField.nth_roots`` and
-``unit_roots``) for the binomial and substituted conditions, or, over a
-base with finitely many units, by ``poly._unit_scan`` over every unit
-pair.  Every fine point is checked to be a root of both sources,
-independently of the cells: by the hyperfield Kapranov theorem it is one
-exactly when 0 lies in the base sum of the source's terms of minimal
-level at the point, found on the source's levels scaled to integers once
-per call.  Both the scan and the check decide a base sum with
-``poly._zero_in_base_sum``, on powers from ``poly._power_table``, each
-by square-and-multiply.  Stable intersections perturb only the base units
-of the second curve, and start systems for polyhedral homotopy read mixed
-volumes off the same pairs.
+overlap.  Each pair's base conditions are then solved together: over a
+base with finitely many units by ``poly._unit_scan`` over every unit
+pair, and over a field by one elimination.  A condition of two terms is
+a binomial, a condition on one character z of the torus; a unimodular
+change of coordinates makes the other condition a Laurent polynomial in
+one unit s, whose roots come from the field's own ``nth_roots`` and
+``unit_roots``.  Two conditions of three terms, each affine up to a
+monomial, meet by Cramer's rule.  Every fine point is checked to be a
+root of both sources, independently of the cells: by the hyperfield
+Kapranov theorem it is one exactly when 0 lies in the base sum of the
+source's terms of minimal level at the point, found on the source's
+levels scaled to integers once per call.  Both the scan and the check
+decide a base sum with ``poly._zero_in_base_sum``, on powers from
+``poly._power_table``, each by square-and-multiply.  Stable
+intersections perturb only the base units of the second curve, and start
+systems for polyhedral homotopy read mixed volumes off the same pairs.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ from .poly import (
     _unit_scan,
     _zero_in_base_sum,
     hpoly,
-    prevariety_member,
     pushforward,
 )
 from .series import hom_fval
@@ -367,98 +369,99 @@ def trop_project(C: FineCurve) -> list[dict]:
 # Base-condition solving over the base hyperfield
 
 
-def _classify_cond(F: BaseField, cond: HPoly):
-    coeffs = dict(cond.coeffs)
-    exps = set(coeffs)
-    if len(exps) == 1:
-        return ("monomial",)
-    if exps <= {(0, 0), (1, 0), (0, 1)}:
-        return ("affine", (
-            coeffs.get((1, 0), F.zero()),
-            coeffs.get((0, 1), F.zero()),
-            coeffs.get((0, 0), F.zero()),
-        ))
-    if len(exps) == 2:
-        (e1, e2) = sorted(exps)
-        c1, c2 = coeffs[e1], coeffs[e2]
-        delta = (e2[0] - e1[0], e2[1] - e1[1])
-        w = F.neg(F.div(c1, c2))  # u^delta = w
-        return ("binomial", delta, w)
-    raise BaseSolveError(f"base condition outside supported shapes: {cond}")
-
-
 def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     """Unit solutions of two initial-form conditions.
 
     Returns ("points", [(u, v), ...]) or ("family", note) when the
-    solutions form a positive-dimensional family.
+    solutions form a positive-dimensional family.  A base with finitely
+    many units is scanned over every unit pair (``poly._unit_scan``).  Over
+    a field a condition with one term has no unit solution, and one with
+    two terms is a binomial u^delta = w, a condition on one character of
+    the torus: with delta = g*(a, b) and x*a + y*b = 1, the unimodular
+    change z = u^a v^b, s = u^-y v^x (u = z^x s^-b, v = z^y s^a) makes it
+    z^g = w, and at each such z the other condition is a Laurent
+    polynomial in s alone (Eisenbud-Sturmfels, Binomial ideals, 1996).  It
+    is a family where that vanishes; otherwise its unit roots, by
+    ``nth_roots`` for two terms and ``unit_roots`` for more, give the
+    points.  Two conditions of three or more terms must each be affine,
+    a*u + b*v + c, once divided by its least monomial; they meet by
+    Cramer's rule, or are one condition when proportional.  Any other
+    shape raises BaseSolveError.
     """
     units = H.units()
     if units is not None:
         return ("points", _unit_scan(H, units, (condA.coeffs, condB.coeffs)))
     if not isinstance(H, FieldHyperfield):
         raise BaseSolveError(f"base solving unsupported over {H.name}")
-    F = H.field
-    kA, kB = _classify_cond(F, condA), _classify_cond(F, condB)
-    if kA[0] == "monomial" or kB[0] == "monomial":
+    F, A, B = H.field, condA.coeffs, condB.coeffs
+    if len(A) == 1 or len(B) == 1:
         return ("points", [])
-    if kA[0] == "affine" and kB[0] == "affine":
-        (a1, b1, c1), (a2, b2, c2) = kA[1], kB[1]
-        det = F.sub(F.mul(a1, b2), F.mul(a2, b1))
-        if not F.is_zero(det):
-            u = F.div(F.sub(F.mul(b1, c2), F.mul(b2, c1)), det)
-            v = F.div(F.sub(F.mul(a2, c1), F.mul(a1, c2)), det)
-            if not F.is_zero(u) and not F.is_zero(v):
-                return ("points", [(u, v)])
-            return ("points", [])
-        # Dependent or inconsistent affine pair.
-        return _affine_rank1(F, kA[1], kB[1])
-    if kA[0] == "binomial" and kB[0] == "binomial":
-        return _binomial_pair(F, kA, kB, (condA, condB))
-    # Mixed affine and binomial.
-    if kA[0] == "binomial":
-        kA, kB = kB, kA
-        condA, condB = condB, condA
-    return _affine_binomial(F, kA, kB, (condA, condB))
-
-
-def _affine_rank1(F: BaseField, r1, r2):
-    (a1, b1, c1), (a2, b2, c2) = r1, r2
-    # r2 = k r1 for the scalar k matched on a nonzero coordinate.
-    x1, x2 = (b1, b2) if F.is_zero(a1) else (a1, a2)
-    if not F.is_zero(x1):
-        k = F.div(x2, x1)
-        if (a2, b2, c2) == (F.mul(k, a1), F.mul(k, b1), F.mul(k, c1)):
+    if len(A) > 2:
+        A, B = B, A
+    if len(A) == 2:
+        return _eliminate(F, A, B)
+    (a1, b1, c1), (a2, b2, c2) = _affine(condA), _affine(condB)
+    det = F.sub(F.mul(a1, b2), F.mul(a2, b1))
+    if F.is_zero(det):
+        # Every coefficient is a unit, so the rows are proportional, one
+        # condition, exactly when their constants are in the same ratio.
+        if F.is_zero(F.sub(F.mul(a1, c2), F.mul(a2, c1))):
             return ("family", "one affine condition, one free unit")
-    # det = 0 and the rows are not proportional: no solution at all.
-    return ("points", [])
-
-
-def _binomial_pair(F: BaseField, kA, kB, conds):
-    (_, (p, q), w1) = kA
-    (_, (r, s), w2) = kB
-    det = p * s - q * r
-    if det == 0:
-        # Parallel exponent vectors m*e and n*e for a primitive e: with
-        # z = u^e the conditions read z^m = w1 and z^n = w2, so every common
-        # z solves z^gcd(m, n) = w1^x * w2^y (x*m + y*n = gcd(m, n)), and
-        # the units u with u^e = z form a one-parameter family.
-        m = math.gcd(p, q)
-        e = (p // m, q // m)
-        n = r // e[0] if e[0] else s // e[1]
-        g, x, y = _bezout(m, n)
-        rhs = F.mul(F.power(w1, x), F.power(w2, y))
-        if any(F.power(z, m) == w1 and F.power(z, n) == w2
-               for z in F.nth_roots(rhs, g)):
-            return ("family", "dependent binomial conditions")
         return ("points", [])
-    u_rhs = F.mul(F.power(w1, s), F.power(w2, -q))
-    v_rhs = F.mul(F.power(w2, p), F.power(w1, -r))
+    u = F.div(F.sub(F.mul(b1, c2), F.mul(b2, c1)), det)
+    v = F.div(F.sub(F.mul(a2, c1), F.mul(a1, c2)), det)
+    return ("points", [] if F.is_zero(u) or F.is_zero(v) else [(u, v)])
+
+
+def _affine(cond: HPoly) -> tuple:
+    """(a, b, c) with cond = m * (a*u + b*v + c), m its least monomial."""
+    m = min(cond.coeffs)
+    row = {(d[0] - m[0], d[1] - m[1]): c for d, c in cond.coeffs.items()}
+    if set(row) != {(0, 0), (1, 0), (0, 1)}:
+        raise BaseSolveError(f"base condition outside supported shapes: {cond}")
+    return row[(1, 0)], row[(0, 1)], row[(0, 0)]
+
+
+# The largest power of z, and degree of a condition in s of three or more
+# terms, that ``_eliminate`` forms: beyond it the power of a z other than a
+# root of unity, or the dense rational-root search, would run for minutes.
+MAX_SUBSTITUTED_EXPONENT = 10 ** 5
+
+
+def _eliminate(F: BaseField, binomial: dict, other: dict):
+    """The unit solutions of the binomial and the other condition, by the
+    unimodular change of ``solve_base_pair``; BaseSolveError beyond
+    ``MAX_SUBSTITUTED_EXPONENT``."""
+    (e1, c1), (e2, c2) = sorted(binomial.items())
+    g, x, y = _bezout(e2[0] - e1[0], e2[1] - e1[1])
+    a, b = (e2[0] - e1[0]) // g, (e2[1] - e1[1]) // g
     out = []
-    for u in F.nth_roots(u_rhs, det):
-        for v in F.nth_roots(v_rhs, det):
-            if prevariety_member(conds, (u, v)) and (u, v) not in out:
-                out.append((u, v))
+    for z in F.nth_roots(F.neg(F.div(c1, c2)), g):
+        # u^d = z^(x*d0 + y*d1) * s^(a*d1 - b*d0).
+        coeffs: dict[int, Any] = {}
+        for d, c in other.items():
+            k, e = a * d[1] - b * d[0], x * d[0] + y * d[1]
+            if abs(e) > MAX_SUBSTITUTED_EXPONENT and F.power(z, 4) != F.one():
+                raise BaseSolveError(f"power {e} of {F.fmt(z)} exceeds "
+                                     f"{MAX_SUBSTITUTED_EXPONENT}")
+            t = F.mul(c, F.power(z, e))
+            coeffs[k] = F.add(coeffs[k], t) if k in coeffs else t
+        coeffs = {k: c for k, c in coeffs.items() if not F.is_zero(c)}
+        if not coeffs:
+            return ("family", "the other condition vanishes on the binomial")
+        if len(coeffs) == 1:
+            continue
+        if len(coeffs) == 2:
+            (k1, s1), (k2, s2) = sorted(coeffs.items())
+            roots = F.nth_roots(F.neg(F.div(s1, s2)), k2 - k1)
+        elif max(coeffs) - min(coeffs) > MAX_SUBSTITUTED_EXPONENT:
+            raise BaseSolveError(f"degree {max(coeffs) - min(coeffs)} in s "
+                                 f"exceeds {MAX_SUBSTITUTED_EXPONENT}")
+        else:
+            roots = F.unit_roots(coeffs)
+        # Distinct (z, s) give distinct (u, v): the change is invertible.
+        out += [(F.mul(F.power(z, x), F.power(s, -b)),
+                 F.mul(F.power(z, y), F.power(s, a))) for s in roots]
     return ("points", out)
 
 
@@ -470,38 +473,6 @@ def _bezout(m: int, n: int) -> tuple[int, int, int]:
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return (m, x0, y0) if m >= 0 else (-m, -x0, -y0)
-
-
-def _affine_binomial(F: BaseField, kA, kB, conds):
-    (_, (alpha, beta, gamma)) = kA
-    (_, (du, dv), w) = kB
-    # Solve the binomial u^du v^dv = w for a variable x whose exponent is
-    # +-1, x = (w y^-dv)^du in the other variable y (u and v swap roles
-    # when only dv is +-1).  The affine condition alpha x + beta y + gamma
-    # then becomes the Laurent polynomial alpha w^du y^(-dv du) + beta y +
-    # gamma in y.
-    swap = du not in (1, -1)
-    if swap:
-        if dv not in (1, -1):
-            raise BaseSolveError(
-                "affine/binomial pair needs a unit exponent in the binomial")
-        alpha, beta, du, dv = beta, alpha, dv, du
-    coeffs: dict[int, Any] = {}
-    for i, c in ((-dv * du, F.mul(alpha, w if du == 1 else F.inv(w))),
-                 (1, beta), (0, gamma)):
-        coeffs[i] = F.add(coeffs[i], c) if i in coeffs else c
-    coeffs = {i: c for i, c in coeffs.items() if not F.is_zero(c)}
-    if not coeffs:
-        # Every unit y, with x from the binomial, solves the affine condition.
-        return ("family", "affine condition vanishes on the binomial")
-    sols = []
-    for y in F.unit_roots(coeffs):
-        base = F.mul(w, F.power(y, -dv))
-        x = base if du == 1 else F.inv(base)
-        pair = (y, x) if swap else (x, y)
-        if prevariety_member(conds, pair) and pair not in sols:
-            sols.append(pair)
-    return ("points", sols)
 
 
 # ---------------------------------------------------------------------------

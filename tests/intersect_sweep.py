@@ -31,8 +31,10 @@ table and base-sum test, so the reference evaluates every term with its
 own powers instead.
 
 Run as ``PYTHONPATH=src python tests/intersect_sweep.py ROUNDS``: it prints
-the number of pairs and hits checked and the number of scans and fine-point
-checks compared, or the first mismatch and exits 1.
+the number of pairs and hits checked, the number of scans and fine-point
+checks compared, and the number of hits skipped because their base
+conditions raise BaseSolveError (so that a growing share of unsolved hits
+shows), or the first mismatch and exits 1.
 """
 
 from __future__ import annotations
@@ -166,19 +168,21 @@ def check(C1, C2) -> int:
     return len(got)
 
 
-def check_base(C1, C2) -> tuple[int, int]:
+def check_base(C1, C2) -> tuple[int, int, int]:
     """Compare the unit-pair scans and the fine-point checks of one pair
-    with ``is_root_every_term``; returns the numbers of scans and checks
-    and raises ``AssertionError`` on a mismatch."""
+    with ``is_root_every_term``; returns the numbers of scans, checks and
+    hits skipped because their base conditions raise BaseSolveError, and
+    raises ``AssertionError`` on a mismatch."""
     H = C1.source.hyperfield.base
     units = H.units()
     checks = [(C.source, tropgeo._lift(C.source)) for C in (C1, C2)]
-    scans = n = 0
+    scans = n = skipped = 0
     for c1, c2, hit in tropgeo._cell_hits(C1, C2):
         conds = (c1.base_cond, c2.base_cond)
         try:
             kind, sols = tropgeo.solve_base_pair(H, *conds)
         except BaseSolveError:
+            skipped += 1
             continue
         if units is not None:
             want = [(u, v) for u in units for v in units
@@ -203,20 +207,20 @@ def check_base(C1, C2) -> tuple[int, int]:
                     raise AssertionError(f"{p} at {pt}: fine-point check "
                                          f"{got}, every-term oracle {not got}")
                 n += 1
-    return scans, n
+    return scans, n, skipped
 
 
-def base_sweep(rounds: int) -> tuple[int, int]:
+def base_sweep(rounds: int) -> tuple[int, int, int]:
     """``check_base`` on every pair of ``rounds`` rounds; returns (scans,
-    checks) and raises ``AssertionError`` at the first mismatch."""
-    scans = n = 0
+    checks, skipped) and raises ``AssertionError`` at the first mismatch."""
+    total = (0, 0, 0)
     for k, (case, C1, C2) in enumerate(pairs(rounds)):
         try:
-            s, c = check_base(C1, C2)
+            counts = check_base(C1, C2)
         except AssertionError as err:
             raise AssertionError(f"{case} pair {k}: {err}") from None
-        scans, n = scans + s, n + c
-    return scans, n
+        total = tuple(map(sum, zip(total, counts)))
+    return total
 
 
 def sweep(rounds: int) -> tuple[int, int]:
@@ -235,10 +239,12 @@ def sweep(rounds: int) -> tuple[int, int]:
 if __name__ == "__main__":
     try:
         n, hits = sweep(int(sys.argv[1]))
-        scans, checks = base_sweep(int(sys.argv[1]))
+        scans, checks, skipped = base_sweep(int(sys.argv[1]))
     except AssertionError as err:
         print(f"mismatch: {err}")
         sys.exit(1)
     print(f"{n} curve pairs, {hits} hits match both references")
     print(f"{scans} unit-pair scans and {checks} fine-point checks match "
           f"the every-term oracle")
+    print(f"{skipped} hits skipped: their base conditions raise "
+          f"BaseSolveError")

@@ -60,6 +60,20 @@ TOO_BIG = f"degree {BIG} exceeds the bound 8"
                  0, "value", "{dir(1,0)}", id="eval-P-i"),
     pytest.param(["eval", "--hyperfield", "P", "X^100000", "dir(3,4)"],
                  0, "contains_zero", False, id="eval-P-growing"),
+    pytest.param(["intersect", "--hyperfield", "Qx|Q",
+                  "(1,0)*X^100000001 + (-2,0)*Y", "(1,0)*Y + (-1,0)"],
+                 0, "points", [], id="intersect-Q-binomial"),
+    pytest.param(["intersect", "--hyperfield", "Qx|Q",
+                  "(1,0)*X^10000000000*Y + (-4,0)", "(1,0)*X*Y + (-2,0)"],
+                 0, "points", [], id="intersect-Q-binomial-pair"),
+    pytest.param(["intersect", "--hyperfield", "Qx|Q", "(1,0)*X*Y^2 + (-2,0)",
+                  "(1,0)*X^10000000000 + (1,0)*Y + (1,0)"],
+                 2, "message", "power 10000000000 of 2 exceeds 100000",
+                 id="intersect-Q-power-bound"),
+    pytest.param(["intersect", "--hyperfield", "Qx|Q", "(1,0)*X*Y + (-1,0)",
+                  "(1,0)*X^100000000 + (1,0)*Y + (1,0)"],
+                 2, "message", "degree 100000001 in s exceeds 100000",
+                 id="intersect-Q-degree-bound"),
 ])
 def test_large_exponents_answer_in_time(argv, code, key, want):
     # Work grows with the number of terms and the size of the answer, not
@@ -90,6 +104,19 @@ def test_large_prime_keys_answer_in_time(argv, code, key, want):
     # Primality is Miller-Rabin on 13 bases, exact below the bound; trial
     # division up to the square root of 2^61 - 1 ran for minutes.
     _answers_in_time(argv, code, key, want)
+
+
+@pytest.mark.parametrize("P, Q, want", [
+    pytest.param("(1,0)*X^2 + (1,0)*X*Y + (1,0)*X", "(1,0)*Y + (-2,0)*X",
+                 [[["-1/3", "0"], ["-2/3", "0"]]], id="translated-affine"),
+    pytest.param("(1,0)*X^2*Y^3 + (-4,0)", "(1,0)*X + (1,0)*Y + (-3,0)",
+                 [[["2", "0"], ["1", "0"]]], id="binomial-without-unit-exponent"),
+])
+def test_field_base_pairs_of_any_binomial_answer(P, Q, want):
+    # X (X + Y + 1) with Y = 2X, and X^2 Y^3 = 4 with X + Y = 3: each once
+    # exited 2 as a shape outside the solvers of affine and binomial pairs.
+    _answers_in_time(["intersect", "--hyperfield", "Qx|Q", P, Q], 0,
+                     "points", want)
 
 
 def _answers_in_time(argv, code, key, want):

@@ -131,6 +131,16 @@ def test_rational_root_matches_the_search():
             assert _frac_root(r ** n + 1, n) is None
 
 
+def test_rational_root_of_a_huge_index_answers_at_once():
+    # 1 < m < 2^n has no integer n-th root; Newton's method from 2 once
+    # formed 2^(n - 1) first and never returned for n = 10^10 - 1.
+    n = 10 ** 10 - 1
+    assert _frac_root(Fraction(2), n) is None
+    assert _frac_root(Fraction(-1, 2 ** 40), n) is None
+    assert _frac_root(Fraction(-1), n) == -1
+    assert _frac_root(Fraction(2 ** 64, 3 ** 64), 64) == Fraction(2, 3)
+
+
 def test_gauss_arithmetic():
     z = QQi.mul(gauss(1, 2), gauss(3, -1))
     assert z == gauss(5, 5)

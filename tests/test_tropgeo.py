@@ -33,6 +33,7 @@ from curve_oracle import (
 )
 from eval_oracle import is_root_every_term
 import intersect_sweep
+import pair_sweep
 from intersect_oracle import (
     contains_by_rows,
     oracle_intersect_series,
@@ -186,6 +187,36 @@ def test_unit_scan_matches_every_term_oracle():
     assert solved >= 100, solved
 
 
+def test_base_pairs_match_the_shape_classifier():
+    # 200 rounds of tests/pair_sweep.py (which runs any number): over Q and
+    # Q(i), every pair the reference solves gets the same kind and point
+    # set, every point is a unit root of both conditions, a planted common
+    # root is found, and no pair raises that the reference solved.
+    assert pair_sweep.sweep(200) == {
+        "identical": 36, "same set, other order": 1, "other note": 26,
+        "answered, reference raises": 186, "raise in both": 151}
+
+
+def test_binomial_elimination_over_the_rationals():
+    Q = field_hyperfield(QQ)
+
+    def cond(coeffs):
+        return hpoly(Q, 2, {d: Fraction(c) for d, c in coeffs.items()})
+
+    # u^2 = 4 with v = 2u: one point for each of z = 2 and z = -2.
+    assert tropgeo.solve_base_pair(
+        Q, cond({(2, 0): 1, (0, 0): -4}), cond({(0, 1): 1, (1, 0): -2})
+    ) == ("points", [(Fraction(2), Fraction(4)), (Fraction(-2), Fraction(-4))])
+    # u v = 1 with u^2 v^2 = 1: the second vanishes on the binomial.
+    assert tropgeo.solve_base_pair(
+        Q, cond({(1, 1): 1, (0, 0): -1}), cond({(2, 2): 1, (0, 0): -1})
+    ) == ("family", "the other condition vanishes on the binomial")
+    # u^3 v = 2 and u^2 = 3: z = u^3 v = 2, and s = 1/u has s^2 = 1/3.
+    assert tropgeo.solve_base_pair(
+        Q, cond({(3, 1): 1, (0, 0): -2}), cond({(2, 0): 1, (0, 0): -3})
+    ) == ("points", [])
+
+
 def _on_cell_units(B, p, J, rng):
     """A unit pair solving the condition of the edge J = (d, e) of p by
     v^(d1 - e1) = -c_e u^(e0 - d0) / c_d, when d1 - e1 is +-1."""
@@ -235,7 +266,7 @@ def test_fine_point_check_matches_every_term_oracle():
     assert len(seen) == 6 and min(seen.values()) >= 20, seen
     # The base solving of 6 rounds of tests/intersect_sweep.py (which runs
     # any number): unit-pair scans and fine-point checks at every hit.
-    assert intersect_sweep.base_sweep(6) == (73, 460)
+    assert intersect_sweep.base_sweep(6) == (73, 460, 0)
 
 
 def test_fine_curve_matches_subset_oracle():
