@@ -200,10 +200,12 @@ class BaseField:
 
 
 # Bounds on the rational-root search: the largest |a0|, |an| whose divisors
-# are found by trial division, and the most candidate pairs p/q tried.
-# Outside them the search would run for hours; BaseSolveError is raised.
+# are found by trial division, the most candidate pairs p/q tried, and the
+# largest degree of the dense row each candidate is evaluated on.  Outside
+# them the search would run for hours; BaseSolveError is raised.
 MAX_ROOT_SEARCH_COEF = 10 ** 12
 MAX_ROOT_SEARCH_PAIRS = 10 ** 5
+MAX_ROOT_SEARCH_DEGREE = 10 ** 5
 
 
 class _Integers:
@@ -292,12 +294,16 @@ class RationalField(BaseField):
     def unit_roots(self, coeffs):
         """Rational-root search on the integer-cleared polynomial.
 
-        Complete for roots in Q.  Raises BaseSolveError when the cleared
-        end coefficients exceed the search bounds.
+        Complete for roots in Q.  Raises BaseSolveError when the degree
+        or the cleared end coefficients exceed the search bounds.
         """
         lo = min(coeffs)
         shifted = {i - lo: c for i, c in coeffs.items()}
         deg = max(shifted)
+        if deg > MAX_ROOT_SEARCH_DEGREE:
+            raise BaseSolveError(
+                f"rational root search: degree {deg} exceeds "
+                f"{MAX_ROOT_SEARCH_DEGREE}")
         den = 1
         for c in shifted.values():
             den = den * c.denominator // math.gcd(den, c.denominator)

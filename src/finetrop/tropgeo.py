@@ -380,13 +380,14 @@ def solve_base_pair(H: Hyperfield, condA: HPoly, condB: HPoly):
     the torus: with delta = g*(a, b) and x*a + y*b = 1, the unimodular
     change z = u^a v^b, s = u^-y v^x (u = z^x s^-b, v = z^y s^a) makes it
     z^g = w, and at each such z the other condition is a Laurent
-    polynomial in s alone (Eisenbud-Sturmfels, Binomial ideals, 1996).  It
-    is a family where that vanishes; otherwise its unit roots, by
-    ``nth_roots`` for two terms and ``unit_roots`` for more, give the
-    points.  Two conditions of three or more terms must each be affine,
-    a*u + b*v + c, once divided by its least monomial; they meet by
-    Cramer's rule, or are one condition when proportional.  Any other
-    shape raises BaseSolveError.
+    polynomial in s alone (Eisenbud-Sturmfels, Binomial ideals, 1996).  Its
+    unit roots, by ``nth_roots`` for two terms and ``unit_roots`` for
+    more, give the points; where it vanishes the pair is a family, and a
+    family at one z with points at another raises BaseSolveError.  Two
+    conditions of three or more terms must each be affine, a*u + b*v + c,
+    once divided by its least monomial; they meet by Cramer's rule, or are
+    one condition when proportional.  Any other shape raises
+    BaseSolveError.
     """
     units = H.units()
     if units is not None:
@@ -422,47 +423,60 @@ def _affine(cond: HPoly) -> tuple:
     return row[(1, 0)], row[(0, 1)], row[(0, 0)]
 
 
-# The largest power of z, and degree of a condition in s of three or more
-# terms, that ``_eliminate`` forms: beyond it the power of a z other than a
-# root of unity, or the dense rational-root search, would run for minutes.
+# The largest power that ``_eliminate`` forms of a unit other than a root
+# of unity: beyond it the power's numerator and denominator run to
+# megabytes and the product for minutes.
 MAX_SUBSTITUTED_EXPONENT = 10 ** 5
 
 
 def _eliminate(F: BaseField, binomial: dict, other: dict):
     """The unit solutions of the binomial and the other condition, by the
-    unimodular change of ``solve_base_pair``; BaseSolveError beyond
-    ``MAX_SUBSTITUTED_EXPONENT``."""
+    unimodular change of ``solve_base_pair``.
+
+    BaseSolveError when a power beyond ``MAX_SUBSTITUTED_EXPONENT`` is
+    needed, or when the other condition vanishes at some z and has unit
+    roots at another: a family and isolated points are not one result.
+    """
     (e1, c1), (e2, c2) = sorted(binomial.items())
     g, x, y = _bezout(e2[0] - e1[0], e2[1] - e1[1])
     a, b = (e2[0] - e1[0]) // g, (e2[1] - e1[1]) // g
-    out = []
+    out, family = [], False
     for z in F.nth_roots(F.neg(F.div(c1, c2)), g):
         # u^d = z^(x*d0 + y*d1) * s^(a*d1 - b*d0).
         coeffs: dict[int, Any] = {}
         for d, c in other.items():
-            k, e = a * d[1] - b * d[0], x * d[0] + y * d[1]
-            if abs(e) > MAX_SUBSTITUTED_EXPONENT and F.power(z, 4) != F.one():
-                raise BaseSolveError(f"power {e} of {F.fmt(z)} exceeds "
-                                     f"{MAX_SUBSTITUTED_EXPONENT}")
-            t = F.mul(c, F.power(z, e))
+            k = a * d[1] - b * d[0]
+            t = F.mul(c, _power(F, z, x * d[0] + y * d[1]))
             coeffs[k] = F.add(coeffs[k], t) if k in coeffs else t
         coeffs = {k: c for k, c in coeffs.items() if not F.is_zero(c)}
         if not coeffs:
-            return ("family", "the other condition vanishes on the binomial")
+            family = True
+            continue
         if len(coeffs) == 1:
             continue
         if len(coeffs) == 2:
             (k1, s1), (k2, s2) = sorted(coeffs.items())
             roots = F.nth_roots(F.neg(F.div(s1, s2)), k2 - k1)
-        elif max(coeffs) - min(coeffs) > MAX_SUBSTITUTED_EXPONENT:
-            raise BaseSolveError(f"degree {max(coeffs) - min(coeffs)} in s "
-                                 f"exceeds {MAX_SUBSTITUTED_EXPONENT}")
         else:
             roots = F.unit_roots(coeffs)
         # Distinct (z, s) give distinct (u, v): the change is invertible.
-        out += [(F.mul(F.power(z, x), F.power(s, -b)),
-                 F.mul(F.power(z, y), F.power(s, a))) for s in roots]
+        out += [(F.mul(_power(F, z, x), _power(F, s, -b)),
+                 F.mul(_power(F, z, y), _power(F, s, a))) for s in roots]
+    if family and out:
+        raise BaseSolveError(f"a family and isolated points ({len(out)}) "
+                             f"on the binomial")
+    if family:
+        return ("family", "the other condition vanishes on the binomial")
     return ("points", out)
+
+
+def _power(F: BaseField, z, e: int):
+    """z^e; BaseSolveError when |e| exceeds ``MAX_SUBSTITUTED_EXPONENT``
+    and z is not a root of unity (in Q(i), z^4 = 1)."""
+    if abs(e) > MAX_SUBSTITUTED_EXPONENT and F.power(z, 4) != F.one():
+        raise BaseSolveError(f"power {e} of {F.fmt(z)} exceeds "
+                             f"{MAX_SUBSTITUTED_EXPONENT}")
+    return F.power(z, e)
 
 
 def _bezout(m: int, n: int) -> tuple[int, int, int]:

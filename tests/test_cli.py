@@ -72,8 +72,13 @@ TOO_BIG = f"degree {BIG} exceeds the bound 8"
                  id="intersect-Q-power-bound"),
     pytest.param(["intersect", "--hyperfield", "Qx|Q", "(1,0)*X*Y + (-1,0)",
                   "(1,0)*X^100000000 + (1,0)*Y + (1,0)"],
-                 2, "message", "degree 100000001 in s exceeds 100000",
+                 2, "message",
+                 "rational root search: degree 100000001 exceeds 100000",
                  id="intersect-Q-degree-bound"),
+    pytest.param(["intersect", "--hyperfield", "Qx|Q",
+                  "(1,0)*X*Y^10000000000 + (-1,0)", "(1,0)*Y^2 + (-4,0)"],
+                 2, "message", "power -10000000000 of 2 exceeds 100000",
+                 id="intersect-Q-back-substitution-bound"),
 ])
 def test_large_exponents_answer_in_time(argv, code, key, want):
     # Work grows with the number of terms and the size of the answer, not
