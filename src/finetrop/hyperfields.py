@@ -171,8 +171,13 @@ class Arc(NamedTuple):
         return f"{lb}{self.start},{self.end}{rb}"
 
 
+# Arcs and arc sets built on the hot paths skip the named tuple's
+# Python-level ``__new__``: ``_tuple(Arc, (...))`` is one C call.
+_tuple = tuple.__new__
+
+
 def point_arc(a: Dir) -> Arc:
-    return Arc(a, a, True, True)
+    return _tuple(Arc, (a, a, True, True))
 
 
 class ArcSet(NamedTuple):
@@ -247,7 +252,7 @@ def phase_add_sets(S: ArcSet, a: Optional[Dir], closed: bool) -> ArcSet:
         return ARCSET_FULL_ZERO
     if not S.arcs:
         if S.has_zero:
-            return ArcSet((point_arc(a),), False, False)
+            return _tuple(ArcSet, ((point_arc(a),), False, False))
         return ARCSET_EMPTY
     ap, aq = a.p, a.q
     lo = hi = a
@@ -263,7 +268,8 @@ def phase_add_sets(S: ArcSet, a: Optional[Dir], closed: bool) -> ArcSet:
         if s.p == e.p and s.q == e.q:
             if not cs:
                 # The circle minus s: it runs through -a unless s == -a.
-                return ArcSet((arc,), False, False) if ks == -2 else ARCSET_FULL_ZERO
+                return (_tuple(ArcSet, ((arc,), False, False)) if ks == -2
+                        else ARCSET_FULL_ZERO)
             if ks == -2:
                 anti = lone = True
                 continue
@@ -286,17 +292,18 @@ def phase_add_sets(S: ArcSet, a: Optional[Dir], closed: bool) -> ArcSet:
     if closed:
         if anti:
             return ARCSET_FULL_ZERO
-        return ArcSet((Arc(lo, hi, clo or not kl, chi or not kr),), False, False)
+        return _tuple(ArcSet, ((_tuple(Arc, (lo, hi, clo or not kl,
+                                             chi or not kr)),), False, False))
     has_a = has_a or anti
     clo = has_a if kl == 0 else clo and kl == -2
     chi = has_a if kr == 0 else chi and kr == 2
     if has_a or not kl or not kr:
-        arcs = [Arc(lo, hi, clo, chi)]
+        arcs = [_tuple(Arc, (lo, hi, clo, chi))]
     else:
-        arcs = [Arc(lo, a, clo, False), Arc(a, hi, False, chi)]
+        arcs = [_tuple(Arc, (lo, a, clo, False)), _tuple(Arc, (a, hi, False, chi))]
     if lone:
         arcs.insert(0, point_arc(dir_neg(a)))
-    return ArcSet(_from_least_start(arcs), False, anti)
+    return _tuple(ArcSet, (_from_least_start(arcs), False, anti))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +442,9 @@ class FiniteHyperfield(Hyperfield):
         return frozenset()
 
     def add_set_elem(self, S, a):
+        if len(S) == 1:
+            (x,) = S
+            return self.add(x, a)
         return frozenset().union(*(self.add(x, a) for x in S))
 
     def set_contains(self, S, a) -> bool:
@@ -674,7 +684,7 @@ class PhaseHyperfield(Hyperfield):
     def singleton(self, a):
         if a is None:
             return ARCSET_ZERO
-        return ArcSet((point_arc(a),), False, False)
+        return _tuple(ArcSet, ((point_arc(a),), False, False))
 
     def empty_set(self):
         return ARCSET_EMPTY
@@ -712,8 +722,8 @@ class PhaseHyperfield(Hyperfield):
         for a in S.arcs:
             start = dir_mul(c, a.start)
             end = start if a.end == a.start else dir_mul(c, a.end)
-            arcs.append(Arc(start, end, a.closed_start, a.closed_end))
-        return ArcSet(_from_least_start(arcs), False, S.has_zero)
+            arcs.append(_tuple(Arc, (start, end, a.closed_start, a.closed_end)))
+        return _tuple(ArcSet, (_from_least_start(arcs), False, S.has_zero))
 
     def set_elements(self, S) -> list:
         if S.full or not all(a.is_point() for a in S.arcs):

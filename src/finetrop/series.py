@@ -65,7 +65,7 @@ from .hyperfields import (
     Hom,
     dir_of_gauss,
 )
-from .ordgroup import gelem
+from .ordgroup import GroupElem
 
 
 class PrecisionError(ValueError):
@@ -475,15 +475,16 @@ def _random_series(field: BaseField, rng, k: int, denom: int, span,
 def _enriched(name: str, field: BaseField, target: TropicalExtension,
               unit: Callable[[Any], Any]) -> Hom:
     """The map c t^g + ... -> (unit(c), g) into ``target``, 0 -> 0, from
-    series over ``field``; an indeterminate series raises PrecisionError."""
+    series over ``field``; an indeterminate series raises PrecisionError.
+    The leading term is read once; its exponent is a Fraction already."""
 
     def f(a: SeriesTrunc):
-        if a.is_zero():
-            return None
-        if a.is_indeterminate():
+        if not a.terms:
+            if a.prec is None:
+                return None
             raise PrecisionError("insufficient precision to take a valuation")
-        c, g = a.leading()
-        return target.elem(unit(c), gelem(g))
+        g, c = a.terms[0]
+        return target.elem(unit(c), GroupElem((g,)))
 
     return Hom(name, SeriesDomain(field), target, f)
 

@@ -18,40 +18,48 @@ side, and whose far end is the first tie met along its tie line (found
 by integer Cramer's rule); with no tie it is a ray.  A collinear support
 has no vertex, and its edges are whole lines.  Since cells are
 relatively open, a point lies in the cell J exactly when J is its argmin
-set, an integer test.
+set, an integer test.  Each cell keeps the walk's integer geometry next
+to its Fractions: a vertex its point as (x, y, den), an edge its tie
+(a, b, n) and the integer ends of its span.
 
 Intersections pair the cells of two curves with one walker, whose pairs
-are the cells of the mixed subdivision of Newt(P) + Newt(Q): a vertex of
-either curve is looked up on the other by its argmin set, two crossing
-edges meet at the integer Cramer point of their ties when it lies
-strictly inside both edges' integer spans (an edge cell is the open
-segment of its tie line between its end vertices, so no argmin is taken
-per pair of edges), and edges on one line meet where their intervals
-overlap.  Each pair's base conditions are then solved together: over a
-base with finitely many units by ``poly._unit_scan`` over every unit
-pair, and over a field by one elimination.  A condition of two terms is
-a binomial, a condition on one character z of the torus; a unimodular
-change of coordinates makes the other condition a Laurent polynomial in
-one unit s, whose roots come from the field's own ``nth_roots`` and
-``unit_roots``.  Two conditions of three terms, each affine up to a
-monomial, meet by Cramer's rule.  Every fine point is checked to be a
-root of both sources, independently of the cells: by the hyperfield
-Kapranov theorem it is one exactly when 0 lies in the base sum of the
-source's terms of minimal level at the point, found on the source's
-levels scaled to integers once per call.  Both the scan and the check
-decide a base sum with ``poly._zero_in_base_sum``, on powers from
-``poly._power_table``, each by square-and-multiply.  Stable
+are the cells of the mixed subdivision of Newt(P) + Newt(Q), and which
+reads only the cells' integers: a vertex of either curve is looked up on
+the other by its argmin set at its integer point, two crossing edges
+meet at the integer Cramer point of their ties when it lies strictly
+inside both edges' integer spans (an edge cell is the open segment of
+its tie line between its end vertices, so no argmin is taken per pair of
+edges), and edges on one line, whose ties are proportional across the
+two lift scales, meet where their intervals overlap.  Each pair's base
+conditions are then solved together: over a base with finitely many
+units by ``poly._unit_scan`` over every unit pair, and over a field by
+one elimination.  A condition of two terms is a binomial, a condition on
+one character z of the torus; a unimodular change of coordinates makes
+the other condition a Laurent polynomial in one unit s, whose roots come
+from the field's own ``nth_roots`` and ``unit_roots``.  Two conditions
+of three terms, each affine up to a monomial, meet by Cramer's rule.
+Every fine point is checked to be a root of both sources, independently
+of the cells: by the hyperfield Kapranov theorem it is one exactly when
+0 lies in the base sum of the source's terms of minimal level at the
+point, found at the hit's integer point on the source's levels, which
+the check scales to integers itself once per call.  Both the scan and
+the check decide a base sum with ``poly._zero_in_base_sum``, on powers
+from ``poly._power_table``, each by square-and-multiply.  Stable
 intersections perturb only the base units of the second curve, and start
 systems for polyhedral homotopy read mixed volumes off the same pairs.
+
+The records (``Interval``, ``Lift``, ``Cell``, ``FineCurve``,
+``FinePoint``, ``ComponentDescription``, ``MixedCell``) are named tuples:
+they are built, hashed and compared as the tuples of their fields, and
+assigning a field raises AttributeError.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .extension import ExtElem, TropicalExtension
 from .fields import BaseField, BaseSolveError, SolverInvariantError
@@ -71,6 +79,7 @@ from .series import hom_fval
 
 Vec2 = tuple[Fraction, Fraction]
 Expt = tuple[int, int]
+_ZERO = Fraction(0)
 
 
 def _primitive(x: int, y: int) -> tuple[int, int]:
@@ -81,8 +90,7 @@ def _primitive(x: int, y: int) -> tuple[int, int]:
     return x, y
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """Open/closed parameter interval; None bounds are unbounded."""
 
     lo: Optional[Fraction]
@@ -109,32 +117,27 @@ def _intersect_intervals(a: Interval, b: Interval) -> Interval:
                     *_tighter(a.hi, a.hi_strict, b.hi, b.hi_strict, -1))
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(NamedTuple):
     """The support of a curve with its levels scaled to integers.
 
     ``lev[d] / scale`` is the level of the coefficient of X^d, so the lifted
     points (d, level_d) of the regular subdivision become integer points
     up to one common factor, and argmin sets are found without fractions.
+    ``rows`` holds (d[0], d[1], lev[d]) for each d of the support, in order,
+    for the loops over the whole support.
     """
 
     support: tuple[Expt, ...]  # sorted
     lev: Any  # dict exponent -> int
     scale: int
+    rows: tuple[tuple[int, int, int], ...]
 
     def argmin(self, x: int, y: int, den: int) -> tuple[Expt, ...]:
         """The d minimising level_d + d.g at g = (x, y) / den, den > 0."""
         s = self.scale
-        vals = [den * self.lev[d] + s * (d[0] * x + d[1] * y)
-                for d in self.support]
+        vals = [den * n + s * (d0 * x + d1 * y) for d0, d1, n in self.rows]
         m = min(vals)
-        return tuple(d for d, v in zip(self.support, vals) if v == m)
-
-    def argmin_at(self, g: Vec2) -> tuple[Expt, ...]:
-        gx, gy = g
-        den = math.lcm(gx.denominator, gy.denominator)
-        return self.argmin(gx.numerator * (den // gx.denominator),
-                           gy.numerator * (den // gy.denominator), den)
+        return tuple([d for d, v in zip(self.support, vals) if v == m])
 
     def tie(self, j0: Expt, d: Expt) -> tuple[int, int, int]:
         """The tie of d with j0 as integers (a, b, n):
@@ -147,17 +150,24 @@ def _lift(p: HPoly) -> Lift:
     support = tuple(sorted(p.coeffs))
     levels = [p.coeffs[d].level.coords[0] for d in support]
     scale = math.lcm(*[x.denominator for x in levels])
-    return Lift(support, {d: x.numerator * (scale // x.denominator)
-                          for d, x in zip(support, levels)}, scale)
+    lev = [x.numerator * (scale // x.denominator) for x in levels]
+    return Lift(support, dict(zip(support, lev)), scale,
+                tuple([(d[0], d[1], n) for d, n in zip(support, lev)]))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One cell of a fine curve: polyhedron plus initial-form condition.
 
     The polyhedron is relatively open: the points g where the argmin set
-    of level_d + d.g (``lift.argmin_at``) is exactly J.  A vertex is its
-    ``point``, an edge the open ``interval`` of ``line_p0 + t * line_v``.
+    of level_d + d.g is exactly J.  A vertex is its ``point``, an edge the
+    open ``interval`` of ``line_p0 + t * line_v``.  The cell also keeps the
+    walk's integer geometry, which the walker reads instead of the
+    Fractions: a vertex its point as ``ipoint`` (x, y, den), (x, y) / den
+    with den > 0; an edge the tie (a, b, n) of J[0] and J[1] on ``lift``
+    (``Lift.tie``) and its ``span`` (i, lo, hi).  i is the first nonzero
+    coordinate of line_v, and an end (z, den) is the end vertex's
+    coordinate i as z / den, so that interval end = z / (den * line_v[i]);
+    None is no end.
     """
 
     J: tuple[Expt, ...]
@@ -168,25 +178,25 @@ class Cell:
     interval: Optional[Interval]
     base_cond: HPoly  # over the base hyperfield, variables = the two units
     lift: Lift  # shared by every cell of the curve
+    ipoint: Optional[tuple[int, int, int]]  # dim 0
+    tie: Optional[tuple[int, int, int]]  # dim 1
+    span: Optional[tuple]  # dim 1
 
     def param_at(self, t: Fraction) -> Vec2:
         return (self.line_p0[0] + t * self.line_v[0],
                 self.line_p0[1] + t * self.line_v[1])
 
 
-@dataclass(frozen=True)
-class FineCurve:
+class FineCurve(NamedTuple):
     source: HPoly
     cells: tuple[Cell, ...]
 
 
-@dataclass(frozen=True)
-class FinePoint:
+class FinePoint(NamedTuple):
     coords: tuple  # pair of ExtElem
 
 
-@dataclass(frozen=True)
-class ComponentDescription:
+class ComponentDescription(NamedTuple):
     """A positive-dimensional piece of a fine intersection."""
 
     line_p0: Optional[Vec2]
@@ -217,19 +227,21 @@ def _first_tie(lift: Lift, p: Expt, q: Expt, w: tuple[int, int]):
     the least w.g, a positive multiple of k/m below: the ties are compared
     by cross-multiplication and only the first is solved, by Cramer's rule.
     """
-    lev, ux, uy = lift.lev, q[0] - p[0], q[1] - p[1]
-    rq, norm, c = lev[q] - lev[p], ux * ux + uy * uy, None
-    for d in lift.support:
-        ex, ey = d[0] - p[0], d[1] - p[1]
-        m = ex * w[0] + ey * w[1]
+    (p0, p1), (wx, wy), lp = p, w, lift.lev[p]
+    ux, uy, rq = q[0] - p0, q[1] - p1, lift.lev[q] - lp
+    norm, c = ux * ux + uy * uy, None
+    for d0, d1, n in lift.rows:
+        ex, ey = d0 - p0, d1 - p1
+        m = ex * wx + ey * wy
         if m < 0:
-            k = (ex * ux + ey * uy) * rq - norm * (lev[d] - lev[p])
+            k = (ex * ux + ey * uy) * rq - norm * (n - lp)
             if c is None or k * cm < ck * m:
-                c, ck, cm = d, k, m
+                c, ck, cm = (ex, ey, n), k, m
     if c is None:
         return None
     # (d - p).g = level_p - level_d for d = q, c: g = (x, y) / (scale * det).
-    cx, cy, rc = c[0] - p[0], c[1] - p[1], lev[p] - lev[c]
+    cx, cy, n = c
+    rc = lp - n
     det = ux * cy - uy * cx
     x, y = -rq * cy - rc * uy, ux * rc + cx * rq
     return (x, y, lift.scale * det) if det > 0 else (-x, -y, -lift.scale * det)
@@ -239,12 +251,12 @@ def _lower_edge(lift: Lift, a: Expt, u: tuple[int, int]) -> tuple:
     """a and the support points ahead of it on the line a + Q*u with the
     least lifted slope from a: the lower edge that leaves a along u, for u
     with a before every point ahead ((a,) when no point lies ahead)."""
-    lev, J, best = lift.lev, [a], None
-    for d in lift.support:
-        ex, ey = d[0] - a[0], d[1] - a[1]
+    (a0, a1), la, J, best = a, lift.lev[a], [a], None
+    for d, (d0, d1, n) in zip(lift.support, lift.rows):
+        ex, ey = d0 - a0, d1 - a1
         k = ex * u[0] + ey * u[1]
         if k > 0 and ex * u[1] == ey * u[0]:
-            r = lev[d] - lev[a]  # the slope is r / k
+            r = n - la  # the slope is r / k
             if best is None or r * best[1] < best[0] * k:
                 J, best = [a, d], (r, k)
             elif r * best[1] == best[0] * k:
@@ -307,23 +319,34 @@ def _walk(lift: Lift):
 
 
 def _edge_line(lift: Lift, J: tuple, ends: list):
-    """(p0, v, interval) of the edge cell J.
+    """(p0, v, interval, tie, span) of the edge cell J.
 
     p0 and v come from the tie of J[0] and J[1]: p0 is where that line
     meets the axis gX = 0 (gY = 0 when it is vertical).  The interval
     starts at an end whose edge leaves along v and stops at one whose edge
     leaves against v; with no end (a collinear support) it is the line.
+    The span keeps those ends as integers (``Cell``), and each Fraction is
+    built once from them.
     """
-    a, b, n = lift.tie(J[0], J[1])
+    a, b, n = tie = lift.tie(J[0], J[1])
     if b:
-        p0 = (Fraction(0), Fraction(-n, lift.scale * b))
+        p0 = (_ZERO, Fraction(-n, lift.scale * b))
     else:
-        p0 = (Fraction(-n, lift.scale * a), Fraction(0))
+        p0 = (Fraction(-n, lift.scale * a), _ZERO)
     v = _primitive(-b, a)
-    t = {w[0] * v[0] + w[1] * v[1] > 0:  # True: the end is the low one
-         Fraction(x, den * v[0]) if v[0] else Fraction(y, den * v[1])
-         for (x, y, den), w in ends}
-    return p0, v, Interval(t.get(True), True in t, t.get(False), False in t)
+    i = 0 if v[0] else 1
+    lo = hi = None
+    for xyd, w in ends:
+        if w[0] * v[0] + w[1] * v[1] > 0:  # the end is the low one
+            lo = (xyd[i], xyd[2])
+        else:
+            hi = (xyd[i], xyd[2])
+    u = v[i]
+    interval = Interval(None if lo is None else Fraction(lo[0], lo[1] * u),
+                        lo is not None,
+                        None if hi is None else Fraction(hi[0], hi[1] * u),
+                        hi is not None)
+    return p0, v, interval, tie, (i, lo, hi)
 
 
 def fine_hypersurface(p: HPoly) -> FineCurve:
@@ -331,7 +354,8 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
 
     Cells are read off the regular subdivision of the Newton polygon on
     the integer-scaled levels by one walk over its lower faces, with edge
-    intervals ending at their vertices.  Cells are sorted by (len(J), J).
+    intervals ending at their vertices; each cell keeps the walk's
+    integers next to its Fractions.  Cells are sorted by (len(J), J).
     """
     E = _ext_of(p)
     if p.nvars != 2:
@@ -342,14 +366,17 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
     vertices, edges = _walk(lift)
     cells = []
     for J in sorted([*vertices, *edges], key=lambda J: (len(J), J)):
-        if J in vertices:
-            x, y, den = vertices[J]
-            shape = (0, (Fraction(x, den), Fraction(y, den)), None, None, None)
-        else:
-            shape = (1, None, *_edge_line(lift, J, edges[J]))
         # The coefficients of p are units, so no zero check is needed.
         base_cond = HPoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
-        cells.append(Cell(J, *shape, base_cond, lift))
+        if J in vertices:
+            x, y, den = xyd = vertices[J]
+            cells.append(Cell(J, 0, (Fraction(x, den), Fraction(y, den)),
+                              None, None, None, base_cond, lift, xyd, None,
+                              None))
+        else:
+            p0, v, interval, tie, span = _edge_line(lift, J, edges[J])
+            cells.append(Cell(J, 1, None, p0, v, interval, base_cond, lift,
+                              None, tie, span))
     return FineCurve(p, tuple(cells))
 
 
@@ -493,24 +520,10 @@ def _bezout(m: int, n: int) -> tuple[int, int, int]:
 # Intersection
 
 
-def _span(c: Cell):
-    """The edge cell c as (i, lo, hi) for the integer span test.
-
-    The crossing (x, y) / den (den > 0) of c's tie line has the parameter
-    t = (x, y)[i] / (den * u), u = c.line_v[i] > 0 with i the first
-    nonzero coordinate of v (``_edge_line``'s rule), so t * u is the
-    coordinate itself.  An end t_e is kept pre-scaled as (num * u, den) of
-    t_e; None is no end.  Ends are strict: a crossing at an end is the
-    vertex's, found by the vertex lookup.
-    """
-    i = 0 if c.line_v[0] else 1
-    u = c.line_v[i]
-    lo, hi = c.interval.lo, c.interval.hi
-    return (i, None if lo is None else (lo.numerator * u, lo.denominator),
-            None if hi is None else (hi.numerator * u, hi.denominator))
-
-
 def _in_span(span, x: int, y: int, den: int) -> bool:
+    """Whether (x, y) / den, den > 0, on an edge's tie line lies strictly
+    inside the edge's ``span``: ends are strict, since a crossing at an
+    end is the vertex's, found by the vertex lookup."""
     i, lo, hi = span
     z = y if i else x
     return ((lo is None or lo[0] * den < z * lo[1])
@@ -520,14 +533,17 @@ def _in_span(span, x: int, y: int, den: int) -> bool:
 def _cell_hits(C1: FineCurve, C2: FineCurve):
     """Meeting cells of two fine curves, in the order of C1.cells x C2.cells.
 
-    Yields (c1, c2, hit) with hit ("point", g) or ("segment", c1, overlap).
-    Cells are relatively open and disjoint, so a vertex of either curve
-    meets at most the one cell of the other whose J is the argmin set at
-    the vertex: one argmin per vertex.  Two edges with crossing lines meet
-    at the integer Cramer point of their ties when it lies strictly inside
-    both edges' spans, two cross-multiplications per edge (``_in_span``);
-    edges on one line meet where their intervals overlap.  These pairs are
-    the cells of the mixed subdivision of Newt(P) + Newt(Q).
+    Yields (c1, c2, hit) with hit ("point", g, (x, y, den)), the point g
+    also as the integers g = (x, y) / den with den > 0, or ("segment", c1,
+    overlap).  The walker reads the cells' integer geometry only.  Cells
+    are relatively open and disjoint, so a vertex of either curve meets at
+    most the one cell of the other whose J is the argmin set at the
+    vertex's ``ipoint``: one argmin per vertex.  Two edges with crossing
+    ties meet at the integer Cramer point of their ties when it lies
+    strictly inside both edges' spans, two cross-multiplications per edge
+    (``_in_span``); edges whose ties are proportional across the two lift
+    scales lie on one line, and meet where their intervals overlap.  These
+    pairs are the cells of the mixed subdivision of Newt(P) + Newt(Q).
     """
     if not C1.cells or not C2.cells:
         return
@@ -537,35 +553,41 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
     on_edge1 = {k: [] for k, c in enumerate(C1.cells) if c.dim == 1}
     for k2, c2 in enumerate(C2.cells):
         if c2.dim == 0:
-            k1 = index1.get(lift1.argmin_at(c2.point))
+            k1 = index1.get(lift1.argmin(*c2.ipoint))
             if k1 in on_edge1:  # vertex on vertex is found from C1's side
-                on_edge1[k1].append((k2, ("point", c2.point)))
+                on_edge1[k1].append((k2, ("point", c2.point, c2.ipoint)))
+    # A tie (a, b, n) on a lift of scale s is the line a*gX + b*gY + n/s = 0:
+    # with both constants brought to the scale s1 * s2, n1 * s2 and n2 * s1.
     s1, s2 = lift1.scale, lift2.scale
-    edges2 = [(k2, c2, lift2.tie(*c2.J[:2]), _span(c2))
-              for k2, c2 in enumerate(C2.cells) if c2.dim == 1]
+    edges2 = []
+    for k2, c2 in enumerate(C2.cells):
+        if c2.dim == 1:
+            a2, b2, n2 = c2.tie
+            edges2.append((k2, c2, a2, b2, n2 * s1, c2.span))
     for k1, c1 in enumerate(C1.cells):
         if c1.dim == 0:
-            k2 = index2.get(lift2.argmin_at(c1.point))
+            k2 = index2.get(lift2.argmin(*c1.ipoint))
             if k2 is not None:
-                yield c1, C2.cells[k2], ("point", c1.point)
+                yield c1, C2.cells[k2], ("point", c1.point, c1.ipoint)
             continue
         hits = on_edge1[k1]
-        a1, b1, n1 = lift1.tie(*c1.J[:2])
-        span1 = _span(c1)
-        for k2, c2, (a2, b2, n2), span2 in edges2:
+        a1, b1, n1 = c1.tie
+        m1, span1, scale = n1 * s2, c1.span, s1 * s2
+        for k2, c2, a2, b2, m2, span2 in edges2:
+            # Cramer's rule: (x, y) / den with den = scale * det.
             det = a1 * b2 - a2 * b1
+            x, y = b1 * m2 - b2 * m1, a2 * m1 - a1 * m2
             if det:
-                # Cramer's rule with the constants n1/s1 and n2/s2.
-                den = s1 * s2 * det
-                x = b1 * n2 * s1 - b2 * n1 * s2
-                y = a2 * n1 * s2 - a1 * n2 * s1
+                den = scale * det
                 if den < 0:
                     den, x, y = -den, -x, -y
                 if _in_span(span1, x, y, den) and _in_span(span2, x, y, den):
                     hits.append((k2, ("point", (Fraction(x, den),
-                                                Fraction(y, den)))))
-            elif c1.line_p0 == c2.line_p0:
-                # Parallel lines share their p0 exactly when they coincide.
+                                                Fraction(y, den)),
+                                      (x, y, den))))
+            elif not x and not y:
+                # Parallel ties are one line exactly when they are
+                # proportional, constants included.
                 overlap = _intersect_intervals(c1.interval, c2.interval)
                 if not overlap.is_empty():
                     hits.append((k2, ("segment", c1, overlap)))
@@ -574,11 +596,12 @@ def _cell_hits(C1: FineCurve, C2: FineCurve):
             yield c1, C2.cells[k2], hit
 
 
-def _is_fine_root(B: Hyperfield, p: HPoly, lift: Lift, g: Vec2, u, v) -> bool:
-    """Whether the fine point (u at level g[0], v at level g[1]) is a root
-    of p, whose levels ``lift`` holds scaled: by the hyperfield Kapranov
-    theorem, whether 0 lies in the base sum over the argmin at g."""
-    J = lift.argmin_at(g)
+def _is_fine_root(B: Hyperfield, p: HPoly, lift: Lift, g, u, v) -> bool:
+    """Whether the fine point (u, v) at the levels g = (x, y) / den, den > 0,
+    is a root of p, whose levels ``lift`` holds scaled: by the hyperfield
+    Kapranov theorem, whether 0 lies in the base sum over the argmin at g.
+    The caller's ``lift`` is its own scaling of p, not a cell's."""
+    J = lift.argmin(*g)
     return _zero_in_base_sum(B, [(d, p.coeffs[d].coef) for d in J],
                              (_power_table(B, u, {d[0] for d in J}),
                               _power_table(B, v, {d[1] for d in J})))
@@ -595,8 +618,9 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
     theorem) and a point that is not raises SolverInvariantError.  The
     check stays independent of the cells: each source's levels are scaled
     to integers once per call from the source itself, and at each fine
-    point the check takes the argmin of those levels and sums the base
-    terms over it, so no extension element is built or added.
+    point the check takes the argmin of those levels at the hit's integer
+    point and sums the base terms over it, so no extension element is
+    built or added.
     """
     E = _ext_of(C1.source)
     H = E.base
@@ -607,7 +631,7 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
     for c1, c2, hit in _cell_hits(C1, C2):
         kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
         if hit[0] == "point":
-            g = hit[1]
+            _, g, xyd = hit
             if kind == "family":
                 comps.append(ComponentDescription(
                     None, None, None, (c1.base_cond, c2.base_cond), None,
@@ -621,7 +645,7 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                     continue
                 seen_pts.add(key)
                 for p, lift in checks:
-                    if not _is_fine_root(H, p, lift, g, u, v):
+                    if not _is_fine_root(H, p, lift, xyd, u, v):
                         raise SolverInvariantError(
                             f"fine point {pt.coords} is not a root of {p}")
                 points.append(pt)
@@ -691,8 +715,7 @@ def _project(pt: FinePoint) -> Vec2:
 # Homotopy start systems
 
 
-@dataclass(frozen=True)
-class MixedCell:
+class MixedCell(NamedTuple):
     point: Vec2
     J1: tuple
     J2: tuple

@@ -8,13 +8,17 @@ membership tested on the ``Fraction`` rows ``eqs`` (= 0) and ``ineqs``
 transversal edges solved by the row solver of ``curve_oracle``.  So the
 scan shares no tie rule with the package's integer walk.
 ``pair_scan_hits`` yields what ``tropgeo._cell_hits`` yields, in the same
-order, so it can stand in for the walker.
+order, so it can stand in for the walker: a point hit carries the point
+both as Fractions and as the integers (x, y, den) of ``integer_point``,
+derived from the point the scan solved from its own rows.
 
 ``argmin_pair_hits`` is the second, integer reference: the walker as it
-was before crossings were tested against the edges' integer spans.  It
-looks vertices up by their argmin set as the walker does, but keeps an
+was before crossings were tested against the edges' integer spans and
+before the cells kept their integers.  It looks vertices up by their
+argmin set at the ``integer_point`` of their Fraction point, keeps an
 edge-edge crossing only when the argmin set of each curve's whole support
-at the crossing is that edge's J: two argmins per pair of edges.
+at the crossing is that edge's J (two argmins per pair of edges), and
+finds edges on one line by their shared ``line_p0``.
 
 ``oracle_intersect_series`` is the series side of the Fundamental
 theorem for two lines: the exact Cramer solution, mapped through the
@@ -23,6 +27,7 @@ fine valuation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from finetrop.poly import FPoly
@@ -35,6 +40,15 @@ from finetrop.tropgeo import (
 )
 
 from curve_oracle import _row_at, _solve_rows, tie_rows
+
+
+def integer_point(g) -> tuple[int, int, int]:
+    """The Fraction point g as (x, y, den) with g = (x, y) / den, den > 0 the
+    lcm of its denominators."""
+    gx, gy = g
+    den = math.lcm(gx.denominator, gy.denominator)
+    return (gx.numerator * (den // gx.denominator),
+            gy.numerator * (den // gy.denominator), den)
 
 
 def contains_by_rows(rows, g) -> bool:
@@ -51,20 +65,21 @@ def _param_of(cell, g) -> Fraction:
     return (g[1] - cell.line_p0[1]) / vy
 
 
-def _geom_intersections(c1, rows1, c2, rows2):
-    """Geometric intersections of two cells, given their ``tie_rows``:
-    points and shared segments."""
+def _geom_intersections(c1, rows1, g1, c2, rows2, g2):
+    """Geometric intersections of two cells, given their ``tie_rows`` and,
+    for a vertex, its point g solved from them: points and shared
+    segments."""
     if c1.dim == 0 and c2.dim == 0:
-        if c1.point == c2.point:
-            yield ("point", c1.point)
+        if g1 == g2:
+            yield ("point", g1, integer_point(g1))
         return
     if c1.dim == 0:
-        if contains_by_rows(rows2, c1.point):
-            yield ("point", c1.point)
+        if contains_by_rows(rows2, g1):
+            yield ("point", g1, integer_point(g1))
         return
     if c2.dim == 0:
-        if contains_by_rows(rows1, c2.point):
-            yield ("point", c2.point)
+        if contains_by_rows(rows1, g2):
+            yield ("point", g2, integer_point(g2))
         return
     v1, v2 = c1.line_v, c2.line_v
     det = v1[0] * v2[1] - v1[1] * v2[0]
@@ -73,7 +88,7 @@ def _geom_intersections(c1, rows1, c2, rows2):
         if sol[0] == "point":
             g = sol[1]
             if contains_by_rows(rows1, g) and contains_by_rows(rows2, g):
-                yield ("point", g)
+                yield ("point", g, integer_point(g))
         return
     # Parallel: same line or disjoint.
     if not all(_row_at(r, c2.line_p0) == 0 for r in rows1[0]):
@@ -100,12 +115,21 @@ def _geom_intersections(c1, rows1, c2, rows2):
     yield ("segment", c1, overlap)
 
 
+def _with_rows(C):
+    """Each cell of C with its ``tie_rows`` and, for a vertex, the point
+    solved from its own equation rows (None for an edge)."""
+    out = []
+    for c in C.cells:
+        rows = tie_rows(C.source, c.J)
+        out.append((c, rows, _solve_rows(rows[0])[1] if c.dim == 0 else None))
+    return out
+
+
 def pair_scan_hits(C1, C2):
-    rows2 = [tie_rows(C2.source, c2.J) for c2 in C2.cells]
-    for c1 in C1.cells:
-        rows1 = tie_rows(C1.source, c1.J)
-        for c2, r2 in zip(C2.cells, rows2):
-            for hit in _geom_intersections(c1, rows1, c2, r2):
+    cells2 = _with_rows(C2)
+    for c1, rows1, g1 in _with_rows(C1):
+        for c2, rows2, g2 in cells2:
+            for hit in _geom_intersections(c1, rows1, g1, c2, rows2, g2):
                 yield c1, c2, hit
 
 
@@ -118,17 +142,19 @@ def argmin_pair_hits(C1, C2):
     on_edge1 = {k: [] for k, c in enumerate(C1.cells) if c.dim == 1}
     for k2, c2 in enumerate(C2.cells):
         if c2.dim == 0:
-            k1 = index1.get(lift1.argmin_at(c2.point))
+            g = integer_point(c2.point)
+            k1 = index1.get(lift1.argmin(*g))
             if k1 in on_edge1:  # vertex on vertex is found from C1's side
-                on_edge1[k1].append((k2, ("point", c2.point)))
+                on_edge1[k1].append((k2, ("point", c2.point, g)))
     s1, s2 = lift1.scale, lift2.scale
     edges2 = [(k2, c2, lift2.tie(*c2.J[:2]))
               for k2, c2 in enumerate(C2.cells) if c2.dim == 1]
     for k1, c1 in enumerate(C1.cells):
         if c1.dim == 0:
-            k2 = index2.get(lift2.argmin_at(c1.point))
+            g = integer_point(c1.point)
+            k2 = index2.get(lift2.argmin(*g))
             if k2 is not None:
-                yield c1, C2.cells[k2], ("point", c1.point)
+                yield c1, C2.cells[k2], ("point", c1.point, g)
             continue
         hits = on_edge1[k1]
         a1, b1, n1 = lift1.tie(*c1.J[:2])
@@ -143,7 +169,8 @@ def argmin_pair_hits(C1, C2):
                 if (lift1.argmin(x, y, den) == c1.J
                         and lift2.argmin(x, y, den) == c2.J):
                     hits.append((k2, ("point", (Fraction(x, den),
-                                                Fraction(y, den)))))
+                                                Fraction(y, den)),
+                                      (x, y, den))))
             elif c1.line_p0 == c2.line_p0:
                 overlap = _intersect_intervals(c1.interval, c2.interval)
                 if not overlap.is_empty():

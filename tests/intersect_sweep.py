@@ -16,14 +16,19 @@ levels itself).  Each round k takes four pairs:
 - dense: every monomial of degree <= 2 + k % 4 with levels i^2 + ij + j^2
   plus noise, the second curve shifted by (1/3, -2/7).
 
+Every curve of every pair also has its cells' integer geometry checked
+against their Fractions (``check_cells``): a vertex's (x, y, den), an
+edge's tie and its span.
+
 The same pairs also check the base solving of ``tropgeo.fine_intersect``
 hit by hit (``check_base``):
 
 - over K and S, ``solve_base_pair``'s unit-pair scan against every unit
   pair tested by ``eval_oracle.is_root_every_term`` on both conditions;
 - at every point hit, ``tropgeo._is_fine_root``, the fine-point check on
-  levels scaled once, against ``eval_oracle.is_root_every_term`` on both
-  sources: at every unit pair over K and S, and over Q at each solution
+  levels scaled once, at the hit's integer point, against
+  ``eval_oracle.is_root_every_term`` on both sources at the hit's Fraction
+  point: at every unit pair over K and S, and over Q at each solution
   (u, v) and at (-u, v) and (u, 2v).
 
 The scan and the check decide their base sums with ``poly``'s own power
@@ -31,7 +36,8 @@ table and base-sum test, so the reference evaluates every term with its
 own powers instead.
 
 Run as ``PYTHONPATH=src python tests/intersect_sweep.py ROUNDS``: it prints
-the number of pairs and hits checked, the number of scans and fine-point
+the number of pairs and hits checked, the number of cells whose integers
+were checked, the number of scans and fine-point
 checks compared, and the number of hits skipped because their base
 conditions raise BaseSolveError (so that a growing share of unsolved hits
 shows), or the first mismatch and exits 1.
@@ -148,10 +154,52 @@ def pairs(rounds: int, seed: int = 0) -> Iterator:
 
 
 def hit_key(c1, c2, hit):
+    """The hit as compared between the walker and the references.  A point
+    hit's key holds its Fraction point and whether its integers (x, y, den)
+    name that point with den > 0."""
     if hit[0] == "point":
-        return (c1.J, c2.J, hit)
+        _, g, (x, y, den) = hit
+        named = den > 0 and (Fraction(x, den), Fraction(y, den)) == g
+        return (c1.J, c2.J, "point", g, named)
     _, host, overlap = hit
     return (c1.J, c2.J, "segment", host.J, overlap)
+
+
+def check_cells(C) -> int:
+    """Check that each cell of the fine curve C keeps integers naming its
+    Fractions; returns the number of cells and raises ``AssertionError`` at
+    the first that does not.
+
+    A vertex's ``ipoint`` (x, y, den) is its point with den > 0.  An edge's
+    ``tie`` is ``lift.tie`` of J[0] and J[1], ``line_p0`` lies on the tie
+    line, and each end (z, den) of its ``span`` (i, lo, hi), divided by
+    line_v[i], is the interval's end, strict, with None for no end.
+    """
+    for c in C.cells:
+        if c.dim == 0:
+            x, y, den = c.ipoint
+            ok = (den > 0 and (Fraction(x, den), Fraction(y, den)) == c.point
+                  and c.tie is None and c.span is None)
+        else:
+            a, b, n = c.tie
+            i, lo, hi = c.span
+            iv, v = c.interval, c.line_v
+            ok = (c.ipoint is None and c.tie == c.lift.tie(*c.J[:2])
+                  and a * c.line_p0[0] + b * c.line_p0[1]
+                  + Fraction(n, c.lift.scale) == 0
+                  and i == (0 if v[0] else 1))
+            for end, t, strict in ((lo, iv.lo, iv.lo_strict),
+                                   (hi, iv.hi, iv.hi_strict)):
+                if end is None:
+                    ok = ok and t is None and not strict
+                else:
+                    ok = (ok and end[1] > 0 and strict
+                          and Fraction(end[0], end[1] * v[i]) == t)
+        if not ok:
+            raise AssertionError(f"{C.source}: cell {c.J} keeps integers "
+                                 f"{c.ipoint, c.tie, c.span} that do not "
+                                 f"name {c.point, c.line_p0, c.interval}")
+    return len(C.cells)
 
 
 def check(C1, C2) -> int:
@@ -193,7 +241,7 @@ def check_base(C1, C2) -> tuple[int, int, int]:
             scans += 1
         if hit[0] != "point" or kind != "points":
             continue
-        g = hit[1]
+        _, g, xyd = hit
         if units is not None:
             tried = [(u, v) for u in units for v in units]
         else:
@@ -202,7 +250,7 @@ def check_base(C1, C2) -> tuple[int, int, int]:
         for u, v in tried:
             pt = (ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1])))
             for p, lift in checks:
-                got = tropgeo._is_fine_root(H, p, lift, g, u, v)
+                got = tropgeo._is_fine_root(H, p, lift, xyd, u, v)
                 if got != is_root_every_term(p, pt):
                     raise AssertionError(f"{p} at {pt}: fine-point check "
                                          f"{got}, every-term oracle {not got}")
@@ -223,27 +271,29 @@ def base_sweep(rounds: int) -> tuple[int, int, int]:
     return total
 
 
-def sweep(rounds: int) -> tuple[int, int]:
-    """Check every pair of ``rounds`` rounds; returns (pairs, hits) and
-    raises ``AssertionError`` at the first mismatch."""
-    n = hits = 0
+def sweep(rounds: int) -> tuple[int, int, int]:
+    """Check every pair of ``rounds`` rounds; returns (pairs, hits, cells)
+    and raises ``AssertionError`` at the first mismatch."""
+    n = hits = cells = 0
     for case, C1, C2 in pairs(rounds):
         try:
+            cells += check_cells(C1) + check_cells(C2)
             hits += check(C1, C2)
         except AssertionError as err:
             raise AssertionError(f"{case} pair {n}: {err}") from None
         n += 1
-    return n, hits
+    return n, hits, cells
 
 
 if __name__ == "__main__":
     try:
-        n, hits = sweep(int(sys.argv[1]))
+        n, hits, cells = sweep(int(sys.argv[1]))
         scans, checks, skipped = base_sweep(int(sys.argv[1]))
     except AssertionError as err:
         print(f"mismatch: {err}")
         sys.exit(1)
     print(f"{n} curve pairs, {hits} hits match both references")
+    print(f"{cells} cells keep integers that name their Fractions")
     print(f"{scans} unit-pair scans and {checks} fine-point checks match "
           f"the every-term oracle")
     print(f"{skipped} hits skipped: their base conditions raise "

@@ -36,6 +36,7 @@ import intersect_sweep
 import pair_sweep
 from intersect_oracle import (
     contains_by_rows,
+    integer_point,
     oracle_intersect_series,
     pair_scan_hits,
 )
@@ -255,7 +256,8 @@ def test_fine_point_check_matches_every_term_oracle():
             tries.append((Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
                           Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
         for g in tries:
-            J = lift.argmin_at(g)
+            xyd = integer_point(g)
+            J = lift.argmin(*xyd)
             if units is not None:
                 pairs = [(u, v) for u in units for v in units]
             else:
@@ -265,7 +267,7 @@ def test_fine_point_check_matches_every_term_oracle():
                 if len(J) == 2 and (uv := _on_cell_units(B, hp, J, rng)):
                     pairs.append(uv)
             for u, v in pairs:
-                got = tropgeo._is_fine_root(B, hp, lift, g, u, v)
+                got = tropgeo._is_fine_root(B, hp, lift, xyd, u, v)
                 pt = (ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1])))
                 assert got == is_root_every_term(hp, pt), (hp, pt)
                 seen[B.name, got] = seen.get((B.name, got), 0) + 1
@@ -354,7 +356,7 @@ def test_fine_intersect_matches_pair_scan_oracle(monkeypatch):
                 seen["vertex on vertex" if dims == 0 else "vertex on edge"] += 1
             for C in (C1, C2):
                 for c in C.cells:
-                    assert ((c.lift.argmin_at(hit[1]) == c.J)
+                    assert ((c.lift.argmin(*hit[2]) == c.J)
                             == contains_by_rows(tie_rows(C.source, c.J),
                                                 hit[1]))
         if not isinstance(got[0], str):
@@ -378,7 +380,7 @@ def test_cell_hits_match_both_references():
                   rng))
              for d, hom in ((5, hom_val()), (8, hom_sval()))]
     assert [intersect_sweep.check(*pair) for pair in dense] == [25, 64]
-    assert intersect_sweep.sweep(12) == (48, 262)
+    assert intersect_sweep.sweep(12) == (48, 262, 1350)
     seen = dict.fromkeys(("vertex on edge", "vertex on vertex",
                           "whole line crossed", "overlap"), 0)
     for _, C1, C2 in intersect_sweep.pairs(12):
@@ -411,6 +413,79 @@ def test_cell_hits_argmin_once_per_vertex(monkeypatch):
     monkeypatch.setattr(tropgeo.Lift, "argmin", counted)
     assert len(list(tropgeo._cell_hits(C1, C2))) == 25
     assert len(calls) == sum(c.dim == 0 for c in C1.cells + C2.cells) == 50
+
+
+def test_cells_keep_integers_that_name_their_fractions():
+    # Each vertex's (x, y, den) is its point with den > 0; each edge's tie
+    # is Lift.tie of J[0] and J[1], its line_p0 lies on the tie line, and
+    # its span ends over line_v[i] are its interval's ends, strict, with
+    # None for no end (intersect_sweep.check_cells).
+    ends = dict.fromkeys(("vertex", "segment", "ray", "line"), 0)
+    for hp in _oracle_curves():
+        C = fine_hypersurface(hp)
+        assert intersect_sweep.check_cells(C) == len(C.cells)
+        for c in C.cells:
+            if c.dim == 0:
+                ends["vertex"] += 1
+            else:
+                n = (c.span[1] is not None) + (c.span[2] is not None)
+                ends[("line", "ray", "segment")[n]] += 1
+    assert min(ends.values()) >= 10, ends
+
+
+def _whole_line(text):
+    return fine_hypersurface(parse_poly("Qx|Q", text, nvars=2))
+
+
+def test_lines_are_found_by_their_ties_across_lift_scales():
+    # Whole lines (collinear supports) on lifts of other scales: gX = 1/2
+    # on scale 2 (tie (1, 0, -1)) is gX = 1/2 on scale 6 (tie (1, 0, -3))
+    # and on scale 3 (tie (2, 0, -3)), but not gX = 1/6 (tie (2, 0, -1));
+    # gX - gY = 1/2 on scale 2 (tie (1, -1, -1)) is that line on scale 3
+    # (tie (2, -2, -3)), but not gX = gY (tie (2, -2, 0)).
+    whole = Interval(None, False, None, False)
+    for text, others in (
+            ("(1, 1/2) + (1, 0)*X", {"(1, 5/6) + (1, 1/3)*X": True,
+                                     "(1, 4/3) + (1, 1/3)*X^2": True,
+                                     "(1, 1/3) + (1, 0)*X^2": False}),
+            ("(1, 0)*X + (1, 1/2)*Y", {"(1, 1/3)*X^2 + (1, 4/3)*Y^2": True,
+                                       "(1, 1/3)*X^2 + (1, 1/3)*Y^2": False})):
+        C1 = _whole_line(text)
+        for other, shared in others.items():
+            C2 = _whole_line(other)
+            assert C1.cells[0].lift.scale != C2.cells[0].lift.scale, other
+            assert [(h[0], h[2]) for _, _, h in tropgeo._cell_hits(C1, C2)] == (
+                [("segment", whole)] if shared else []), other
+
+
+def test_records_print_and_stay_frozen():
+    # The curves digest of perfbench hashes these reprs.
+    assert repr(Interval(Fraction(1, 2), True, None, False)) == (
+        "Interval(lo=Fraction(1, 2), lo_strict=True, hi=None, "
+        "hi_strict=False)")
+    C = line_curve()
+    by_J = {c.J: c for c in C.cells}
+    fields = [repr((c.J, c.dim, c.point, c.line_p0, c.line_v, c.interval,
+                    c.base_cond))
+              for c in (by_J[((0, 1), (1, 0))], by_J[((0, 0), (0, 1), (1, 0))])]
+    assert fields == [
+        "(((0, 1), (1, 0)), 1, None, (Fraction(0, 1), Fraction(0, 1)), "
+        "(1, 1), Interval(lo=None, lo_strict=False, hi=Fraction(0, 1), "
+        "hi_strict=True), X + Y)",
+        "(((0, 0), (0, 1), (1, 0)), 0, (Fraction(0, 1), Fraction(0, 1)), "
+        "None, None, None, X + Y + -1)"]
+    cd = tropgeo.ComponentDescription(None, None, None, (), None)
+    assert cd.note == "" and repr(cd) == (
+        "ComponentDescription(line_p0=None, line_v=None, interval=None, "
+        "unit_constraints=(), fixed_units=None, note='')")
+    _, comps = fine_intersect(C, C)
+    (pt,), _ = fine_intersect(C, second_curve())
+    cell = C.cells[0]
+    for record, name in ((cell.interval, "lo"), (cell, "dim"),
+                         (cell.lift, "scale"), (C, "cells"), (pt, "coords"),
+                         (comps[0], "note"), (cd, "note")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def _relative_interior_point(cell):
