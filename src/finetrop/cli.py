@@ -213,7 +213,7 @@ def cmd_intersect(args) -> int:
         ],
     }
     if args.stable:
-        proj = stable_intersect(C1, C2, seed=args.seed)
+        proj = stable_intersect(C1, C2)
         out["stable"] = [list(map(str, g)) for g in proj]
     _emit(out, args)
     return 0

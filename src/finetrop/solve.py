@@ -348,7 +348,8 @@ def rac_check_instance(f: Hom, p: HPoly, beta, corpus: Optional[list] = None) ->
             if f(alpha) == beta and is_root(p, (alpha,)):
                 return RacResult("lift", alpha)
         return RacResult("counterexample", None, "fiber exhausted at this level")
-    # Rational source: rational-root search, definitive up to degree two.
+    # Rational source: the rational-root search is complete at every degree
+    # (it raises BaseSolveError beyond its bounds), so it is definitive.
     if isinstance(src, FieldHyperfield) and src.field is QQ or src is QQ:
         field_poly = {i: c for (i,), c in p.coeffs.items()}
         roots = [Fraction(0)] if 0 not in field_poly else []
@@ -356,19 +357,16 @@ def rac_check_instance(f: Hom, p: HPoly, beta, corpus: Optional[list] = None) ->
         for alpha in roots:
             if f(alpha) == beta:
                 return RacResult("lift", alpha)
-        deg = max(field_poly)
-        if deg <= 2:
-            if deg == 2:
-                a2 = field_poly.get(2, Fraction(0))
-                a1 = field_poly.get(1, Fraction(0))
-                a0 = field_poly.get(0, Fraction(0))
-                disc = a1 * a1 - 4 * a2 * a0
-                if disc < 0:
-                    return RacResult(
-                        "counterexample", None,
-                        f"discriminant {disc} < 0: no real root at all")
-            return RacResult("counterexample", None, "no rational root in the fiber")
-        return RacResult("not_found", None, "rational search exhausted (degree > 2)")
+        if max(field_poly) == 2:
+            a2 = field_poly[2]
+            a1 = field_poly.get(1, Fraction(0))
+            a0 = field_poly.get(0, Fraction(0))
+            disc = a1 * a1 - 4 * a2 * a0
+            if disc < 0:
+                return RacResult(
+                    "counterexample", None,
+                    f"discriminant {disc} < 0: no real root at all")
+        return RacResult("counterexample", None, "no rational root in the fiber")
     # Series source: search a supplied corpus of candidate series.
     if isinstance(src, SeriesDomain):
         for alpha in corpus or []:

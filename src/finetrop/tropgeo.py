@@ -44,9 +44,11 @@ of the cells: by the hyperfield Kapranov theorem it is one exactly when
 point, found at the hit's integer point on the source's levels, which
 the check scales to integers itself once per call.  Both the scan and
 the check decide a base sum with ``poly._zero_in_base_sum``, on powers
-from ``poly._power_table``, each by square-and-multiply.  Stable
-intersections perturb only the base units of the second curve, and start
-systems for polyhedral homotopy read mixed volumes off the same pairs.
+from ``poly._power_table``, each by square-and-multiply.  The point hits
+are the transversal meetings, the mixed cells of positive mixed area, so
+they are the stable intersection, found without base solving; as start
+systems for polyhedral homotopy their mixed areas sum to the mixed volume
+of the Newton polygons (tropical Bernstein theorem).
 
 The records (``Interval``, ``Lift``, ``Cell``, ``FineCurve``,
 ``FinePoint``, ``ComponentDescription``, ``MixedCell``) are named tuples:
@@ -57,9 +59,8 @@ assigning a field raises AttributeError.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional
 
 from .extension import ExtElem, TropicalExtension
 from .fields import BaseField, BaseSolveError, SolverInvariantError
@@ -71,7 +72,6 @@ from .poly import (
     _power_table,
     _unit_scan,
     _zero_in_base_sum,
-    hpoly,
     pushforward,
 )
 from .series import hom_fval
@@ -661,61 +661,31 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
 
 
 # ---------------------------------------------------------------------------
-# Stable intersection
+# Stable intersections and homotopy start systems
 
 
-def _perturb_source(p: HPoly, rng) -> HPoly:
-    """Multiply each base unit by a generic rational close to one.
+def stable_intersect(C1: FineCurve, C2: FineCurve) -> list[Vec2]:
+    """The stable intersection of the two tropical curves, sorted.
 
-    Levels are untouched: only the base units move.
+    It is the set of points where a cell of one curve meets a cell of the
+    other transversally, the mixed cells of positive mixed area
+    (Maclagan-Sturmfels, Introduction to Tropical Geometry, Sec. 3.6;
+    Jensen-Yu, Stable intersections of tropical varieties, 2016): the
+    point hits of ``_cell_hits``.  Edges on one line have mixed area 0.
+    No base condition is solved.
     """
-    E = _ext_of(p)
-    H = E.base
-    if not isinstance(H, FieldHyperfield):
-        raise ValueError("base-unit perturbation needs a field base")
-    F = H.field
-    coeffs = {}
-    for d, c in p.coeffs.items():
-        num = rng.randint(10**6, 10**7)
-        den = rng.randint(10**6, 10**7)
-        fac = F.add(F.one(), F.div(F.from_int(num), F.from_int(den * 1000)))
-        coeffs[d] = ExtElem(F.mul(c.coef, fac), c.level)
-    return hpoly(E, 2, coeffs)
-
-
-def stable_intersect(C1: FineCurve, C2: FineCurve, seed: int = 0) -> list[Vec2]:
-    """Projected stable intersection points in Q^2.
-
-    If the fine intersection is already a finite point set, project it;
-    otherwise perturb C2's base units generically and retry, 25 times at
-    most.
-    """
-    pts, comps = fine_intersect(C1, C2)
-    if not comps:
-        return sorted({_project(pt) for pt in pts})
-    rng = random.Random(seed)
-    for _ in range(25):
-        try:
-            perturbed = fine_hypersurface(_perturb_source(C2.source, rng))
-            pts, comps = fine_intersect(C1, perturbed)
-        except BaseSolveError:
-            continue
-        if comps:
-            continue
-        return sorted({_project(pt) for pt in pts})
-    raise RuntimeError("no generic perturbation found")
-
-
-def _project(pt: FinePoint) -> Vec2:
-    a, b = pt.coords
-    return (a.level.coords[0], b.level.coords[0])
-
-
-# ---------------------------------------------------------------------------
-# Homotopy start systems
+    return sorted({hit[1] for _, _, hit in _cell_hits(C1, C2)
+                   if hit[0] == "point"})
 
 
 class MixedCell(NamedTuple):
+    """A point hit of two curves as a cell of the mixed subdivision.
+
+    ``volume`` is the mixed area MV(conv J1, conv J2) (``_mixed_area``);
+    ``solutions`` holds the fine points of the pair's base system, and is
+    empty when the base field holds no solution.
+    """
+
     point: Vec2
     J1: tuple
     J2: tuple
@@ -723,20 +693,28 @@ class MixedCell(NamedTuple):
     solutions: tuple
 
 
-def _edge_vector(J: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    lo = min(J)
-    hi = max(J)
-    return (hi[0] - lo[0], hi[1] - lo[1])
+def _mixed_area(J1, J2) -> int:
+    """MV(conv J1, conv J2) = area(J1 + J2) - area(J1) - area(J2), each
+    area by the shoelace formula on the corners (Huber-Sturmfels, A
+    polyhedral method for solving sparse polynomial systems, 1995)."""
+    def area2(J) -> int:  # twice the area of conv(J)
+        c = _corners(sorted(J))
+        return sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(c, c[1:] + c[:1]))
+
+    total = {(a[0] + b[0], a[1] + b[1]) for a in J1 for b in J2}
+    return (area2(total) - area2(J1) - area2(J2)) // 2
 
 
 def homotopy_start(P: FPoly, Q: FPoly):
     """Start solutions of a 2x2 polyhedral homotopy from the fine curves.
 
-    Mixed cells are the transversal cell pairs of the two tropical curves,
-    as ``_cell_hits`` walks them for ``fine_intersect``; edge-edge pairs
-    carry their lattice mixed volume, vertex cells carry one solution per
-    base solution.  A one-dimensional overlap with a consistent base
-    system means the lift is not generic.
+    Every point hit of ``_cell_hits`` is a mixed cell, whose volume is the
+    mixed area of its two cells: by the tropical Bernstein theorem the
+    volumes sum to the mixed volume of the two Newton polygons.  A cell's
+    start solutions are the unit solutions of its base system in the base
+    field, so ``start_solutions`` counts those found and may fall short of
+    ``mixed_volume``.  A family of unit solutions, or a consistent base
+    system on a one-dimensional overlap, means the lift is not generic.
     """
     f = hom_fval(P.domain.field)
     C1 = fine_hypersurface(pushforward(f, P))
@@ -745,25 +723,16 @@ def homotopy_start(P: FPoly, Q: FPoly):
     cells: list[MixedCell] = []
     for c1, c2, hit in _cell_hits(C1, C2):
         kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
+        if kind == "family" or (hit[0] == "segment" and sols):
+            raise ValueError("lift not generic, reseed")
         if hit[0] == "segment":
-            if kind == "family" or sols:
-                raise ValueError("lift not generic, reseed")
             continue
         g = hit[1]
-        if kind == "family":
-            raise ValueError("lift not generic, reseed")
-        if not sols:
-            continue
-        if c1.dim == 1 and c2.dim == 1:
-            e1, e2 = _edge_vector(c1.J), _edge_vector(c2.J)
-            vol = abs(e1[0] * e2[1] - e1[1] * e2[0])
-        else:
-            vol = len(sols)
         pts = tuple(
             FinePoint((ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1]))))
             for (u, v) in sols
         )
-        cells.append(MixedCell(g, c1.J, c2.J, vol, pts))
+        cells.append(MixedCell(g, c1.J, c2.J, _mixed_area(c1.J, c2.J), pts))
     solutions = [p for cell in cells for p in cell.solutions]
     report = {
         "cells": len(cells),

@@ -20,6 +20,10 @@ edge-edge crossing only when the argmin set of each curve's whole support
 at the crossing is that edge's J (two argmins per pair of edges), and
 finds edges on one line by their shared ``line_p0``.
 
+``stable_by_translation`` is the stable intersection by its definition,
+the fan displacement rule: the limit, as eps -> 0, of the first curve
+meeting the second moved by eps * v, with the hits of ``pair_scan_hits``.
+
 ``oracle_intersect_series`` is the series side of the Fundamental
 theorem for two lines: the exact Cramer solution, mapped through the
 fine valuation.
@@ -30,13 +34,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from finetrop.poly import FPoly
+from finetrop.extension import ExtElem
+from finetrop.ordgroup import gelem
+from finetrop.poly import FPoly, HPoly
 from finetrop.series import hom_fval
 from finetrop.solve import solve_linear_2x2
 from finetrop.tropgeo import (
     FinePoint,
     Interval,
     _intersect_intervals,
+    fine_hypersurface,
 )
 
 from curve_oracle import _row_at, _solve_rows, tie_rows
@@ -178,6 +185,53 @@ def argmin_pair_hits(C1, C2):
         hits.sort(key=lambda h: h[0])
         for k2, hit in hits:
             yield c1, C2.cells[k2], hit
+
+
+# The direction in which ``stable_by_translation`` moves the second curve:
+# an edge parallel to it needs exponents 19 apart.
+TRANSLATION = (Fraction(1), Fraction(7, 19))
+
+
+def translated(C, eps: Fraction):
+    """The fine curve of C's source moved by eps * ``TRANSLATION``: each
+    level_d becomes level_d - eps * (d . v)."""
+    p, (v0, v1) = C.source, TRANSLATION
+    return fine_hypersurface(HPoly(p.hyperfield, 2, {
+        d: ExtElem(c.coef, gelem(c.level.coords[0]
+                                 - eps * (d[0] * v0 + d[1] * v1)))
+        for d, c in p.coeffs.items()}))
+
+
+def stable_by_translation(C1, C2):
+    """The stable intersection of C1 and C2 as the limit of C1 meeting C2
+    moved by eps * v, sorted.
+
+    The hits at eps and eps/2, from eps = 1/1024, come from
+    ``pair_scan_hits``; eps is halved until both are point hits only and
+    meet the same cell pairs (J1, J2).  Within one pair each hit is affine
+    in eps, so 2 * p(eps/2) - p(eps) is its exact limit.  ValueError when
+    40 halvings do not get there.
+    """
+    def points(e):
+        """{(J1, J2): point} at e, or None when a hit is a segment."""
+        out = {}
+        for c1, c2, hit in pair_scan_hits(C1, translated(C2, e)):
+            if hit[0] != "point":
+                return None
+            out[c1.J, c2.J] = hit[1]
+        return out
+
+    eps = Fraction(1, 1024)
+    far = points(eps)
+    for _ in range(40):
+        eps /= 2
+        near = points(eps)
+        if far is not None and near is not None and far.keys() == near.keys():
+            return sorted({(2 * g[0] - far[k][0], 2 * g[1] - far[k][1])
+                           for k, g in near.items()})
+        far = near
+    raise ValueError(f"no limit of {C1.source} meeting {C2.source} moved "
+                     f"by eps * {TRANSLATION} down to eps = {eps}")
 
 
 def oracle_intersect_series(P: FPoly, Q: FPoly, prec=8):

@@ -35,12 +35,20 @@ The scan and the check decide their base sums with ``poly``'s own power
 table and base-sum test, so the reference evaluates every term with its
 own powers instead.
 
+The same pairs also check the stable intersection (``check_stable``):
+``tropgeo.stable_intersect`` against ``intersect_oracle.stable_by_translation``,
+the limit of the first curve meeting the second moved by eps * v, and the
+tropical Bernstein identity: the mixed areas of the point hits,
+``tropgeo._mixed_area`` of their cells, sum to the mixed area of the two
+supports, and every segment hit has mixed area 0.
+
 Run as ``PYTHONPATH=src python tests/intersect_sweep.py ROUNDS``: it prints
 the number of pairs and hits checked, the number of cells whose integers
 were checked, the number of scans and fine-point
-checks compared, and the number of hits skipped because their base
+checks compared, the number of hits skipped because their base
 conditions raise BaseSolveError (so that a growing share of unsolved hits
-shows), or the first mismatch and exits 1.
+shows), and the numbers of stable intersections and Bernstein sums
+checked, or the first mismatch and exits 1.
 """
 
 from __future__ import annotations
@@ -58,7 +66,11 @@ from finetrop.poly import fpoly, pushforward
 from finetrop.series import SeriesDomain, hom_fval, hom_sval, hom_val, series
 
 from eval_oracle import is_root_every_term
-from intersect_oracle import argmin_pair_hits, pair_scan_hits
+from intersect_oracle import (
+    argmin_pair_hits,
+    pair_scan_hits,
+    stable_by_translation,
+)
 
 DOM = SeriesDomain(QQ)
 HOMS = (hom_val(), hom_sval(), hom_fval())
@@ -271,6 +283,36 @@ def base_sweep(rounds: int) -> tuple[int, int, int]:
     return total
 
 
+def check_stable(C1, C2) -> None:
+    """Compare ``stable_intersect`` with ``stable_by_translation`` and check
+    the Bernstein identity on one pair; raises ``AssertionError`` on a
+    mismatch."""
+    got, want = tropgeo.stable_intersect(C1, C2), stable_by_translation(C1, C2)
+    if got != want:
+        raise AssertionError(f"{C1.source} meets {C2.source}: stable_intersect "
+                             f"{got}, stable_by_translation {want}")
+    areas = {"point": 0, "segment": 0}
+    for c1, c2, hit in tropgeo._cell_hits(C1, C2):
+        areas[hit[0]] += tropgeo._mixed_area(c1.J, c2.J)
+    mv = tropgeo._mixed_area(sorted(C1.source.coeffs), sorted(C2.source.coeffs))
+    if (areas["point"], areas["segment"]) != (mv, 0):
+        raise AssertionError(f"{C1.source} meets {C2.source}: mixed areas "
+                             f"{areas}, mixed volume {mv}")
+
+
+def stable_sweep(rounds: int) -> int:
+    """``check_stable`` on every pair of ``rounds`` rounds; returns the
+    number of pairs and raises ``AssertionError`` at the first mismatch."""
+    n = 0
+    for case, C1, C2 in pairs(rounds):
+        try:
+            check_stable(C1, C2)
+        except AssertionError as err:
+            raise AssertionError(f"{case} pair {n}: {err}") from None
+        n += 1
+    return n
+
+
 def sweep(rounds: int) -> tuple[int, int, int]:
     """Check every pair of ``rounds`` rounds; returns (pairs, hits, cells)
     and raises ``AssertionError`` at the first mismatch."""
@@ -289,6 +331,7 @@ if __name__ == "__main__":
     try:
         n, hits, cells = sweep(int(sys.argv[1]))
         scans, checks, skipped = base_sweep(int(sys.argv[1]))
+        stable = stable_sweep(int(sys.argv[1]))
     except AssertionError as err:
         print(f"mismatch: {err}")
         sys.exit(1)
@@ -298,3 +341,5 @@ if __name__ == "__main__":
           f"the every-term oracle")
     print(f"{skipped} hits skipped: their base conditions raise "
           f"BaseSolveError")
+    print(f"{stable} stable intersections match the translation oracle and "
+          f"{stable} Bernstein sums hold")

@@ -137,7 +137,7 @@ def test_criterion_3_overlap_component_and_stable_limit(capsys):
             failures.append(f"component geometry {cd.line_v}, {cd.interval}")
         if not all(repr(c) == "Y + 1" for c in cd.unit_constraints):
             failures.append(f"component constraints {cd.unit_constraints}")
-    stables = {tuple(stable_intersect(C1, C2, seed=s)) for s in range(10)}
+    stables = {tuple(stable_intersect(C1, C2))}
     if stables != {((Fraction(0), Fraction(0)),)}:
         failures.append(f"stable results {stables}")
     report(capsys, 3, "one-dimensional overlap and stable limit", failures)

@@ -231,6 +231,33 @@ def test_intersect_stable(capsys):
     assert doc["stable"] == [["0", "0"]]
 
 
+@pytest.mark.parametrize("argv, key, want", [
+    pytest.param(["intersect", "--hom", "fval", "--stable", "X + Y - 1",
+                  "t*X + (1 + t^2)*Y + 1"],
+                 "stable", [["0", "0"]], id="readme"),
+    pytest.param(["intersect", "--hyperfield", "T", "--stable",
+                  "(1,0)*X + (1,0)*Y + (1,0)", "(1,1)*X + (1,0)*Y + (1,0)"],
+                 "stable", [["0", "0"]], id="overlap-over-K"),
+    pytest.param(["intersect", "--hyperfield", "Qx|Q", "--stable",
+                  "(1,0)*X^2 + (-2,0)", "(1,0)*Y + (-1,0)"],
+                 "stable", [["0", "0"]], id="no-rational-point"),
+    pytest.param(["homotopy-start", "Y - Y^2", "-9 + Y + X^3"], "report",
+                 {"cells": 1, "mixed_volume": 3, "start_solutions": 1},
+                 id="one-rational-cube-root"),
+    pytest.param(["homotopy-start", "Y - Y^2", "1 + Y + X^3"], "report",
+                 {"cells": 1, "mixed_volume": 3, "start_solutions": 0},
+                 id="no-rational-cube-root"),
+])
+def test_stable_points_and_volumes_need_no_base_solution(capsys, argv, key,
+                                                         want):
+    # The stable intersection is where cells meet transversally, and a
+    # mixed cell's volume is its mixed area, whether or not the base field
+    # holds a solution: an overlap over K, X^2 = 2 and X^3 = -2 over Q.
+    # X^3 = 8 on Y = 1 has one rational root of the Bernstein count 3.
+    code, out = run(capsys, *argv)
+    assert (code, json.loads(out)[key]) == (0, want)
+
+
 def test_homotopy_start_cli(capsys):
     code, out = run(capsys, "homotopy-start", "--field", "Qi",
                     "X^2 - Y", "Y + 1")

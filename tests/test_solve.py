@@ -200,6 +200,15 @@ def test_rac_sign_counterexample():
     assert "discriminant -3" in res.detail
 
 
+def test_rac_cubic_without_rational_root_is_a_counterexample():
+    # The rational-root search is complete at every degree, so the empty
+    # fiber of X^3 - 2 over +1 is definitive, though 2^(1/3) is real.
+    p = hpoly1(field_hyperfield(QQ), {3: Fraction(1), 0: Fraction(-2)})
+    res = rac_check_instance(hom_sign(), p, 1)
+    assert (res.status, res.detail) == ("counterexample",
+                                        "no rational root in the fiber")
+
+
 def test_rac_lift():
     # X^2 - 4 has the rational root 2 in the fiber of +1.
     p = hpoly1(field_hyperfield(QQ), {2: Fraction(1), 0: Fraction(-4)})
