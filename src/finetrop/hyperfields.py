@@ -11,6 +11,14 @@ finite hyperfield, and a closed form in every other (``add`` is then the
 singleton plus the element).  A sum of many elements folds
 ``add_set_elem`` from the first of them.
 
+Every root test asks only whether 0 lies in a sum of elements
+(``sum_contains_zero``), and four bases answer that without forming a set
+value: a field by one field sum tested for zero; K when the number of
+nonzero terms is not 1; S when the nonzero terms do not all have one sign;
+W unless there is exactly one nonzero term or exactly two equal ones (in W,
+1 + 1 + 1 holds 0, so S's rule is not W's).  GF(p)/U, P and Phi fold the
+sum.  K, S and W also take powers in closed form, every unit squaring to 1.
+
 Phase elements are unit directions with rational slope, stored as primitive
 integer pairs; no floating point angles appear anywhere.  A set value over P
 or Phi is a canonical ArcSet.  Every phase sum is a set S plus one element
@@ -359,6 +367,12 @@ class Hyperfield:
     def set_contains_zero(self, S) -> bool:
         return self.set_contains(S, self.zero())
 
+    def sum_contains_zero(self, terms: Sequence) -> bool:
+        """Whether 0 lies in the sum of the elements ``terms``: the fold
+        ``nary_sum`` read by ``set_contains_zero``.  A field, K, S and W
+        answer it in closed form without forming a set value."""
+        return self.set_contains_zero(self.nary_sum(terms))
+
     def set_is_empty(self, S) -> bool:
         raise NotImplementedError
 
@@ -382,7 +396,7 @@ class Hyperfield:
         """All elements for finite hyperfields, None otherwise."""
         return None
 
-    def units(self) -> Optional[list]:
+    def units(self) -> Optional[Sequence]:
         els = self.elements()
         if els is None:
             return None
@@ -491,6 +505,17 @@ class FieldHyperfield(FiniteHyperfield):
     def add(self, a, b):
         return self.singleton(self.field.add(a, b))
 
+    def sum_contains_zero(self, terms: Sequence) -> bool:
+        # Every sum is a singleton: 0 is in it when the field sum is 0.
+        F = self.field
+        total = F.zero()
+        for t in terms:
+            total = F.add(total, t)
+        return F.is_zero(total)
+
+    def power(self, a, n: int):
+        return self.field.power(a, n)
+
     def elements(self):
         return self.field.elements()
 
@@ -530,6 +555,19 @@ class _SmallHyperfield(FiniteHyperfield):
             return self.singleton(a)
         return self._add_units(a, b)
 
+    def power(self, a, n: int):
+        """a^n in closed form: every unit squares to 1, so a^n is a for odd
+        n and 1 for even n; 0^n is 0 for n > 0, 1 for n = 0, and raises
+        ZeroDivisionError for n < 0, as ``BaseField.power``."""
+        if n < 0 and a == 0:
+            return self.inv(a)
+        if n == 0:
+            return 1
+        return a if n & 1 else a * a
+
+    def units(self):
+        return self._units
+
 
 _ZERO_ONE = frozenset((0, 1))
 _SIGNS = frozenset((-1, 0, 1))
@@ -540,12 +578,17 @@ class KrasnerHyperfield(_SmallHyperfield):
     """K = {0, 1} with 1 + 1 = {0, 1}."""
 
     name = "K"
+    _units = (1,)
 
     def neg(self, a):
         return a
 
     def _add_units(self, a, b):
         return _ZERO_ONE
+
+    def sum_contains_zero(self, terms: Sequence) -> bool:
+        # 1 + 1 = {0, 1}: only a single unit term keeps 0 out.
+        return len(terms) - terms.count(0) != 1
 
     def elements(self):
         return [0, 1]
@@ -555,6 +598,7 @@ class SignHyperfield(_SmallHyperfield):
     """S = {-1, 0, 1} with 1 + (-1) = {-1, 0, 1}."""
 
     name = "S"
+    _units = (-1, 1)
 
     def neg(self, a):
         return -a
@@ -563,6 +607,11 @@ class SignHyperfield(_SmallHyperfield):
         if a == b:
             return self.singleton(a)
         return _SIGNS
+
+    def sum_contains_zero(self, terms: Sequence) -> bool:
+        # Units of one sign sum to that sign, and both signs to all of S:
+        # 0 is in the sum when both signs occur or neither does.
+        return (1 in terms) == (-1 in terms)
 
     def elements(self):
         return [-1, 0, 1]
@@ -575,6 +624,14 @@ class WeakSignHyperfield(SignHyperfield):
 
     def _add_units(self, a, b):
         return _UNIT_SIGNS if a == b else _SIGNS
+
+    def sum_contains_zero(self, terms: Sequence) -> bool:
+        # Not S's rule: a + a = {1, -1}, so three units of one sign already
+        # sum to all of W.  0 is missing only from a single unit and from
+        # two equal ones.
+        units = [t for t in terms if t]
+        return not (len(units) == 1
+                    or (len(units) == 2 and units[0] == units[1]))
 
     def stringency_witness(self):
         return (1, 1)

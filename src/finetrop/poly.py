@@ -3,7 +3,16 @@ coefficient domains (fields and series), plus push-forwards between them.
 
 Hyperfield polynomials are plain data: no polynomial ring structure is
 provided, since the polynomials over a hyperfield do not form one.  The
-only product of hyperfield polynomials lives in the solve module.
+only product of hyperfield polynomials lives in the solve module.  An
+HPoly is a named tuple (hyperfield, nvars, coeffs) holding its own copy of
+the coefficient dict; assigning a field raises AttributeError.
+
+Every root test ends in one question, by the hyperfield Kapranov theorem:
+does 0 lie in the base sum of the minimal-level terms?  The terms'
+products are handed to the base's ``sum_contains_zero``, a closed form over
+a field (the field sum is 0), K (not exactly one nonzero term), S (not all
+nonzero terms of one sign) and W (neither exactly one nonzero term nor
+exactly two equal ones), and the fold of ``nary_sum`` over the others.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .extension import TropicalExtension
 from .hyperfields import Hom, Hyperfield
@@ -30,16 +39,18 @@ from .series import (
 Expt = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HPoly:
-    """Polynomial (or Laurent polynomial) over a hyperfield."""
+class HPoly(NamedTuple("HPoly", [("hyperfield", Hyperfield), ("nvars", int),
+                                  ("coeffs", Any)])):
+    """Polynomial (or Laurent polynomial) over a hyperfield.
 
-    hyperfield: Hyperfield
-    nvars: int
-    coeffs: Any  # Mapping[Expt, elem], zero coefficients omitted
+    ``coeffs`` maps exponent tuples to elements, zero coefficients omitted
+    (``hpoly`` drops them); the constructor keeps its own copy of the
+    mapping."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", dict(self.coeffs))
+    __slots__ = ()
+
+    def __new__(cls, hyperfield: Hyperfield, nvars: int, coeffs):
+        return tuple.__new__(cls, (hyperfield, nvars, dict(coeffs)))
 
     @property
     def support(self) -> list[Expt]:
@@ -79,7 +90,7 @@ def fmt_monomial(d: Expt) -> str:
 
 def hpoly(H: Hyperfield, nvars: int, coeffs: Mapping[Expt, Any]) -> HPoly:
     clean = {tuple(d): c for d, c in coeffs.items() if not H.is_zero(c)}
-    return HPoly(H, nvars, clean)
+    return tuple.__new__(HPoly, (H, nvars, clean))  # clean is a fresh dict
 
 
 def hpoly1(H: Hyperfield, coeffs_by_degree: Mapping[int, Any]) -> HPoly:
@@ -128,10 +139,10 @@ def _power_table(B: Hyperfield, a, exps) -> dict:
     return {e: B.power(a, e) for e in exps}
 
 
-def _base_sum(B: Hyperfield, terms, tables):
-    """The sum over B of c * x_1^d_1 * ... * x_n^d_n for the terms (d, c),
-    each x_i^e read from tables[i][e]; a zero exponent multiplies by
-    nothing.  The fold follows the order of the terms."""
+def _products(B: Hyperfield, terms, tables) -> list:
+    """The values c * x_1^d_1 * ... * x_n^d_n in B of the terms (d, c), in
+    their order, each x_i^e read from tables[i][e]; a zero exponent
+    multiplies by nothing."""
     vals = []
     for d, c in terms:
         i = 0  # an index, not a zip: no iterator per term on this hot path
@@ -140,14 +151,17 @@ def _base_sum(B: Hyperfield, terms, tables):
                 c = B.mul(c, tables[i][e])
             i += 1
         vals.append(c)
-    return B.nary_sum(vals)
+    return vals
 
 
 def _zero_in_base_sum(B: Hyperfield, terms, tables) -> bool:
-    """Whether 0 lies in ``_base_sum``: every root test ends here, since
-    by the hyperfield Kapranov theorem a root over a tropical extension
-    depends only on the base sum of its minimal-level terms."""
-    return B.set_contains_zero(_base_sum(B, terms, tables))
+    """Whether 0 lies in the sum over B of the ``_products`` of the terms:
+    every root test ends here, since by the hyperfield Kapranov theorem a
+    root over a tropical extension depends only on the base sum of its
+    minimal-level terms.  B answers from the products alone
+    (``Hyperfield.sum_contains_zero``): a closed form over a field, K, S
+    and W, and the fold of ``nary_sum`` elsewhere."""
+    return B.sum_contains_zero(_products(B, terms, tables))
 
 
 def _unit_scan(H: Hyperfield, units: list, conds: Sequence[Mapping]) -> list:
@@ -166,7 +180,8 @@ def _unit_scan(H: Hyperfield, units: list, conds: Sequence[Mapping]) -> list:
 def _base_terms(p: HPoly, point: Sequence):
     """(B, terms, tables): the monomials (d, c) of p that count at
     ``point``, with c in B, and each coordinate's ``_power_table`` over
-    their exponents; their ``_base_sum`` decides the evaluation.
+    their exponents; the sum of their ``_products`` decides the
+    evaluation.
 
     The point must have one coordinate per variable.  A monomial with a
     nonzero exponent at a zero coordinate is zero, and a negative exponent
@@ -212,7 +227,7 @@ def eval_poly(p: HPoly, point: Sequence):
     """
     H = p.hyperfield
     B, terms, tables = _base_terms(p, point)
-    total = _base_sum(B, terms, tables)
+    total = B.nary_sum(_products(B, terms, tables))
     if B is H:
         return total
     d = terms[0][0]

@@ -58,7 +58,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Callable, Optional
 
-from .extension import TropicalExtension, trop, trop_complex, trop_signed
+from .extension import (
+    ExtElem,
+    TropicalExtension,
+    trop,
+    trop_complex,
+    trop_signed,
+)
 from .fields import BaseField, QQ, QQi
 from .hyperfields import (
     FieldHyperfield,
@@ -474,9 +480,12 @@ def _random_series(field: BaseField, rng, k: int, denom: int, span,
 
 def _enriched(name: str, field: BaseField, target: TropicalExtension,
               unit: Callable[[Any], Any]) -> Hom:
-    """The map c t^g + ... -> (unit(c), g) into ``target``, 0 -> 0, from
-    series over ``field``; an indeterminate series raises PrecisionError.
-    The leading term is read once; its exponent is a Fraction already."""
+    """The map c t^g + ... -> (unit(c), g) into ``target``, a rank-one
+    extension, 0 -> 0, from series over ``field``; an indeterminate series
+    raises PrecisionError.  The leading term is read once; its exponent is
+    a Fraction already, so the ExtElem and its GroupElem are built as
+    plain tuples, and only the coefficient is checked to be a base unit."""
+    is_zero = target.base.is_zero
 
     def f(a: SeriesTrunc):
         if not a.terms:
@@ -484,7 +493,10 @@ def _enriched(name: str, field: BaseField, target: TropicalExtension,
                 return None
             raise PrecisionError("insufficient precision to take a valuation")
         g, c = a.terms[0]
-        return target.elem(unit(c), GroupElem((g,)))
+        u = unit(c)
+        if is_zero(u):
+            raise ValueError("coefficient must be a base unit")
+        return tuple.__new__(ExtElem, (u, tuple.__new__(GroupElem, ((g,),))))
 
     return Hom(name, SeriesDomain(field), target, f)
 

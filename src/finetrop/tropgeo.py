@@ -12,15 +12,17 @@ faces, edges to their sides (Maclagan-Sturmfels, Introduction to
 Tropical Geometry, Prop. 3.1.6).  So J is never searched over subsets
 of the support, and no cell is solved from rows: with the levels scaled
 to integers by their common denominator, one walk over the lower faces
-meets each cell once.  A vertex's J is the argmin set at its point.
-Each side of conv(J) gives an edge, whose J is the points of J on that
-side, and whose far end is the first tie met along its tie line (found
-by integer Cramer's rule); with no tie it is a ray.  A collinear support
-has no vertex, and its edges are whole lines.  Since cells are
-relatively open, a point lies in the cell J exactly when J is its argmin
-set, an integer test.  Each cell keeps the walk's integer geometry next
-to its Fractions: a vertex its point as (x, y, den), an edge its tie
-(a, b, n) and the integer ends of its span.
+meets each cell once.  The first vertex's J is the argmin set at its
+point.  Each side of conv(J) gives an edge, whose J is the points of J on
+that side, and whose far end is the first tie met along its tie line
+(found by integer Cramer's rule); with no tie it is a ray.  The tie scan
+that finds that end also gives its vertex's J: the edge's points and the
+support points tying at the least ratio, so no argmin is taken there.  A
+collinear support has no vertex, and its edges are whole lines.  Since
+cells are relatively open, a point lies in the cell J exactly when J is
+its argmin set, an integer test.  Each cell keeps the walk's integer
+geometry next to its Fractions: a vertex its point as (x, y, den), an edge
+its tie (a, b, n) and the integer ends of its span.
 
 Intersections pair the cells of two curves with one walker, whose pairs
 are the cells of the mixed subdivision of Newt(P) + Newt(Q), and which
@@ -44,16 +46,21 @@ of the cells: by the hyperfield Kapranov theorem it is one exactly when
 point, found at the hit's integer point on the source's levels, which
 the check scales to integers itself once per call.  Both the scan and
 the check decide a base sum with ``poly._zero_in_base_sum``, on powers
-from ``poly._power_table``, each by square-and-multiply.  The point hits
-are the transversal meetings, the mixed cells of positive mixed area, so
+from ``poly._power_table``, each by square-and-multiply (in closed form
+over K, S and W).  It asks the base's ``sum_contains_zero``: over K, S and
+W a count or a sign test of the terms, over a field one field sum, and
+over GF(p)/U the fold of ``nary_sum``.  The point hits are the
+transversal meetings, the mixed cells of positive mixed area, so
 they are the stable intersection, found without base solving; as start
 systems for polyhedral homotopy their mixed areas sum to the mixed volume
 of the Newton polygons (tropical Bernstein theorem).
 
 The records (``Interval``, ``Lift``, ``Cell``, ``FineCurve``,
-``FinePoint``, ``ComponentDescription``, ``MixedCell``) are named tuples:
-they are built, hashed and compared as the tuples of their fields, and
-assigning a field raises AttributeError.
+``FinePoint``, ``ComponentDescription``, ``MixedCell``), like the cells'
+base conditions (``poly.HPoly``), are named tuples: they are built, hashed
+and compared as the tuples of their fields, and assigning a field raises
+AttributeError.  The curve and intersection loops build them by
+``tuple.__new__``, without the Python-level constructor.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from typing import Any, NamedTuple, Optional
 from .extension import ExtElem, TropicalExtension
 from .fields import BaseField, BaseSolveError, SolverInvariantError
 from .hyperfields import FieldHyperfield, Hyperfield
-from .ordgroup import gelem
+from .ordgroup import GroupElem, gelem
 from .poly import (
     FPoly,
     HPoly,
@@ -80,6 +87,9 @@ from .series import hom_fval
 Vec2 = tuple[Fraction, Fraction]
 Expt = tuple[int, int]
 _ZERO = Fraction(0)
+# Records built on the hot paths skip the named tuples' Python-level
+# ``__new__``, as ``hyperfields._tuple`` does for arcs.
+_tuple = tuple.__new__
 
 
 def _primitive(x: int, y: int) -> tuple[int, int]:
@@ -220,23 +230,30 @@ def _ext_of(p: HPoly) -> TropicalExtension:
 
 def _first_tie(lift: Lift, p: Expt, q: Expt, w: tuple[int, int]):
     """The vertex met first walking along the tie line of p and q in the
-    direction w, perpendicular to q - p, as (x, y, den); None on a ray.
+    direction w, perpendicular to q - p, as ((x, y, den), ties); None on a
+    ray.  ``ties`` are the support points, in support order, that tie
+    with p and q there.
 
     It is the tie of p and q with the d, among the support points with
     (d - p).w < 0 (those falling towards p and q along w), whose tie has
     the least w.g, a positive multiple of k/m below: the ties are compared
     by cross-multiplication and only the first is solved, by Cramer's rule.
+    Every d at that least ratio ties there.  No other point joins the
+    argmin: a point with a larger ratio ties further on, and along the
+    edge one with (d - p).w >= 0 that is not on the edge stays above it.
     """
     (p0, p1), (wx, wy), lp = p, w, lift.lev[p]
     ux, uy, rq = q[0] - p0, q[1] - p1, lift.lev[q] - lp
-    norm, c = ux * ux + uy * uy, None
-    for d0, d1, n in lift.rows:
+    norm, c, ties = ux * ux + uy * uy, None, []
+    for d, (d0, d1, n) in zip(lift.support, lift.rows):
         ex, ey = d0 - p0, d1 - p1
         m = ex * wx + ey * wy
         if m < 0:
             k = (ex * ux + ey * uy) * rq - norm * (n - lp)
             if c is None or k * cm < ck * m:
-                c, ck, cm = (ex, ey, n), k, m
+                c, ck, cm, ties = (ex, ey, n), k, m, [d]
+            elif k * cm == ck * m:
+                ties.append(d)
     if c is None:
         return None
     # (d - p).g = level_p - level_d for d = q, c: g = (x, y) / (scale * det).
@@ -244,7 +261,9 @@ def _first_tie(lift: Lift, p: Expt, q: Expt, w: tuple[int, int]):
     rc = lp - n
     det = ux * cy - uy * cx
     x, y = -rq * cy - rc * uy, ux * rc + cx * rq
-    return (x, y, lift.scale * det) if det > 0 else (-x, -y, -lift.scale * det)
+    if det < 0:
+        x, y, det = -x, -y, -det
+    return (x, y, lift.scale * det), ties
 
 
 def _lower_edge(lift: Lift, a: Expt, u: tuple[int, int]) -> tuple:
@@ -286,8 +305,10 @@ def _walk(lift: Lift):
     with den > 0, and the edge cells as J -> their ends [((x, y, den), w)],
     w the direction in which the edge leaves that vertex.  The walk enters
     on the lower edge that leaves the least exponent a along a side of
-    Newt(p), a ray, at its first tie walking inward; with no tie the
-    support is collinear, and its edges are the chain of lower edges.
+    Newt(p), a ray, at its first tie walking inward, whose J is the argmin
+    there; with no tie the support is collinear, and its edges are the
+    chain of lower edges.  Every other vertex is the far end of an edge E,
+    and its J is E with the ties of ``_first_tie``, sorted.
     """
     support, vertices, edges = lift.support, {}, {}
     if len(support) < 2:
@@ -301,8 +322,8 @@ def _walk(lift: Lift):
             edges[J] = []
             J = _lower_edge(lift, J[-1], u)
         return vertices, edges
-    todo = [lift.argmin(*first)]
-    vertices[todo[0]] = first
+    todo = [lift.argmin(*first[0])]
+    vertices[todo[0]] = first[0]
     while todo:
         J = todo.pop()
         corners = _corners(J)
@@ -312,9 +333,13 @@ def _walk(lift: Lift):
             new, w = E not in edges, (-uy, ux)
             edges.setdefault(E, []).append((vertices[J], w))
             nxt = new and _first_tie(lift, p, q, w)
-            if nxt and (K := lift.argmin(*nxt)) not in vertices:
-                vertices[K] = nxt
-                todo.append(K)
+            if nxt:
+                # The far vertex's argmin: the edge's points and its ties.
+                xyd, ties = nxt
+                K = tuple(sorted(E + tuple(ties)))
+                if K not in vertices:
+                    vertices[K] = xyd
+                    todo.append(K)
     return vertices, edges
 
 
@@ -342,10 +367,9 @@ def _edge_line(lift: Lift, J: tuple, ends: list):
         else:
             hi = (xyd[i], xyd[2])
     u = v[i]
-    interval = Interval(None if lo is None else Fraction(lo[0], lo[1] * u),
-                        lo is not None,
-                        None if hi is None else Fraction(hi[0], hi[1] * u),
-                        hi is not None)
+    interval = _tuple(Interval, (
+        None if lo is None else Fraction(lo[0], lo[1] * u), lo is not None,
+        None if hi is None else Fraction(hi[0], hi[1] * u), hi is not None))
     return p0, v, interval, tie, (i, lo, hi)
 
 
@@ -364,19 +388,20 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
         raise ValueError("zero polynomial")
     lift = _lift(p)
     vertices, edges = _walk(lift)
-    cells = []
+    B, coeffs, cells = E.base, p.coeffs, []
     for J in sorted([*vertices, *edges], key=lambda J: (len(J), J)):
-        # The coefficients of p are units, so no zero check is needed.
-        base_cond = HPoly(E.base, 2, {d: p.coeffs[d].coef for d in J})
+        # The coefficients of p are units, so no zero check is needed, and
+        # the dict is the condition's own.
+        base_cond = _tuple(HPoly, (B, 2, {d: coeffs[d].coef for d in J}))
         if J in vertices:
             x, y, den = xyd = vertices[J]
-            cells.append(Cell(J, 0, (Fraction(x, den), Fraction(y, den)),
-                              None, None, None, base_cond, lift, xyd, None,
-                              None))
+            cells.append(_tuple(Cell, (
+                J, 0, (Fraction(x, den), Fraction(y, den)), None, None, None,
+                base_cond, lift, xyd, None, None)))
         else:
             p0, v, interval, tie, span = _edge_line(lift, J, edges[J])
-            cells.append(Cell(J, 1, None, p0, v, interval, base_cond, lift,
-                              None, tie, span))
+            cells.append(_tuple(Cell, (J, 1, None, p0, v, interval, base_cond,
+                                       lift, None, tie, span)))
     return FineCurve(p, tuple(cells))
 
 
@@ -637,13 +662,15 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                     None, None, None, (c1.base_cond, c2.base_cond), None,
                     note=f"unit family at ({g[0]}, {g[1]}): {sols}"))
                 continue
+            gx = _tuple(GroupElem, ((g[0],),))
+            gy = _tuple(GroupElem, ((g[1],),))
             for (u, v) in sols:
-                pt = FinePoint((
-                    ExtElem(u, gelem(g[0])), ExtElem(v, gelem(g[1]))))
-                key = (H.fmt(u), H.fmt(v), g)
+                key = (u, v, g)
                 if key in seen_pts:
                     continue
                 seen_pts.add(key)
+                pt = _tuple(FinePoint, ((_tuple(ExtElem, (u, gx)),
+                                         _tuple(ExtElem, (v, gy))),))
                 for p, lift in checks:
                     if not _is_fine_root(H, p, lift, xyd, u, v):
                         raise SolverInvariantError(
@@ -714,7 +741,8 @@ def homotopy_start(P: FPoly, Q: FPoly):
     start solutions are the unit solutions of its base system in the base
     field, so ``start_solutions`` counts those found and may fall short of
     ``mixed_volume``.  A family of unit solutions, or a consistent base
-    system on a one-dimensional overlap, means the lift is not generic.
+    system on a one-dimensional overlap, is no start cell: ValueError
+    names the pair, its hit kind and the family note or the solutions.
     """
     f = hom_fval(P.domain.field)
     C1 = fine_hypersurface(pushforward(f, P))
@@ -724,7 +752,11 @@ def homotopy_start(P: FPoly, Q: FPoly):
     for c1, c2, hit in _cell_hits(C1, C2):
         kind, sols = solve_base_pair(H, c1.base_cond, c2.base_cond)
         if kind == "family" or (hit[0] == "segment" and sols):
-            raise ValueError("lift not generic, reseed")
+            found = (f"a unit family ({sols})" if kind == "family" else
+                     "unit solutions on the overlap: " + ", ".join(
+                         f"({H.fmt(u)}, {H.fmt(v)})" for u, v in sols))
+            raise ValueError(f"cells J1={c1.J} and J2={c2.J} meet in a "
+                             f"{hit[0]} hit with {found}: not a start cell")
         if hit[0] == "segment":
             continue
         g = hit[1]

@@ -15,6 +15,7 @@ from finetrop.extension import (
 from finetrop.hyperfields import K, P, PHI, S, W, hom_sign, make_dir, quotient_build
 from finetrop.ordgroup import gelem, group_add, scalar_mul
 from finetrop.poly import (
+    HPoly,
     _power_table,
     eval_poly,
     hpoly,
@@ -29,6 +30,7 @@ from finetrop.series import SeriesDomain, fmt_series, s_const, s_zero, series
 from finetrop.fields import GF, QQ, QQi
 from finetrop.hyperfields import field_hyperfield
 
+import base_sum_sweep
 from eval_oracle import eval_every_term, is_root_every_term, power_by_products
 from newton_oracle import group_sub
 import product_oracle
@@ -320,3 +322,55 @@ def test_repr_parenthesizes_compound_coeffs():
     text = repr(p)
     assert "(" in text
     assert parse_poly("Qi", text).coeffs == p.coeffs
+
+
+def test_hpoly_record_prints_as_before():
+    # HPoly is a named tuple; its repr is the printed polynomial it always
+    # was, for extension, compound, empty, phase and three-variable ones.
+    from finetrop.fields import gauss
+
+    TR, QI = trop_signed(), field_hyperfield(QQi)
+    cases = [
+        (hpoly(TR, 2, {(2, 1): TR.elem(-1, Fraction(3, 2)), (0, 0): TR.elem(1, 0),
+                       (1, 0): TR.elem(1, -2)}),
+         "(-1, 3/2)*X^2*Y + (1, -2)*X + (1, 0)"),
+        (hpoly(QI, 1, {(2,): gauss(1, 2), (1,): gauss(0, -1), (0,): gauss(1)}),
+         "(1+2i)*X^2 + -1i*X + 1"),
+        (hpoly(S, 2, {}), "0"),
+        (hpoly(P, 1, {(1,): make_dir(1, 1), (0,): None}), "dir(1,1)*X"),
+        (hpoly(field_hyperfield(QQ), 3, {(0, 0, 0): Fraction(-3, 4),
+                                         (1, 2, 0): Fraction(1),
+                                         (0, 0, 1): Fraction(0)}),
+         "X*Y^2 + -3/4"),
+    ]
+    for p, text in cases:
+        assert repr(p) == str(p) == text
+
+
+def test_hpoly_record_is_frozen_and_owns_its_coefficients():
+    coeffs = {(1,): 1, (0,): -1}
+    p = HPoly(S, 1, coeffs)
+    for field in ("hyperfield", "nvars", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, None)
+    coeffs[(2,)] = 1
+    del coeffs[(0,)]
+    assert p.coeffs == {(1,): 1, (0,): -1}
+    assert p == HPoly(S, 1, {(0,): -1, (1,): 1})
+    # hpoly drops zero coefficients, and keeps its own copy too.
+    raw = {(3,): 0, (1,): 1}
+    q = hpoly(S, 1, raw)
+    raw[(0,)] = -1
+    assert q.coeffs == {(1,): 1} and q.support == [(1,)] and q.degree() == 1
+    assert hpoly(S, 1, {(0,): 0}).is_zero()
+
+
+def test_base_sum_sweep_matches_the_every_term_oracle(monkeypatch):
+    # 40 rounds of tests/base_sum_sweep.py, which runs any number: is_root
+    # over the closed-form bases and their extensions against the every-term
+    # oracle.  The oracle runs with every sum_contains_zero disabled, and a
+    # root test that asks it is caught.
+    assert base_sum_sweep.sweep(40) == (560, 151)
+    monkeypatch.setattr(base_sum_sweep, "is_root_every_term", is_root)
+    with pytest.raises(AssertionError, match="called sum_contains_zero"):
+        base_sum_sweep.sweep(1)

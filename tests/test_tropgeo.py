@@ -134,24 +134,53 @@ def test_vertices_match_every_triple_oracle():
             for J, (x, y, den) in want.items()}, hp
 
 
+def test_vertex_J_is_the_argmin_at_its_point():
+    # A vertex reached along an edge takes its J from the edge's tie scan
+    # (the edge's points and those tying at the least ratio); it must be
+    # the argmin set at the vertex.  The hand-built support has a unit
+    # square of equal levels (a 4-point tie) and a 5-point tie on another
+    # plane, both reached by the scan, not as the walk's first vertex.
+    T = trop()
+    levels = {(0, 0): 5, (1, 0): 3, (2, 0): 2, (0, 1): 3, (0, 2): 3,
+              (1, 3): 3, (2, 3): 3, (1, 1): 0, (2, 1): 0, (1, 2): 0,
+              (2, 2): 0, (3, 0): 1, (3, 1): 1, (3, 2): 1}
+    square = ((1, 1), (1, 2), (2, 1), (2, 2))
+    five = ((2, 1), (2, 2), (3, 0), (3, 1), (3, 2))
+    hand = hpoly(T, 2, {d: T.elem(1, gelem(x)) for d, x in levels.items()})
+    first = next(iter(tropgeo._walk(tropgeo._lift(hand))[0]))
+    assert first not in (square, five)
+    seen = set()
+    for hp in [*_oracle_curves(), hand]:
+        for c in fine_hypersurface(hp).cells:
+            if c.dim == 0:
+                assert c.J == c.lift.argmin(*c.ipoint), (hp, c.J)
+                seen.add(c.J)
+    assert square in seen and five in seen
+
+
 def test_fine_point_check_sums_only_minimal_level_terms(monkeypatch):
     # A dense cubic over T at a vertex g of its curve: only the monomials
     # in the vertex's J attain the minimal level, and any unit pair over
-    # K is a root there.  Their sum is formed at that level: the base
-    # hyperfield folds the len(J) coefficients from the first, one
-    # add_set_elem per further term, and the extension adds none.
+    # K is a root there.  Their sum is decided at that level: the base
+    # hyperfield's sum_contains_zero gets exactly the len(J) products, and
+    # the extension sums nothing.
     T = trop()
     levels = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
     p = hpoly(T, 2, {d: T.elem(1, gelem(x))
                      for d, x in zip(_triangle(3), levels)})
     ext_calls, base_calls = [], []
-    for cls, calls in ((TropicalExtension, ext_calls),
-                       (type(T.base), base_calls)):
-        def counted(self, S, y, add_set_elem=cls.add_set_elem, calls=calls):
-            calls.append(y)
-            return add_set_elem(self, S, y)
+    for name in ("add_set_elem", "nary_sum", "sum_contains_zero"):
+        def counted(self, *args, method=getattr(TropicalExtension, name)):
+            ext_calls.append(args)
+            return method(self, *args)
 
-        monkeypatch.setattr(cls, "add_set_elem", counted)
+        monkeypatch.setattr(TropicalExtension, name, counted)
+
+    def base_sum(self, terms, method=type(T.base).sum_contains_zero):
+        base_calls.append(list(terms))
+        return method(self, terms)
+
+    monkeypatch.setattr(type(T.base), "sum_contains_zero", base_sum)
     vertices = [c for c in fine_hypersurface(p).cells if c.dim == 0]
     assert vertices
     for c in vertices:
@@ -159,7 +188,8 @@ def test_fine_point_check_sums_only_minimal_level_terms(monkeypatch):
         base_calls.clear()
         pt = (T.elem(1, gelem(c.point[0])), T.elem(1, gelem(c.point[1])))
         assert is_root(p, pt)
-        assert len(base_calls) == len(c.J) - 1 < len(p.coeffs) - 1
+        assert [len(terms) for terms in base_calls] == [len(c.J)]
+        assert len(c.J) < len(p.coeffs)
         assert ext_calls == []
 
 
@@ -700,8 +730,13 @@ def test_homotopy_start_no_transversal_cells():
 
 
 def test_homotopy_rejects_degenerate_lift():
+    # Nothing in homotopy_start is random, so the message names the pair
+    # that is no start cell instead of asking for another seed.
     P = parse_fpoly(DOM, "X + Y - 1")
-    with pytest.raises(ValueError, match="reseed"):
+    with pytest.raises(ValueError, match=(
+            r"^cells J1=\(\(0, 0\), \(0, 1\)\) and J2=\(\(0, 0\), \(0, 1\)\) "
+            r"meet in a segment hit with a unit family \(the other condition "
+            r"vanishes on the binomial\): not a start cell$")):
         homotopy_start(P, P)
 
 
