@@ -12,12 +12,11 @@ singleton plus the element).  A sum of many elements folds
 ``add_set_elem`` from the first of them.
 
 Every root test asks only whether 0 lies in a sum of elements
-(``sum_contains_zero``), and four bases answer that without forming a set
-value: a field by one field sum tested for zero; K when the number of
-nonzero terms is not 1; S when the nonzero terms do not all have one sign;
-W unless there is exactly one nonzero term or exactly two equal ones (in W,
-1 + 1 + 1 holds 0, so S's rule is not W's).  GF(p)/U, P and Phi fold the
-sum.  K, S and W also take powers in closed form, every unit squaring to 1.
+(``sum_contains_zero``), and K and S answer that without forming a set
+value: K when the number of nonzero terms is not 1, S when the nonzero
+terms do not all have one sign.  W keeps the fold, since 1 + 1 + 1 holds 0
+in W and S's rule is not W's; so do fields, GF(p)/U, P and Phi.  K, S and
+W take powers in closed form, every unit squaring to 1.
 
 Phase elements are unit directions with rational slope, stored as primitive
 integer pairs; no floating point angles appear anywhere.  A set value over P
@@ -369,8 +368,8 @@ class Hyperfield:
 
     def sum_contains_zero(self, terms: Sequence) -> bool:
         """Whether 0 lies in the sum of the elements ``terms``: the fold
-        ``nary_sum`` read by ``set_contains_zero``.  A field, K, S and W
-        answer it in closed form without forming a set value."""
+        ``nary_sum`` read by ``set_contains_zero``.  K and S answer it in
+        closed form without forming a set value."""
         return self.set_contains_zero(self.nary_sum(terms))
 
     def set_is_empty(self, S) -> bool:
@@ -505,17 +504,6 @@ class FieldHyperfield(FiniteHyperfield):
     def add(self, a, b):
         return self.singleton(self.field.add(a, b))
 
-    def sum_contains_zero(self, terms: Sequence) -> bool:
-        # Every sum is a singleton: 0 is in it when the field sum is 0.
-        F = self.field
-        total = F.zero()
-        for t in terms:
-            total = F.add(total, t)
-        return F.is_zero(total)
-
-    def power(self, a, n: int):
-        return self.field.power(a, n)
-
     def elements(self):
         return self.field.elements()
 
@@ -625,13 +613,8 @@ class WeakSignHyperfield(SignHyperfield):
     def _add_units(self, a, b):
         return _UNIT_SIGNS if a == b else _SIGNS
 
-    def sum_contains_zero(self, terms: Sequence) -> bool:
-        # Not S's rule: a + a = {1, -1}, so three units of one sign already
-        # sum to all of W.  0 is missing only from a single unit and from
-        # two equal ones.
-        units = [t for t in terms if t]
-        return not (len(units) == 1
-                    or (len(units) == 2 and units[0] == units[1]))
+    # Not S's rule: a + a = {1, -1}, so 1 + 1 + 1 holds 0.  W folds.
+    sum_contains_zero = Hyperfield.sum_contains_zero
 
     def stringency_witness(self):
         return (1, 1)

@@ -10,9 +10,8 @@ the coefficient dict; assigning a field raises AttributeError.
 Every root test ends in one question, by the hyperfield Kapranov theorem:
 does 0 lie in the base sum of the minimal-level terms?  The terms'
 products are handed to the base's ``sum_contains_zero``, a closed form over
-a field (the field sum is 0), K (not exactly one nonzero term), S (not all
-nonzero terms of one sign) and W (neither exactly one nonzero term nor
-exactly two equal ones), and the fold of ``nary_sum`` over the others.
+K (not exactly one nonzero term) and S (not all nonzero terms of one sign),
+and the fold of ``nary_sum`` over the others.
 """
 
 from __future__ import annotations
@@ -159,8 +158,8 @@ def _zero_in_base_sum(B: Hyperfield, terms, tables) -> bool:
     every root test ends here, since by the hyperfield Kapranov theorem a
     root over a tropical extension depends only on the base sum of its
     minimal-level terms.  B answers from the products alone
-    (``Hyperfield.sum_contains_zero``): a closed form over a field, K, S
-    and W, and the fold of ``nary_sum`` elsewhere."""
+    (``Hyperfield.sum_contains_zero``): a closed form over K and S, and the
+    fold of ``nary_sum`` elsewhere."""
     return B.sum_contains_zero(_products(B, terms, tables))
 
 

@@ -12,17 +12,18 @@ faces, edges to their sides (Maclagan-Sturmfels, Introduction to
 Tropical Geometry, Prop. 3.1.6).  So J is never searched over subsets
 of the support, and no cell is solved from rows: with the levels scaled
 to integers by their common denominator, one walk over the lower faces
-meets each cell once.  The first vertex's J is the argmin set at its
-point.  Each side of conv(J) gives an edge, whose J is the points of J on
-that side, and whose far end is the first tie met along its tie line
-(found by integer Cramer's rule); with no tie it is a ray.  The tie scan
-that finds that end also gives its vertex's J: the edge's points and the
-support points tying at the least ratio, so no argmin is taken there.  A
-collinear support has no vertex, and its edges are whole lines.  Since
-cells are relatively open, a point lies in the cell J exactly when J is
-its argmin set, an integer test.  Each cell keeps the walk's integer
-geometry next to its Fractions: a vertex its point as (x, y, den), an edge
-its tie (a, b, n) and the integer ends of its span.
+meets each cell once.  It enters on a ray, the lower edge leaving a
+corner of Newt(p).  Each side of a vertex's conv(J) gives an edge, whose J
+is the points of J on that side, and whose far end is the first tie met
+along its tie line (found by integer Cramer's rule); with no tie it is a
+ray.  The tie scan that finds that end also gives its vertex's J: the
+edge's points and the support points tying at the least ratio, so the
+walk takes no argmin.  A collinear support has no vertex, and its edges
+are whole lines.  Since cells are relatively open, a point lies in the
+cell J exactly when J is its argmin set, an integer test.  Each cell
+keeps the walk's integer geometry next to its Fractions: a vertex its
+point as (x, y, den), an edge its tie (a, b, n) and the integer ends of
+its span.
 
 Intersections pair the cells of two curves with one walker, whose pairs
 are the cells of the mixed subdivision of Newt(P) + Newt(Q), and which
@@ -47,9 +48,9 @@ point, found at the hit's integer point on the source's levels, which
 the check scales to integers itself once per call.  Both the scan and
 the check decide a base sum with ``poly._zero_in_base_sum``, on powers
 from ``poly._power_table``, each by square-and-multiply (in closed form
-over K, S and W).  It asks the base's ``sum_contains_zero``: over K, S and
-W a count or a sign test of the terms, over a field one field sum, and
-over GF(p)/U the fold of ``nary_sum``.  The point hits are the
+over K, S and W).  It asks the base's ``sum_contains_zero``: over K and S
+a count or a sign test of the terms, and over W, a field or GF(p)/U the
+fold of ``nary_sum``.  The point hits are the
 transversal meetings, the mixed cells of positive mixed area, so
 they are the stable intersection, found without base solving; as start
 systems for polyhedral homotopy their mixed areas sum to the mixed volume
@@ -87,9 +88,6 @@ from .series import hom_fval
 Vec2 = tuple[Fraction, Fraction]
 Expt = tuple[int, int]
 _ZERO = Fraction(0)
-# Records built on the hot paths skip the named tuples' Python-level
-# ``__new__``, as ``hyperfields._tuple`` does for arcs.
-_tuple = tuple.__new__
 
 
 def _primitive(x: int, y: int) -> tuple[int, int]:
@@ -305,10 +303,10 @@ def _walk(lift: Lift):
     with den > 0, and the edge cells as J -> their ends [((x, y, den), w)],
     w the direction in which the edge leaves that vertex.  The walk enters
     on the lower edge that leaves the least exponent a along a side of
-    Newt(p), a ray, at its first tie walking inward, whose J is the argmin
-    there; with no tie the support is collinear, and its edges are the
-    chain of lower edges.  Every other vertex is the far end of an edge E,
-    and its J is E with the ties of ``_first_tie``, sorted.
+    Newt(p), a ray, at its first tie walking inward; with no tie the support
+    is collinear, and its edges are the chain of lower edges.  Every other
+    vertex is the far end of an edge E.  A vertex's J is the points of the
+    edge that reaches it with the ties of ``_first_tie``, sorted.
     """
     support, vertices, edges = lift.support, {}, {}
     if len(support) < 2:
@@ -322,7 +320,8 @@ def _walk(lift: Lift):
             edges[J] = []
             J = _lower_edge(lift, J[-1], u)
         return vertices, edges
-    todo = [lift.argmin(*first[0])]
+    # The ray's argmin: the lower edge's points and the first tie's.
+    todo = [tuple(sorted(J + tuple(first[1])))]
     vertices[todo[0]] = first[0]
     while todo:
         J = todo.pop()
@@ -367,7 +366,7 @@ def _edge_line(lift: Lift, J: tuple, ends: list):
         else:
             hi = (xyd[i], xyd[2])
     u = v[i]
-    interval = _tuple(Interval, (
+    interval = tuple.__new__(Interval, (
         None if lo is None else Fraction(lo[0], lo[1] * u), lo is not None,
         None if hi is None else Fraction(hi[0], hi[1] * u), hi is not None))
     return p0, v, interval, tie, (i, lo, hi)
@@ -392,16 +391,16 @@ def fine_hypersurface(p: HPoly) -> FineCurve:
     for J in sorted([*vertices, *edges], key=lambda J: (len(J), J)):
         # The coefficients of p are units, so no zero check is needed, and
         # the dict is the condition's own.
-        base_cond = _tuple(HPoly, (B, 2, {d: coeffs[d].coef for d in J}))
+        base_cond = tuple.__new__(HPoly, (B, 2, {d: coeffs[d].coef for d in J}))
         if J in vertices:
             x, y, den = xyd = vertices[J]
-            cells.append(_tuple(Cell, (
+            cells.append(tuple.__new__(Cell, (
                 J, 0, (Fraction(x, den), Fraction(y, den)), None, None, None,
                 base_cond, lift, xyd, None, None)))
         else:
             p0, v, interval, tie, span = _edge_line(lift, J, edges[J])
-            cells.append(_tuple(Cell, (J, 1, None, p0, v, interval, base_cond,
-                                       lift, None, tie, span)))
+            cells.append(tuple.__new__(Cell, (
+                J, 1, None, p0, v, interval, base_cond, lift, None, tie, span)))
     return FineCurve(p, tuple(cells))
 
 
@@ -662,15 +661,15 @@ def fine_intersect(C1: FineCurve, C2: FineCurve):
                     None, None, None, (c1.base_cond, c2.base_cond), None,
                     note=f"unit family at ({g[0]}, {g[1]}): {sols}"))
                 continue
-            gx = _tuple(GroupElem, ((g[0],),))
-            gy = _tuple(GroupElem, ((g[1],),))
+            gx = tuple.__new__(GroupElem, ((g[0],),))
+            gy = tuple.__new__(GroupElem, ((g[1],),))
             for (u, v) in sols:
                 key = (u, v, g)
                 if key in seen_pts:
                     continue
                 seen_pts.add(key)
-                pt = _tuple(FinePoint, ((_tuple(ExtElem, (u, gx)),
-                                         _tuple(ExtElem, (v, gy))),))
+                pt = tuple.__new__(FinePoint, ((tuple.__new__(ExtElem, (u, gx)),
+                                                tuple.__new__(ExtElem, (v, gy))),))
                 for p, lift in checks:
                     if not _is_fine_root(H, p, lift, xyd, u, v):
                         raise SolverInvariantError(

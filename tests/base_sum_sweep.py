@@ -1,8 +1,8 @@
-"""Root tests against the every-term oracle over the closed-form bases.
+"""Root tests against the every-term oracle over the finite bases.
 
 ``poly.is_root`` decides 0 in the base sum of the minimal-level terms with
-``Hyperfield.sum_contains_zero``: a closed form over a field, K, S and W,
-the fold of ``nary_sum`` over a factor hyperfield.  Here it is checked
+``Hyperfield.sum_contains_zero``: a closed form over K and S, the fold of
+``nary_sum`` over W, a field and a factor hyperfield.  Here it is checked
 against ``eval_oracle.is_root_every_term``, which evaluates every monomial
 on its own and folds the terms with ``add_set_elem``.  The oracle runs
 while every ``sum_contains_zero`` raises, so it cannot lean on the closed

@@ -15,7 +15,7 @@ from finetrop.extension import (
     trop_complex,
     trop_signed,
 )
-from finetrop.fields import BaseField, GF, QQ, QQi, gauss
+from finetrop.fields import BaseField, GF, QQ, gauss
 from finetrop.hyperfields import (
     ARCSET_EMPTY,
     ARCSET_FULL_ZERO,
@@ -419,27 +419,6 @@ def test_small_base_sums_match_the_fold():
     assert W.sum_contains_zero([1, 1, 1]) and not S.sum_contains_zero([1, 1, 1])
 
 
-def test_field_base_sums_match_the_fold():
-    # Sampled lists over Q, Q(i) and GF(7); in about half of them one term
-    # is planted as minus the sum of the others, so the sum is 0.
-    rng = random.Random(62)
-    for F in (QQ, QQi, GF(7)):
-        H = field_hyperfield(F)
-        zeros = 0
-        for _ in range(300):
-            terms = [F.random(rng) for _ in range(rng.randint(0, 6))]
-            if terms and rng.random() < 0.5:
-                total = F.zero()
-                for t in terms:
-                    total = F.add(total, t)
-                terms.append(F.neg(total))
-                rng.shuffle(terms)
-            got = H.sum_contains_zero(terms)
-            assert got == H.set_contains_zero(H.nary_sum(terms)), (F.name, terms)
-            zeros += got
-        assert zeros >= 130, (F.name, zeros)
-
-
 def test_small_powers_match_square_and_multiply():
     # The closed form a^n of K, S and W against BaseField.power, which the
     # other hyperfields share; 0^n for n < 0 raises in both.
@@ -453,8 +432,6 @@ def test_small_powers_match_square_and_multiply():
                         BaseField.power(H, a, n)
                 else:
                     assert H.power(a, n) == BaseField.power(H, a, n), (H.name, a, n)
-    H = field_hyperfield(QQ)
-    assert H.power(Fraction(-2, 3), -5) == BaseField.power(H, Fraction(-2, 3), -5)
 
 
 def test_units_of_the_small_bases_are_constant():
@@ -464,9 +441,10 @@ def test_units_of_the_small_bases_are_constant():
 
 
 def test_other_bases_keep_the_fold():
-    # GF(p)/U, P and Phi have no closed form: 0 in the sum is read off the
-    # fold nary_sum.
-    for H in (quotient_build(7, [1, 2, 4]), P, PHI):
+    # W, fields, GF(p)/U, P and Phi have no closed form: 0 in the sum is
+    # read off the fold nary_sum.
+    for H in (W, field_hyperfield(QQ), field_hyperfield(GF(7)),
+              quotient_build(7, [1, 2, 4]), P, PHI):
         assert type(H).sum_contains_zero is Hyperfield.sum_contains_zero
     G = quotient_build(7, [1, 2, 4])
     assert G.sum_contains_zero([1, 3]) == G.set_contains_zero(G.add(1, 3))
